@@ -50,8 +50,8 @@ def analyze_baseline(
     with span("fixpoint", program=cfg.name, kind="baseline") as fixpoint_span:
         result = solve_forward(
             cfg,
-            entry_state=new_entry_state(config, use_shadow_state),
-            bottom=new_bottom_state(config, use_shadow_state),
+            entry_state=new_entry_state(config, use_shadow_state, program.layout),
+            bottom=new_bottom_state(config, use_shadow_state, program.layout),
             transfer=lambda name, state: transfer_block(state, table, name),
         )
         fixpoint_span.set(iterations=result.iterations, widenings=result.widenings)

@@ -349,7 +349,7 @@ class SpeculativeCacheAnalysis:
         #: Dirty-slot re-transfers performed by the sparse scheduler
         #: (telemetry only; published to the metrics registry by run()).
         self._slot_transfers = 0
-        self._bottom = new_bottom_state(self.cache_config, self._use_shadow)
+        self._bottom = new_bottom_state(self.cache_config, self._use_shadow, self.layout)
         # ------------------------------------------------------------------
         # Precomputed per-block indices (the sparse engine's substrate):
         # which scenarios inject at a block, O(1) color -> scenario lookup,
@@ -558,7 +558,7 @@ class SpeculativeCacheAnalysis:
         policy = self._widening_policy()
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
         speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
         visits: dict[str, int] = {name: 0 for name in reachable}
         dirty: dict[str, set] = {name: set() for name in reachable}
@@ -760,7 +760,7 @@ class SpeculativeCacheAnalysis:
                     seeded_slots += 1
             speculative[name] = slots
         if cfg.entry in affected:
-            normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+            normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
 
         # Seed the chooser for stable scenarios: classification reads the
         # active window of every scenario, including ones the warm drain
@@ -975,7 +975,7 @@ class SpeculativeCacheAnalysis:
         no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
         visits: dict[str, int] = {name: 0 for name in reachable}
         normal_dirty: dict[str, set] = {name: set() for name in reachable}
 
@@ -1180,7 +1180,7 @@ class SpeculativeCacheAnalysis:
         no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
         visits: dict[str, int] = {name: 0 for name in reachable}
         normal_dirty: dict[str, set] = {name: set() for name in reachable}
 
@@ -1290,7 +1290,7 @@ class SpeculativeCacheAnalysis:
                     for shard_index in range(shard_count):
                         pops, changed_blob = by_shard[shard_index]
                         iterations += pops
-                        local_states = decode_state_map(changed_blob)
+                        local_states = decode_state_map(changed_blob, self.layout.lanes)
                         for block in sorted(local_states, key=lambda b: order.get(b, 0)):
                             current = normal[block]
                             joined = current.join(local_states[block])
@@ -1348,7 +1348,7 @@ class SpeculativeCacheAnalysis:
         policy = self._widening_policy()
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
         speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
         visits: dict[str, int] = {name: 0 for name in reachable}
 
@@ -1754,7 +1754,7 @@ class _ShardWorker:
         self.shards = [all_shards[index] for index in shard_indices]
         self.mirror: dict[str, object] = {name: analysis._bottom for name in reachable}
         self.mirror[analysis.cfg.entry] = new_entry_state(
-            analysis.cache_config, analysis._use_shadow
+            analysis.cache_config, analysis._use_shadow, analysis.layout
         )
 
     def __call__(self, message: tuple):
@@ -1779,7 +1779,7 @@ class _ShardWorker:
         (a shard with no seeds pops nothing and changes nothing, matching
         the serial backend's seeding filter).
         """
-        delta_states = decode_state_map(delta_blob)
+        delta_states = decode_state_map(delta_blob, self.analysis.layout.lanes)
         self.mirror.update(delta_states)
         delta = set(delta_states)
         order = self.order

@@ -59,8 +59,9 @@ class AccessTable:
         return sum(len(sites) for sites in self._by_block.values())
 
 
-def new_entry_state(config: CacheConfig, use_shadow: bool):
-    """Fresh empty-cache state of the flavour ``config`` calls for.
+def new_entry_state(config: CacheConfig, use_shadow: bool, layout: MemoryLayout):
+    """Fresh empty-cache state of the flavour ``config`` calls for, packed
+    over ``layout``'s lane table.
 
     Fully-associative geometries use the flat single-set domain (the
     paper's default, bit-identical to the pre-geometry behaviour);
@@ -69,15 +70,15 @@ def new_entry_state(config: CacheConfig, use_shadow: bool):
     """
     if config.is_fully_associative:
         flavour = ShadowCacheState if use_shadow else CacheState
-        return flavour.empty(config.num_lines, policy=config.policy)
-    return SetAssocCacheState.empty(config, use_shadow)
+        return flavour.empty(config.num_lines, layout.lanes, policy=config.policy)
+    return SetAssocCacheState.empty(config, layout.lanes, use_shadow)
 
 
-def new_bottom_state(config: CacheConfig, use_shadow: bool):
+def new_bottom_state(config: CacheConfig, use_shadow: bool, layout: MemoryLayout):
     if config.is_fully_associative:
         flavour = ShadowCacheState if use_shadow else CacheState
-        return flavour.bottom(config.num_lines, policy=config.policy)
-    return SetAssocCacheState.bottom(config, use_shadow)
+        return flavour.bottom(config.num_lines, layout.lanes, policy=config.policy)
+    return SetAssocCacheState.bottom(config, layout.lanes, use_shadow)
 
 
 def transfer_block(state, table: AccessTable, block: str, instruction_limit: int | None = None):

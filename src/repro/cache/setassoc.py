@@ -33,7 +33,7 @@ from repro.cache.abstract import AGE_INFINITY, CacheState
 from repro.cache.config import CacheConfig
 from repro.cache.placement import set_index
 from repro.cache.shadow import ShadowCacheState
-from repro.ir.memory import AccessKind, BlockAccess, MemoryBlock
+from repro.ir.memory import AccessKind, BlockAccess, LaneTable, MemoryBlock
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,11 @@ class SetAssocCacheState:
 
     ``sets`` always has ``num_sets`` entries; entry ``i`` is the state of
     cache set ``i`` with ``ways`` lines.  All per-set states share the
-    replacement ``policy``.  The wrapper carries its own ``is_bottom``
-    flag (⊥ of the product is ⊥ in every component; keeping the flag here
-    makes the join identity cheap to test).
+    replacement ``policy`` and the layout's lane table (only the lanes of
+    blocks placed in a set are ever non-zero in that set's state).  The
+    wrapper carries its own ``is_bottom`` flag (⊥ of the product is ⊥ in
+    every component; keeping the flag here makes the join identity cheap
+    to test).
     """
 
     num_sets: int
@@ -56,9 +58,12 @@ class SetAssocCacheState:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def empty(cls, config: CacheConfig, use_shadow: bool = False) -> "SetAssocCacheState":
+    def empty(
+        cls, config: CacheConfig, lanes: LaneTable, use_shadow: bool = False
+    ) -> "SetAssocCacheState":
         """Entry state for ``config``: every set an empty cache."""
-        per_set = cls._new_set_state(config.ways, config.policy, use_shadow)
+        flavour = ShadowCacheState if use_shadow else CacheState
+        per_set = flavour.empty(config.ways, lanes, policy=config.policy)
         return cls(
             num_sets=config.num_sets,
             ways=config.ways,
@@ -66,9 +71,11 @@ class SetAssocCacheState:
         )
 
     @classmethod
-    def bottom(cls, config: CacheConfig, use_shadow: bool = False) -> "SetAssocCacheState":
+    def bottom(
+        cls, config: CacheConfig, lanes: LaneTable, use_shadow: bool = False
+    ) -> "SetAssocCacheState":
         flavour = ShadowCacheState if use_shadow else CacheState
-        per_set = flavour.bottom(config.ways, policy=config.policy)
+        per_set = flavour.bottom(config.ways, lanes, policy=config.policy)
         return cls(
             num_sets=config.num_sets,
             ways=config.ways,
@@ -76,17 +83,16 @@ class SetAssocCacheState:
             is_bottom=True,
         )
 
-    @staticmethod
-    def _new_set_state(ways: int, policy: str, use_shadow: bool):
-        flavour = ShadowCacheState if use_shadow else CacheState
-        return flavour.empty(ways, policy=policy)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def policy(self) -> str:
         return self.sets[0].policy
+
+    @property
+    def lanes(self) -> LaneTable:
+        return self.sets[0].lanes
 
     def set_of(self, block: MemoryBlock) -> int:
         return set_index(block, self.num_sets)
@@ -125,19 +131,20 @@ class SetAssocCacheState:
         if self.is_bottom:
             return self
         if access.kind is AccessKind.CONCRETE:
-            return self.access_block(access.concrete_block)
+            index = self.set_of(access.blocks[0])
+            return self._replace_set(index, self.sets[index]._touch(access.lanes[0]))
         # Index-unknown (or secret-indexed) access: it resolves to exactly
         # one of access.blocks at run time, so exactly one of their sets
         # takes an access of unknown target; every such set must be aged
         # conservatively, the others provably keep their contents.
-        targets: dict[int, list[MemoryBlock]] = {}
-        for block in access.blocks:
-            targets.setdefault(self.set_of(block), []).append(block)
+        targets: dict[int, list[int]] = {}
+        for block, lane in zip(access.blocks, access.lanes):
+            targets.setdefault(self.set_of(block), []).append(lane)
         new_sets = list(self.sets)
-        for index, blocks in targets.items():
+        for index, lanes in targets.items():
             state = new_sets[index]
             if isinstance(state, ShadowCacheState):
-                new_sets[index] = state.access_unknown(tuple(blocks))
+                new_sets[index] = state.access_unknown(self.lanes.mask(lanes))
             else:
                 new_sets[index] = state.access_unknown()
         return SetAssocCacheState(

@@ -9,62 +9,140 @@ the aging rule: a block ``u`` only ages when enough distinct blocks could
 actually be sitting in front of it (``NYoung(u) >= Age(u)``), which
 prevents the spurious evictions illustrated in Figure 11 and fixed in
 Figure 13.
+
+Lane encoding
+-------------
+Both age maps use the lane encoding of :mod:`repro.cache.abstract`: one
+Python int per map, one 16-bit lane per block of the layout's
+:class:`~repro.ir.memory.LaneTable`, holding ``num_lines + 1 - age`` for
+a block whose (must or shadow) age is at most ``num_lines`` and 0 for an
+absent block.  The invariants are the same: absent = 0, every value at
+most ``num_lines`` and so below the lane's guard bit, and one lane table
+per layout, shared by every state of an analysis (``join``, ``leq`` and
+``widen`` raise ``ValueError`` on another flavour or an unequal table).
+The must join (pointwise max of ages) is then a lane-wise min of the
+values and the may join (pointwise min of ages) a lane-wise max.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 
-from repro.cache.abstract import AGE_INFINITY
-from repro.ir.memory import AccessKind, BlockAccess, MemoryBlock, placeholder_blocks
+from repro.cache.abstract import (
+    AGE_INFINITY,
+    AgeView,
+    age_all,
+    check_compatible,
+    check_num_lines,
+    describe_ages,
+    keep_at_least,
+    lane_value,
+    lanes_from_ages,
+    placeholder_lanes,
+)
+from repro.ir.memory import LANE_BITS, AccessKind, BlockAccess, LaneTable, MemoryBlock
+
+_LANE = (1 << LANE_BITS) - 1
+_GUARD_SHIFT = LANE_BITS - 1
 
 
-@dataclass(frozen=True)
 class ShadowCacheState:
     """Must-ages plus shadow (may) ages.
 
-    ``must`` only stores blocks guaranteed cached (age <= num_lines);
-    ``may`` only stores blocks that may be cached (shadow age <= num_lines).
+    ``must_packed`` holds the blocks guaranteed cached (age <=
+    num_lines); ``may_packed`` the blocks that may be cached (shadow age
+    <= num_lines).  :attr:`must` and :attr:`may` are read-only
+    ``{MemoryBlock: age}`` views of them.
     """
 
-    num_lines: int
-    must: dict[MemoryBlock, int] = field(default_factory=dict)
-    may: dict[MemoryBlock, int] = field(default_factory=dict)
-    is_bottom: bool = False
-    policy: str = "lru"
+    __slots__ = ("num_lines", "lanes", "must_packed", "may_packed", "is_bottom", "policy")
+
+    def __init__(
+        self,
+        num_lines: int,
+        lanes: LaneTable,
+        must_packed: int = 0,
+        may_packed: int = 0,
+        is_bottom: bool = False,
+        policy: str = "lru",
+    ):
+        check_num_lines(num_lines)
+        self.num_lines = num_lines
+        self.lanes = lanes
+        self.must_packed = must_packed
+        self.may_packed = may_packed
+        self.is_bottom = is_bottom
+        self.policy = policy
+
+    def _with(self, must: int, may: int) -> "ShadowCacheState":
+        state = object.__new__(ShadowCacheState)
+        state.num_lines = self.num_lines
+        state.lanes = self.lanes
+        state.must_packed = must
+        state.may_packed = may
+        state.is_bottom = False
+        state.policy = self.policy
+        return state
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def empty(cls, num_lines: int, policy: str = "lru") -> "ShadowCacheState":
-        return cls(num_lines=num_lines, policy=policy)
+    def empty(cls, num_lines: int, lanes: LaneTable, policy: str = "lru") -> "ShadowCacheState":
+        return cls(num_lines, lanes, policy=policy)
 
     @classmethod
-    def bottom(cls, num_lines: int, policy: str = "lru") -> "ShadowCacheState":
-        return cls(num_lines=num_lines, is_bottom=True, policy=policy)
+    def bottom(cls, num_lines: int, lanes: LaneTable, policy: str = "lru") -> "ShadowCacheState":
+        return cls(num_lines, lanes, is_bottom=True, policy=policy)
+
+    @classmethod
+    def from_ages(
+        cls,
+        num_lines: int,
+        lanes: LaneTable,
+        must: Mapping[MemoryBlock, int],
+        may: Mapping[MemoryBlock, int],
+        policy: str = "lru",
+    ) -> "ShadowCacheState":
+        return cls(
+            num_lines,
+            lanes,
+            lanes_from_ages(must, lanes, num_lines),
+            lanes_from_ages(may, lanes, num_lines),
+            policy=policy,
+        )
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def age(self, block: MemoryBlock) -> int:
-        if self.is_bottom:
+    @property
+    def must(self) -> AgeView:
+        return AgeView(0 if self.is_bottom else self.must_packed, self.lanes, self.num_lines)
+
+    @property
+    def may(self) -> AgeView:
+        return AgeView(0 if self.is_bottom else self.may_packed, self.lanes, self.num_lines)
+
+    def _age_in(self, packed: int, block: MemoryBlock) -> int:
+        lane = self.lanes.lane_of(block)
+        if self.is_bottom or lane is None:
             return AGE_INFINITY
-        return self.must.get(block, AGE_INFINITY)
+        value = lane_value(packed, lane)
+        return self.num_lines + 1 - value if value else AGE_INFINITY
+
+    def age(self, block: MemoryBlock) -> int:
+        return self._age_in(self.must_packed, block)
 
     def shadow_age(self, block: MemoryBlock) -> int:
-        if self.is_bottom:
-            return AGE_INFINITY
-        return self.may.get(block, AGE_INFINITY)
+        return self._age_in(self.may_packed, block)
 
     def must_hit(self, block: MemoryBlock) -> bool:
-        return not self.is_bottom and block in self.must
+        return self.age(block) != AGE_INFINITY
 
     def must_hit_access(self, access: BlockAccess) -> bool:
         if self.is_bottom:
             return False
-        return all(block in self.must for block in access.blocks)
+        return all(lane_value(self.must_packed, lane) for lane in access.lanes)
 
     def cached_blocks(self) -> set[MemoryBlock]:
         return set(self.must)
@@ -79,12 +157,12 @@ class ShadowCacheState:
         if self.is_bottom:
             return self
         if access.kind is AccessKind.CONCRETE:
-            return self.access_block(access.concrete_block)
+            return self._touch(access.lanes[0])
         if access.kind is AccessKind.SECRET:
             # Fully conservative: the side-channel verdict about this access
             # must never benefit from optimistic assumptions.
-            return self.access_unknown(access.blocks)
-        return self.access_unknown_array(access.symbol, access.blocks)
+            return self.access_unknown(access.lane_mask)
+        return self._access_unknown_array(access)
 
     def access_block(self, block: MemoryBlock) -> "ShadowCacheState":
         """Appendix B transfer for a statically known block (LRU), or the
@@ -96,70 +174,94 @@ class ShadowCacheState:
         is not applied to FIFO."""
         if self.is_bottom:
             return self
-        if self.policy == "fifo":
-            if block in self.must:
-                return self
-            new_must = {}
-            for other, age in self.must.items():
-                aged = age + 1
-                if aged <= self.num_lines:
-                    new_must[other] = aged
-            new_must[block] = self.num_lines
-            new_may = dict(self.may)
-            new_may[block] = 1
-            return ShadowCacheState(
-                num_lines=self.num_lines,
-                must=new_must,
-                may=new_may,
-                policy=self.policy,
-            )
-        old_must_age = self.age(block)
-        old_shadow_age = self.shadow_age(block)
+        return self._touch(self.lanes.lane(block))
 
-        # Step 1: update the shadow (may) component.  ``dict(d)`` clones at
-        # C speed without re-hashing any key; only the entries that actually
-        # age (shadow age <= the accessed block's old shadow age — none
-        # when re-touching the youngest line, the hot case in loops) pay a
-        # per-key update.  The accessed block's own entry is overwritten
-        # with 1 at the end, which also undoes its aging-out, so the
-        # result is exactly the rebuilt-from-scratch dict up to key order.
-        new_may = dict(self.may)
-        for other, shadow_age in self.may.items():
-            if shadow_age <= old_shadow_age:
-                aged = shadow_age + 1
-                if aged <= self.num_lines:
-                    new_may[other] = aged
-                else:
-                    del new_may[other]
-        new_may[block] = 1
+    def _touch(self, lane: int) -> "ShadowCacheState":
+        num_lines = self.num_lines
+        lanes = self.lanes
+        shift = lane * LANE_BITS
+        must = self.must_packed
+        may = self.may_packed
+        old_must = (must >> shift) & _LANE
+        old_may = (may >> shift) & _LANE
+        if self.policy == "fifo":
+            if old_must:
+                return self
+            return self._with(
+                age_all(must, lanes) + (1 << shift),
+                may + ((num_lines - old_may) << shift),
+            )
+        guards = lanes.guards
+        ones = lanes.ones
+
+        # Step 1: update the shadow (may) component.  Every block whose
+        # shadow age is at most the accessed block's (lane value >= its
+        # value, or every present block when it was absent) ages by one;
+        # the accessed block becomes the youngest.
+        aging = ((may | guards) - (old_may or 1) * ones) & guards
+        may -= aging >> _GUARD_SHIFT
+        may += (num_lines - ((may >> shift) & _LANE)) << shift
 
         # Step 2: update the must component using NYoung computed on the
-        # *new* shadow ages.  NYoung(u) is "how many blocks may sit at age
-        # <= Age(u)"; a sorted list of the new shadow ages turns each query
-        # into a binary search instead of a scan over the whole may-set.
-        # Only entries strictly younger than the accessed block's old must
-        # age can change (the block's own entry is == old, never <), so the
-        # clone-then-update shape applies here too.
-        sorted_shadow_ages = sorted(new_may.values())
-        new_must = dict(self.must)
-        for other, must_age in self.must.items():
-            if must_age < old_must_age:
-                n_young = bisect_right(sorted_shadow_ages, must_age)
-                if new_may.get(other, AGE_INFINITY) <= must_age:
-                    n_young -= 1  # a block is never younger than itself
-                if n_young >= must_age:
-                    aged = must_age + 1
-                    if aged <= self.num_lines:
-                        new_must[other] = aged
-                    else:
-                        del new_must[other]
-        new_must[block] = 1
-        return ShadowCacheState(
-            num_lines=self.num_lines, must=new_must, may=new_may, policy=self.policy
-        )
+        # *new* shadow ages.  Only blocks strictly younger than the
+        # accessed block's old must age can age.
+        younger = ((must | guards) - (old_must + 1) * ones) & guards
+        if younger:
+            must -= self._nyoung_aged(must, may, younger) >> _GUARD_SHIFT
+        return self._with(must + ((num_lines - old_must) << shift), may)
 
-    def access_unknown(self, candidate_blocks: tuple[MemoryBlock, ...]) -> "ShadowCacheState":
-        """Access whose target is one of ``candidate_blocks`` but unknown.
+    def _nyoung_aged(self, must: int, may: int, younger: int) -> int:
+        """Guard mask of the ``younger`` lanes of ``must`` that age under
+        the new shadow ages ``may`` (Appendix B's NYoung rule).
+
+        A block ``u`` of must age ``a`` ages when ``NYoung(u) >= a``: at
+        least ``a`` blocks other than ``u`` may sit at shadow age ``<= a``.
+        With ``w_1 >= w_2 >= ...`` the lane values of ``may``, at least
+        ``k`` blocks do iff ``w_k >= num_lines + 1 - a``; so ``w_a`` decides
+        when ``u``'s own shadow age exceeds ``a``, and ``w_(a+1)`` when
+        ``u`` is among those ``k`` blocks itself.  Both tests run
+        lane-parallel over the ages (lane ``a - 1`` for age ``a``); the
+        ages that pass become value ranges of ``must``, one run at a time
+        (on the states the analyses produce, each test passes on a single
+        run of ages).
+        """
+        num_lines = self.num_lines
+        lanes = self.lanes
+        guards = lanes.guards
+        # Absent blocks rank last as 0 and never pass: every threshold is >= 1.
+        ranked = sorted(lanes.values(may), reverse=True)
+        count = min(len(ranked), num_lines)
+        low = (1 << (count * LANE_BITS)) - 1
+        age_guards = guards & low
+        # Lane a - 1: num_lines + 1 - a, the value of must age a.
+        thresholds = (num_lines + 1) * (lanes.ones & low) - (lanes.ramp & low)
+        ranks = lanes.pack(ranked[: count + 1])
+        # Guard set where the block's own shadow age is at most its must age.
+        counted = ((may | guards) - must) & guards
+        aged = 0
+        for group, shifted in (
+            (younger & ~counted, ranks & low),
+            (younger & counted, ranks >> LANE_BITS),
+        ):
+            if not group:
+                continue
+            holds = ((shifted | age_guards) - thresholds) & age_guards
+            flags = (holds >> _GUARD_SHIFT).to_bytes(2 * count, "little")[::2]
+            start = flags.find(1)
+            while start >= 0:
+                end = flags.find(0, start)
+                if end < 0:
+                    end = count
+                # Ages start + 1 .. end are values num_lines + 1 - end .. num_lines - start.
+                above = ((must | guards) - (num_lines + 1 - end) * lanes.ones) & guards
+                beyond = ((must | guards) - (num_lines + 1 - start) * lanes.ones) & guards
+                aged |= group & above & ~beyond
+                start = flags.find(1, end)
+        return aged
+
+    def access_unknown(self, candidates: int) -> "ShadowCacheState":
+        """Access whose target is one of the blocks whose lanes
+        ``candidates`` marks (a :attr:`BlockAccess.lane_mask`), but unknown.
 
         Must component: every bound grows by one (sound, as in the plain
         state).  May component: every candidate block may now be the
@@ -168,21 +270,15 @@ class ShadowCacheState:
         """
         if self.is_bottom:
             return self
-        new_must: dict[MemoryBlock, int] = {}
-        for block, age in self.must.items():
-            aged = age + 1
-            if aged <= self.num_lines:
-                new_must[block] = aged
-        new_may = dict(self.may)
-        for block in candidate_blocks:
-            new_may[block] = 1
-        return ShadowCacheState(
-            num_lines=self.num_lines, must=new_must, may=new_may, policy=self.policy
+        return self._with(
+            age_all(self.must_packed, self.lanes), self._youngest(self.may_packed, candidates)
         )
 
-    def access_unknown_array(
-        self, symbol: str, candidate_blocks: tuple[MemoryBlock, ...]
-    ) -> "ShadowCacheState":
+    def _youngest(self, may: int, candidates: int) -> int:
+        """``may`` with every lane ``candidates`` marks at shadow age 1."""
+        return (may & ~(candidates * _LANE)) | (candidates * self.num_lines)
+
+    def _access_unknown_array(self, access: BlockAccess) -> "ShadowCacheState":
         """Unknown-index access using the Table-1 placeholder convention,
         refined with shadow-variable information.
 
@@ -194,152 +290,141 @@ class ShadowCacheState:
         actually be older than that line, i.e. when its shadow (may) age
         does not already exceed the bound.
         """
-        if self.is_bottom:
-            return self
-        placeholders = placeholder_blocks(symbol, len(candidate_blocks))
-        for placeholder in placeholders:
-            if placeholder not in self.must:
-                state = self.access_block(placeholder)
-                new_may = dict(state.may)
-                for block in candidate_blocks:
-                    new_may[block] = 1
-                return ShadowCacheState(
-                    num_lines=self.num_lines,
-                    must=dict(state.must),
-                    may=new_may,
-                    policy=self.policy,
+        placeholders = placeholder_lanes(access)
+        must = self.must_packed
+        for lane in placeholders:
+            if not lane_value(must, lane):
+                state = self._touch(lane)
+                return self._with(
+                    state.must_packed, self._youngest(state.may_packed, access.lane_mask)
                 )
         if self.policy == "fifo":
             # The age-bound refinement below reasons about LRU aging (a
             # block only ages when a younger line is inserted in front of
             # it); under FIFO fall back to the plain conservative rule.
-            return self.access_unknown(candidate_blocks)
-        bound = max(self.must[placeholder] for placeholder in placeholders)
-        placeholder_set = set(placeholders)
-        new_must = dict(self.must)
-        for block, age in self.must.items():
-            if block in placeholder_set:
-                # The array's own footprint does not grow by re-accessing it;
-                # keeping the placeholder bounds is what lets Table 1's loop
-                # converge with decis_lev[1*]/[2*] still resident.
-                continue
-            if self.may.get(block, AGE_INFINITY) > bound:
-                continue
-            aged = age + 1
-            if aged <= self.num_lines:
-                new_must[block] = aged
-            else:
-                del new_must[block]
-        new_may = dict(self.may)
-        for block in candidate_blocks:
-            new_may[block] = 1
-        return ShadowCacheState(
-            num_lines=self.num_lines, must=new_must, may=new_may, policy=self.policy
+            return self.access_unknown(access.lane_mask)
+        lanes = self.lanes
+        guards = lanes.guards
+        # The oldest placeholder's must age is the bound: the smallest value.
+        bound = min(lane_value(must, lane) for lane in placeholders)
+        # Blocks whose shadow age is within the bound age by one; the
+        # array's own placeholders keep their bounds (its footprint does
+        # not grow by re-accessing it), which is what lets Table 1's loop
+        # converge with decis_lev[1*]/[2*] still resident.
+        aging = ((self.may_packed | guards) - bound * lanes.ones) & guards
+        aging &= ((must | guards) - lanes.ones) & guards
+        aging &= ~(access.placeholder_mask << _GUARD_SHIFT)
+        return self._with(
+            must - (aging >> _GUARD_SHIFT),
+            self._youngest(self.may_packed, access.lane_mask),
         )
 
     # ------------------------------------------------------------------
     # Lattice operations
     # ------------------------------------------------------------------
     def join(self, other: "ShadowCacheState") -> "ShadowCacheState":
-        """Must: pointwise max (intersection).  May: pointwise min (union)."""
-        self._check_compatible(other)
+        """Must: pointwise max (intersection).  May: pointwise min (union).
+        Returns ``self`` when ``other`` adds nothing."""
+        if (
+            other.__class__ is not ShadowCacheState
+            or other.lanes is not self.lanes
+            or other.num_lines != self.num_lines
+            or other.policy != self.policy
+        ):
+            check_compatible(self, other)
         if self.is_bottom:
             return other
         if other.is_bottom:
             return self
-        new_must: dict[MemoryBlock, int] = {}
-        for block, age in self.must.items():
-            other_age = other.must.get(block)
-            if other_age is not None:
-                new_must[block] = max(age, other_age)
-        new_may: dict[MemoryBlock, int] = dict(other.may)
-        for block, age in self.may.items():
-            existing = new_may.get(block)
-            new_may[block] = age if existing is None else min(age, existing)
-        return ShadowCacheState(
-            num_lines=self.num_lines, must=new_must, may=new_may, policy=self.policy
-        )
+        guards = self.lanes.guards
+        mine = self.must_packed
+        theirs = other.must_packed
+        ge = ((mine | guards) - theirs) & guards
+        must = mine ^ ((mine ^ theirs) & (ge - (ge >> _GUARD_SHIFT)))
+        mine_may = self.may_packed
+        theirs = other.may_packed
+        ge = ((mine_may | guards) - theirs) & guards
+        may = theirs ^ ((mine_may ^ theirs) & (ge - (ge >> _GUARD_SHIFT)))
+        if must == mine and may == mine_may:
+            return self
+        return self._with(must, may)
 
     def widen(self, previous: "ShadowCacheState") -> "ShadowCacheState":
         """Widen the must component (growing ages jump to infinity); the may
         component is kept as-is — its lattice is finite, so convergence
         does not depend on widening it."""
-        self._check_compatible(previous)
+        check_compatible(self, previous)
         if previous.is_bottom or self.is_bottom:
             return self
-        new_must: dict[MemoryBlock, int] = {}
-        for block, age in self.must.items():
-            previous_age = previous.must.get(block)
-            if previous_age is None:
-                new_must[block] = age
-            elif age > previous_age:
-                continue
-            else:
-                new_must[block] = age
-        return ShadowCacheState(
-            num_lines=self.num_lines,
-            must=new_must,
-            may=dict(self.may),
-            policy=self.policy,
-        )
+        kept = keep_at_least(self.must_packed, previous.must_packed, self.lanes)
+        if kept == self.must_packed:
+            return self
+        return self._with(kept, self.may_packed)
 
     def leq(self, other: "ShadowCacheState") -> bool:
-        self._check_compatible(other)
+        if other is self:
+            return True
+        if (
+            other.__class__ is not ShadowCacheState
+            or other.lanes is not self.lanes
+            or other.num_lines != self.num_lines
+            or other.policy != self.policy
+        ):
+            check_compatible(self, other)
         if self.is_bottom:
             return True
         if other.is_bottom:
             return False
-        for block, other_age in other.must.items():
-            if self.must.get(block, AGE_INFINITY) > other_age:
-                return False
-        for block, age in self.may.items():
-            if other.may.get(block, AGE_INFINITY) > age:
-                return False
-        return True
-
-    def _check_compatible(self, other: "ShadowCacheState") -> None:
-        if self.num_lines != other.num_lines or self.policy != other.policy:
-            raise ValueError(
-                "incompatible cache states: "
-                f"{self.num_lines} lines/{self.policy} vs "
-                f"{other.num_lines} lines/{other.policy}"
-            )
+        guards = self.lanes.guards
+        # Must: every bound of other is at least ours (our values >= its);
+        # may: every shadow age of ours is at least other's.
+        return (
+            ((self.must_packed | guards) - other.must_packed) & guards == guards
+            and ((other.may_packed | guards) - self.may_packed) & guards == guards
+        )
 
     # ------------------------------------------------------------------
     # Dunder helpers
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShadowCacheState):
+        if other.__class__ is not ShadowCacheState:
             return NotImplemented
         return (
             self.num_lines == other.num_lines
             and self.is_bottom == other.is_bottom
             and self.policy == other.policy
-            and self.must == other.must
-            and self.may == other.may
+            and self.must_packed == other.must_packed
+            and self.may_packed == other.may_packed
+            and self.lanes == other.lanes
         )
 
-    def __hash__(self) -> int:  # pragma: no cover
+    def __hash__(self) -> int:
         return hash(
+            (self.num_lines, self.is_bottom, self.policy, self.must_packed, self.may_packed)
+        )
+
+    def __reduce__(self):
+        return (
+            ShadowCacheState,
             (
                 self.num_lines,
+                self.lanes,
+                self.must_packed,
+                self.may_packed,
                 self.is_bottom,
                 self.policy,
-                frozenset(self.must.items()),
-                frozenset(self.may.items()),
-            )
+            ),
         )
 
     def __repr__(self) -> str:
         if self.is_bottom:
             return f"ShadowCacheState(⊥, {self.num_lines} lines)"
-        must = ", ".join(f"{b}:{a}" for b, a in sorted(self.must.items(), key=lambda i: (i[1], str(i[0]))))
-        may = ", ".join(f"∃{b}:{a}" for b, a in sorted(self.may.items(), key=lambda i: (i[1], str(i[0]))))
+        must = describe_ages(self.must)
+        may = describe_ages(self.may, prefix="∃")
         return f"ShadowCacheState(must={{{must}}}, may={{{may}}})"
 
     def describe(self) -> str:
         """A Table-1-style listing of the must component, youngest first."""
         if self.is_bottom:
             return "⊥"
-        ordered = sorted(self.must.items(), key=lambda item: (item[1], str(item[0])))
-        return "{" + ", ".join(f"{block}@{age}" for block, age in ordered) + "}"
+        return "{" + describe_ages(self.must, "@") + "}"

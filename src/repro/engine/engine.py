@@ -256,7 +256,7 @@ class AnalysisEngine:
         reason = snapshot_compatible(snapshot, request, program)
         if reason is not None:
             return None, reason
-        return warm_start_from_snapshot(snapshot), None
+        return warm_start_from_snapshot(snapshot, program.layout.lanes), None
 
     def _note_warm_outcome(
         self, request: AnalysisRequest, analysis, seeded: bool, fallback: str | None

@@ -7,8 +7,8 @@ warm-start the sparse speculative fixpoint against an *edited* program:
   CFG (what :func:`repro.ir.cfg.diff_cfgs` maps the edit onto);
 * the final fixpoint states — the per-block normal states and every
   speculative slot — codec-compressed via :mod:`repro.cache.codec`
-  (the same symbol-interned varint format the shard wire and the tier-2
-  store use, far denser than retaining the live object graph);
+  (the same lane-byte format the shard wire uses, far denser than
+  retaining the live object graph);
 * the vcfg skeleton (frozen scenarios) and the depth chooser's final
   per-color decisions;
 * the run's classifications plus per-block *line* signatures, so
@@ -197,7 +197,7 @@ def snapshot_from_analysis(
     return snapshot
 
 
-def warm_start_from_snapshot(snapshot: AnalysisSnapshot):
+def warm_start_from_snapshot(snapshot: AnalysisSnapshot, lanes=None):
     """Decode a snapshot into the solver's :class:`WarmStartData`.
 
     The decoded value is memoised on the snapshot itself (and thus evicted
@@ -205,6 +205,8 @@ def warm_start_from_snapshot(snapshot: AnalysisSnapshot):
     one baseline decodes the blobs once.  Sharing is safe because the
     solver treats states as immutable values — ``join``/``access`` return
     fresh states and seeded dict entries are only ever *replaced*.
+    ``lanes`` (the warm program's lane table) lets the decoded states
+    share that table object.
     """
     from repro.analysis.multicolor import WarmStartData
 
@@ -213,8 +215,8 @@ def warm_start_from_snapshot(snapshot: AnalysisSnapshot):
         return memo
 
     with span("snapshot.decode", bytes=snapshot.nbytes):
-        normal = decode_state_map(snapshot.normal_blob)
-        slots = _unflatten_slots(decode_state_map(snapshot.slots_blob))
+        normal = decode_state_map(snapshot.normal_blob, lanes)
+        slots = _unflatten_slots(decode_state_map(snapshot.slots_blob, lanes))
     warm = WarmStartData(
         block_fingerprints=snapshot.block_fingerprints,
         old_successors=snapshot.old_successors,

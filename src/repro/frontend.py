@@ -53,8 +53,8 @@ class CompiledProgram:
     def layout_fingerprint(self) -> str:
         """Content hash of the memory layout the analysis states embed.
 
-        Abstract states reference ``MemoryBlock(symbol, index)`` values and
-        set placement hashes symbol names, so retained states are only
+        Abstract states are packed over the layout's lane table and set
+        placement hashes symbol names, so retained states are only
         reusable against a program whose layout matches exactly.
         """
         import hashlib
@@ -65,6 +65,7 @@ class CompiledProgram:
                 (name, obj.num_blocks)
                 for name, obj in sorted(self.layout.objects.items())
             ),
+            tuple(sorted(self.layout.unknown_indexed)),
         )
         return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
@@ -115,7 +116,7 @@ def compile_source(
                 entry_cfg = inline_calls(cfgs, entry_name, info)
             else:
                 entry_cfg = cfgs[entry_name]
-        layout = MemoryLayout.from_program(info, line_size=line_size)
+        layout = MemoryLayout.from_program(info, line_size=line_size, cfg=entry_cfg)
         frontend_span.set(entry=entry_name, blocks=len(entry_cfg.blocks))
     compiled = CompiledProgram(
         source=source,

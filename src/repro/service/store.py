@@ -37,7 +37,8 @@ from repro.obs import metrics
 
 #: Bump whenever the pickled payload layout changes incompatibly; every
 #: entry written under an older version is evicted on first read.
-STORE_FORMAT_VERSION = 1
+#: Version 2: results' ``entry_states`` hold lane-packed cache states.
+STORE_FORMAT_VERSION = 2
 
 #: First header line of every entry (magic + format version).
 _MAGIC = b"repro-result-store"

@@ -86,8 +86,8 @@ class TestGenericSolver:
         table = AccessTable(program.cfg, program.layout)
         result = solve_forward(
             program.cfg,
-            entry_state=CacheState.empty(4),
-            bottom=CacheState.bottom(4),
+            entry_state=CacheState.empty(4, program.layout.lanes),
+            bottom=CacheState.bottom(4, program.layout.lanes),
             transfer=lambda name, state: transfer_block(state, table, name),
         )
         exit_state = result.exit_states[program.cfg.exit_blocks()[0]]
@@ -101,8 +101,8 @@ class TestGenericSolver:
         table = AccessTable(program.cfg, program.layout)
         result = solve_forward(
             program.cfg,
-            entry_state=CacheState.empty(4),
-            bottom=CacheState.bottom(4),
+            entry_state=CacheState.empty(4, program.layout.lanes),
+            bottom=CacheState.bottom(4, program.layout.lanes),
             transfer=lambda name, state: transfer_block(state, table, name),
         )
         assert result.iterations >= 1
@@ -115,8 +115,8 @@ class TestGenericSolver:
         table = AccessTable(program.cfg, program.layout)
         result = solve_forward(
             program.cfg,
-            entry_state=CacheState.empty(8),
-            bottom=CacheState.bottom(8),
+            entry_state=CacheState.empty(8, program.layout.lanes),
+            bottom=CacheState.bottom(8, program.layout.lanes),
             transfer=lambda name, state: transfer_block(state, table, name),
         )
         exit_state = result.exit_states[program.cfg.exit_blocks()[0]]
@@ -135,8 +135,8 @@ class TestGenericSolver:
             # ordering would loop; the visit guard catches it.
             solve_forward(
                 program.cfg,
-                entry_state=CacheState.empty(4),
-                bottom=CacheState.bottom(4),
+                entry_state=CacheState.empty(4, program.layout.lanes),
+                bottom=CacheState.bottom(4, program.layout.lanes),
                 transfer=lambda name, state: state,
                 max_visits=0,
             )

@@ -26,10 +26,18 @@ from repro.cache.codec import (
 from repro.cache.config import CacheConfig
 from repro.cache.setassoc import SetAssocCacheState
 from repro.cache.shadow import ShadowCacheState
-from repro.ir.memory import MemoryBlock
+from repro.ir.memory import LaneTable, MemoryBlock
 from repro.speculation.config import SpeculationConfig
 
 SEED = 0xC0DEC
+
+_SYMBOLS = ["a", "key", "sbox", "very_long_symbol_name_for_interning", "cnd"]
+# Negative indices are placeholder lines and must survive the zigzag
+# encoding.
+_INDICES = [0, 1, 32, 1023, -1, -17]
+
+#: The lane table every random state is packed over.
+LANES = LaneTable(MemoryBlock(symbol, index) for symbol in _SYMBOLS for index in _INDICES)
 
 #: Every (geometry, policy) axis the codec must cover: fully associative
 #: and set-associative, lru and fifo.
@@ -42,33 +50,26 @@ GEOMETRIES = [
 
 
 def random_blocks(rng: random.Random, count: int) -> list[MemoryBlock]:
-    symbols = ["a", "key", "sbox", "very_long_symbol_name_for_interning", "cnd"]
-    blocks = []
-    for _ in range(count):
-        # Negative indices are placeholder lines and must survive the
-        # zigzag encoding.
-        index = rng.choice([0, 1, 32, 1023, -1, -17])
-        blocks.append(MemoryBlock(rng.choice(symbols), index))
-    return blocks
+    return [MemoryBlock(rng.choice(_SYMBOLS), rng.choice(_INDICES)) for _ in range(count)]
 
 
 def random_flat(rng: random.Random, num_lines: int, policy: str) -> CacheState:
     ages = {
-        block: rng.choice([0, 1, num_lines - 1, AGE_INFINITY])
+        block: rng.choice([1, max(1, num_lines - 1), num_lines, AGE_INFINITY])
         for block in random_blocks(rng, rng.randrange(0, 6))
     }
-    return CacheState(num_lines=num_lines, ages=ages, policy=policy)
+    return CacheState.from_ages(num_lines, LANES, ages, policy=policy)
 
 
 def random_shadow(rng: random.Random, num_lines: int, policy: str) -> ShadowCacheState:
     must = {
-        block: rng.randrange(num_lines)
+        block: rng.randrange(1, num_lines + 1)
         for block in random_blocks(rng, rng.randrange(0, 4))
     }
     may = dict(must)
     for block in random_blocks(rng, rng.randrange(0, 4)):
-        may.setdefault(block, rng.randrange(num_lines))
-    return ShadowCacheState(num_lines=num_lines, must=must, may=may, policy=policy)
+        may.setdefault(block, rng.randrange(1, num_lines + 1))
+    return ShadowCacheState.from_ages(num_lines, LANES, must, may, policy=policy)
 
 
 def random_state(rng: random.Random, config: CacheConfig, shadow: bool):
@@ -100,18 +101,12 @@ class TestRoundTrip:
     @pytest.mark.parametrize("shadow", [False, True])
     def test_bottom_states_round_trip(self, shadow):
         flat_cls = ShadowCacheState if shadow else CacheState
-        kwargs = (
-            {"must": {}, "may": {}} if shadow else {"ages": {}}
-        )
-        bottom = flat_cls(num_lines=4, is_bottom=True, policy="fifo", **kwargs)
+        bottom = flat_cls.bottom(4, LANES, policy="fifo")
         assert decode_state(encode_state(bottom)) == bottom
         wrapper = SetAssocCacheState(
             num_sets=2,
             ways=2,
-            sets=(
-                flat_cls(num_lines=2, is_bottom=True, **kwargs),
-                flat_cls(num_lines=2, is_bottom=True, **kwargs),
-            ),
+            sets=(flat_cls.bottom(2, LANES), flat_cls.bottom(2, LANES)),
             is_bottom=True,
         )
         decoded = decode_state(encode_state(wrapper))
@@ -141,32 +136,41 @@ class TestRoundTrip:
         assert decode_state_map(encode_state_map({})) == {}
 
     def test_equal_states_encode_to_equal_bytes(self):
-        """Entries are written in sorted order, so dict insertion order
-        (and hash randomisation) never leaks into the encoding."""
+        """Lanes follow sorted block order, so neither dict insertion
+        order nor the order a lane table was built in (nor hash
+        randomisation) leaks into the encoding."""
         blocks = [MemoryBlock("a", 0), MemoryBlock("b", 3), MemoryBlock("c", -2)]
-        forward = CacheState(num_lines=4, ages={b: i for i, b in enumerate(blocks)})
-        backward = CacheState(
-            num_lines=4, ages={b: i for i, b in reversed(list(enumerate(blocks)))}
+        forward = CacheState.from_ages(
+            4, LaneTable(blocks), {b: i + 1 for i, b in enumerate(blocks)}
+        )
+        backward = CacheState.from_ages(
+            4,
+            LaneTable(reversed(blocks)),
+            {b: i + 1 for i, b in reversed(list(enumerate(blocks)))},
         )
         assert forward == backward
         assert encode_state(forward) == encode_state(backward)
 
+    def test_decoded_states_share_a_matching_lane_table(self):
+        state = random_shadow(random.Random(SEED), 8, "lru")
+        assert decode_state(encode_state(state), LANES).lanes is LANES
+        assert decode_state(encode_state(state)).lanes == LANES
+
 
 class TestCompactness:
     def test_single_state_much_smaller_than_pickle(self):
-        state = CacheState(
-            num_lines=4, ages={MemoryBlock("a", 0): 1, MemoryBlock("b", 2): 3}
-        )
+        ages = {MemoryBlock("a", 0): 1, MemoryBlock("b", 2): 3}
+        state = CacheState.from_ages(4, LaneTable(ages), ages)
         encoded = len(encode_state(state))
         pickled = len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
         assert encoded * 5 <= pickled, (encoded, pickled)
 
     def test_state_map_much_smaller_than_pickle(self):
-        """The shard-delta shape (many states sharing few symbols) is the
-        codec's raison d'être; pickle memoises repeated strings too (and
-        :class:`MemoryBlock`'s field-only ``__reduce__`` keeps its pickle
-        form tight), so the map-level win is smaller than the per-state
-        one but must still cut the payload by well over a third."""
+        """The shard-delta shape (many states sharing one lane table) is
+        the codec's raison d'être; pickle memoises the shared table too
+        and packed states pickle as a few ints, so the map-level win is
+        smaller than the per-state one but must still cut the payload by
+        well over a third."""
         program = compile_source(branchy_kernel_source(8))
         result = SpeculativeCacheAnalysis(
             program,
@@ -180,7 +184,9 @@ class TestCompactness:
 
 
 class TestRejection:
-    STATE = CacheState(num_lines=4, ages={MemoryBlock("a", 0): 1})
+    STATE = CacheState.from_ages(
+        4, LaneTable([MemoryBlock("a", 0)]), {MemoryBlock("a", 0): 1}
+    )
 
     def test_version_bump_rejected(self):
         blob = bytearray(encode_state(self.STATE))
@@ -216,15 +222,11 @@ class TestRejection:
             decode_state(encode_state_map({"b": self.STATE}))
 
     def test_unknown_kind_and_policy_rejected(self):
-        blob = bytearray(encode_state(self.STATE))
-        # header: magic + version + tag, then symbol table, then kind.
-        kind_offset = len(blob) - 1
-        while blob[kind_offset] != 0x01:  # _KIND_FLAT byte
-            kind_offset -= 1
-        # Find it properly: re-encode an empty-table state to locate body.
-        empty = CacheState(num_lines=4, ages={})
+        empty = CacheState.empty(4, LaneTable([]))
         empty_blob = bytearray(encode_state(empty))
-        body = len(MAGIC) + 2 + 1  # header + zero-length symbol table
+        # header (magic + version + tag), an empty symbol table, one lane
+        # table of zero lanes, then the state kind.
+        body = len(MAGIC) + 2 + 3
         assert empty_blob[body] == 0x01
         empty_blob[body] = 0x7F
         with pytest.raises(CodecError, match="kind"):
@@ -233,6 +235,22 @@ class TestRejection:
         policy_blob[body + 1] = 0x7F
         with pytest.raises(CodecError, match="policy"):
             decode_state(bytes(policy_blob))
+
+    def test_lane_table_out_of_order_rejected(self):
+        lanes = LaneTable([MemoryBlock("a", 0), MemoryBlock("b", 0)])
+        blob = bytearray(encode_state(CacheState.empty(4, lanes)))
+        # Swap the two symbol names: the table now lists b before a.
+        at = blob.index(b"\x01a\x01b")
+        blob[at : at + 4] = b"\x01b\x01a"
+        with pytest.raises(CodecError, match="canonical"):
+            decode_state(bytes(blob))
+
+    def test_lane_value_above_num_lines_rejected(self):
+        blob = bytearray(encode_state(self.STATE))
+        assert blob[-1] == 4  # one (one-byte) lane: num_lines + 1 - age = 4
+        blob[-1] = 5
+        with pytest.raises(CodecError, match="above"):
+            decode_state(bytes(blob))
 
     def test_unencodable_object_rejected(self):
         with pytest.raises(CodecError):

@@ -345,6 +345,26 @@ class TestMemoryLayout:
         with pytest.raises(ConfigError):
             MemoryLayout.from_program(info, line_size=0)
 
+    def test_lane_table_is_per_layout(self):
+        """Lanes cover every real block in sorted order plus placeholder
+        lines only for objects the compiled code indexes with an unknown
+        index; compiling the same source again gives an equal (not the
+        same) table, and resolved accesses carry their lanes."""
+        source = (
+            "char t[128]; char u[128]; int n;"
+            "int main() { t[n]; u[64]; return 0; }"
+        )
+        first, second = compile_source(source), compile_source(source)
+        lanes = first.layout.lanes
+        assert first.layout.unknown_indexed == frozenset({"t"})
+        assert list(lanes.blocks) == sorted(
+            first.layout.all_blocks() + placeholder_blocks("t", 2)
+        )
+        assert lanes == second.layout.lanes and lanes is not second.layout.lanes
+        assert first.layout.lanes is lanes  # built once per layout
+        access = first.layout.resolve(MemoryRef(symbol="u", index_const=64, element_size=1))
+        assert access.lanes == (lanes.lane(MemoryBlock("u", 1)),)
+
     def test_placeholder_blocks_are_distinct_and_flagged(self):
         placeholders = placeholder_blocks("a", 3)
         assert len(set(placeholders)) == 3

@@ -20,14 +20,18 @@ from repro.cache.abstract import CacheState
 from repro.cache.concrete import ConcreteCache
 from repro.cache.config import CacheConfig
 from repro.cache.shadow import ShadowCacheState
-from repro.ir.memory import MemoryBlock
+from repro.ir.memory import LaneTable, MemoryBlock
 from repro.speculation.predictor import AlwaysNotTakenPredictor, AlwaysTakenPredictor, OpposingPredictor
 from repro.speculation.simulator import SpeculativeSimulator
 
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-_block_names = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
+_NAMES = ["a", "b", "c", "d", "e", "f", "g", "h"]
+_block_names = st.sampled_from(_NAMES)
+
+#: The lane table every generated state is packed over.
+LANES = LaneTable(MemoryBlock(name) for name in _NAMES)
 
 
 def blocks():
@@ -40,7 +44,7 @@ def access_sequences(max_size: int = 12):
 
 def cache_states(num_lines: int = 4):
     def build(sequence):
-        state = CacheState.empty(num_lines)
+        state = CacheState.empty(num_lines, LANES)
         for block in sequence:
             state = state.access_block(block)
         return state
@@ -50,7 +54,7 @@ def cache_states(num_lines: int = 4):
 
 def shadow_states(num_lines: int = 4):
     def build(sequence):
-        state = ShadowCacheState.empty(num_lines)
+        state = ShadowCacheState.empty(num_lines, LANES)
         for block in sequence:
             state = state.access_block(block)
         return state
@@ -140,8 +144,8 @@ class TestConcreteAgainstAbstract:
         LRU age."""
         num_lines = 4
         concrete = ConcreteCache(CacheConfig.small(num_lines=num_lines))
-        abstract = CacheState.empty(num_lines)
-        shadow = ShadowCacheState.empty(num_lines)
+        abstract = CacheState.empty(num_lines, LANES)
+        shadow = ShadowCacheState.empty(num_lines, LANES)
         for block in sequence:
             concrete.access(block)
             abstract = abstract.access_block(block)

@@ -122,14 +122,14 @@ class TestDepthChooser:
     def test_condition_must_hit_switches_to_short_window(self):
         program, vcfg, chooser = self._setup()
         scenario = vcfg.scenarios[0]
-        state = ShadowCacheState.empty(64).access_block(MemoryBlock("p", 0))
+        state = ShadowCacheState.empty(64, program.layout.lanes).access_block(MemoryBlock("p", 0))
         window = chooser.choose(scenario, state)
         assert window.depth == 2
 
     def test_condition_possibly_missing_locks_long_window(self):
         program, vcfg, chooser = self._setup()
         scenario = vcfg.scenarios[0]
-        empty = ShadowCacheState.empty(64)
+        empty = ShadowCacheState.empty(64, program.layout.lanes)
         window = chooser.choose(scenario, empty)
         assert window.depth == 200
         # Even if the condition later becomes a must hit, the long window is
@@ -140,18 +140,18 @@ class TestDepthChooser:
     def test_dynamic_bounding_disabled_always_long(self):
         program, vcfg, chooser = self._setup(dynamic=False)
         scenario = vcfg.scenarios[0]
-        state = ShadowCacheState.empty(64).access_block(MemoryBlock("p", 0))
+        state = ShadowCacheState.empty(64, program.layout.lanes).access_block(MemoryBlock("p", 0))
         assert chooser.choose(scenario, state).depth == 200
 
     def test_bottom_state_is_optimistic(self):
         program, vcfg, chooser = self._setup()
         scenario = vcfg.scenarios[0]
-        window = chooser.choose(scenario, ShadowCacheState.bottom(64))
+        window = chooser.choose(scenario, ShadowCacheState.bottom(64, program.layout.lanes))
         assert window.depth == 2
 
     def test_stats_report_shortened_scenarios(self):
         program, vcfg, chooser = self._setup()
-        state = ShadowCacheState.empty(64).access_block(MemoryBlock("p", 0))
+        state = ShadowCacheState.empty(64, program.layout.lanes).access_block(MemoryBlock("p", 0))
         for scenario in vcfg.scenarios:
             chooser.choose(scenario, state)
         stats = chooser.stats(vcfg.scenarios)
@@ -163,5 +163,5 @@ class TestDepthChooser:
     def test_plain_state_also_supported(self):
         program, vcfg, chooser = self._setup()
         scenario = vcfg.scenarios[0]
-        state = CacheState.empty(64).access_block(MemoryBlock("p", 0))
+        state = CacheState.empty(64, program.layout.lanes).access_block(MemoryBlock("p", 0))
         assert chooser.choose(scenario, state).depth == 2

@@ -35,7 +35,7 @@ from repro.cache.placement import partition_by_set, set_index
 from repro.cache.setassoc import SetAssocCacheState
 from repro.cache.shadow import ShadowCacheState
 from repro.errors import ConfigError
-from repro.ir.memory import MemoryBlock
+from repro.ir.memory import LaneTable, MemoryBlock
 from repro.speculation.merge import MergeStrategy
 from repro.speculation.predictor import OpposingPredictor
 from repro.speculation.simulator import SpeculativeSimulator
@@ -48,6 +48,12 @@ def block(name: str, index: int = 0) -> MemoryBlock:
 # Two single-block arrays that collide in a 2-set cache (crc32("t0:0") and
 # crc32("t2:0") are both even); pinned by TestStablePlacement below.
 CONFLICTING = ("t0", "t2")
+
+#: The lane table of every state these tests build directly.
+LANES = LaneTable(
+    [block(name) for name in ["a", "b", "c", "d", "e", "f", "g", "h", "t0", "t2"]]
+    + [MemoryBlock("arr", i) for i in range(16)]
+)
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +83,7 @@ class TestStablePlacement:
     def test_concrete_and_abstract_agree_on_placement(self):
         config = CacheConfig(num_lines=8, associativity=2)
         cache = ConcreteCache(config)
-        state = SetAssocCacheState.empty(config)
+        state = SetAssocCacheState.empty(config, LANES)
         for i in range(16):
             b = MemoryBlock("arr", i)
             assert cache._set_index(b) == state.set_of(b)
@@ -85,11 +91,15 @@ class TestStablePlacement:
     def test_placement_stable_across_hash_seeds(self):
         """Two fresh interpreters with different PYTHONHASHSEED values must
         produce bit-identical set-associative analysis + simulation
-        results (the acceptance criterion for the determinism fix)."""
+        results (the acceptance criterion for the determinism fix), and
+        bit-identical codec bytes for a paper-default (fully associative,
+        shadow-state) analysis: lane assignment follows sorted block order,
+        never hashing."""
         script = (
             "import json\n"
             "from repro import compile_source\n"
             "from repro.analysis import analyze_speculative\n"
+            "from repro.cache.codec import encode_state_map\n"
             "from repro.cache.config import CacheConfig\n"
             "from repro.service.wire import result_fingerprint\n"
             "from repro.speculation.predictor import OpposingPredictor\n"
@@ -110,8 +120,10 @@ class TestStablePlacement:
             "result = analyze_speculative(program, config)\n"
             "sim = SpeculativeSimulator(program, cache_config=config,\n"
             "                           predictor=OpposingPredictor()).run({'p': 2})\n"
+            "paper = analyze_speculative(program)\n"
             "print(json.dumps({\n"
             "    'fingerprint': result_fingerprint(result),\n"
+            "    'paper_states': encode_state_map(paper.entry_states).hex(),\n"
             "    'misses': sim.stats.misses,\n"
             "    'trace': [(r.memory_block.symbol, r.hit) for r in sim.accesses],\n"
             "}))\n"
@@ -157,7 +169,7 @@ class TestDirectMappedCounterexample:
         """The *old* abstraction (a 2-line fully-associative state) proves
         both blocks cached after t0; t2; — so it promises the re-access of
         t0 hits.  This is the claim the concrete cache refutes below."""
-        state = CacheState.empty(DIRECT_MAPPED.num_lines)
+        state = CacheState.empty(DIRECT_MAPPED.num_lines, LANES)
         state = state.access_block(block(CONFLICTING[0]))
         state = state.access_block(block(CONFLICTING[1]))
         assert state.must_hit(block(CONFLICTING[0]))  # the unsound promise
@@ -171,7 +183,7 @@ class TestDirectMappedCounterexample:
 
     @pytest.mark.parametrize("use_shadow", [False, True])
     def test_per_set_domain_refuses_the_claim(self, use_shadow):
-        state = SetAssocCacheState.empty(DIRECT_MAPPED, use_shadow=use_shadow)
+        state = SetAssocCacheState.empty(DIRECT_MAPPED, LANES, use_shadow=use_shadow)
         state = state.access_block(block(CONFLICTING[0]))
         state = state.access_block(block(CONFLICTING[1]))
         assert not state.must_hit(block(CONFLICTING[0]))
@@ -238,13 +250,13 @@ class TestFifoConcrete:
 
 class TestFifoAbstract:
     def test_guaranteed_hit_leaves_state_unchanged(self):
-        state = CacheState.empty(4, policy="fifo")
+        state = CacheState.empty(4, LANES, policy="fifo")
         state = state.access_block(block("a"))
         assert state.must_hit(block("a"))
         assert state.access_block(block("a")) == state
 
     def test_miss_ages_everyone_and_gives_weakest_bound(self):
-        state = CacheState.empty(2, policy="fifo")
+        state = CacheState.empty(2, LANES, policy="fifo")
         state = state.access_block(block("a"))
         assert state.age(block("a")) == 2  # resident, position unknown
         state = state.access_block(block("b"))
@@ -252,8 +264,8 @@ class TestFifoAbstract:
         assert state.age(block("b")) == 2
 
     def test_shadow_fifo_mirrors_plain_must_component(self):
-        plain = CacheState.empty(3, policy="fifo")
-        shadow = ShadowCacheState.empty(3, policy="fifo")
+        plain = CacheState.empty(3, LANES, policy="fifo")
+        shadow = ShadowCacheState.empty(3, LANES, policy="fifo")
         for b in [block("a"), block("b"), block("a"), block("c")]:
             plain = plain.access_block(b)
             shadow = shadow.access_block(b)
@@ -263,7 +275,7 @@ class TestFifoAbstract:
 
     def test_policies_do_not_mix(self):
         with pytest.raises(ValueError):
-            CacheState.empty(4, policy="lru").join(CacheState.empty(4, policy="fifo"))
+            CacheState.empty(4, LANES, policy="lru").join(CacheState.empty(4, LANES, policy="fifo"))
 
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     @pytest.mark.parametrize("config_kwargs", [
@@ -281,9 +293,9 @@ class TestFifoAbstract:
         for _ in range(200):
             concrete = ConcreteCache(config)
             abstract = (
-                SetAssocCacheState.empty(config)
+                SetAssocCacheState.empty(config, LANES)
                 if not config.is_fully_associative
-                else CacheState.empty(config.num_lines, policy=policy)
+                else CacheState.empty(config.num_lines, LANES, policy=policy)
             )
             for b in rng.choices(universe, k=rng.randint(0, 12)):
                 concrete.access(b)
@@ -444,7 +456,7 @@ class TestAgeOfGeometryAware:
     def test_age_comparable_with_per_set_abstract_age(self):
         config = CacheConfig(num_lines=4, associativity=2)
         cache = ConcreteCache(config)
-        state = SetAssocCacheState.empty(config)
+        state = SetAssocCacheState.empty(config, LANES)
         for name in ["a", "b", "c", "a", "d"]:
             cache.access(block(name))
             state = state.access_block(block(name))
