@@ -26,7 +26,7 @@ fires — also for the scenario-sharded scheduler.  In full mode the
 128-branch kernel must show the sparse engine at least 5x faster than
 the pre-PR reconstruction.
 
-With ``--backend threads|processes`` the sharded column runs on that
+With ``--backend processes`` the sharded column runs on the process
 shard backend instead of the serial in-process scheduler, a serial
 sharded run is timed alongside it for comparison, and results are
 asserted bit-identical between the two.  In full mode with
@@ -55,6 +55,7 @@ import time
 from repro.analysis.multicolor import SpeculativeCacheAnalysis
 from repro.bench.programs import branchy_kernel_source
 from repro.cache.config import CacheConfig
+from repro.engine.request import SHARD_BACKENDS
 from repro.frontend import compile_source
 from repro.ir.dominators import VIRTUAL_EXIT, compute_postdominators
 from repro.speculation.config import SpeculationConfig
@@ -272,8 +273,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="8/16 branches, identity checks only (CI-sized)")
     parser.add_argument("--shards", type=int, default=4,
                         help="shard count for the sharded column (default 4)")
-    parser.add_argument("--backend", choices=("serial", "threads", "processes"),
-                        default="serial",
+    parser.add_argument("--backend", choices=SHARD_BACKENDS, default="serial",
                         help="shard backend for the sharded column")
     parser.add_argument("--workers", type=int, default=4,
                         help="worker cap for parallel backends (default 4; "

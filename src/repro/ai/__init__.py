@@ -6,21 +6,14 @@ provides that machinery in a domain-independent form:
 
 * :mod:`repro.ai.lattice` — the :class:`AbstractValue` protocol every
   domain element implements (join / widen / leq / bottom check);
-* :mod:`repro.ai.solver` — the forward worklist solver over a CFG;
-* :mod:`repro.ai.interval` — a textbook interval domain, included both as
-  a second instantiation of the framework (the paper notes the approach is
-  domain-agnostic) and as a building block for tests.
+* :mod:`repro.ai.solver` — the forward worklist solver over a CFG.
 """
 
 from repro.ai.lattice import AbstractValue
 from repro.ai.solver import FixpointResult, solve_forward
-from repro.ai.interval import Interval, IntervalState, analyze_intervals
 
 __all__ = [
     "AbstractValue",
     "FixpointResult",
-    "Interval",
-    "IntervalState",
-    "analyze_intervals",
     "solve_forward",
 ]

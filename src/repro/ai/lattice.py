@@ -12,8 +12,7 @@ class AbstractValue(Protocol):
     """Minimal interface a domain element must provide to the solver.
 
     The cache states (:class:`~repro.cache.abstract.CacheState`,
-    :class:`~repro.cache.shadow.ShadowCacheState`) and the interval state
-    all satisfy this protocol.
+    :class:`~repro.cache.shadow.ShadowCacheState`) satisfy this protocol.
     """
 
     @property

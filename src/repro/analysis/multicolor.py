@@ -66,13 +66,10 @@ Shard backends
 
 Because shard runs only read the shared normal states and their outputs
 are joined deterministically, *where* they execute is a pure scheduling
-choice.  ``shard_backend`` selects it:
+choice.  ``shard_backend`` selects it per request (None means serial):
 
 * ``"serial"`` — shard fixpoints run one after another in the calling
   thread (the reference schedule);
-* ``"threads"`` — shard fixpoints run on a thread pool.  GIL-bound, so
-  no speedup for pure-Python transfers, but it exercises the concurrent
-  schedule cheaply;
 * ``"processes"`` — shard state lives in persistent worker processes
   (:class:`~repro.engine.pool.PersistentWorkerPool`; worker count from
   ``REPRO_MAX_WORKERS``, default the CPU count).  Each outer round the
@@ -83,7 +80,7 @@ choice.  ``shard_backend`` selects it:
   workers cannot be started (or die mid-run), the solve falls back to
   the serial backend.
 
-All three backends are **bit-identical** by construction: workers run
+Both backends are **bit-identical** by construction: workers run
 the same ``_run_sparse_pass`` code on equal inputs, the codec
 round-trips states to equal values, and every join happens master-side
 in the serial schedule's order (shard index, then block order).  The
@@ -148,17 +145,9 @@ WIDENING_DELAY = 3
 MAX_VISITS = 5_000_000
 
 
-def resolve_shard_backend(
-    shard_backend: str | None, shard_threads: bool = False
-) -> str:
-    """Resolve the backend knob: an explicit value wins, then the legacy
-    ``shard_threads`` flag, then the ``REPRO_SHARD_BACKEND`` environment
-    variable, then ``"serial"``."""
-    resolved = shard_backend
-    if resolved is None and shard_threads:
-        resolved = "threads"
-    if resolved is None:
-        resolved = os.environ.get("REPRO_SHARD_BACKEND") or "serial"
+def resolve_shard_backend(shard_backend: str | None) -> str:
+    """Validate the backend knob: an explicit value, else ``"serial"``."""
+    resolved = "serial" if shard_backend is None else shard_backend
     if resolved not in SHARD_BACKENDS:
         raise ValueError(
             f"unknown shard backend {resolved!r} (expected one of {SHARD_BACKENDS})"
@@ -267,10 +256,8 @@ class SpeculativeCacheAnalysis:
         speculation: SpeculationConfig | None = None,
         mode: str = "sparse",
         scenario_shards: int = 1,
-        shard_threads: bool = False,
         shard_backend: str | None = None,
         warm_start: WarmStartData | None = None,
-        prune_scenarios: bool = False,
     ):
         if mode not in ("sparse", "dense"):
             raise ValueError(f"unknown engine mode {mode!r}")
@@ -281,8 +268,7 @@ class SpeculativeCacheAnalysis:
         self.speculation = speculation or SpeculationConfig.paper_default()
         self.mode = mode
         self.scenario_shards = max(1, int(scenario_shards))
-        self.shard_backend = resolve_shard_backend(shard_backend, shard_threads)
-        self.shard_threads = self.shard_backend == "threads"
+        self.shard_backend = resolve_shard_backend(shard_backend)
         #: Which backend the last sharded solve actually executed on
         #: (None until then; "serial" after a process-backend fallback).
         self.shard_backend_used: str | None = None
@@ -310,41 +296,6 @@ class SpeculativeCacheAnalysis:
         self.table = AccessTable(self.cfg, self.layout)
         self.chooser = DepthChooser(self.speculation, self.layout)
         self.secret_symbols = set(program.info.secret_symbols)
-        # ------------------------------------------------------------------
-        # Taint-driven scenario pruning.  The policy (see
-        # repro.analysis.taint.classify_scenarios) only drops colors whose
-        # speculative windows contain no access site at all: for those the
-        # window transfer is the identity, every rollback/conversion
-        # delivery joins a value already below its target, and the window
-        # classification walk emits nothing — so verdicts and
-        # classifications are bit-identical to the unpruned run, only the
-        # per-color slot bookkeeping disappears.  The reported structural
-        # counters (speculative branches, virtual edges, depth-bounding
-        # stats) keep describing the *full* scenario set, so pruned and
-        # unpruned reports stay comparable.
-        # ------------------------------------------------------------------
-        self.prune_scenarios = bool(prune_scenarios)
-        self.pruned_scenarios: list[SpeculationScenario] = []
-        self.taint_free_colors: frozenset[int] = frozenset()
-        self._all_scenarios: list[SpeculationScenario] | None = None
-        if self.prune_scenarios and self.vcfg.scenarios:
-            # Imported lazily: the taint pass lives beside the analyses
-            # and is only paid for when the knob is on.
-            from repro.analysis.taint import TaintAnalysis, classify_scenarios
-            from repro.speculation.vcfg import prune_vcfg
-
-            taint = TaintAnalysis(
-                self.cfg, self.layout, program.info.secret_symbols
-            ).solve()
-            prunable, taint_free, _ = classify_scenarios(
-                self.vcfg, self.table, taint
-            )
-            self.taint_free_colors = taint_free
-            if prunable:
-                self._all_scenarios = list(self.vcfg.scenarios)
-                self.pruned_scenarios = prune_vcfg(
-                    self.vcfg, lambda scenario: scenario.color not in prunable
-                )
         self._use_shadow = self.speculation.use_shadow_state
         #: Dirty-slot re-transfers performed by the sparse scheduler
         #: (telemetry only; published to the metrics registry by run()).
@@ -456,20 +407,7 @@ class SpeculativeCacheAnalysis:
         registry.counter("fixpoint.pops").inc(fixpoint.iterations)
         registry.counter("fixpoint.widenings").inc(fixpoint.widenings)
         registry.counter("fixpoint.slot_retransfers").inc(self._slot_transfers)
-        if self.prune_scenarios:
-            registry.counter("prune.scenarios_pruned").inc(len(self.pruned_scenarios))
-            registry.counter("prune.scenarios_retained").inc(len(self.vcfg.scenarios))
-            if self.taint_free_colors:
-                registry.counter("prune.scenarios_taint_free").inc(
-                    len(self.taint_free_colors)
-                )
-        # When colors were pruned, the structural counters still describe
-        # the full scenario set (pruned windows contribute their bm edges
-        # like any never-shortened scenario), keeping reports comparable
-        # across the knob.
-        reporting_scenarios = (
-            self._all_scenarios if self._all_scenarios is not None else self.vcfg.scenarios
-        )
+        scenarios = self.vcfg.scenarios
         result = CacheAnalysisResult(
             program_name=self.cfg.name,
             cache_config=self.cache_config,
@@ -479,15 +417,14 @@ class SpeculativeCacheAnalysis:
             widenings=fixpoint.widenings,
             analysis_time=fixpoint_span.duration,
             num_speculative_branches=len(
-                {scenario.branch_block for scenario in reporting_scenarios}
+                {scenario.branch_block for scenario in scenarios}
             ),
             num_virtual_edges=sum(
-                scenario.window_miss.num_instructions
-                for scenario in reporting_scenarios
+                scenario.window_miss.num_instructions for scenario in scenarios
             ),
             shard_backend_used=self.shard_backend_used,
         )
-        stats = self.chooser.stats(reporting_scenarios)
+        stats = self.chooser.stats(scenarios)
         result.num_virtual_edges_active = stats.virtual_edges_active
         publish_progress(
             "classify", program=self.cfg.name, iterations=fixpoint.iterations
@@ -967,7 +904,7 @@ class SpeculativeCacheAnalysis:
     # Scenario-sharded fixpoint
     # ------------------------------------------------------------------
     def _solve_sharded(self) -> SpeculativeFixpoint:
-        self.shard_backend_used = "threads" if self.shard_threads else "serial"
+        self.shard_backend_used = "serial"
         cfg = self.cfg
         reachable = cfg.reachable_blocks()
         order = self._schedule_order()
@@ -1025,9 +962,7 @@ class SpeculativeCacheAnalysis:
                     break
                 delta = delta_for_shards
                 delta_for_shards = set()
-                runs = self._run_shards(
-                    seeded, normal, delta, order, no_widening, parent_span=round_span
-                )
+                runs = self._run_shards(seeded, normal, delta, order, no_widening)
                 iterations += sum(pops for pops, _, _ in runs)
                 # Phase 3: deterministic join of the shard-local normal states.
                 joined_delta: set[str] = set()
@@ -1093,31 +1028,19 @@ class SpeculativeCacheAnalysis:
         delta: set[str],
         order: dict[str, int],
         policy: WideningPolicy,
-        parent_span=None,
     ) -> list[tuple[int, dict[str, object], set[str]]]:
-        """Run one round of shard fixpoints; returns per-shard
-        (pops, local normal states, blocks whose local normal changed),
-        in shard order regardless of execution interleaving."""
-        # Captured for the threads backend: pool threads have an empty
-        # thread-local reporter, so the caller's is installed explicitly
-        # (mirroring the explicit span parenting below).
-        reporter = current_reporter()
-
-        def run_one(shard: _Shard) -> tuple[int, dict[str, object], set[str]]:
-            # Explicit parenting: on the threads backend this body runs on
-            # a pool thread whose own span stack is empty.
-            with reporting(reporter), tracer().child_span(
-                "fixpoint.shard", parent_span, shard=shard.index
-            ) as shard_span:
+        """Run one round of shard fixpoints, one after another; returns
+        per-shard (pops, local normal states, blocks whose local normal
+        changed), in shard order."""
+        runs: list[tuple[int, dict[str, object], set[str]]] = []
+        for shard in shards:
+            with span("fixpoint.shard", shard=shard.index) as shard_span:
                 local_normal = dict(normal)
-                seeds = []
                 for block in sorted(
                     delta & shard.branch_blocks, key=lambda b: order.get(b, 0)
                 ):
                     shard.dirty[block].add(None)
-                for block in shard.dirty:
-                    if shard.dirty[block]:
-                        seeds.append(block)
+                seeds = [block for block in shard.dirty if shard.dirty[block]]
                 seeds.sort(key=lambda b: order.get(b, 0))
                 local_changed: set[str] = set()
                 pops = self._run_sparse_pass(
@@ -1134,20 +1057,14 @@ class SpeculativeCacheAnalysis:
                     description=f"sharded speculative fixpoint (shard {shard.index})",
                 )
                 shard_span.set(pops=pops, changed_blocks=len(local_changed))
-                reporter.publish(
+                publish_progress(
                     "fixpoint.shard",
                     shard=shard.index,
                     pops=pops,
                     changed_blocks=len(local_changed),
                 )
-            return pops, local_normal, local_changed
-
-        if self.shard_threads and len(shards) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-                return list(pool.map(run_one, shards))
-        return [run_one(shard) for shard in shards]
+            runs.append((pops, local_normal, local_changed))
+        return runs
 
     # ------------------------------------------------------------------
     # Scenario-sharded fixpoint, process backend
@@ -1726,8 +1643,8 @@ class _ShardWorker:
     mirror starts from the same initial assignment the master builds and
     is advanced by the per-round deltas, so at every round start it
     equals the master's ``normal`` — which makes each shard run here
-    byte-for-byte the computation the serial backend's ``run_one`` would
-    have performed.
+    byte-for-byte the computation the serial backend's
+    :meth:`~SpeculativeCacheAnalysis._run_shards` would have performed.
     """
 
     def __init__(
@@ -1775,7 +1692,7 @@ class _ShardWorker:
         worker-side when the master asked for them (it re-emits both
         into its own tree/reporter — workers never write the trace file
         or talk to the service layer).  Mirrors
-        :meth:`SpeculativeCacheAnalysis._run_shards`' ``run_one`` exactly
+        :meth:`SpeculativeCacheAnalysis._run_shards` exactly
         (a shard with no seeds pops nothing and changes nothing, matching
         the serial backend's seeding filter).
         """

@@ -26,9 +26,7 @@ def analyze_speculative(
     dynamic_depth_bounding: bool | None = None,
     use_shadow_state: bool | None = None,
     scenario_shards: int = 1,
-    shard_threads: bool = False,
     shard_backend: str | None = None,
-    prune_scenarios: bool = False,
 ) -> CacheAnalysisResult:
     """Run the speculation-sound must-hit analysis on ``program``.
 
@@ -39,15 +37,9 @@ def analyze_speculative(
     ``scenario_shards >= 2`` selects the scenario-sharded scheduler
     (groups of colors solved against an outer normal-state fixpoint
     loop); ``shard_backend`` picks where the shard fixpoints execute —
-    ``"serial"``, ``"threads"``, or ``"processes"`` (bit-identical by
-    construction; see the backend section of
-    :mod:`repro.analysis.multicolor`).  None defers to the legacy
-    ``shard_threads`` flag, then ``REPRO_SHARD_BACKEND``, then serial.
-
-    ``prune_scenarios`` runs the secret-taint pre-analysis and skips the
-    speculation scenarios it proves irrelevant (access-free windows) —
-    verdicts and classifications are bit-identical to the unpruned run;
-    only iteration counts and wall-clock change.
+    ``"serial"`` (the default, also what None means) or ``"processes"``
+    (bit-identical by construction; see the backend section of
+    :mod:`repro.analysis.multicolor`).
     """
     config = speculation or SpeculationConfig.paper_default()
     if merge_strategy is not None:
@@ -76,8 +68,6 @@ def analyze_speculative(
         cache_config=cache_config,
         speculation=config,
         scenario_shards=scenario_shards,
-        shard_threads=shard_threads,
         shard_backend=shard_backend,
-        prune_scenarios=prune_scenarios,
     )
     return engine.run()

@@ -10,19 +10,8 @@ on them (computed against the post-dominator tree).  The fixpoint runs
 on the shared :mod:`repro.engine.worklist` kernel in the same
 reverse-postorder schedule as the cache analyses.
 
-Three consumers:
+Two consumers:
 
-* **scenario pruning** — :func:`prunable_scenario_colors` decides which
-  speculation scenarios the multicolor engine may skip.  The decision
-  procedure is deliberately conservative: an access inside a speculative
-  window interacts with the shared cache whether or not its *own* data
-  is tainted (rollback leaves its aging and evictions behind, and its
-  speculative classification is part of the reported result), so the
-  verdict- and classification-identical prunable set is exactly the
-  scenarios whose windows contain **no access at all**.  Windows with
-  accesses but no taint-reachable ones are counted separately
-  (``prune.scenarios_taint_free``) — they are the headroom a future
-  relaxed mode could claim by accepting classification drift.
 * **leak blame paths** — :meth:`TaintResult.blame_path` returns the
   shortest recorded def-use chain from a secret source to a leaking
   access, for ``repro sidechannel --explain`` and the report layer.
@@ -579,63 +568,6 @@ def analyze_taint(program) -> TaintResult:
     return TaintAnalysis(
         program.cfg, program.layout, program.info.secret_symbols
     ).solve()
-
-
-# ----------------------------------------------------------------------
-# Scenario-pruning policy
-# ----------------------------------------------------------------------
-def _window_site_index(scenario, table) -> list[tuple[str, int]]:
-    """Access sites inside either of a scenario's windows (``bm`` union
-    ``bh``, per-block at the larger instruction allowance)."""
-    allowed: dict[str, int | None] = {}
-    for window in (scenario.window_miss, scenario.window_hit):
-        for block, limit in window.allowed.items():
-            previous = allowed.get(block, 0)
-            if previous is None or limit is None:
-                allowed[block] = None
-            else:
-                allowed[block] = max(previous, limit)
-    sites: list[tuple[str, int]] = []
-    for block, limit in allowed.items():
-        for site in table.sites_up_to(block, limit):
-            sites.append((block, site.instruction_index))
-    return sites
-
-
-def classify_scenarios(vcfg, table, taint: TaintResult):
-    """Partition scenarios into ``(prunable, taint_free, relevant)`` color
-    sets.
-
-    ``prunable`` — windows with no access site at all: their window
-    transfer is the identity, every rollback/conversion delivery joins a
-    value already below its target, and classification walks emit
-    nothing, so dropping the color is bit-identical in both verdicts and
-    classifications.  ``taint_free`` — windows with accesses, none of
-    them taint-reachable: still retained (their rollback pollution and
-    speculative classification entries are observable), but counted as
-    the headroom a classification-drift-tolerant mode could claim.
-    """
-    prunable: set[int] = set()
-    taint_free: set[int] = set()
-    relevant: set[int] = set()
-    for scenario in vcfg.scenarios:
-        sites = _window_site_index(scenario, table)
-        if not sites:
-            prunable.add(scenario.color)
-        elif not any(
-            taint.is_tainted_site(block, index) for block, index in sites
-        ):
-            taint_free.add(scenario.color)
-        else:
-            relevant.add(scenario.color)
-    return frozenset(prunable), frozenset(taint_free), frozenset(relevant)
-
-
-def prunable_scenario_colors(vcfg, table, taint: TaintResult) -> frozenset[int]:
-    """Colors the multicolor engine may skip without changing any verdict
-    or classification (see :func:`classify_scenarios`)."""
-    prunable, _, _ = classify_scenarios(vcfg, table, taint)
-    return prunable
 
 
 def tainted_branch_blocks(program, taint: TaintResult | None = None) -> frozenset[str]:

@@ -628,18 +628,12 @@ def taint_sparse_kernel_source(
     register-only arithmetic, so the speculative windows of its two
     scenarios are long (they run through the following diamonds up to
     the depth bound or the pre-tail ``fence``) but contain **no memory
-    access** — the taint-driven pruner drops all ``2 * num_branches`` of
-    them while the cold solver pays full per-scenario slot bookkeeping
-    for each.  The tail is the Figure-2 shape (preload, an
+    access**.  The tail is the Figure-2 shape (preload, an
     uncached-condition branch, a secret-indexed access), so exactly two
-    scenarios stay relevant and the program still reports its
-    speculation-only leak.  The result is a kernel whose *prunable
-    fraction* approaches 1 as ``num_branches`` grows while the verdict
-    stays fixed: the workload that separates a solver paying
-    per-scenario slot bookkeeping from one that prunes first.
+    scenarios touch memory and the program still reports its
+    speculation-only leak.
 
-    Used by ``benchmarks/bench_taint_pruning.py`` and the pruning
-    differential tests; not part of any paper table.
+    Used by the IR verifier tests; not part of any paper table.
     """
     if num_branches < 1:
         raise ValueError("num_branches must be positive")

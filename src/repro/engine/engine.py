@@ -48,27 +48,6 @@ DEFAULT_RESULT_CACHE_SIZE = 1024
 #: constructed without an explicit ``incremental=`` argument.
 INCREMENTAL_ENV = "REPRO_INCREMENTAL"
 
-#: Environment knob forcing taint-driven scenario pruning on every
-#: speculative run whose request does not set ``prune_scenarios`` itself.
-#: Verdicts and classifications are knob-invariant (see
-#: :mod:`repro.analysis.taint`), so flipping it process-wide is safe; it
-#: exists so the whole test suite / a deployment can run pruned without
-#: touching request construction.
-PRUNE_SCENARIOS_ENV = "REPRO_PRUNE_SCENARIOS"
-
-
-def resolve_prune_scenarios(request: AnalysisRequest) -> bool:
-    """Execution-time pruning decision for one request: the request's own
-    flag, else the ``REPRO_PRUNE_SCENARIOS`` environment knob."""
-    if request.prune_scenarios:
-        return True
-    return os.environ.get(PRUNE_SCENARIOS_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
 
 def compile_request(request: AnalysisRequest) -> CompiledProgram:
     """Run the front end for ``request`` (no caching)."""
@@ -117,7 +96,6 @@ def execute_request(
                 speculation=request.speculation,
                 scenario_shards=request.scenario_shards,
                 shard_backend=request.shard_backend,
-                prune_scenarios=resolve_prune_scenarios(request),
             )
         result.provenance = stamp_for_request(
             request, backend=result.shard_backend_used

@@ -283,10 +283,6 @@ def execute_retaining(
     """
     from repro.analysis.multicolor import SpeculativeCacheAnalysis
 
-    # Imported lazily: engine.py imports this module at load time, so the
-    # reverse import must wait until call time.
-    from repro.engine.engine import resolve_prune_scenarios
-
     with span(
         "analyze", kind=request.kind.value, label=request.label
     ) as analyze_span:
@@ -297,7 +293,6 @@ def execute_retaining(
             scenario_shards=request.scenario_shards,
             shard_backend=request.shard_backend,
             warm_start=warm_start,
-            prune_scenarios=resolve_prune_scenarios(request),
         )
         result = analysis.run()
         result.provenance = stamp_for_request(

@@ -3,8 +3,14 @@
 An :class:`AnalysisRequest` captures everything needed to reproduce one
 analysis run — the MiniC source, the front-end options, the cache
 geometry, and the analysis kind and knobs — as an immutable, hashable,
-picklable value.  That makes requests usable as cache keys, process-pool
-work items, and (eventually) wire-format job descriptions.
+picklable value.  Requests are the engine's cache keys, its process-pool
+work items and the service's wire-format job descriptions (see
+:mod:`repro.service.wire`).
+
+Fields come in two groups.  The semantic ones (source, front-end
+options, geometry, speculation config, ``scenario_shards``) make up the
+result key.  The execution hints (``shard_backend``, ``warm_from``,
+``label``) never change a verdict, so equality and the key ignore them.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ class AnalysisKind(str, Enum):
 
 
 #: Valid values of the sharded engine's ``shard_backend`` execution axis
-#: (the canonical definition; the engine and the wire validate against
-#: it).  None on a request means "resolve at execution time": the
-#: ``REPRO_SHARD_BACKEND`` environment variable, then ``"serial"``.
-SHARD_BACKENDS = ("serial", "threads", "processes")
+#: (the canonical definition; the engine, the wire and the command lines
+#: validate against it).  None on a request means ``"serial"``.
+SHARD_BACKENDS = ("serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,8 @@ class AnalysisRequest:
     classifications — legitimately differ from the canonical engine's.
 
     ``shard_backend`` picks *where* a sharded run executes —
-    ``"serial"``, ``"threads"`` or ``"processes"``; None defers to the
-    ``REPRO_SHARD_BACKEND`` environment variable, then ``"serial"``.
-    All backends are bit-identical (states, iteration counts,
+    ``"serial"`` (also what None means) or ``"processes"``.
+    Both backends are bit-identical (states, iteration counts,
     classifications), so like ``label`` it is an execution hint: it never
     affects equality, the result key, or the persistent store — existing
     keys stay warm whatever backend computed them.
@@ -70,13 +74,6 @@ class AnalysisRequest:
     inline: bool = True
     max_unroll_iterations: int = 4096
     scenario_shards: int = 1
-    #: Run the secret-taint pre-analysis and drop speculation scenarios
-    #: whose windows are provably access-free (see
-    #: :mod:`repro.analysis.taint`).  Classifications and verdicts are
-    #: bit-identical to the unpruned run, but reported iteration counts
-    #: are not — so like ``scenario_shards`` the knob participates in the
-    #: result key (only when on, keeping historical keys warm).
-    prune_scenarios: bool = False
     shard_backend: str | None = field(default=None, compare=False)
     label: str | None = field(default=None, compare=False)
     #: ``result_key()`` of a prior request whose retained snapshot should
@@ -179,11 +176,6 @@ class AnalysisRequest:
                 # match a direct execution of the same request.
                 if self.scenario_shards >= 2:
                     parts.append(("scenario_shards", self.scenario_shards))
-                # Same reasoning for pruning: classifications are
-                # identical, iteration counts are not, and fingerprints
-                # include iterations.
-                if self.prune_scenarios:
-                    parts.append(("prune_scenarios", True))
             key = _digest("result", *parts)
             object.__setattr__(self, "_result_key", key)
         return key

@@ -12,9 +12,9 @@ same semantic fingerprint (pinned by ``tests/test_obs.py``).
 
 The stamp is observational: it lives in a ``compare=False`` field, is
 excluded from result fingerprints, and never participates in cache
-keys.  Stamping itself imports nothing from the rest of the package
-(the request is read duck-typed); only the cold replay path defers to
-:mod:`repro.service.wire` for request reconstruction.
+keys.  The request is encoded and decoded by :mod:`repro.service.wire`,
+the one request codec, imported at call time because the service layer
+imports the engine, which imports this module.
 """
 
 from __future__ import annotations
@@ -33,39 +33,12 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _config_dict(config: Any) -> dict | None:
-    """A config dataclass as a plain dict (None stays None)."""
-    if config is None:
-        return None
+def _config_dict(config: Any) -> dict:
+    """A config dataclass as a plain dict."""
     fields = getattr(config, "__dataclass_fields__", None)
     if fields is None:  # pragma: no cover - configs are dataclasses
         return dict(vars(config))
     return {name: _jsonable(getattr(config, name)) for name in fields}
-
-
-def _request_wire(request: Any) -> dict:
-    """The request in the service wire shape.
-
-    This mirrors :func:`repro.service.wire.request_to_wire` field for
-    field (so :func:`repro.service.wire.request_from_wire` can rebuild
-    the request) without importing the service layer from the stamping
-    hot path; the round-trip is pinned by ``tests/test_obs.py``.
-    """
-    return {
-        "source": request.source,
-        "kind": request.kind.value,
-        "entry": request.entry,
-        "line_size": request.line_size,
-        "cache_config": _config_dict(request.cache_config),
-        "speculation": _config_dict(request.speculation),
-        "use_shadow_state": request.use_shadow_state,
-        "unroll": request.unroll,
-        "inline": request.inline,
-        "max_unroll_iterations": request.max_unroll_iterations,
-        "scenario_shards": request.scenario_shards,
-        "shard_backend": request.shard_backend,
-        "label": request.label,
-    }
 
 
 @dataclass(frozen=True)
@@ -77,8 +50,8 @@ class ProvenanceStamp:
     compile_key: str
     result_key: str
     kind: str
-    #: Shard backend that actually executed the run (``"serial"`` /
-    #: ``"threads"`` / ``"processes"``), or None for unsharded runs.
+    #: Shard backend that actually executed the run (``"serial"`` or
+    #: ``"processes"``), or None for unsharded runs.
     backend: str | None
     scenario_shards: int
     #: The *resolved* configurations (defaults applied), so the stamp is
@@ -139,10 +112,10 @@ def stamp_for_request(request: Any, backend: str | None = None) -> ProvenanceSta
     """Stamp one request at execution time.
 
     ``backend`` is the shard backend the run actually used (None for
-    unsharded runs).  The request is read duck-typed so this stays
-    importable from the engine layer without cycles.
+    unsharded runs).
     """
     from repro import __version__  # deferred: repro.__init__ imports widely
+    from repro.service.wire import request_to_wire
 
     return ProvenanceStamp(
         engine_version=__version__,
@@ -152,12 +125,12 @@ def stamp_for_request(request: Any, backend: str | None = None) -> ProvenanceSta
         kind=request.kind.value,
         backend=backend,
         scenario_shards=request.scenario_shards,
-        cache_config=_config_dict(request.resolved_cache_config) or {},
+        cache_config=_config_dict(request.resolved_cache_config),
         speculation=(
             _config_dict(request.resolved_speculation)
             if request.kind.value == "speculative"
             else None
         ),
-        request=_request_wire(request),
+        request=request_to_wire(request),
         created_at=time.time(),
     )

@@ -271,17 +271,6 @@ class Tracer:
             return _DisabledSpan()
         return Span(self, name, attrs)
 
-    def child_span(self, name: str, parent, **attrs) -> "Span | _DisabledSpan":
-        """Open a span as an explicit child of ``parent`` — for work
-        dispatched to pool threads, whose own context stacks are empty.
-        On the dispatching thread this is equivalent to :meth:`span`
-        (the context stack takes precedence when non-empty)."""
-        opened = self.span(name, **attrs)
-        if isinstance(opened, Span) and isinstance(parent, Span):
-            opened.parent_id = parent.span_id
-            opened.trace_id = parent.trace_id
-        return opened
-
     def current(self) -> Span | None:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None

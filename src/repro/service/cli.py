@@ -52,7 +52,7 @@ import signal
 import sys
 
 from repro.engine.engine import AnalysisEngine, execute_request
-from repro.engine.request import AnalysisKind, AnalysisRequest
+from repro.engine.request import SHARD_BACKENDS, AnalysisKind, AnalysisRequest
 from repro.obs import histogram_quantile, render_prometheus
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import DEFAULT_PORT, ReproServer
@@ -210,7 +210,6 @@ def _build_request(args: argparse.Namespace, source: str) -> AnalysisRequest:
         cache_config=cache_config,
         speculation=speculation,
         scenario_shards=getattr(args, "scenario_shards", 1),
-        prune_scenarios=getattr(args, "prune_scenarios", False),
         shard_backend=getattr(args, "shard_backend", None),
         label=args.label,
     )
@@ -932,16 +931,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="speculative engine scheduler: 1 = canonical sparse "
                              "fixpoint, N >= 2 = N scenario shards around an outer "
                              "normal-state fixpoint (exact, unwidened results)")
-    submit.add_argument("--shard-backend", default=None,
-                        choices=("serial", "threads", "processes"),
+    submit.add_argument("--shard-backend", default=None, choices=SHARD_BACKENDS,
                         help="where sharded fixpoints execute (bit-identical "
-                             "results either way; default: the server's "
-                             "REPRO_SHARD_BACKEND, then serial)")
-    submit.add_argument("--prune-scenarios", action="store_true",
-                        help="taint-prune speculation scenarios with provably "
-                             "access-free windows before solving (identical "
-                             "verdicts and classifications; fewer slots, "
-                             "fewer iterations)")
+                             "results either way; default: serial)")
     submit.add_argument("--depth-hit", type=int, default=None,
                         help="speculation depth bound bh")
     submit.add_argument("--label", default=None)

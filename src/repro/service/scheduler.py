@@ -37,7 +37,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
-from repro.analysis.multicolor import resolve_shard_backend
 from repro.engine.engine import AnalysisEngine
 from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.obs import EventLog, ProgressReporter, metrics, reporting, span
@@ -455,16 +454,11 @@ class JobScheduler:
         Such jobs are dispatched in a batch of their own: their workers
         already use the whole machine, so stacking other jobs' pool
         workers on top would oversubscribe it rather than speed it up."""
-        if (
-            request.kind is not AnalysisKind.SPECULATIVE
-            or request.scenario_shards < 2
-        ):
-            return False
-        try:
-            backend = resolve_shard_backend(request.shard_backend)
-        except ValueError:
-            return False  # the engine will reject it with a clear error
-        return backend == "processes"
+        return (
+            request.kind is AnalysisKind.SPECULATIVE
+            and request.scenario_shards >= 2
+            and request.shard_backend == "processes"
+        )
 
     def _claim_batch(self) -> list[Job] | None:
         """Claim up to ``batch_size`` queued jobs (highest priority

@@ -107,7 +107,6 @@ def request_to_wire(request: AnalysisRequest) -> dict:
         "inline": request.inline,
         "max_unroll_iterations": request.max_unroll_iterations,
         "scenario_shards": request.scenario_shards,
-        "prune_scenarios": request.prune_scenarios,
         "shard_backend": request.shard_backend,
         "label": request.label,
         "warm_from": request.warm_from,
@@ -161,12 +160,11 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
             inline=bool(data.get("inline", True)),
             max_unroll_iterations=int(data.get("max_unroll_iterations", 4096)),
             # Payloads from pre-sharding clients default to the canonical
-            # (unsharded) engine; pre-backend payloads default to the
-            # server's own backend resolution (env, then serial).
+            # (unsharded) engine, pre-backend payloads to serial.  Older
+            # clients also send ``prune_scenarios``, a removed knob that
+            # never changed a verdict: the key is ignored, so those
+            # requests keep the result key of an unpruned run.
             scenario_shards=int(data.get("scenario_shards", 1)),
-            # Pre-taint clients never prune (legacy default off), so
-            # their result keys — and any stored results — are unchanged.
-            prune_scenarios=bool(data.get("prune_scenarios", False)),
             shard_backend=shard_backend,
             label=data.get("label"),
             warm_from=warm_from,

@@ -177,25 +177,6 @@ class VirtualCFG:
         return "\n".join(lines)
 
 
-def prune_vcfg(vcfg: "VirtualCFG", keep) -> list[SpeculationScenario]:
-    """Drop the scenarios for which ``keep(scenario)`` is false; returns
-    the removed scenarios (in their original order).
-
-    Mutating ``vcfg.scenarios`` in place is safe against the construction
-    memo: :func:`build_vcfg` returns a fresh wrapper with a fresh list per
-    call, sharing only the frozen scenario values.  The lookup indices are
-    invalidated, so later ``scenarios_at``/``scenario`` calls see the
-    pruned view.
-    """
-    removed = [scenario for scenario in vcfg.scenarios if not keep(scenario)]
-    if removed:
-        vcfg.scenarios[:] = [
-            scenario for scenario in vcfg.scenarios if keep(scenario)
-        ]
-        vcfg.invalidate_indices()
-    return removed
-
-
 # Scenario construction is deterministic in (cfg, config) and dominated
 # by the per-scenario window searches, so the result is memoised: every
 # engine construction over an already-seen (cfg, config) pair — repeat

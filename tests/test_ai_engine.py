@@ -1,83 +1,147 @@
-"""Unit tests for the generic solver and the interval domain."""
+"""Unit tests for the generic forward solver, over a small test lattice
+and over the cache domain."""
+
+import math
 
 import pytest
 
 from repro import compile_source
-from repro.ai.interval import Interval, IntervalState, analyze_intervals
 from repro.ai.solver import solve_forward
 from repro.cache.abstract import CacheState
+from repro.ir.instructions import BinOp, Const, Copy, Temp
 from repro.ir.memory import MemoryBlock
 from repro.analysis.transfer import AccessTable, transfer_block
 
 
-class TestInterval:
-    def test_constants_and_top(self):
-        assert Interval.const(5).is_constant
-        assert not Interval.top().is_constant
-        assert Interval(3, 1).is_empty
+class UpperBounds:
+    """Test lattice: an upper bound per temporary, ordered pointwise.
 
-    def test_join_and_meet(self):
-        assert Interval(0, 3).join(Interval(2, 5)) == Interval(0, 5)
-        assert Interval(0, 3).meet(Interval(2, 5)) == Interval(2, 3)
-        assert Interval(0, 1).meet(Interval(3, 4)).is_empty
+    A temporary without an entry is unbounded, and ``bounds=None`` is ⊥.
+    A counter in a loop raises its bound forever, so only widening (which
+    drops every bound that grew) makes such a loop converge.
+    """
 
-    def test_leq(self):
-        assert Interval(1, 2).leq(Interval(0, 5))
-        assert not Interval(0, 5).leq(Interval(1, 2))
-        assert Interval(3, 1).leq(Interval(0, 0))
+    def __init__(self, bounds: dict[str, float] | None = None):
+        self.bounds = bounds
 
-    def test_widen_unbounds_growing_sides(self):
-        widened = Interval(0, 5).widen(Interval(0, 3))
-        assert widened.lo == 0
-        assert widened.hi == float("inf")
+    @property
+    def is_bottom(self) -> bool:
+        return self.bounds is None
 
-    def test_arithmetic(self):
-        assert Interval(1, 2).add(Interval(3, 4)) == Interval(4, 6)
-        assert Interval(1, 2).sub(Interval(0, 1)) == Interval(0, 2)
-        assert Interval(-1, 2).mul(Interval(3, 3)) == Interval(-3, 6)
-        assert Interval(1, 2).neg() == Interval(-2, -1)
+    def join(self, other: "UpperBounds") -> "UpperBounds":
+        if self.is_bottom:
+            return other
+        if other.is_bottom:
+            return self
+        return UpperBounds({
+            temp: max(bound, other.bounds[temp])
+            for temp, bound in self.bounds.items()
+            if temp in other.bounds
+        })
 
-    def test_contains(self):
-        assert Interval(0, 10).contains(5)
-        assert not Interval(0, 10).contains(11)
+    def leq(self, other: "UpperBounds") -> bool:
+        if self.is_bottom:
+            return True
+        if other.is_bottom:
+            return False
+        return all(
+            self.bounds.get(temp, math.inf) <= bound
+            for temp, bound in other.bounds.items()
+        )
 
-    def test_paper_widening_example(self):
-        """Section 6.3: widening [0,5] against previous [0,3] gives [0,+inf)."""
-        previous = Interval(0, 3)
-        current = Interval(0, 5)
-        assert current.widen(previous).hi == float("inf")
+    def widen(self, previous: "UpperBounds") -> "UpperBounds":
+        if self.is_bottom or previous.is_bottom:
+            return self
+        return UpperBounds({
+            temp: bound
+            for temp, bound in self.bounds.items()
+            if bound <= previous.bounds.get(temp, math.inf)
+        })
+
+    def bound(self, operand) -> float:
+        if isinstance(operand, Const):
+            return operand.value
+        if isinstance(operand, Temp):
+            return self.bounds.get(operand.name, math.inf)
+        return math.inf
 
 
-class TestIntervalAnalysis:
-    def test_constant_propagation_through_copies(self):
-        program = compile_source(
+def solve_upper_bounds(source: str, **solver_options):
+    """Solve :class:`UpperBounds` over ``source``'s CFG (copies and
+    additions are tracked; every other definition is unbounded)."""
+    cfg = compile_source(source).cfg
+
+    def transfer(name: str, state: UpperBounds) -> UpperBounds:
+        if state.is_bottom:
+            return state
+        current = state
+        for instruction in cfg.block(name).instructions:
+            dest = instruction.defined_temp()
+            if dest is None:
+                continue
+            if isinstance(instruction, Copy):
+                value = current.bound(instruction.src)
+            elif isinstance(instruction, BinOp) and instruction.op == "+":
+                value = current.bound(instruction.left) + current.bound(instruction.right)
+            else:
+                value = math.inf
+            bounds = {temp: b for temp, b in current.bounds.items() if temp != dest.name}
+            if value < math.inf:
+                bounds[dest.name] = value
+            current = UpperBounds(bounds)
+        return current
+
+    result = solve_forward(
+        cfg,
+        entry_state=UpperBounds({}),
+        bottom=UpperBounds(),
+        transfer=transfer,
+        **solver_options,
+    )
+    return cfg, result
+
+
+COUNTING_LOOP = (
+    "int n; int main() { reg int i; i = 0; while (i < n) { i = i + 1; } return i; }"
+)
+
+
+class TestSolverOnTestLattice:
+    def test_bounds_propagate_through_copies(self):
+        _, result = solve_upper_bounds(
             "int main() { reg int x; reg int y; x = 4; y = x + 1; return y; }"
         )
-        result = analyze_intervals(program.cfg)
-        exit_state = result.exit_states["entry"]
-        values = [v for v in exit_state.values.values() if v.is_constant]
-        assert any(v.lo == 5 for v in values)
+        assert result.exit_states["entry"].bounds["r_y"] == 5
 
-    def test_branch_join_widens_range(self):
-        program = compile_source(
+    def test_branch_join_takes_the_larger_bound(self):
+        cfg, result = solve_upper_bounds(
             "int p; int main() { reg int x; if (p > 0) { x = 1; } else { x = 10; } return x; }"
         )
-        result = analyze_intervals(program.cfg)
-        exits = [result.exit_states[b] for b in program.cfg.exit_blocks()]
-        assert exits and not exits[0].is_bottom
+        (exit_block,) = cfg.exit_blocks()
+        assert result.entry_states[exit_block].bounds["r_x"] == 10
 
-    def test_loop_terminates_with_widening(self):
-        program = compile_source(
-            "int n; int main() { reg int i; i = 0; while (i < n) { i = i + 1; } return i; }"
-        )
-        result = analyze_intervals(program.cfg)
+    def test_loop_terminates_through_widening(self):
+        cfg, result = solve_upper_bounds(COUNTING_LOOP)
+        assert result.widenings >= 1
         assert result.iterations < 100
+        (exit_block,) = cfg.exit_blocks()
+        assert "r_i" not in result.entry_states[exit_block].bounds
 
-    def test_interval_state_lattice(self):
-        bottom = IntervalState.bottom()
-        entry = IntervalState.entry()
-        assert bottom.leq(entry)
-        assert bottom.join(entry) == entry or bottom.join(entry).leq(entry)
+    def test_loop_diverges_without_widening(self):
+        from repro.errors import AnalysisError
+
+        with pytest.raises(AnalysisError):
+            solve_upper_bounds(COUNTING_LOOP, widening_points=set(), max_visits=1000)
+
+    def test_lattice_order_join_and_widen(self):
+        bottom, top = UpperBounds(), UpperBounds({})
+        low, high = UpperBounds({"a": 1}), UpperBounds({"a": 5})
+        assert bottom.leq(top) and not top.leq(bottom)
+        assert bottom.join(low) is low
+        assert low.leq(high) and not high.leq(low)
+        assert low.join(high).bounds == {"a": 5}
+        assert high.widen(low).bounds == {}
+        assert low.widen(high).bounds == {"a": 1}
 
 
 class TestGenericSolver:

@@ -4,7 +4,6 @@ request/cache layers, batch execution, and the apps' engine routing."""
 import pytest
 
 from repro import compile_source
-from repro.ai.interval import Interval
 from repro.analysis import analyze_baseline, analyze_speculative
 from repro.apps.sidechannel import compare_leaks
 from repro.apps.wcet import compare_wcet
@@ -87,22 +86,38 @@ class _EqualButDistinctDomain:
         return _EqualButDistinctDomain(self.value)  # a fresh, equal element
 
 
+class _UpperBound:
+    """A lattice element whose ``widen`` jumps to infinity on growth."""
+
+    def __init__(self, hi):
+        self.hi = hi
+
+    def join(self, other):
+        return _UpperBound(max(self.hi, other.hi))
+
+    def leq(self, other):
+        return self.hi <= other.hi
+
+    def widen(self, previous):
+        return self if self.hi <= previous.hi else _UpperBound(float("inf"))
+
+
 class TestWideningPolicy:
     def test_no_widening_outside_points(self):
         policy = WideningPolicy(points={"header"}, delay=0)
-        joined = Interval(0, 5)
-        assert policy.apply("other", 10, Interval(0, 3), joined) is joined
+        joined = _UpperBound(5)
+        assert policy.apply("other", 10, _UpperBound(3), joined) is joined
         assert policy.widenings == 0
 
     def test_no_widening_before_delay(self):
         policy = WideningPolicy(points={"header"}, delay=3)
-        joined = Interval(0, 5)
-        assert policy.apply("header", 2, Interval(0, 3), joined) is joined
+        joined = _UpperBound(5)
+        assert policy.apply("header", 2, _UpperBound(3), joined) is joined
         assert policy.widenings == 0
 
     def test_widening_applied_and_counted(self):
         policy = WideningPolicy(points={"header"}, delay=3)
-        widened = policy.apply("header", 3, Interval(0, 3), Interval(0, 5))
+        widened = policy.apply("header", 3, _UpperBound(3), _UpperBound(5))
         assert widened.hi == float("inf")
         assert policy.widenings == 1
 

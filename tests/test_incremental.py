@@ -33,7 +33,7 @@ from repro.engine.incremental import (
     snapshot_from_analysis,
     warm_start_from_snapshot,
 )
-from repro.engine.request import AnalysisKind, AnalysisRequest
+from repro.engine.request import SHARD_BACKENDS, AnalysisKind, AnalysisRequest
 from repro.frontend import compile_source
 from repro.ir.cfg import diff_cfgs
 from repro.ir.memory import MemoryBlock
@@ -171,7 +171,7 @@ class TestWarmColdIdentity:
         reemitted_cfg = compile_source(reemitted).cfg
         assert diff_cfgs(base_cfg, reemitted_cfg).is_identical
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
     def test_warm_matches_sharded_cold(self, backend):
         """The warm (unsharded) verdict equals a scenario-sharded cold
         run's on every backend — the sharded backends are pinned

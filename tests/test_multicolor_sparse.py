@@ -181,17 +181,6 @@ class TestScenarioSharding:
                 assert sharded.classifications == canonical.classifications
                 assert sharded.widenings == 0
 
-    def test_threaded_sharding_matches_serial(self, bench_cache):
-        program = compile_source(branchy_kernel_source(6))
-        serial = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=4
-        ).run()
-        threaded = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=4, shard_threads=True
-        ).run()
-        assert threaded.classifications == serial.classifications
-        assert threaded.entry_states == serial.entry_states
-
     def test_sharding_is_shard_count_invariant_under_widening(self, bench_cache):
         """On widening-active programs the sharded scheduler computes the
         exact (unwidened) fixpoint: identical for every shard count, and

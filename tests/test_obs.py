@@ -19,8 +19,9 @@ import threading
 import pytest
 
 from repro.analysis.result import CacheAnalysisResult
+from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
-from repro.engine.request import AnalysisRequest
+from repro.engine.request import SHARD_BACKENDS, AnalysisKind, AnalysisRequest
 from repro.obs import (
     MetricsRegistry,
     ProvenanceStamp,
@@ -32,6 +33,8 @@ from repro.obs import (
 )
 from repro.obs.tracing import _DisabledSpan
 from repro.service.wire import request_from_wire, result_fingerprint
+from repro.speculation.config import SpeculationConfig
+from repro.speculation.merge import MergeStrategy
 
 SOURCE = """
 char table[4096]; int k;
@@ -187,7 +190,7 @@ class TestTracer:
 # Determinism: tracing must never perturb results
 # ----------------------------------------------------------------------
 class TestTracingDeterminism:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
     def test_identical_results_with_tracing_on_and_off(
         self, backend, tmp_path, monkeypatch
     ):
@@ -245,6 +248,44 @@ class TestProvenance:
         assert replayed_request.result_key() == request.result_key()
         replay = execute_request(replayed_request)
         assert result_fingerprint(replay) == result_fingerprint(result)
+
+    def test_stamp_replays_every_compared_field(self):
+        """Every field that takes part in request identity survives the
+        stamp, so a stamp replays to its own result key."""
+        non_default = {
+            "source": SOURCE,
+            "entry": "main",
+            "line_size": 32,
+            "cache_config": CacheConfig(
+                num_lines=8, line_size=32, associativity=2, policy="fifo"
+            ),
+            "speculation": SpeculationConfig(
+                depth_miss=50,
+                depth_hit=10,
+                merge_strategy=MergeStrategy.MERGE_AT_ROLLBACK,
+                dynamic_depth_bounding=False,
+                use_shadow_state=False,
+            ),
+            "use_shadow_state": False,
+            "unroll": False,
+            "inline": False,
+            "max_unroll_iterations": 512,
+            "scenario_shards": 2,
+        }
+        compared = {
+            f.name: f for f in dataclasses.fields(AnalysisRequest) if f.compare
+        }
+        assert set(compared) == set(non_default) | {"kind"}, (
+            "give every compared request field a non-default value here"
+        )
+        for name, value in non_default.items():
+            assert value != compared[name].default, name
+        for kind in AnalysisKind:
+            request = AnalysisRequest(kind=kind, **non_default)
+            stamp = stamp_for_request(request)
+            replayed = stamp.replay_request()
+            assert replayed == request
+            assert replayed.result_key() == stamp.result_key == request.result_key()
 
     def test_stamp_request_matches_wire_codec(self):
         request = AnalysisRequest.speculative(SOURCE, label="pin")

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.engine.engine import AnalysisEngine, execute_request
-from repro.engine.request import AnalysisRequest
+from repro.engine.request import SHARD_BACKENDS, AnalysisRequest
 from repro.obs import CollectingReporter, render_prometheus, reporting
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import JobScheduler, JobState
@@ -192,7 +192,7 @@ class TestLifecycleEvents:
 # Progress must never perturb results (the observational contract)
 # ----------------------------------------------------------------------
 class TestProgressDifferential:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
     def test_identical_results_with_progress_on_and_off(self, backend):
         request = AnalysisRequest.speculative(
             SHARDY_SOURCE, scenario_shards=2, shard_backend=backend
@@ -424,11 +424,12 @@ class TestPrometheusExposition:
 # Daemon trace relay under the process backend (worker spans)
 # ----------------------------------------------------------------------
 class TestTraceRelayOverProcesses:
-    def test_trace_rpc_includes_worker_shard_spans(self, server, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "processes")
+    def test_trace_rpc_includes_worker_shard_spans(self, server):
         with ServiceClient(port=server.port) as cli:
             cli.analyze(
-                AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2),
+                AnalysisRequest.speculative(
+                    SHARDY_SOURCE, scenario_shards=2, shard_backend="processes"
+                ),
                 timeout=120,
             )
             spans = cli.trace(cli.last_job_id)

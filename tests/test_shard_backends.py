@@ -1,8 +1,8 @@
-"""Differential tests for the shard-backend axis: serial, threaded and
-process-pool sharded runs must be bit-identical (abstract states,
-iteration counts, Table-7 verdicts) across merge strategies, geometries
-and replacement policies; plus backend resolution, the broken-pool
-fallback, wire/plumbing round trips and scheduler fan-out accounting."""
+"""Differential tests for the shard-backend axis: serial and process-pool
+sharded runs must be bit-identical (abstract states, iteration counts,
+Table-7 verdicts) across merge strategies, geometries and replacement
+policies; plus backend resolution, the broken-pool fallback,
+wire/plumbing round trips and scheduler fan-out accounting."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from repro.bench.client import build_client_source
 from repro.bench.crypto import crypto_kernel
 from repro.bench.programs import branchy_kernel_source, wcet_benchmark_source
 from repro.cache.config import CacheConfig
-from repro.engine.engine import AnalysisEngine
+from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.pool import WorkerPoolError
 from repro.engine.request import SHARD_BACKENDS, AnalysisRequest
 from repro.service.scheduler import JobScheduler
@@ -73,10 +73,9 @@ class TestDifferentialBackends:
     ):
         config = GEOMETRIES[geometry]
         serial = run_backend(branchy_program, "serial", cache_config=config)
-        for backend in ("threads", "processes"):
-            assert_bit_identical(
-                serial, run_backend(branchy_program, backend, cache_config=config)
-            )
+        assert_bit_identical(
+            serial, run_backend(branchy_program, "processes", cache_config=config)
+        )
 
     @pytest.mark.parametrize("strategy", list(MergeStrategy))
     def test_backends_bit_identical_across_merge_strategies(
@@ -134,27 +133,20 @@ class TestDifferentialBackends:
 
 
 class TestBackendResolution:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
+    def test_default_is_serial_whatever_the_environment(
+        self, branchy_program, monkeypatch
+    ):
+        # The backend is set per request only; the environment variable
+        # earlier versions read must have no effect.
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "processes")
         assert resolve_shard_backend(None) == "serial"
+        analysis = SpeculativeCacheAnalysis(
+            branchy_program, cache_config=GEOMETRIES[0]
+        )
+        assert analysis.shard_backend == "serial"
 
-    def test_explicit_backend_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "processes")
-        assert resolve_shard_backend("threads") == "threads"
-
-    def test_legacy_thread_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
-        assert resolve_shard_backend(None, shard_threads=True) == "threads"
-        # ...but an explicit backend still outranks it.
-        assert resolve_shard_backend("serial", shard_threads=True) == "serial"
-
-    def test_environment_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "processes")
-        assert resolve_shard_backend(None) == "processes"
-
-    @pytest.mark.parametrize("bogus", ["fork", "PROCESSES", ""])
-    def test_invalid_backend_rejected(self, bogus, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
+    @pytest.mark.parametrize("bogus", ["fork", "PROCESSES", "", "threads"])
+    def test_invalid_backend_rejected(self, bogus):
         with pytest.raises(ValueError):
             resolve_shard_backend(bogus)
 
@@ -165,14 +157,6 @@ class TestBackendResolution:
                 cache_config=GEOMETRIES[0],
                 shard_backend="bogus",
             )
-
-    def test_constructor_resolves_environment(self, branchy_program, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "threads")
-        analysis = SpeculativeCacheAnalysis(
-            branchy_program, cache_config=GEOMETRIES[0]
-        )
-        assert analysis.shard_backend == "threads"
-        assert analysis.shard_threads
 
 
 class TestBrokenPoolFallback:
@@ -230,11 +214,40 @@ class TestRequestPlumbing:
         restored = request_from_wire(payload)
         assert restored.shard_backend is None
 
-    def test_wire_rejects_unknown_backend(self):
+    @pytest.mark.parametrize("bogus", ["fork", "threads"])
+    def test_wire_rejects_unknown_backend(self, bogus):
         payload = request_to_wire(AnalysisRequest.speculative(self.SOURCE))
-        payload["shard_backend"] = "fork"
-        with pytest.raises(WireError, match="shard backend"):
+        payload["shard_backend"] = bogus
+        with pytest.raises(WireError, match="shard backend") as excinfo:
             request_from_wire(payload)
+        assert all(backend in str(excinfo.value) for backend in SHARD_BACKENDS)
+
+    def test_legacy_prune_scenarios_key_is_ignored(self):
+        """Older clients always send ``prune_scenarios``; the server decodes
+        such a payload to the request it would get without the key."""
+        request = AnalysisRequest.speculative(self.SOURCE)
+        plain = request_to_wire(request)
+        assert "prune_scenarios" not in plain
+        expected = result_fingerprint(execute_request(request))
+        for flag in (False, True):
+            legacy = request_from_wire(dict(plain, prune_scenarios=flag))
+            assert legacy == request
+            assert legacy.result_key() == request.result_key()
+            assert result_fingerprint(execute_request(legacy)) == expected
+
+    def test_cli_offers_exactly_the_request_backends(self, tmp_path):
+        from repro.service.cli import build_parser
+
+        path = tmp_path / "prog.mc"
+        path.write_text(self.SOURCE)
+        parser = build_parser()
+        for backend in SHARD_BACKENDS:
+            args = parser.parse_args(
+                ["submit", str(path), "--shard-backend", backend]
+            )
+            assert args.shard_backend == backend
+        with pytest.raises(SystemExit):
+            parser.parse_args(["submit", str(path), "--shard-backend", "threads"])
 
 
 class TestSchedulerFanOut:
