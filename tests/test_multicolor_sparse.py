@@ -14,7 +14,11 @@ from repro.analysis import analyze_speculative
 from repro.analysis.multicolor import SpeculativeCacheAnalysis
 from repro.bench.client import build_client_source
 from repro.bench.crypto import CRYPTO_BENCHMARKS, crypto_kernel
-from repro.bench.programs import branchy_kernel_source, wcet_benchmark_source
+from repro.bench.programs import (
+    branchy_kernel_source,
+    taint_sparse_kernel_source,
+    wcet_benchmark_source,
+)
 from repro.cache.config import CacheConfig
 from repro.engine.engine import execute_request
 from repro.engine.request import AnalysisRequest
@@ -203,6 +207,52 @@ class TestScenarioSharding:
         assert all(
             sharded_hits[site] for site, hit in canonical_hits.items() if hit
         )
+
+    def test_shard_counts_agree_on_random_programs(self, random_programs, bench_cache):
+        """At the 64-line cache the random programs' breaking loops make
+        the canonical engine widen; the sharded scheduler still computes
+        one exact fixpoint for every shard count, never less precise than
+        the canonical one: it classifies no site the widened fixpoint
+        does not reach, and keeps every must-hit of the sites it shares."""
+        key = lambda c: (c.block, c.instruction_index, c.speculative, c.scenario_color)
+        widened = 0
+        for program in random_programs:
+            canonical = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
+            widened += canonical.widenings
+            two = SpeculativeCacheAnalysis(
+                program, cache_config=bench_cache, scenario_shards=2
+            ).run()
+            three = SpeculativeCacheAnalysis(
+                program, cache_config=bench_cache, scenario_shards=3
+            ).run()
+            assert two.classifications == three.classifications
+            assert two.widenings == three.widenings == 0
+            canonical_hits = {key(c): c.must_hit for c in canonical.classifications}
+            sharded_hits = {key(c): c.must_hit for c in two.classifications}
+            assert set(sharded_hits) <= set(canonical_hits)
+            assert all(
+                hit for site, hit in sharded_hits.items() if canonical_hits[site]
+            )
+        assert widened > 0
+
+    def test_reported_scenario_counters_are_shard_invariant(self, bench_cache):
+        """Branch and virtual-edge counters describe the program, not the
+        schedule: sharding must not change them."""
+        program = compile_source(taint_sparse_kernel_source(8))
+        canonical = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
+        assert canonical.num_speculative_branches > 0
+        for shards in (2, 3):
+            sharded = SpeculativeCacheAnalysis(
+                program, cache_config=bench_cache, scenario_shards=shards
+            ).run()
+            assert sharded.num_speculative_branches == canonical.num_speculative_branches
+            assert sharded.num_virtual_edges == canonical.num_virtual_edges
+            assert (
+                sharded.num_virtual_edges_active
+                == canonical.num_virtual_edges_active
+            )
+            assert sharded.classifications == canonical.classifications
+            assert sharded.leak_detected and canonical.leak_detected
 
     def test_sharding_with_no_scenarios_is_harmless(self, bench_cache):
         program = compile_source(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pickle
 import threading
 
@@ -206,6 +207,32 @@ class TestTracingDeterminism:
         assert traced.classifications == untraced.classifications
         assert traced.entry_states == untraced.entry_states
         assert traced.iterations == untraced.iterations
+
+    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
+    def test_shard_spans_nest_under_rounds(self, backend):
+        """Shard spans hang off their round in one trace, whether they ran
+        in this process or were relayed from pool workers."""
+        buffer = SpanBuffer()
+        tracer().add_sink(buffer)
+        execute_request(
+            AnalysisRequest.speculative(
+                SOURCE, scenario_shards=2, shard_backend=backend
+            )
+        )
+        tracer().remove_sink(buffer)
+        spans = buffer.spans()
+        by_id = {s["span_id"]: s for s in spans}
+        shard_spans = [s for s in spans if s["name"] == "fixpoint.shard"]
+        assert shard_spans
+        assert len({s["trace_id"] for s in spans}) == 1
+        rounds: dict[str, list[int]] = {}
+        for shard_span in shard_spans:
+            parent = by_id[shard_span["parent_id"]]
+            assert parent["name"] == "fixpoint.round"
+            rounds.setdefault(parent["span_id"], []).append(shard_span["attrs"]["shard"])
+        assert all(sorted(shards) == [0, 1] for shards in rounds.values())
+        in_process = {s["pid"] == os.getpid() for s in shard_spans}
+        assert in_process == {backend == "serial"}
 
     def test_result_keys_unaffected_by_tracing(self, tmp_path, monkeypatch):
         request = AnalysisRequest.speculative(SOURCE)

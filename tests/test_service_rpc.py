@@ -7,13 +7,15 @@ code path ``repro serve`` / ``repro submit`` use.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 
 import pytest
 
+from repro.cache.config import CacheConfig
 from repro.engine.engine import execute_request
-from repro.engine.request import AnalysisRequest
+from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ReproServer
 from repro.service.wire import (
@@ -22,9 +24,37 @@ from repro.service.wire import (
     request_to_wire,
     result_fingerprint,
 )
+from repro.speculation.config import SpeculationConfig
+from repro.speculation.merge import MergeStrategy
 
 SOURCE = "char a[64]; int p; int main() { if (p > 0) { a[0]; } a[0]; return 0; }"
 BROKEN_SOURCE = "int main( { nope"
+
+#: A non-default value for every :class:`AnalysisRequest` field but the
+#: (required) source.
+NON_DEFAULT_FIELDS = {
+    "kind": AnalysisKind.BASELINE,
+    "entry": "main",
+    "line_size": 32,
+    "cache_config": CacheConfig(
+        num_lines=8, line_size=32, associativity=2, policy="fifo"
+    ),
+    "speculation": SpeculationConfig(
+        depth_miss=50,
+        depth_hit=10,
+        merge_strategy=MergeStrategy.MERGE_AT_ROLLBACK,
+        dynamic_depth_bounding=False,
+        use_shadow_state=False,
+    ),
+    "use_shadow_state": False,
+    "unroll": False,
+    "inline": False,
+    "max_unroll_iterations": 512,
+    "scenario_shards": 2,
+    "shard_backend": "processes",
+    "label": "every-field",
+    "warm_from": "0" * 64,
+}
 
 
 @pytest.fixture
@@ -42,9 +72,6 @@ def client(server):
 
 class TestWireFormat:
     def test_request_roundtrip_preserves_keys(self):
-        from repro.cache.config import CacheConfig
-        from repro.speculation.config import SpeculationConfig
-
         request = AnalysisRequest.speculative(
             SOURCE,
             entry="main",
@@ -72,6 +99,40 @@ class TestWireFormat:
             request_from_wire({"source": 42})
         with pytest.raises(WireError):
             request_from_wire({"source": SOURCE, "kind": "quantum"})
+
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT_FIELDS))
+    def test_every_field_survives_the_wire(self, name):
+        """Each request field, execution hints included, crosses a JSON
+        round trip unchanged when it alone differs from the default."""
+        request = AnalysisRequest(**{"source": SOURCE, name: NON_DEFAULT_FIELDS[name]})
+        restored = request_from_wire(json.loads(json.dumps(request_to_wire(request))))
+        assert getattr(restored, name) == NON_DEFAULT_FIELDS[name]
+        assert restored == request
+        assert restored.result_key() == request.result_key()
+
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT_FIELDS))
+    def test_omitted_key_decodes_to_the_field_default(self, name):
+        """An older client that never sends a key gets the dataclass
+        default, so the decoder's fallbacks cannot drift from it."""
+        payload = request_to_wire(AnalysisRequest(source=SOURCE))
+        del payload[name]
+        restored = request_from_wire(payload)
+        default = next(
+            f.default for f in dataclasses.fields(AnalysisRequest) if f.name == name
+        )
+        assert getattr(restored, name) == default
+        assert restored.result_key() == AnalysisRequest(source=SOURCE).result_key()
+
+    def test_non_default_table_covers_every_field(self):
+        fields = {
+            f.name: f for f in dataclasses.fields(AnalysisRequest)
+            if f.name != "source"
+        }
+        assert set(NON_DEFAULT_FIELDS) == set(fields), (
+            "give every request field a non-default value in NON_DEFAULT_FIELDS"
+        )
+        for name, value in NON_DEFAULT_FIELDS.items():
+            assert value != fields[name].default, name
 
     def test_fingerprint_ignores_provenance(self):
         request = AnalysisRequest.speculative(SOURCE)

@@ -6,6 +6,8 @@ wire/plumbing round trips and scheduler fan-out accounting."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import compile_source
@@ -16,11 +18,16 @@ from repro.analysis.multicolor import (
 )
 from repro.bench.client import build_client_source
 from repro.bench.crypto import crypto_kernel
-from repro.bench.programs import branchy_kernel_source, wcet_benchmark_source
+from repro.bench.programs import (
+    branchy_kernel_source,
+    taint_sparse_kernel_source,
+    wcet_benchmark_source,
+)
 from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.pool import WorkerPoolError
 from repro.engine.request import SHARD_BACKENDS, AnalysisRequest
+from repro.obs import metrics
 from repro.service.scheduler import JobScheduler
 from repro.service.wire import (
     WireError,
@@ -39,6 +46,42 @@ GEOMETRIES = [
 ]
 
 SHARDS = 4
+
+SEED = 0x7A1A7
+
+
+def random_secret_source(rng: random.Random, num_statements: int = 10) -> str:
+    """Seeded random MiniC mixing memory-condition diamonds, register-only
+    diamonds (whose speculative windows may touch no memory) and
+    secret-indexed accesses."""
+    arrays = 4
+    decls = [f"char a{i}[64];" for i in range(arrays)]
+    decls += ["char cnd[256];", "char sbox[256];", "secret int key;", "reg int p;"]
+
+    def access() -> str:
+        return f"a{rng.randrange(arrays)}[{rng.choice([0, 32])}];"
+
+    body = []
+    for _ in range(num_statements):
+        roll = rng.random()
+        if roll < 0.30:
+            body.append("  " + access())
+        elif roll < 0.55:
+            body.append(
+                f"  if (cnd[{rng.randrange(4) * 64}]) "
+                f"{{ {access()} }} else {{ {access()} }}"
+            )
+        elif roll < 0.80:
+            bound = rng.randrange(4)
+            body.append(f"  if (p > {bound}) {{ p = p + {bound + 1}; }}")
+        else:
+            body.append("  sbox[key];")
+    return (
+        "\n".join(decls)
+        + "\n\nint main() {\n"
+        + "\n".join(body)
+        + "\n  return 0;\n}\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +163,19 @@ class TestDifferentialBackends:
             run_backend(program, "processes", cache_config=bench_cache, shards=2),
         )
 
+    @pytest.mark.parametrize("index", range(3))
+    def test_backends_bit_identical_on_random_programs(self, index):
+        rng = random.Random(SEED + index)
+        source = random_secret_source(rng)
+        program = compile_source(source)
+        for config in GEOMETRIES:
+            serial = run_backend(program, "serial", cache_config=config, shards=3)
+            processes = run_backend(
+                program, "processes", cache_config=config, shards=3
+            )
+            assert_bit_identical(serial, processes)
+            assert processes.leak_detected == serial.leak_detected, source
+
     def test_unsharded_run_ignores_backend(self, branchy_program):
         analysis = SpeculativeCacheAnalysis(
             branchy_program,
@@ -144,6 +200,25 @@ class TestBackendResolution:
             branchy_program, cache_config=GEOMETRIES[0]
         )
         assert analysis.shard_backend == "serial"
+
+    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
+    def test_explicit_backend_wins(self, branchy_program, backend, monkeypatch):
+        other = next(b for b in SHARD_BACKENDS if b != backend)
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", other)
+        assert resolve_shard_backend(backend) == backend
+        analysis = SpeculativeCacheAnalysis(
+            branchy_program, cache_config=GEOMETRIES[0], shard_backend=backend
+        )
+        assert analysis.shard_backend == backend
+
+    def test_unset_backend_runs_serially(self):
+        """A sharded request that names no backend runs serially, and its
+        provenance stamp says so."""
+        result = execute_request(
+            AnalysisRequest.speculative(TestRequestPlumbing.SOURCE, scenario_shards=2)
+        )
+        assert result.shard_backend_used == "serial"
+        assert result.provenance.backend == "serial"
 
     @pytest.mark.parametrize("bogus", ["fork", "PROCESSES", "", "threads"])
     def test_invalid_backend_rejected(self, bogus):
@@ -250,6 +325,43 @@ class TestRequestPlumbing:
             parser.parse_args(["submit", str(path), "--shard-backend", "threads"])
 
 
+    def test_cli_flags_reach_request(self, tmp_path):
+        from repro.service.cli import _build_request, build_parser
+
+        path = tmp_path / "prog.mc"
+        path.write_text(self.SOURCE)
+        parser = build_parser()
+        args = parser.parse_args(
+            ["submit", str(path), "--scenario-shards", "4",
+             "--shard-backend", "processes"]
+        )
+        request = _build_request(args, self.SOURCE)
+        assert request.scenario_shards == 4
+        assert request.shard_backend == "processes"
+        default = _build_request(parser.parse_args(["submit", str(path)]), self.SOURCE)
+        assert default.scenario_shards == 1
+        assert default.shard_backend is None
+        assert default == AnalysisRequest.speculative(self.SOURCE)
+
+    def test_cli_rejects_the_removed_prune_flag(self, tmp_path):
+        from repro.service.cli import build_parser
+
+        path = tmp_path / "prog.mc"
+        path.write_text(self.SOURCE)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", str(path), "--prune-scenarios"])
+
+    def test_removed_prune_environment_variable_is_ignored(self, monkeypatch):
+        """``REPRO_PRUNE_SCENARIOS`` no longer exists: setting it leaves the
+        result, iteration counts included, and the metrics untouched."""
+        request = AnalysisRequest.speculative(taint_sparse_kernel_source(8))
+        monkeypatch.delenv("REPRO_PRUNE_SCENARIOS", raising=False)
+        expected = result_fingerprint(execute_request(request))
+        monkeypatch.setenv("REPRO_PRUNE_SCENARIOS", "1")
+        assert result_fingerprint(execute_request(request)) == expected
+        assert not any(name.startswith("prune.") for name in metrics().snapshot())
+
+
 class TestSchedulerFanOut:
     SOURCE = TestRequestPlumbing.SOURCE
 
@@ -270,6 +382,12 @@ class TestSchedulerFanOut:
             AnalysisRequest.baseline(
                 self.SOURCE, scenario_shards=4, shard_backend="processes"
             )
+        )
+
+    def test_fans_out_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "processes")
+        assert not JobScheduler._fans_out(
+            AnalysisRequest.speculative(self.SOURCE, scenario_shards=4)
         )
 
     def test_sharded_fanout_jobs_complete_and_are_counted(self):
