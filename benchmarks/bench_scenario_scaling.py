@@ -13,13 +13,14 @@ times three schedulers on each:
   the sort-per-pop ``compute_window``, and the inverted
   farthest-postdominator convergence points (resume slots survived to the
   last join instead of the branch's merge point);
-* **dense** — the retained in-tree reference (``mode="dense"``): same
-  per-visit re-transfer, but with the O(1) lookups and the corrected
-  convergence points;
+* **dense** — the dense schedule (:class:`DenseSchedule`, the engine
+  with every slot marked dirty on every pop): same per-visit
+  re-transfer, but with the O(1) lookups and the corrected convergence
+  points;
 * **sparse** — the default delta-driven engine, which re-transfers only
   slots whose inputs changed.
 
-Classifications are asserted bit-identical between the dense reference
+Classifications are asserted bit-identical between the dense schedule
 and the sparse engine on every size (they share one schedule by
 construction), and — on these loop-free kernels, where widening never
 fires — also for the scenario-sharded scheduler.  In full mode the
@@ -95,11 +96,19 @@ def _legacy_farthest_postdominator(cfg, pdom, block):
     return sorted(candidates)[0]
 
 
-class PrePRReference(SpeculativeCacheAnalysis):
+class DenseSchedule(SpeculativeCacheAnalysis):
+    """The dense schedule: every pop re-transfers the normal state and every
+    slot at the block, whatever changed."""
+
+    def _process_block_sparse(self, name, pending, normal, speculative, *rest):
+        pending = {None, *speculative[name]}
+        return super()._process_block_sparse(name, pending, normal, speculative, *rest)
+
+
+class PrePRReference(DenseSchedule):
     """The engine as it behaved before the sparse rebuild (see module doc)."""
 
     def __init__(self, *args, **kwargs):
-        kwargs["mode"] = "dense"
         super().__init__(*args, **kwargs)
         pdom = compute_postdominators(self.cfg)
         self.vcfg.scenarios = [
@@ -123,7 +132,7 @@ class PrePRReference(SpeculativeCacheAnalysis):
                 return scenario
         raise KeyError(color)
 
-    def _process_window_slot(self, name, slot, slot_state, successors, chooser=None):
+    def _process_window_slot(self, name, slot, slot_state, successors, chooser):
         self._linear_scenario_scan(slot[1])
         return super()._process_window_slot(name, slot, slot_state, successors, chooser)
 
@@ -143,8 +152,8 @@ def run_sweep(sizes, shards: int, time_reference: bool, backend: str = "serial")
     for num_branches in sizes:
         program = compile_source(branchy_kernel_source(num_branches))
 
-        def engine(**kwargs):
-            return SpeculativeCacheAnalysis(
+        def engine(engine_class=SpeculativeCacheAnalysis, **kwargs):
+            return engine_class(
                 program,
                 cache_config=BENCH_CACHE,
                 speculation=BENCH_SPECULATION,
@@ -152,7 +161,7 @@ def run_sweep(sizes, shards: int, time_reference: bool, backend: str = "serial")
             )
 
         sparse_time, sparse = _timed(engine)
-        dense_time, dense = _timed(lambda: engine(mode="dense"))
+        dense_time, dense = _timed(lambda: engine(DenseSchedule))
         assert dense.classifications == sparse.classifications, (
             f"sparse/dense divergence at {num_branches} branches"
         )

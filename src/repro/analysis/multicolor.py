@@ -30,63 +30,70 @@ edges of Section 5.1:
    scenario's convergence block are joined into the normal state there and
    stop propagating.
 
-Execution modes
----------------
+The sparse engine and its schedulers
+------------------------------------
 
-``mode="sparse"`` (the default) is a delta-driven scheduler: every block
-carries a *dirty set* of slots whose inputs changed since the block was
-last processed, and a visit re-transfers only those slots.  The pop
-schedule is identical to the dense engine's by construction — a delivery
-whose inputs did not change re-joins a value that is already below the
-target state, so skipping it changes neither the states nor the set of
-blocks re-enqueued — which makes the sparse results bit-identical to the
-dense ones, widening timing included.
+There is one engine, delta-driven: every block carries a *dirty set* of
+the slots (``None`` for S) whose inputs changed since the block was last
+processed, and a visit re-transfers only those.  Its pop schedule is the
+*dense* one — every visit re-transfers S and every slot at the block —
+by construction: a delivery whose inputs did not change re-joins a value
+already below the target state, so skipping it changes neither the
+states nor the set of blocks re-enqueued.  Results, widening timing
+included, are therefore those of the dense schedule, which the tests
+keep as a differential oracle (a subclass that marks everything dirty).
 
-``mode="dense"`` is the original engine, retained as the differential
-reference: every visit re-transfers the normal state and *all* slots at
-the block, paying O(#slots-at-block) per pop regardless of what changed.
+The engine is driven three ways:
 
-``scenario_shards >= 2`` runs the scenario-sharded scheduler: colors are
-partitioned round-robin into shards, and the solver alternates an *outer
-normal-state fixpoint* (no scenarios) with per-shard sparse fixpoints,
-each shard working against a private copy of the normal states whose
-changes are joined back deterministically after every round.  Shards
-only interact through the normal states, so the rounds are a chaotic
-iteration of the same equation system and converge to the same least
-fixpoint for every shard count.  The sharded scheduler computes the
-*exact* join-fixpoint: widening is an acceleration whose effect depends
-on the visit schedule, so applying it per-shard would make the result
-depend on the shard count.  The cache lattices are finite, so
-termination does not need it; on programs where the canonical engine's
-widening fires (rare — deep unrolled loops), the sharded result can be
-strictly more precise.
+* **cold** (:meth:`SpeculativeCacheAnalysis._solve_sparse`) — one sparse
+  pass over all scenarios, the canonical run;
+* **warm** (:meth:`SpeculativeCacheAnalysis._solve_warm`) — the same
+  pass seeded with a prior run's states, draining only the region an
+  edit affects;
+* **sharded** (``scenario_shards >= 2``,
+  :meth:`SpeculativeCacheAnalysis._solve_sharded`) — colors are
+  partitioned round-robin into shards, and each round alternates an
+  *outer normal-state fixpoint* (no scenarios) with per-shard sparse
+  fixpoints, each against a private copy of the normal states whose
+  changes are joined back deterministically.  Shards only interact
+  through the normal states, so the rounds are a chaotic iteration of
+  the same equation system and converge to the same least fixpoint for
+  every shard count.  The sharded scheduler computes the *exact*
+  join-fixpoint: widening's effect depends on the visit schedule, so
+  applying it per shard would make the result depend on the shard
+  count.  The cache lattices are finite, so termination does not need
+  it; where the canonical run widens (rare — deep unrolled loops) the
+  sharded result can be strictly more precise.
 
-Shard backends
---------------
+The sharded round loop talks to a *shard host* through two calls:
+``round(delta)`` hands over the normal states changed since the last
+round and returns, per shard in shard order, the pops, the shard's
+changed normal states and whether dirty slots are left over;
+``finalize()`` returns each shard's slots and window chooser.  Both
+hosts run the same shard body, :meth:`_ShardWorker.round`, and
+``shard_backend`` (None means serial) picks the host:
 
-Because shard runs only read the shared normal states and their outputs
-are joined deterministically, *where* they execute is a pure scheduling
-choice.  ``shard_backend`` selects it per request (None means serial):
-
-* ``"serial"`` — shard fixpoints run one after another in the calling
-  thread (the reference schedule);
-* ``"processes"`` — shard state lives in persistent worker processes
+* ``"serial"`` — a :class:`_ShardWorker` owning every shard, run in the
+  calling thread over the master's own analysis: state dicts pass
+  directly, spans and progress go straight to the caller's tracer and
+  reporter;
+* ``"processes"`` — :class:`_ProcessShardHost`: the shards are spread
+  over persistent worker processes
   (:class:`~repro.engine.pool.PersistentWorkerPool`; worker count from
-  ``REPRO_MAX_WORKERS``, default the CPU count).  Each outer round the
-  master broadcasts the blocks whose normal state changed as a
-  codec-encoded delta (:mod:`repro.cache.codec`), workers run their
-  shard fixpoints against their mirror of the normal states, and the
-  master joins the codec-encoded shard deltas back in shard order.  If
-  workers cannot be started (or die mid-run), the solve falls back to
-  the serial backend.
+  ``REPRO_MAX_WORKERS``, default the CPU count), each running a
+  :class:`_ShardWorker`.  Deltas and replies cross the pipes
+  codec-encoded (:mod:`repro.cache.codec`); workers collect their spans
+  and progress and the host relays them, and each worker's metrics are
+  handed back at finalize.  If workers cannot start or die mid-run, the
+  solve reruns the same loop on the serial host.
 
-Both backends are **bit-identical** by construction: workers run
-the same ``_run_sparse_pass`` code on equal inputs, the codec
-round-trips states to equal values, and every join happens master-side
-in the serial schedule's order (shard index, then block order).  The
-backend that actually ran is recorded in ``shard_backend_used``.
-Requests may therefore treat the backend as an execution knob, not a
-semantic one — result cache keys deliberately exclude it.
+Both hosts are **bit-identical** by construction: the shard body is the
+same code on equal inputs, the codec round-trips states to equal
+values, and every join happens in the round loop in shard order, then
+block order.  The backend that actually ran is recorded in
+``shard_backend_used``.  Requests may therefore treat the backend as an
+execution knob, not a semantic one — result cache keys deliberately
+exclude it.
 """
 
 from __future__ import annotations
@@ -116,6 +123,7 @@ from repro.ir.loops import find_natural_loops
 from repro.obs import (
     CollectingReporter,
     current_reporter,
+    current_span,
     metrics,
     publish_progress,
     reporting,
@@ -234,7 +242,6 @@ class _Shard:
     across outer rounds of the sharded scheduler."""
 
     index: int
-    scenarios: list[SpeculationScenario]
     scenarios_by_branch: dict[str, list[SpeculationScenario]]
     chooser: DepthChooser
     slots: dict[str, dict[SlotKey, object]]
@@ -254,19 +261,15 @@ class SpeculativeCacheAnalysis:
         program: CompiledProgram,
         cache_config: CacheConfig | None = None,
         speculation: SpeculationConfig | None = None,
-        mode: str = "sparse",
         scenario_shards: int = 1,
         shard_backend: str | None = None,
         warm_start: WarmStartData | None = None,
     ):
-        if mode not in ("sparse", "dense"):
-            raise ValueError(f"unknown engine mode {mode!r}")
         self.program = program
         self.cfg = program.cfg
         self.layout = program.layout
         self.cache_config = cache_config or CacheConfig.paper_default()
         self.speculation = speculation or SpeculationConfig.paper_default()
-        self.mode = mode
         self.scenario_shards = max(1, int(scenario_shards))
         self.shard_backend = resolve_shard_backend(shard_backend)
         #: Which backend the last sharded solve actually executed on
@@ -382,7 +385,6 @@ class SpeculativeCacheAnalysis:
         publish_progress(
             "fixpoint",
             program=self.cfg.name,
-            mode=self.mode,
             scenarios=len(self.vcfg.scenarios),
             shards=self.scenario_shards,
         )
@@ -390,7 +392,6 @@ class SpeculativeCacheAnalysis:
             "fixpoint",
             program=self.cfg.name,
             kind="speculative",
-            mode=self.mode,
             scenarios=len(self.vcfg.scenarios),
             shards=self.scenario_shards,
         ) as fixpoint_span:
@@ -441,35 +442,36 @@ class SpeculativeCacheAnalysis:
     # Fixpoint dispatch
     # ------------------------------------------------------------------
     def solve(self) -> SpeculativeFixpoint:
-        if self.warm_start is not None and (
-            self.mode == "dense" or self.scenario_shards >= 2
-        ):
-            # Warm starts are defined for the canonical sparse engine only;
-            # the dense reference and the sharded (exact-fixpoint) paths
-            # run cold.  The engine layer gates these before dispatch, so
-            # this is belt-and-braces bookkeeping.
-            self.warm_info = {
-                "used": False,
-                "fallback": "dense" if self.mode == "dense" else "sharded",
-            }
-            self.warm_start = None
-        if self.mode == "dense":
-            return self._solve_dense()
         if self.scenario_shards >= 2:
+            if self.warm_start is not None:
+                # Warm starts are defined for the canonical engine only;
+                # the sharded (exact-fixpoint) scheduler runs cold.  The
+                # engine layer gates this before dispatch, so this is
+                # belt-and-braces bookkeeping.
+                self.warm_info = {"used": False, "fallback": "sharded"}
+                self.warm_start = None
             # Always the exact-fixpoint scheduler, even for programs with
             # fewer than two scenarios: a sharded request promises (and is
             # result-keyed as) unwidened results, so falling back to the
             # widened canonical engine here would break that contract.
             if self.shard_backend == "processes":
                 try:
-                    return self._solve_sharded_processes()
+                    host = _ProcessShardHost(self)
+                    with host.pool:
+                        fixpoint = self._solve_sharded(host)
+                    self.shard_backend_used = "processes"
+                    return fixpoint
                 except WorkerPoolError:
                     # Workers unavailable or lost mid-run: the sharded
                     # solve is deterministic and only commits state at
-                    # the end, so restarting serially is safe (and will
-                    # also surface any genuine analysis bug locally).
+                    # the end, so rerunning the loop serially is safe
+                    # (and surfaces any genuine analysis bug locally).
                     pass
-            return self._solve_sharded()
+            fixpoint = self._solve_sharded(
+                _ShardWorker(self, tuple(range(self._shard_count())))
+            )
+            self.shard_backend_used = "serial"
+            return fixpoint
         if self.warm_start is not None:
             plan = self._plan_warm(self.warm_start)
             if plan is not None:
@@ -852,9 +854,9 @@ class SpeculativeCacheAnalysis:
         # --- dirty speculative slots, in slot-creation order ----------------
         # Iterating the slot dict (not the pending set) keeps the delivery
         # order independent of hash randomisation and identical to the dense
-        # engine's relative order.  Slots marked dirty before any state
+        # schedule's relative order.  Slots marked dirty before any state
         # reached them are still bottom and are skipped, exactly as the
-        # dense engine skips bottom slots.
+        # dense schedule skips bottom slots.
         if pending:
             slots_in = speculative[name]
             for slot, slot_state in slots_in.items():
@@ -873,11 +875,11 @@ class SpeculativeCacheAnalysis:
                     )
 
         # --- scenario injection at branch blocks ----------------------------
-        # The window (re-)choice runs on every pop, mirroring the dense
-        # engine: it is what keeps the chooser's active windows and the
+        # The window (re-)choice runs on every pop, as in the dense
+        # schedule: it is what keeps the chooser's active windows and the
         # window-growth requeues on the same schedule.  The injection
         # delivery itself only carries a new value when S[n] changed — the
-        # dense engine's unconditional re-delivery is a join no-op then.
+        # dense schedule's unconditional re-delivery is a join no-op then.
         for scenario in scenarios_by_branch.get(name, ()):
             previous_window = chooser.active_window(scenario)
             window = chooser.choose(scenario, state_in)
@@ -903,8 +905,23 @@ class SpeculativeCacheAnalysis:
     # ------------------------------------------------------------------
     # Scenario-sharded fixpoint
     # ------------------------------------------------------------------
-    def _solve_sharded(self) -> SpeculativeFixpoint:
-        self.shard_backend_used = "serial"
+    def _shard_count(self) -> int:
+        return max(1, min(self.scenario_shards, len(self.vcfg.scenarios)))
+
+    def _shard_members(self, index: int) -> list[SpeculationScenario]:
+        """The colors of shard ``index`` in the round-robin partition that
+        the round loop and every shard host compute alike."""
+        return self.vcfg.scenarios[index :: self._shard_count()]
+
+    def _solve_sharded(
+        self, host: _ShardWorker | _ProcessShardHost
+    ) -> SpeculativeFixpoint:
+        """The sharded round loop over a shard host (see the module
+        docstring).  A round runs the outer normal-state fixpoint, hands
+        the shards every normal state changed since the previous round,
+        and joins their changed states back in shard order, then block
+        order.  It stops when no shard has work or the join changes
+        nothing."""
         cfg = self.cfg
         reachable = cfg.reachable_blocks()
         order = self._schedule_order()
@@ -915,103 +932,96 @@ class SpeculativeCacheAnalysis:
         normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
         visits: dict[str, int] = {name: 0 for name in reachable}
         normal_dirty: dict[str, set] = {name: set() for name in reachable}
-
-        shards = self._build_shards(reachable)
-        fixpoint = SpeculativeFixpoint(normal=normal)
+        no_slots: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
+        branch_blocks = [
+            {scenario.branch_block for scenario in self._shard_members(index)}
+            for index in range(self._shard_count())
+        ]
+        leftover_dirty = [False] * len(branch_blocks)
         iterations = 0
 
         pending_normal: set[str] = {cfg.entry}
         # The entry state is non-bottom from the start, so the entry block
-        # counts as "changed" for the first shard round even though no
-        # delivery ever touches it.
-        delta_for_shards: set[str] = {cfg.entry}
-        no_slots: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
+        # counts as "changed" for the first round even though no delivery
+        # ever touches it.
+        delta: set[str] = {cfg.entry}
         round_index = 0
         while True:
-            with span("fixpoint.round", round=round_index) as round_span:
+            with span(
+                "fixpoint.round", round=round_index, workers=host.num_workers
+            ) as round_span:
                 round_index += 1
                 # Phase 1: outer normal-state fixpoint (scenarios excluded).
-                phase1_changed: set[str] = set()
-                if pending_normal:
-                    for block in pending_normal:
-                        normal_dirty[block].add(None)
-                    iterations += self._run_sparse_pass(
-                        normal=normal,
-                        speculative=no_slots,
-                        dirty=normal_dirty,
-                        seeds=sorted(pending_normal, key=lambda b: order.get(b, 0)),
-                        order=order,
-                        chooser=None,
-                        scenarios_by_branch={},
-                        policy=no_widening,
-                        visits=visits,
-                        normal_changed=phase1_changed,
-                        description="sharded speculative fixpoint (normal phase)",
-                    )
-                    pending_normal = set()
-                delta_for_shards |= phase1_changed
-                # Phase 2: per-shard sparse fixpoints against private copies of S.
-                seeded = [
-                    shard
-                    for shard in shards
-                    if delta_for_shards & shard.branch_blocks
-                    or any(shard.dirty[name] for name in shard.dirty)
-                ]
-                round_span.set(shards_seeded=len(seeded))
+                for block in pending_normal:
+                    normal_dirty[block].add(None)
+                iterations += self._run_sparse_pass(
+                    normal=normal,
+                    speculative=no_slots,
+                    dirty=normal_dirty,
+                    seeds=sorted(pending_normal, key=lambda b: order.get(b, 0)),
+                    order=order,
+                    chooser=None,
+                    scenarios_by_branch={},
+                    policy=no_widening,
+                    visits=visits,
+                    normal_changed=delta,
+                    description="sharded speculative fixpoint (normal phase)",
+                )
+                # Phase 2: the shard fixpoints, against the changed states.
+                seeded = sum(
+                    1
+                    for index, blocks in enumerate(branch_blocks)
+                    if leftover_dirty[index] or not delta.isdisjoint(blocks)
+                )
+                round_span.set(shards_seeded=seeded)
                 if not seeded:
                     break
-                delta = delta_for_shards
-                delta_for_shards = set()
-                runs = self._run_shards(seeded, normal, delta, order, no_widening)
-                iterations += sum(pops for pops, _, _ in runs)
-                # Phase 3: deterministic join of the shard-local normal states.
-                joined_delta: set[str] = set()
-                for _, local_normal, local_changed in runs:
-                    for block in sorted(local_changed, key=lambda b: order.get(b, 0)):
+                runs = host.round({block: normal[block] for block in delta})
+                # Phase 3: deterministic join, in shard order then block order.
+                joined: set[str] = set()
+                for index, pops, changed, leftover in runs:
+                    iterations += pops
+                    leftover_dirty[index] = leftover
+                    for block in sorted(changed, key=lambda b: order.get(b, 0)):
                         current = normal[block]
-                        joined = current.join(local_normal[block])
-                        if not joined.leq(current):
-                            normal[block] = joined
-                            joined_delta.add(block)
-                round_span.set(joined_blocks=len(joined_delta))
+                        value = current.join(changed[block])
+                        if not value.leq(current):
+                            normal[block] = value
+                            joined.add(block)
+                round_span.set(joined_blocks=len(joined))
                 publish_progress(
                     "fixpoint.round",
                     round=round_index,
-                    shards_seeded=len(seeded),
-                    joined_blocks=len(joined_delta),
+                    shards_seeded=seeded,
+                    joined_blocks=len(joined),
                     iterations=iterations,
+                    workers=host.num_workers,
                 )
-                if not joined_delta:
+                if not joined:
                     break
-                pending_normal = joined_delta
-                delta_for_shards = set(joined_delta)
+                pending_normal = joined
+                delta = set(joined)
 
         # Merge the per-shard slot dictionaries and window decisions back
         # into the engine-level views used by classification.
         speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        for shard in shards:
-            for name, slots in shard.slots.items():
-                if slots:
-                    speculative[name].update(slots)
-            self.chooser.absorb(shard.chooser)
-        fixpoint.speculative = speculative
-        fixpoint.iterations = iterations
-        fixpoint.widenings = 0
-        return fixpoint
+        for _, slots, chooser in host.finalize():
+            for name, block_slots in slots.items():
+                speculative[name].update(block_slots)
+            self.chooser.absorb(chooser)
+        return SpeculativeFixpoint(
+            normal=normal, speculative=speculative, iterations=iterations, widenings=0
+        )
 
-    def _build_shards(self, reachable: list[str]) -> list[_Shard]:
-        scenarios = self.vcfg.scenarios
-        count = max(1, min(self.scenario_shards, len(scenarios)))
+    def _build_shards(self, reachable: list[str], indices) -> list[_Shard]:
         shards: list[_Shard] = []
-        for index in range(count):
-            members = scenarios[index::count]
+        for index in indices:
             by_branch: dict[str, list[SpeculationScenario]] = {}
-            for scenario in members:
+            for scenario in self._shard_members(index):
                 by_branch.setdefault(scenario.branch_block, []).append(scenario)
             shards.append(
                 _Shard(
                     index=index,
-                    scenarios=members,
                     scenarios_by_branch=by_branch,
                     chooser=DepthChooser(self.speculation, self.layout),
                     slots={name: {} for name in reachable},
@@ -1020,318 +1030,6 @@ class SpeculativeCacheAnalysis:
                 )
             )
         return shards
-
-    def _run_shards(
-        self,
-        shards: list[_Shard],
-        normal: dict[str, object],
-        delta: set[str],
-        order: dict[str, int],
-        policy: WideningPolicy,
-    ) -> list[tuple[int, dict[str, object], set[str]]]:
-        """Run one round of shard fixpoints, one after another; returns
-        per-shard (pops, local normal states, blocks whose local normal
-        changed), in shard order."""
-        runs: list[tuple[int, dict[str, object], set[str]]] = []
-        for shard in shards:
-            with span("fixpoint.shard", shard=shard.index) as shard_span:
-                local_normal = dict(normal)
-                for block in sorted(
-                    delta & shard.branch_blocks, key=lambda b: order.get(b, 0)
-                ):
-                    shard.dirty[block].add(None)
-                seeds = [block for block in shard.dirty if shard.dirty[block]]
-                seeds.sort(key=lambda b: order.get(b, 0))
-                local_changed: set[str] = set()
-                pops = self._run_sparse_pass(
-                    normal=local_normal,
-                    speculative=shard.slots,
-                    dirty=shard.dirty,
-                    seeds=seeds,
-                    order=order,
-                    chooser=shard.chooser,
-                    scenarios_by_branch=shard.scenarios_by_branch,
-                    policy=policy,
-                    visits=shard.visits,
-                    normal_changed=local_changed,
-                    description=f"sharded speculative fixpoint (shard {shard.index})",
-                )
-                shard_span.set(pops=pops, changed_blocks=len(local_changed))
-                publish_progress(
-                    "fixpoint.shard",
-                    shard=shard.index,
-                    pops=pops,
-                    changed_blocks=len(local_changed),
-                )
-            runs.append((pops, local_normal, local_changed))
-        return runs
-
-    # ------------------------------------------------------------------
-    # Scenario-sharded fixpoint, process backend
-    # ------------------------------------------------------------------
-    def _solve_sharded_processes(self) -> SpeculativeFixpoint:
-        """The sharded scheduler with shard fixpoints in worker processes.
-
-        Identical round structure to :meth:`_solve_sharded`; the
-        differences are purely about state placement.  Shard state
-        (slots, dirty sets, visit counts, chooser) lives in persistent
-        workers for the whole solve; each worker also keeps a *mirror*
-        of the master's normal states, kept in sync by broadcasting the
-        blocks that changed since the previous round (the phase-3 join
-        delta plus the next phase-1 changes — exactly the set
-        ``_solve_sharded`` hands to :meth:`_run_shards`) as one
-        codec-encoded state map.  Workers reply per shard with the pop
-        count and the codec-encoded states of the blocks their local
-        normal copy changed; the master joins those replies in shard
-        order, then block order — the serial schedule — so the fixpoint
-        is bit-identical to the serial backend's.
-
-        Raises :class:`WorkerPoolError` if workers cannot be started or
-        die mid-run; :meth:`solve` falls back to the serial backend
-        (nothing on ``self`` is mutated before the workers' final
-        hand-back succeeds).
-        """
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
-        no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
-
-        normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
-        visits: dict[str, int] = {name: 0 for name in reachable}
-        normal_dirty: dict[str, set] = {name: set() for name in reachable}
-
-        scenarios = self.vcfg.scenarios
-        shard_count = max(1, min(self.scenario_shards, len(scenarios)))
-        # The same round-robin partition _build_shards uses; the master
-        # only needs each shard's branch blocks (for the seeding check).
-        shard_branch_blocks = [
-            {scenario.branch_block for scenario in scenarios[index::shard_count]}
-            for index in range(shard_count)
-        ]
-        num_workers = max(
-            1, min(default_max_workers() or os.cpu_count() or 1, shard_count)
-        )
-        # Worker w owns shards w, w+W, w+2W, ... — affinity is what lets
-        # shard state stay resident across rounds.
-        pool = PersistentWorkerPool(
-            _shard_worker_factory,
-            [
-                (
-                    self.program,
-                    self.cache_config,
-                    self.speculation,
-                    self.scenario_shards,
-                    tuple(range(worker, shard_count, num_workers)),
-                )
-                for worker in range(num_workers)
-            ],
-            name="repro-shard",
-        )
-        self.shard_backend_used = "processes"
-
-        fixpoint = SpeculativeFixpoint(normal=normal)
-        iterations = 0
-        shard_has_dirty = [False] * shard_count
-        pending_normal: set[str] = {cfg.entry}
-        delta_for_shards: set[str] = {cfg.entry}
-        no_slots: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        round_index = 0
-        try:
-            while True:
-                with span("fixpoint.round", round=round_index) as round_span:
-                    round_index += 1
-                    # Phase 1: outer normal-state fixpoint (master-side,
-                    # identical to the serial backend's).
-                    phase1_changed: set[str] = set()
-                    if pending_normal:
-                        for block in pending_normal:
-                            normal_dirty[block].add(None)
-                        iterations += self._run_sparse_pass(
-                            normal=normal,
-                            speculative=no_slots,
-                            dirty=normal_dirty,
-                            seeds=sorted(pending_normal, key=lambda b: order.get(b, 0)),
-                            order=order,
-                            chooser=None,
-                            scenarios_by_branch={},
-                            policy=no_widening,
-                            visits=visits,
-                            normal_changed=phase1_changed,
-                            description="sharded speculative fixpoint (normal phase)",
-                        )
-                        pending_normal = set()
-                    delta_for_shards |= phase1_changed
-                    if not any(
-                        delta_for_shards & shard_branch_blocks[index]
-                        or shard_has_dirty[index]
-                        for index in range(shard_count)
-                    ):
-                        break
-                    # Phase 2: broadcast the delta, run the shard fixpoints
-                    # remotely.  Every worker gets the delta — mirrors must
-                    # track the master even in rounds where a worker's own
-                    # shards have nothing to do.  Workers collect their spans
-                    # locally (when asked) and relay them in the reply — they
-                    # must never write the master's trace file themselves.
-                    delta_blob = encode_state_map(
-                        {block: normal[block] for block in delta_for_shards}
-                    )
-                    delta_for_shards = set()
-                    want_spans = tracer().enabled
-                    # Progress rides the same reply channel as spans:
-                    # workers collect locally and the master republishes
-                    # into its own reporter (workers never talk to the
-                    # service layer directly).
-                    want_progress = current_reporter().active
-                    replies = pool.request_all(
-                        [("round", delta_blob, want_spans, want_progress)]
-                        * num_workers
-                    )
-                    metrics().counter("codec.bytes_shipped").inc(
-                        len(delta_blob) * num_workers
-                    )
-                    reply_bytes = 0
-                    by_shard: dict[int, tuple[int, bytes]] = {}
-                    for shard_replies, worker_spans, worker_progress in replies:
-                        tracer().emit_foreign(worker_spans)
-                        republish(worker_progress)
-                        for shard_index, pops, changed_blob, leftover_dirty in shard_replies:
-                            by_shard[shard_index] = (pops, changed_blob)
-                            shard_has_dirty[shard_index] = leftover_dirty
-                            reply_bytes += len(changed_blob)
-                    metrics().counter("codec.bytes_shipped").inc(reply_bytes)
-                    # Phase 3: deterministic join, in shard order then block
-                    # order — the serial schedule.
-                    joined_delta: set[str] = set()
-                    for shard_index in range(shard_count):
-                        pops, changed_blob = by_shard[shard_index]
-                        iterations += pops
-                        local_states = decode_state_map(changed_blob, self.layout.lanes)
-                        for block in sorted(local_states, key=lambda b: order.get(b, 0)):
-                            current = normal[block]
-                            joined = current.join(local_states[block])
-                            if not joined.leq(current):
-                                normal[block] = joined
-                                joined_delta.add(block)
-                    round_span.set(
-                        delta_bytes=len(delta_blob),
-                        reply_bytes=reply_bytes,
-                        joined_blocks=len(joined_delta),
-                        workers=num_workers,
-                    )
-                    publish_progress(
-                        "fixpoint.round",
-                        round=round_index,
-                        joined_blocks=len(joined_delta),
-                        iterations=iterations,
-                        workers=num_workers,
-                    )
-                    if not joined_delta:
-                        break
-                    pending_normal = joined_delta
-                    delta_for_shards = set(joined_delta)
-            finals = pool.request_all([("finalize",)] * num_workers)
-        finally:
-            pool.close()
-
-        # Merge the workers' slot dictionaries and window decisions back
-        # into the engine-level views used by classification, in shard
-        # order (matching the serial backend's merge loop).
-        speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        by_shard_final: dict[int, tuple[dict, DepthChooser]] = {}
-        for entries, worker_metrics in finals:
-            metrics().absorb(worker_metrics)
-            for shard_index, slots, chooser in entries:
-                by_shard_final[shard_index] = (slots, chooser)
-        for shard_index in range(shard_count):
-            slots, chooser = by_shard_final[shard_index]
-            for name, block_slots in slots.items():
-                if name in speculative:
-                    speculative[name].update(block_slots)
-            self.chooser.absorb(chooser)
-        fixpoint.speculative = speculative
-        fixpoint.iterations = iterations
-        fixpoint.widenings = 0
-        return fixpoint
-
-    # ------------------------------------------------------------------
-    # Dense fixpoint — the retained differential-reference engine
-    # ------------------------------------------------------------------
-    def _solve_dense(self) -> SpeculativeFixpoint:
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
-        policy = self._widening_policy()
-
-        normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
-        speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        visits: dict[str, int] = {name: 0 for name in reachable}
-
-        fixpoint = SpeculativeFixpoint(normal=normal, speculative=speculative)
-        worklist = PriorityWorklist(order, initial=[cfg.entry])
-
-        def step(name: str) -> set[str]:
-            visits[name] += 1
-            fixpoint.iterations += 1
-            deliveries = self._process_block(name, normal, speculative, worklist.push)
-            return self._apply_deliveries(
-                deliveries, normal, speculative, policy, visits
-            )
-
-        run_fixpoint(
-            worklist, step, max_visits=MAX_VISITS, description="speculative fixpoint"
-        )
-        fixpoint.widenings = policy.widenings
-        return fixpoint
-
-    def _process_block(
-        self,
-        name: str,
-        normal: dict[str, object],
-        speculative: dict[str, dict[SlotKey, object]],
-        requeue,
-    ) -> list[_Delivery]:
-        deliveries: list[_Delivery] = []
-        successors = self.cfg.successors(name)
-        state_in = normal[name]
-        slots_in = speculative[name]
-
-        # --- normal transfer and propagation -------------------------------
-        state_out = transfer_block(state_in, self.table, name)
-        for successor in successors:
-            deliveries.append(_Delivery(successor, None, state_out))
-
-        # --- speculative slots ----------------------------------------------
-        for slot, slot_state in slots_in.items():
-            if getattr(slot_state, "is_bottom", False):
-                continue
-            if slot[0] == "window":
-                deliveries.extend(
-                    self._process_window_slot(name, slot, slot_state, successors)
-                )
-            else:
-                deliveries.extend(
-                    self._process_resume_slot(name, slot, slot_state, successors)
-                )
-
-        # --- scenario injection at branch blocks ----------------------------
-        for scenario in self._scenarios_by_branch.get(name, []):
-            previous_window = self.chooser.active_window(scenario)
-            window = self.chooser.choose(scenario, state_in)
-            if window.depth > previous_window.depth:
-                # The window grew (the condition is no longer a proven hit):
-                # re-propagate from every block of the old window.
-                for block in previous_window.allowed:
-                    if block in normal:
-                        requeue(block)
-            if window.depth <= 0 or not window.contains(scenario.wrong_target):
-                continue
-            deliveries.append(
-                _Delivery(scenario.wrong_target, ("window", scenario.color), state_out)
-            )
-        return deliveries
 
     # ------------------------------------------------------------------
     # Shared slot transfers
@@ -1342,11 +1040,11 @@ class SpeculativeCacheAnalysis:
         slot: SlotKey,
         slot_state,
         successors: list[str],
-        chooser: DepthChooser | None = None,
+        chooser: DepthChooser,
     ) -> list[_Delivery]:
         deliveries: list[_Delivery] = []
         scenario = self._scenario_by_color[slot[1]]
-        window = (chooser or self.chooser).active_window(scenario)
+        window = chooser.active_window(scenario)
         if not window.contains(name):
             return deliveries
         limit = window.allowed_instructions(name)
@@ -1402,8 +1100,8 @@ class SpeculativeCacheAnalysis:
         speculative: dict[str, dict[SlotKey, object]],
         policy: WideningPolicy,
         visits: dict[str, int],
-        dirty: dict[str, set] | None = None,
-        normal_changed: set[str] | None = None,
+        dirty: dict[str, set],
+        normal_changed: set[str],
     ) -> set[str]:
         changed: set[str] = set()
         for delivery in deliveries:
@@ -1418,10 +1116,8 @@ class SpeculativeCacheAnalysis:
                 if not joined.leq(current):
                     normal[target] = joined
                     changed.add(target)
-                    if dirty is not None:
-                        dirty[target].add(None)
-                    if normal_changed is not None:
-                        normal_changed.add(target)
+                    dirty[target].add(None)
+                    normal_changed.add(target)
             else:
                 slots = speculative[target]
                 current = slots.get(delivery.slot, self._bottom)
@@ -1429,8 +1125,7 @@ class SpeculativeCacheAnalysis:
                 if not joined.leq(current):
                     slots[delivery.slot] = joined
                     changed.add(target)
-                    if dirty is not None:
-                        dirty[target].add(delivery.slot)
+                    dirty[target].add(delivery.slot)
         return changed
 
     # ------------------------------------------------------------------
@@ -1617,149 +1312,91 @@ class SpeculativeCacheAnalysis:
 
 
 # ----------------------------------------------------------------------
-# Process-backend shard worker
+# Shard hosts
 # ----------------------------------------------------------------------
-def _shard_worker_factory(
-    program: CompiledProgram,
-    cache_config: CacheConfig,
-    speculation: SpeculationConfig,
-    scenario_shards: int,
-    shard_indices: tuple[int, ...],
-):
-    """Picklable :class:`~repro.engine.pool.PersistentWorkerPool` entry
-    point: builds one :class:`_ShardWorker` inside the worker process."""
-    # Fork-started workers inherit the master's metrics registry; reset it
-    # so the snapshot relayed at finalize only counts this worker's work.
-    metrics().clear()
-    return _ShardWorker(program, cache_config, speculation, scenario_shards, shard_indices)
-
-
 class _ShardWorker:
-    """The worker-process half of the ``"processes"`` shard backend.
+    """The shard body both hosts run: the fixpoints of the shards at
+    ``shard_indices``, against a mirror of the master's normal states.
 
-    Owns the shards at ``shard_indices`` of the same round-robin
-    partition the master computes (``_build_shards`` is deterministic on
-    equal inputs), plus a mirror of the master's normal states.  The
-    mirror starts from the same initial assignment the master builds and
-    is advanced by the per-round deltas, so at every round start it
-    equals the master's ``normal`` — which makes each shard run here
-    byte-for-byte the computation the serial backend's
-    :meth:`~SpeculativeCacheAnalysis._run_shards` would have performed.
+    The serial host is one worker owning every shard, built over the
+    master's own analysis and driven in the calling thread through
+    :meth:`round` and :meth:`finalize`.  In the process host each worker
+    process builds one over its own analysis of the same program
+    (:func:`_shard_worker_factory`; the shard partition is deterministic
+    on equal inputs) and is driven through :meth:`__call__`.  The mirror
+    starts at bottom and every round's delta holds each normal state the
+    master changed since the previous round, the entry state included, so
+    at every round start the mirror equals the master's ``normal``.
     """
 
+    #: Shard fixpoints this host runs at once (reported on round events).
+    num_workers = 1
+
     def __init__(
-        self,
-        program: CompiledProgram,
-        cache_config: CacheConfig,
-        speculation: SpeculationConfig,
-        scenario_shards: int,
-        shard_indices: tuple[int, ...],
+        self, analysis: SpeculativeCacheAnalysis, shard_indices: tuple[int, ...]
     ):
-        self.analysis = SpeculativeCacheAnalysis(
-            program,
-            cache_config=cache_config,
-            speculation=speculation,
-            mode="sparse",
-            scenario_shards=scenario_shards,
-            shard_backend="serial",
-        )
-        analysis = self.analysis
+        self.analysis = analysis
         reachable = analysis.cfg.reachable_blocks()
         self.order = analysis._schedule_order()
         self.policy = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
-        all_shards = analysis._build_shards(reachable)
-        self.shards = [all_shards[index] for index in shard_indices]
+        self.shards = analysis._build_shards(reachable, shard_indices)
         self.mirror: dict[str, object] = {name: analysis._bottom for name in reachable}
-        self.mirror[analysis.cfg.entry] = new_entry_state(
-            analysis.cache_config, analysis._use_shadow, analysis.layout
-        )
 
-    def __call__(self, message: tuple):
-        if message[0] == "round":
-            want_spans = bool(message[2]) if len(message) > 2 else False
-            want_progress = bool(message[3]) if len(message) > 3 else False
-            return self._round(message[1], want_spans, want_progress)
-        if message[0] == "finalize":
-            return self._finalize()
-        raise ValueError(f"unknown shard-worker message {message[0]!r}")
-
-    def _round(
-        self, delta_blob: bytes, want_spans: bool = False, want_progress: bool = False
-    ) -> tuple[list[tuple[int, int, bytes, bool]], list[dict], list[dict]]:
-        """Run one fixpoint round for every owned shard; replies with
-        ``(shard index, pops, encoded changed states, leftover dirty)``
-        per shard, plus the spans and progress events collected
-        worker-side when the master asked for them (it re-emits both
-        into its own tree/reporter — workers never write the trace file
-        or talk to the service layer).  Mirrors
-        :meth:`SpeculativeCacheAnalysis._run_shards` exactly
-        (a shard with no seeds pops nothing and changes nothing, matching
-        the serial backend's seeding filter).
-        """
-        delta_states = decode_state_map(delta_blob, self.analysis.layout.lanes)
-        self.mirror.update(delta_states)
-        delta = set(delta_states)
+    def round(
+        self, delta: dict[str, object]
+    ) -> list[tuple[int, int, dict[str, object], bool]]:
+        """Run one round of every owned shard; returns ``(shard index,
+        pops, changed normal states, leftover dirty)`` per shard.  A shard
+        with nothing to do pops nothing and publishes nothing."""
+        self.mirror.update(delta)
         order = self.order
-        replies: list[tuple[int, int, bytes, bool]] = []
-        spans: list[dict] = []
-        # Collection only when the master is tracing/watching: otherwise
-        # the shard spans below stay on the disabled (duration-only)
-        # fast path and progress publishing stays a no-op.
-        collect = tracer().collecting() if want_spans else contextlib.nullcontext()
-        progress = CollectingReporter() if want_progress else None
-        with collect as collected, reporting(progress):
-            for shard in self.shards:
-                with span("fixpoint.shard", shard=shard.index) as shard_span:
-                    local_normal = dict(self.mirror)
-                    for block in sorted(
-                        delta & shard.branch_blocks, key=lambda b: order.get(b, 0)
-                    ):
-                        shard.dirty[block].add(None)
-                    seeds = [block for block in shard.dirty if shard.dirty[block]]
-                    seeds.sort(key=lambda b: order.get(b, 0))
-                    local_changed: set[str] = set()
-                    pops = self.analysis._run_sparse_pass(
-                        normal=local_normal,
-                        speculative=shard.slots,
-                        dirty=shard.dirty,
-                        seeds=seeds,
-                        order=order,
-                        chooser=shard.chooser,
-                        scenarios_by_branch=shard.scenarios_by_branch,
-                        policy=self.policy,
-                        visits=shard.visits,
-                        normal_changed=local_changed,
-                        description=f"sharded speculative fixpoint (shard {shard.index})",
-                    )
-                    changed_blob = encode_state_map(
-                        {block: local_normal[block] for block in local_changed}
-                    )
-                    shard_span.set(
-                        pops=pops,
-                        changed_blocks=len(local_changed),
-                        reply_bytes=len(changed_blob),
-                    )
-                leftover_dirty = any(shard.dirty[name] for name in shard.dirty)
-                replies.append((shard.index, pops, changed_blob, leftover_dirty))
-                if progress is not None:
-                    progress.publish(
-                        "fixpoint.shard",
-                        shard=shard.index,
-                        pops=pops,
-                        changed_blocks=len(local_changed),
-                    )
-            if want_spans:
-                spans = collected.spans
-        return replies, spans, progress.events if progress is not None else []
+        runs: list[tuple[int, int, dict[str, object], bool]] = []
+        for shard in self.shards:
+            for block in delta.keys() & shard.branch_blocks:
+                shard.dirty[block].add(None)
+            seeds = sorted(
+                (block for block, pending in shard.dirty.items() if pending),
+                key=lambda b: order.get(b, 0),
+            )
+            if not seeds:
+                runs.append((shard.index, 0, {}, False))
+                continue
+            with span("fixpoint.shard", shard=shard.index) as shard_span:
+                local_normal = dict(self.mirror)
+                local_changed: set[str] = set()
+                pops = self.analysis._run_sparse_pass(
+                    normal=local_normal,
+                    speculative=shard.slots,
+                    dirty=shard.dirty,
+                    seeds=seeds,
+                    order=order,
+                    chooser=shard.chooser,
+                    scenarios_by_branch=shard.scenarios_by_branch,
+                    policy=self.policy,
+                    visits=shard.visits,
+                    normal_changed=local_changed,
+                    description=f"sharded speculative fixpoint (shard {shard.index})",
+                )
+                shard_span.set(pops=pops, changed_blocks=len(local_changed))
+            publish_progress(
+                "fixpoint.shard",
+                shard=shard.index,
+                pops=pops,
+                changed_blocks=len(local_changed),
+            )
+            runs.append(
+                (
+                    shard.index,
+                    pops,
+                    {block: local_normal[block] for block in local_changed},
+                    any(shard.dirty.values()),
+                )
+            )
+        return runs
 
-    def _finalize(self) -> tuple[list[tuple[int, dict, DepthChooser]], dict]:
-        """Hand the accumulated shard state back to the master: the
-        non-empty slot dictionaries and the per-shard chooser (both
-        value-equal under pickling — slots hold the same abstract-state
-        dataclasses the codec round-trips, and the chooser's windows are
-        frozen dataclasses compared by value everywhere), plus this
-        worker's metrics snapshot for the master to absorb."""
-        entries = [
+    def finalize(self) -> list[tuple[int, dict, DepthChooser]]:
+        """Each owned shard's non-empty slot dictionaries and chooser."""
+        return [
             (
                 shard.index,
                 {name: slots for name, slots in shard.slots.items() if slots},
@@ -1767,8 +1404,128 @@ class _ShardWorker:
             )
             for shard in self.shards
         ]
-        metrics().counter("fixpoint.slot_retransfers").inc(
-            self.analysis._slot_transfers
+
+    def __call__(self, message: tuple):
+        """The worker-process side of :class:`_ProcessShardHost`: the codec
+        and span/progress collection around :meth:`round`, and this
+        worker's metrics with :meth:`finalize` (slots and choosers pickle
+        to equal values)."""
+        if message[0] == "round":
+            _, delta_blob, want_spans, want_progress = message
+            # Collect only when the master is tracing/watching: otherwise
+            # the shard spans stay on the disabled (duration-only) fast
+            # path and progress publishing stays a no-op.
+            collect = tracer().collecting() if want_spans else contextlib.nullcontext()
+            progress = CollectingReporter() if want_progress else None
+            with collect as collected, reporting(progress):
+                runs = self.round(
+                    decode_state_map(delta_blob, self.analysis.layout.lanes)
+                )
+            return (
+                [
+                    (index, pops, encode_state_map(changed), leftover)
+                    for index, pops, changed, leftover in runs
+                ],
+                collected.spans if want_spans else [],
+                progress.events if want_progress else [],
+            )
+        if message[0] == "finalize":
+            metrics().counter("fixpoint.slot_retransfers").inc(
+                self.analysis._slot_transfers
+            )
+            return self.finalize(), metrics().snapshot()
+        raise ValueError(f"unknown shard-worker message {message[0]!r}")
+
+
+def _shard_worker_factory(
+    program: CompiledProgram,
+    cache_config: CacheConfig,
+    speculation: SpeculationConfig,
+    scenario_shards: int,
+    shard_indices: tuple[int, ...],
+) -> _ShardWorker:
+    """Picklable :class:`~repro.engine.pool.PersistentWorkerPool` entry
+    point: builds one :class:`_ShardWorker` inside the worker process."""
+    # Fork-started workers inherit the master's metrics registry; reset it
+    # so the snapshot relayed at finalize only counts this worker's work.
+    metrics().clear()
+    analysis = SpeculativeCacheAnalysis(
+        program,
+        cache_config=cache_config,
+        speculation=speculation,
+        scenario_shards=scenario_shards,
+    )
+    return _ShardWorker(analysis, shard_indices)
+
+
+class _ProcessShardHost:
+    """The ``"processes"`` shard host: shards spread over persistent
+    worker processes, each running a :class:`_ShardWorker`.
+
+    Worker ``w`` owns shards ``w, w+W, w+2W, ...``; that affinity keeps
+    shard state resident across rounds.  Every worker gets every round's
+    delta, since mirrors must track the master even when a worker's own
+    shards have nothing to do.  Workers never write the trace file or
+    talk to the service layer: they collect spans and progress when the
+    master traces or is watched, and the host re-emits them.  Raises
+    :class:`WorkerPoolError` when workers cannot start or die mid-run;
+    the caller closes :attr:`pool`.
+    """
+
+    def __init__(self, analysis: SpeculativeCacheAnalysis):
+        shard_count = analysis._shard_count()
+        self.num_workers = max(
+            1, min(default_max_workers() or os.cpu_count() or 1, shard_count)
         )
-        self.analysis._slot_transfers = 0
-        return entries, metrics().snapshot()
+        self.lanes = analysis.layout.lanes
+        self.pool = PersistentWorkerPool(
+            _shard_worker_factory,
+            [
+                (
+                    analysis.program,
+                    analysis.cache_config,
+                    analysis.speculation,
+                    analysis.scenario_shards,
+                    tuple(range(worker, shard_count, self.num_workers)),
+                )
+                for worker in range(self.num_workers)
+            ],
+            name="repro-shard",
+        )
+
+    def round(
+        self, delta: dict[str, object]
+    ) -> list[tuple[int, int, dict[str, object], bool]]:
+        delta_blob = encode_state_map(delta)
+        replies = self.pool.request_all(
+            [("round", delta_blob, tracer().enabled, current_reporter().active)]
+            * self.num_workers
+        )
+        reply_bytes = 0
+        runs: list[tuple[int, int, dict[str, object], bool]] = []
+        for shard_runs, worker_spans, worker_progress in replies:
+            tracer().emit_foreign(worker_spans)
+            republish(worker_progress)
+            for index, pops, changed_blob, leftover in shard_runs:
+                reply_bytes += len(changed_blob)
+                runs.append(
+                    (index, pops, decode_state_map(changed_blob, self.lanes), leftover)
+                )
+        metrics().counter("codec.bytes_shipped").inc(
+            len(delta_blob) * self.num_workers + reply_bytes
+        )
+        round_span = current_span()
+        if round_span is not None:
+            round_span.set(delta_bytes=len(delta_blob), reply_bytes=reply_bytes)
+        runs.sort(key=lambda run: run[0])
+        return runs
+
+    def finalize(self) -> list[tuple[int, dict, DepthChooser]]:
+        entries: list[tuple[int, dict, DepthChooser]] = []
+        for worker_entries, worker_metrics in self.pool.request_all(
+            [("finalize",)] * self.num_workers
+        ):
+            metrics().absorb(worker_metrics)
+            entries.extend(worker_entries)
+        entries.sort(key=lambda entry: entry[0])
+        return entries

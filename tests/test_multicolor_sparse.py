@@ -1,7 +1,7 @@
 """Tests for the sparse multi-color engine rebuild: differential equality
-against the retained dense reference, the scenario-sharded scheduler, the
-heap-based window construction, the postdominator-tree convergence fix,
-and the precomputed slot-placement indices."""
+against the dense schedule (:class:`DenseReference`), the scenario-sharded
+scheduler, the heap-based window construction, the postdominator-tree
+convergence fix, and the precomputed slot-placement indices."""
 
 from __future__ import annotations
 
@@ -105,6 +105,15 @@ def random_programs():
 # ----------------------------------------------------------------------
 # Sparse engine == dense reference, bit for bit
 # ----------------------------------------------------------------------
+class DenseReference(SpeculativeCacheAnalysis):
+    """The dense schedule: every pop re-transfers the normal state and every
+    slot at the block, whatever changed."""
+
+    def _process_block_sparse(self, name, pending, normal, speculative, *rest):
+        pending = {None, *speculative[name]}
+        return super()._process_block_sparse(name, pending, normal, speculative, *rest)
+
+
 class TestSparseMatchesDenseReference:
     @pytest.mark.parametrize("strategy", list(MergeStrategy))
     @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
@@ -112,17 +121,17 @@ class TestSparseMatchesDenseReference:
     def test_differential_matrix(
         self, random_programs, strategy, geometry, config_name
     ):
-        """The sparse engine's result is identical to the retained dense
-        path across merge strategies x cache geometries x speculation
-        configs on seeded random programs.  The engines share one pop
+        """The sparse engine's result is identical to the dense schedule's
+        across merge strategies x cache geometries x speculation configs
+        on seeded random programs.  The engines share one pop
         schedule by construction, so even the iteration and widening
         counters must agree — asserting them documents that the sparse
         rebuild is an optimisation, not a semantic change."""
         cache = GEOMETRIES[geometry]
         speculation = getattr(SpeculationConfig, config_name)().with_strategy(strategy)
         for program in random_programs:
-            dense = SpeculativeCacheAnalysis(
-                program, cache_config=cache, speculation=speculation, mode="dense"
+            dense = DenseReference(
+                program, cache_config=cache, speculation=speculation
             ).run()
             sparse = SpeculativeCacheAnalysis(
                 program, cache_config=cache, speculation=speculation
@@ -136,9 +145,7 @@ class TestSparseMatchesDenseReference:
         for name in ("hash", "des", "str2key"):
             kernel = crypto_kernel(name, 64, 64)
             program = compile_source(build_client_source(kernel, 2880))
-            dense = SpeculativeCacheAnalysis(
-                program, cache_config=bench_cache, mode="dense"
-            ).run()
+            dense = DenseReference(program, cache_config=bench_cache).run()
             sparse = SpeculativeCacheAnalysis(
                 program, cache_config=bench_cache
             ).run()
@@ -149,17 +156,11 @@ class TestSparseMatchesDenseReference:
         """adpcm is the corpus kernel whose fixpoint actually widens; the
         schedules (and therefore the widening timing) must still agree."""
         program = compile_source(wcet_benchmark_source("adpcm"))
-        dense = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, mode="dense"
-        ).run()
+        dense = DenseReference(program, cache_config=bench_cache).run()
         sparse = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
         assert dense.widenings > 0, "adpcm stopped widening; pick another kernel"
         assert sparse.classifications == dense.classifications
         assert sparse.widenings == dense.widenings
-
-    def test_unknown_mode_rejected(self, quantl_program):
-        with pytest.raises(ValueError):
-            SpeculativeCacheAnalysis(quantl_program, mode="eager")
 
 
 # ----------------------------------------------------------------------

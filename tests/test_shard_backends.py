@@ -1,11 +1,14 @@
 """Differential tests for the shard-backend axis: serial and process-pool
 sharded runs must be bit-identical (abstract states, iteration counts,
 Table-7 verdicts) across merge strategies, geometries and replacement
-policies; plus backend resolution, the broken-pool fallback,
+policies; plus backend resolution, the broken-pool and dead-worker
+fallbacks, equal metric totals and event fields across backends,
 wire/plumbing round trips and scheduler fan-out accounting."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -27,7 +30,7 @@ from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.pool import WorkerPoolError
 from repro.engine.request import SHARD_BACKENDS, AnalysisRequest
-from repro.obs import metrics
+from repro.obs import CollectingReporter, metrics, reporting
 from repro.service.scheduler import JobScheduler
 from repro.service.wire import (
     WireError,
@@ -254,6 +257,96 @@ class TestBrokenPoolFallback:
         fallback = analysis.run()
         assert analysis.shard_backend_used == "serial"
         assert_bit_identical(serial, fallback)
+
+    def test_worker_dying_mid_solve_falls_back_to_serial(
+        self, branchy_program, monkeypatch
+    ):
+        serial = run_backend(branchy_program, "serial", cache_config=GEOMETRIES[0])
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+        monkeypatch.setattr(
+            multicolor, "_shard_worker_factory", _dies_on_second_round_factory
+        )
+        analysis = SpeculativeCacheAnalysis(
+            branchy_program,
+            cache_config=GEOMETRIES[0],
+            speculation=SpeculationConfig(depth_miss=64, depth_hit=16),
+            scenario_shards=SHARDS,
+            shard_backend="processes",
+        )
+        fallback = analysis.run()
+        assert analysis.shard_backend_used == "serial"
+        assert_bit_identical(serial, fallback)
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard")
+        ]
+
+
+_REAL_SHARD_WORKER_FACTORY = multicolor._shard_worker_factory
+
+
+class _DiesOnSecondRound:
+    """Wraps a shard worker; the process exits when its second round
+    arrives, without replying."""
+
+    def __init__(self, worker):
+        self.worker = worker
+        self.rounds = 0
+
+    def __call__(self, message):
+        if message[0] == "round":
+            self.rounds += 1
+            if self.rounds == 2:
+                os._exit(3)
+        return self.worker(message)
+
+
+def _dies_on_second_round_factory(*args):
+    return _DiesOnSecondRound(_REAL_SHARD_WORKER_FACTORY(*args))
+
+
+class TestBackendTotals:
+    def test_backends_report_the_same_totals_and_event_fields(self):
+        """Process-backed runs report the same metric totals as serial ones,
+        ship no codec bytes when serial, and publish round and shard
+        events with the same fields."""
+        totals = {}
+        fields = {}
+        for backend in SHARD_BACKENDS:
+            metrics().clear()
+            collector = CollectingReporter()
+            with reporting(collector):
+                execute_request(
+                    AnalysisRequest.speculative(
+                        branchy_kernel_source(4),
+                        scenario_shards=2,
+                        shard_backend=backend,
+                    )
+                )
+            totals[backend] = metrics().snapshot()
+            fields[backend] = {
+                phase: {
+                    frozenset(event) - {"pid"}
+                    for event in collector.events
+                    if event["phase"] == phase
+                }
+                for phase in ("fixpoint.round", "fixpoint.shard")
+            }
+        serial, processes = totals["serial"], totals["processes"]
+        for name in (
+            "fixpoint.pops",
+            "fixpoint.slot_retransfers",
+            "fixpoint.widenings",
+        ):
+            assert serial[name] == processes[name], name
+        assert serial["fixpoint.pops"]["value"] > 0
+        assert serial["fixpoint.slot_retransfers"]["value"] > 0
+        assert "codec.bytes_shipped" not in serial
+        assert processes["codec.bytes_shipped"]["value"] > 0
+        assert fields["serial"]["fixpoint.round"]
+        assert fields["serial"]["fixpoint.shard"]
+        assert fields["serial"] == fields["processes"]
 
 
 class TestRequestPlumbing:
