@@ -13,19 +13,21 @@ times three schedulers on each:
   the sort-per-pop ``compute_window``, and the inverted
   farthest-postdominator convergence points (resume slots survived to the
   last join instead of the branch's merge point);
-* **dense** — the dense schedule (:class:`DenseSchedule`, the engine
-  with every slot marked dirty on every pop): same per-visit
-  re-transfer, but with the O(1) lookups and the corrected convergence
-  points;
-* **sparse** — the default delta-driven engine, which re-transfers only
-  slots whose inputs changed.
+* **dense** — the dense block schedule (:class:`DenseSchedule`, the
+  engine pinned to whole-block pops with every slot marked dirty on
+  every pop): same per-visit re-transfer, but with the O(1) lookups and
+  the corrected convergence points;
+* **sparse** — the default delta-driven engine, which on these loop-free
+  kernels pops (block, slot) nodes in dependency order and transfers
+  each live slot once.
 
-Classifications are asserted bit-identical between the dense schedule
-and the sparse engine on every size (they share one schedule by
-construction), and — on these loop-free kernels, where widening never
-fires — also for the scenario-sharded scheduler.  In full mode the
-128-branch kernel must show the sparse engine at least 5x faster than
-the pre-PR reconstruction.
+The schedules differ, but on these loop-free kernels, where widening
+never fires, they compute the same unique least fixpoint: entry states
+and classifications are asserted bit-identical between the dense
+schedule and the sparse engine on every size, and classifications also
+for the scenario-sharded scheduler.  In full mode the 128-branch kernel
+must show the sparse engine at least 5x faster than the pre-PR
+reconstruction.
 
 With ``--backend processes`` the sharded column runs on the process
 shard backend instead of the serial in-process scheduler, a serial
@@ -97,8 +99,12 @@ def _legacy_farthest_postdominator(cfg, pdom, block):
 
 
 class DenseSchedule(SpeculativeCacheAnalysis):
-    """The dense schedule: every pop re-transfers the normal state and every
-    slot at the block, whatever changed."""
+    """The dense block schedule: every pass pops whole blocks, and every pop
+    re-transfers the normal state and every slot at the block, whatever
+    changed."""
+
+    def _block_granular(self, policy):
+        return True
 
     def _process_block_sparse(self, name, pending, normal, speculative, *rest):
         pending = {None, *speculative[name]}
@@ -165,8 +171,8 @@ def run_sweep(sizes, shards: int, time_reference: bool, backend: str = "serial")
         assert dense.classifications == sparse.classifications, (
             f"sparse/dense divergence at {num_branches} branches"
         )
-        assert dense.iterations == sparse.iterations, (
-            f"sparse/dense schedule divergence at {num_branches} branches"
+        assert dense.entry_states == sparse.entry_states, (
+            f"sparse/dense fixpoint divergence at {num_branches} branches"
         )
         # The serial sharded scheduler optimises for distribution, not
         # single-thread latency; its redundant outer rounds make it

@@ -34,14 +34,49 @@ The sparse engine and its schedulers
 ------------------------------------
 
 There is one engine, delta-driven: every block carries a *dirty set* of
-the slots (``None`` for S) whose inputs changed since the block was last
-processed, and a visit re-transfers only those.  Its pop schedule is the
-*dense* one — every visit re-transfers S and every slot at the block —
-by construction: a delivery whose inputs did not change re-joins a value
-already below the target state, so skipping it changes neither the
-states nor the set of blocks re-enqueued.  Results, widening timing
-included, are therefore those of the dense schedule, which the tests
-keep as a differential oracle (a subclass that marks everything dirty).
+the slots (``None`` for S) whose inputs changed since they were last
+transferred, and a pop re-transfers only dirty ones.  The worklist pops
+*nodes*, each keyed by its schedule priority (``rank`` is a block's
+reverse-postorder position, ``β`` the branch block of a slot's color):
+
+* S at block ``b`` is ``(rank[b], 0, rank[b])``;
+* the window slots of ``β``'s colors at ``b`` are ``(rank[β], 1, rank[b])``,
+  and their resume slots ``(rank[β], 2, rank[b])``.
+
+A branch's windows are thus drained, and all their rollbacks delivered,
+before the correct target's S is consumed.  On an acyclic CFG every
+propagation rule goes from a smaller key to a larger one.  S, window and
+resume propagation follow CFG edges, which raise the block's rank.
+Injection goes from S at ``β`` to ``β``'s window slots, which share its
+rank and have a larger middle component.  Rollback goes to ``β``'s
+resume slots or to S at the correct target, and conversion to S at the
+convergence block; both blocks lie downstream of ``β``.  Pops therefore
+come in strictly increasing key order, so each node is popped at most
+once, after all its inputs are final: every live slot is transferred
+exactly once, and each window is chosen (when ``β``'s S is popped) on
+the branch's final state, before any of its slots exists.
+
+A pass that can widen (``policy.points`` non-empty: a loop survived
+unrolling) is *block-granular* instead
+(:meth:`SpeculativeCacheAnalysis._block_granular`): all of a block's
+nodes share the one item ``(rank[b],)``, each pop transfers everything
+dirty at the block, and widening fires on per-block visit counts.  That
+is the *dense* schedule — every visit re-transfers S and every slot at
+the block — by construction: a delivery whose inputs did not change
+re-joins a value already below the target state, and a window choice on
+an unchanged S chooses the same window again, so skipping either
+changes neither the states nor the set of blocks re-enqueued.  Where the engine widens, results and pop counts are
+therefore those of the dense block schedule.  Warm and sharded passes
+never widen, so they always pop nodes.
+
+Where it does not, the least fixpoint is unique, and both schedules are
+chaotic iterations of the same monotone equations that reach it: the
+same normal and slot states, classifications and window choices (a
+must-hit is only ever lost as states grow, so the window the block
+schedule ends with is the one chosen on the final state).  Only the pop
+counts differ.  The tests keep the dense block schedule as the
+differential oracle: a subclass that forces ``_block_granular`` and marks
+everything dirty.
 
 The engine is driven three ways:
 
@@ -319,6 +354,18 @@ class SpeculativeCacheAnalysis:
         self._scenarios_by_branch: dict[str, list[SpeculationScenario]] = {}
         for scenario in self.vcfg.scenarios:
             self._scenarios_by_branch.setdefault(scenario.branch_block, []).append(scenario)
+        # The schedule's ranks: reverse postorder of the reachable blocks,
+        # each block's position in it, and each color's branch position
+        # (the first component of its slots' node keys).
+        self._rpo: list[str] = self.cfg.reverse_postorder()
+        self._rank: dict[str, int] = {
+            name: position for position, name in enumerate(self._rpo)
+        }
+        self._branch_rank: dict[int, int] = {
+            scenario.color: self._rank[scenario.branch_block]
+            for scenario in self.vcfg.scenarios
+            if scenario.branch_block in self._rank
+        }
         # The slot-placement indices cost an O(#scenarios x window-size)
         # sweep plus a per-scenario CFG walk, and only introspection needs
         # them — built on first possible_slot_colors() call.
@@ -478,14 +525,18 @@ class SpeculativeCacheAnalysis:
                 return self._solve_warm(plan)
         return self._solve_sparse()
 
-    def _schedule_order(self) -> dict[str, int]:
-        return {name: position for position, name in enumerate(self.cfg.reverse_postorder())}
-
     def _widening_policy(self) -> WideningPolicy:
         return WideningPolicy(
             points={loop.header for loop in find_natural_loops(self.cfg)},
             delay=WIDENING_DELAY,
         )
+
+    def _block_granular(self, policy: WideningPolicy) -> bool:
+        """Whether a pass under ``policy`` pops whole blocks rather than
+        nodes (see the module docstring).  Widening timing is defined by
+        per-block visit counts, so a pass that can widen keeps the block
+        schedule."""
+        return bool(policy.points)
 
     # ------------------------------------------------------------------
     # Sparse (delta-driven) fixpoint — the default engine
@@ -493,7 +544,6 @@ class SpeculativeCacheAnalysis:
     def _solve_sparse(self) -> SpeculativeFixpoint:
         cfg = self.cfg
         reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
         policy = self._widening_policy()
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
@@ -508,8 +558,6 @@ class SpeculativeCacheAnalysis:
             normal=normal,
             speculative=speculative,
             dirty=dirty,
-            seeds=[cfg.entry],
-            order=order,
             chooser=self.chooser,
             scenarios_by_branch=self._scenarios_by_branch,
             policy=policy,
@@ -675,7 +723,6 @@ class SpeculativeCacheAnalysis:
         warm = plan.warm
         affected = plan.affected
         reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
         policy = self._widening_policy()  # no points — checked by _plan_warm
 
         color_map = {
@@ -743,20 +790,14 @@ class SpeculativeCacheAnalysis:
                 if scenario is not None and scenario.correct_target in affected:
                     dirty[name].add(slot)
 
-        seeds = sorted(
-            (name for name in reachable if dirty[name]),
-            key=lambda name: order.get(name, 0),
-        )
         self.warm_info["seeded_slots"] = seeded_slots
-        self.warm_info["frontier_blocks"] = len(seeds)
+        self.warm_info["frontier_blocks"] = sum(1 for name in reachable if dirty[name])
 
         fixpoint = SpeculativeFixpoint(normal=normal, speculative=speculative)
         fixpoint.iterations = self._run_sparse_pass(
             normal=normal,
             speculative=speculative,
             dirty=dirty,
-            seeds=seeds,
-            order=order,
             chooser=self.chooser,
             scenarios_by_branch=self._scenarios_by_branch,
             policy=policy,
@@ -772,8 +813,6 @@ class SpeculativeCacheAnalysis:
         normal: dict[str, object],
         speculative: dict[str, dict[SlotKey, object]],
         dirty: dict[str, set],
-        seeds,
-        order: dict[str, int],
         chooser: DepthChooser | None,
         scenarios_by_branch: dict[str, list[SpeculationScenario]],
         policy: WideningPolicy,
@@ -781,11 +820,38 @@ class SpeculativeCacheAnalysis:
         normal_changed: set[str],
         description: str,
     ) -> int:
-        """Drain one sparse fixpoint to convergence; returns the pop count.
+        """Drain one sparse fixpoint from the marks in ``dirty`` to
+        convergence; returns the pop count.
 
-        Blocks whose normal state changed at least once are accumulated
-        into ``normal_changed`` (the sharded scheduler's join set)."""
-        worklist = PriorityWorklist(order, initial=seeds)
+        Items are node keys (see the module docstring), or ``(rank,)``
+        for a whole block when the pass is block-granular.  Blocks whose
+        normal state changed at least once are accumulated into
+        ``normal_changed`` (the sharded scheduler's join set)."""
+        rpo = self._rpo
+        rank = self._rank
+        block_granular = self._block_granular(policy)
+        if block_granular:
+
+            def node(block: str, slot: SlotKey | None) -> tuple:
+                return (rank[block],)
+
+        else:
+            branch_rank = self._branch_rank
+
+            def node(block: str, slot: SlotKey | None) -> tuple:
+                position = rank[block]
+                if slot is None:
+                    return (position, 0, position)
+                return (branch_rank[slot[1]], 1 if slot[0] == "window" else 2, position)
+
+        worklist = PriorityWorklist(
+            None, [node(block, slot) for block, marks in dirty.items() for slot in marks]
+        )
+
+        def mark(block: str, slot: SlotKey | None) -> None:
+            dirty[block].add(slot)
+            worklist.push(node(block, slot))
+
         # Streaming progress: throttled to one event per
         # POP_PUBLISH_INTERVAL pops, and only when a reporter is
         # installed — the common (unwatched) case pays nothing per pop.
@@ -793,7 +859,7 @@ class SpeculativeCacheAnalysis:
         publish_every = POP_PUBLISH_INTERVAL if reporter.active else 0
         pops_seen = 0
 
-        def step(name: str) -> set[str]:
+        def step(item: tuple) -> tuple:
             nonlocal pops_seen
             if publish_every:
                 pops_seen += 1
@@ -801,28 +867,21 @@ class SpeculativeCacheAnalysis:
                     reporter.publish(
                         "fixpoint.pops", pops=pops_seen, pass_name=description
                     )
+            name = rpo[item[-1]]
             visits[name] += 1
-            pending = dirty[name]
-            dirty[name] = set()
+            if block_granular:
+                pending = dirty[name]
+                dirty[name] = set()
+            else:
+                pending = {slot for slot in dirty[name] if node(name, slot) == item}
+                dirty[name] -= pending
             deliveries = self._process_block_sparse(
-                name,
-                pending,
-                normal,
-                speculative,
-                worklist.push,
-                dirty,
-                chooser,
-                scenarios_by_branch,
+                name, pending, normal, speculative, mark, chooser, scenarios_by_branch
             )
-            return self._apply_deliveries(
-                deliveries,
-                normal,
-                speculative,
-                policy,
-                visits,
-                dirty=dirty,
-                normal_changed=normal_changed,
+            self._apply_deliveries(
+                deliveries, normal, speculative, policy, visits, mark, normal_changed
             )
+            return ()
 
         return run_fixpoint(
             worklist, step, max_visits=MAX_VISITS, description=description
@@ -834,11 +893,12 @@ class SpeculativeCacheAnalysis:
         pending: set,
         normal: dict[str, object],
         speculative: dict[str, dict[SlotKey, object]],
-        requeue,
-        dirty: dict[str, set],
+        mark,
         chooser: DepthChooser | None,
         scenarios_by_branch: dict[str, list[SpeculationScenario]],
     ) -> list[_Delivery]:
+        """Transfer what ``pending`` marks at block ``name`` (``None`` for
+        S, slot keys for slots) and return the deliveries."""
         deliveries: list[_Delivery] = []
         successors = self.cfg.successors(name)
         state_in = normal[name]
@@ -874,12 +934,12 @@ class SpeculativeCacheAnalysis:
                         self._process_resume_slot(name, slot, slot_state, successors)
                     )
 
-        # --- scenario injection at branch blocks ----------------------------
-        # The window (re-)choice runs on every pop, as in the dense
-        # schedule: it is what keeps the chooser's active windows and the
-        # window-growth requeues on the same schedule.  The injection
-        # delivery itself only carries a new value when S[n] changed — the
-        # dense schedule's unconditional re-delivery is a join no-op then.
+        # --- window choice and scenario injection at branch blocks ---------
+        # The choice reads only S[n], so it runs when S[n] is transferred:
+        # re-running it on an unchanged state (as the dense schedule does
+        # on every pop) chooses the same window again.
+        if not normal_dirty:
+            return deliveries
         for scenario in scenarios_by_branch.get(name, ()):
             previous_window = chooser.active_window(scenario)
             window = chooser.choose(scenario, state_in)
@@ -891,10 +951,7 @@ class SpeculativeCacheAnalysis:
                 slot = ("window", scenario.color)
                 for block in previous_window.allowed:
                     if block in normal:
-                        requeue(block)
-                        dirty[block].add(slot)
-            if not normal_dirty:
-                continue
+                        mark(block, slot)
             if window.depth <= 0 or not window.contains(scenario.wrong_target):
                 continue
             deliveries.append(
@@ -924,7 +981,6 @@ class SpeculativeCacheAnalysis:
         nothing."""
         cfg = self.cfg
         reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
         # Exact fixpoint: no widening (see the module docstring).
         no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
 
@@ -958,8 +1014,6 @@ class SpeculativeCacheAnalysis:
                     normal=normal,
                     speculative=no_slots,
                     dirty=normal_dirty,
-                    seeds=sorted(pending_normal, key=lambda b: order.get(b, 0)),
-                    order=order,
                     chooser=None,
                     scenarios_by_branch={},
                     policy=no_widening,
@@ -982,7 +1036,7 @@ class SpeculativeCacheAnalysis:
                 for index, pops, changed, leftover in runs:
                     iterations += pops
                     leftover_dirty[index] = leftover
-                    for block in sorted(changed, key=lambda b: order.get(b, 0)):
+                    for block in sorted(changed, key=self._rank.__getitem__):
                         current = normal[block]
                         value = current.join(changed[block])
                         if not value.leq(current):
@@ -1100,10 +1154,11 @@ class SpeculativeCacheAnalysis:
         speculative: dict[str, dict[SlotKey, object]],
         policy: WideningPolicy,
         visits: dict[str, int],
-        dirty: dict[str, set],
+        mark,
         normal_changed: set[str],
-    ) -> set[str]:
-        changed: set[str] = set()
+    ) -> None:
+        """Join every delivery into its target; ``mark`` each state that
+        grew (which dirties and enqueues it)."""
         for delivery in deliveries:
             target = delivery.target
             if target not in normal:
@@ -1115,18 +1170,15 @@ class SpeculativeCacheAnalysis:
                 )
                 if not joined.leq(current):
                     normal[target] = joined
-                    changed.add(target)
-                    dirty[target].add(None)
                     normal_changed.add(target)
+                    mark(target, None)
             else:
                 slots = speculative[target]
                 current = slots.get(delivery.slot, self._bottom)
                 joined = current.join(delivery.value)
                 if not joined.leq(current):
                     slots[delivery.slot] = joined
-                    changed.add(target)
-                    dirty[target].add(delivery.slot)
-        return changed
+                    mark(target, delivery.slot)
 
     # ------------------------------------------------------------------
     # Classification
@@ -1337,7 +1389,6 @@ class _ShardWorker:
     ):
         self.analysis = analysis
         reachable = analysis.cfg.reachable_blocks()
-        self.order = analysis._schedule_order()
         self.policy = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
         self.shards = analysis._build_shards(reachable, shard_indices)
         self.mirror: dict[str, object] = {name: analysis._bottom for name in reachable}
@@ -1349,16 +1400,11 @@ class _ShardWorker:
         pops, changed normal states, leftover dirty)`` per shard.  A shard
         with nothing to do pops nothing and publishes nothing."""
         self.mirror.update(delta)
-        order = self.order
         runs: list[tuple[int, int, dict[str, object], bool]] = []
         for shard in self.shards:
             for block in delta.keys() & shard.branch_blocks:
                 shard.dirty[block].add(None)
-            seeds = sorted(
-                (block for block, pending in shard.dirty.items() if pending),
-                key=lambda b: order.get(b, 0),
-            )
-            if not seeds:
+            if not any(shard.dirty.values()):
                 runs.append((shard.index, 0, {}, False))
                 continue
             with span("fixpoint.shard", shard=shard.index) as shard_span:
@@ -1368,8 +1414,6 @@ class _ShardWorker:
                     normal=local_normal,
                     speculative=shard.slots,
                     dirty=shard.dirty,
-                    seeds=seeds,
-                    order=order,
                     chooser=shard.chooser,
                     scenarios_by_branch=shard.scenarios_by_branch,
                     policy=self.policy,

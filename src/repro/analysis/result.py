@@ -60,6 +60,11 @@ class CacheAnalysisResult:
     speculation: SpeculationConfig | None
     entry_states: dict[str, Any] = field(default_factory=dict)
     classifications: list[AccessClassification] = field(default_factory=list)
+    #: Worklist pops of the fixpoint.  A pop is one block, except on the
+    #: speculative analysis's passes that cannot widen (loop-free
+    #: programs, sharded runs), where it is one node: S at a block, or
+    #: one branch's window or resume slots at a block (see
+    #: :mod:`repro.analysis.multicolor`).
     iterations: int = 0
     widenings: int = 0
     analysis_time: float = 0.0

@@ -9,10 +9,11 @@ and re-enqueue whatever changed.  This module is the single
 implementation of that schedule.
 
 * :class:`PriorityWorklist` — a heap-ordered, duplicate-free queue keyed
-  by a block-priority map (typically reverse-postorder positions).  It
-  replaces the ``min(worklist, ...)`` + ``remove`` scan the ad-hoc loops
-  used, which costs O(n) per pop and O(n²) over a run with a wide
-  frontier; the heap costs O(log n) per operation.
+  by a priority map (typically reverse-postorder positions) or, for
+  self-ordering items, by the items themselves.  It replaces the
+  ``min(worklist, ...)`` + ``remove`` scan the ad-hoc loops used, which
+  costs O(n) per pop and O(n²) over a run with a wide frontier; the heap
+  costs O(log n) per operation.
 * :class:`WideningPolicy` — where and when to widen, plus the
   lattice-based accounting of whether a widening actually changed the
   joined state (object identity is *not* a reliable signal: a ``widen``
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from repro.errors import AnalysisError
 
@@ -38,45 +39,51 @@ DEFAULT_WIDENING_DELAY = 3
 
 
 class PriorityWorklist:
-    """A duplicate-free min-heap of block names ordered by a priority map.
+    """A duplicate-free min-heap of hashable items ordered by priority.
 
-    ``order`` maps block names to their scheduling priority — lower pops
-    first.  Passing the reverse-postorder positions of a CFG yields the
+    ``order`` maps items to their scheduling priority — lower pops first.
+    Passing the reverse-postorder positions of a CFG's blocks yields the
     classical fast-converging iteration order.  Ties (only possible for
-    blocks missing from ``order``) break deterministically by name.
+    items missing from ``order``) break deterministically by the item.
+    With ``order=None`` every item is its own priority, so items must be
+    mutually comparable (the multi-color engine pushes tuples of ints).
     """
 
     __slots__ = ("_order", "_heap", "_queued")
 
-    def __init__(self, order: Mapping[str, int], initial: Iterable[str] = ()):
+    def __init__(
+        self, order: Mapping[Hashable, int] | None, initial: Iterable[Hashable] = ()
+    ):
         self._order = order
-        self._heap: list[tuple[int, str]] = []
-        self._queued: set[str] = set()
-        for name in initial:
-            self.push(name)
+        self._heap: list[tuple] = []
+        self._queued: set = set()
+        for item in initial:
+            self.push(item)
 
-    def push(self, name: str) -> bool:
-        """Enqueue ``name``; return False if it was already pending."""
-        if name in self._queued:
+    def push(self, item: Hashable) -> bool:
+        """Enqueue ``item``; return False if it was already pending."""
+        if item in self._queued:
             return False
-        self._queued.add(name)
-        heapq.heappush(self._heap, (self._order.get(name, UNKNOWN_PRIORITY), name))
+        self._queued.add(item)
+        order = self._order
+        priority = item if order is None else order.get(item, UNKNOWN_PRIORITY)
+        heapq.heappush(self._heap, (priority, item))
         return True
 
-    def extend(self, names: Iterable[str]) -> None:
-        for name in names:
-            self.push(name)
+    def extend(self, items: Iterable[Hashable]) -> None:
+        for item in items:
+            self.push(item)
 
-    def pop(self) -> str:
-        """Remove and return the pending block with the lowest priority."""
+    def pop(self) -> Hashable:
+        """Remove and return the pending item with the lowest priority."""
         if not self._heap:
             raise IndexError("pop from an empty worklist")
-        _, name = heapq.heappop(self._heap)
-        self._queued.discard(name)
-        return name
+        _, item = heapq.heappop(self._heap)
+        self._queued.discard(item)
+        return item
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._queued
+    def __contains__(self, item: Hashable) -> bool:
+        return item in self._queued
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -115,28 +122,29 @@ class WideningPolicy:
 
 def run_fixpoint(
     worklist: PriorityWorklist,
-    step: Callable[[str], Iterable[str]],
+    step: Callable[[Hashable], Iterable[Hashable]],
     *,
     max_visits: int,
     description: str = "fixpoint",
 ) -> int:
     """Drain ``worklist`` to a fixpoint and return the number of pops.
 
-    ``step(name)`` processes one block and returns the blocks whose
-    abstract state changed (they are re-enqueued).  ``step`` may also
-    enqueue blocks directly through the worklist it closes over — the
-    multi-color engine does this when a speculative window grows.
-    Exceeding ``max_visits`` raises :class:`AnalysisError`: the lattice
-    and schedule guarantee termination, so divergence means a broken
-    transfer function or partial order.
+    ``step(item)`` processes one item (a block, for the plain solvers)
+    and returns the items whose abstract state changed (they are
+    re-enqueued).  ``step`` may also enqueue items directly through the
+    worklist it closes over — the multi-color engine enqueues every node
+    it dirties that way.  Exceeding ``max_visits`` raises
+    :class:`AnalysisError`: the lattice and schedule guarantee
+    termination, so divergence means a broken transfer function or
+    partial order.
     """
     visits = 0
     while worklist:
-        name = worklist.pop()
+        item = worklist.pop()
         visits += 1
         if visits > max_visits:
             raise AnalysisError(
-                f"{description} did not converge within {max_visits} block visits"
+                f"{description} did not converge within {max_visits} worklist pops"
             )
-        worklist.extend(step(name))
+        worklist.extend(step(item))
     return visits

@@ -503,6 +503,10 @@ class JobScheduler:
             # The dispatch span carries the claimed job ids, so the
             # daemon's ``trace`` RPC can find the whole execution tree of
             # one job (every engine/fixpoint span nests under this one).
+            # Jobs finish only once the span has closed, i.e. has been
+            # exported: a client that asks for the trace as soon as it
+            # holds the result must find the whole tree.
+            outcomes: list[tuple[Job, object, Exception | None]] = []
             with span(
                 "scheduler.batch",
                 job_ids=[job.id for job in batch],
@@ -525,8 +529,9 @@ class JobScheduler:
                         # offender fails.
                         results = None
                 if results is not None:
-                    for job, result in zip(batch, results):
-                        self._finish(job, result=result)
+                    outcomes = [
+                        (job, result, None) for job, result in zip(batch, results)
+                    ]
                 else:
                     batch_span.set(retried_individually=True)
                     for job in batch:
@@ -536,9 +541,11 @@ class JobScheduler:
                                 result = self.engine.run(job.request)
                             except Exception as error:  # noqa: BLE001 — job-level report
                                 job_span.set(failed=True)
-                                self._finish(job, error=error)
+                                outcomes.append((job, None, error))
                             else:
-                                self._finish(job, result=result)
+                                outcomes.append((job, result, None))
+            for job, result, error in outcomes:
+                self._finish(job, result=result, error=error)
 
     def _finish(self, job: Job, result=None, error: Exception | None = None) -> None:
         with self._lock:

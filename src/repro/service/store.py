@@ -38,7 +38,10 @@ from repro.obs import metrics
 #: Bump whenever the pickled payload layout changes incompatibly; every
 #: entry written under an older version is evicted on first read.
 #: Version 2: results' ``entry_states`` hold lane-packed cache states.
-STORE_FORMAT_VERSION = 2
+#: Version 3: ``iterations`` counts node pops on non-widening passes, so
+#: a stored loop-free or sharded result no longer matches a fresh run's
+#: fingerprint (which includes ``iterations``).
+STORE_FORMAT_VERSION = 3
 
 #: First header line of every entry (magic + format version).
 _MAGIC = b"repro-result-store"

@@ -68,6 +68,11 @@ class TestPriorityWorklist:
         assert "body" in worklist
         assert "exit" not in worklist
 
+    def test_items_are_their_own_priority_without_an_order(self):
+        worklist = PriorityWorklist(None, initial=[(2, 0, 2), (1, 2, 5), (1, 1, 7)])
+        assert not worklist.push((1, 2, 5))
+        assert [worklist.pop() for _ in range(3)] == [(1, 1, 7), (1, 2, 5), (2, 0, 2)]
+
 
 class _EqualButDistinctDomain:
     """A lattice element whose ``widen`` returns an equal-but-distinct

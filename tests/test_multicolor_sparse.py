@@ -1,5 +1,5 @@
 """Tests for the sparse multi-color engine rebuild: differential equality
-against the dense schedule (:class:`DenseReference`), the scenario-sharded
+against the dense block schedule (:class:`DenseReference`), the scenario-sharded
 scheduler, the heap-based window construction, the postdominator-tree
 convergence fix, and the precomputed slot-placement indices."""
 
@@ -49,13 +49,17 @@ GEOMETRIES = [
 ]
 
 
-def random_source(rng: random.Random, num_statements: int = 12) -> str:
+def random_source(
+    rng: random.Random, num_statements: int = 12, loops: bool = True
+) -> str:
     """A random straight-line/diamond/breaking-loop MiniC program.
 
     Memory-dependent branch conditions produce full-depth scenarios,
     register conditions exercise the dynamic depth bounding, the breaking
     loop survives unrolling (so widening points exist), and the
-    secret-indexed access exercises leak classification.
+    secret-indexed access exercises leak classification.  With
+    ``loops=False`` a one-armed branch takes the loop's place, so the CFG
+    is acyclic.
     """
     arrays = 5
     decls = [f"char a{i}[64];" for i in range(arrays)]
@@ -79,13 +83,15 @@ def random_source(rng: random.Random, num_statements: int = 12) -> str:
                     f" {{ {access()} }} else {{ {access()} }}"
                 )
             body.append(f"  if ({cond}) {{ {access()}{inner} }} else {{ {access()} }}")
-        elif roll < 0.90:
+        elif roll < 0.90 and loops:
             body.append(
                 "  for (q = 0; q < 8; q = q + 1) {\n"
                 f"    {access()}\n"
                 f"    if (cnd[{rng.randrange(4) * 64}]) break;\n"
                 "  }"
             )
+        elif roll < 0.90:
+            body.append(f"  if (cnd[{rng.randrange(4) * 64}]) {{ {access()} }}")
         else:
             body.append("  sbox[key];")
     return (
@@ -102,16 +108,69 @@ def random_programs():
     return [compile_source(random_source(rng)) for _ in range(4)]
 
 
+@pytest.fixture(scope="module")
+def loop_free_programs():
+    rng = random.Random(SEED + 1)
+    return [compile_source(random_source(rng, loops=False)) for _ in range(4)]
+
+
 # ----------------------------------------------------------------------
-# Sparse engine == dense reference, bit for bit
+# Sparse engine == dense block-schedule reference
 # ----------------------------------------------------------------------
 class DenseReference(SpeculativeCacheAnalysis):
-    """The dense schedule: every pop re-transfers the normal state and every
-    slot at the block, whatever changed."""
+    """The dense block schedule: every pass pops whole blocks, and every pop
+    re-transfers the normal state and every slot at the block, whatever
+    changed."""
+
+    def _block_granular(self, policy):
+        return True
 
     def _process_block_sparse(self, name, pending, normal, speculative, *rest):
         pending = {None, *speculative[name]}
         return super()._process_block_sparse(name, pending, normal, speculative, *rest)
+
+
+def live_slots(fixpoint) -> dict:
+    """``{(block, slot): state}`` for every non-bottom slot of a fixpoint."""
+    return {
+        (block, slot): state
+        for block, slots in fixpoint.speculative.items()
+        for slot, state in slots.items()
+        if not getattr(state, "is_bottom", False)
+    }
+
+
+def is_block_granular(engine: SpeculativeCacheAnalysis) -> bool:
+    return engine._block_granular(engine._widening_policy())
+
+
+def assert_matches_reference(program, **config) -> SpeculativeCacheAnalysis:
+    """Run the engine and :class:`DenseReference` on ``program`` and check
+    that they reach the same fixpoint: normal states, non-bottom slots,
+    chosen windows, classifications and the widening and active
+    virtual-edge counters.  Where the engine's own pass is block-granular
+    the pop schedules coincide, so the pop counts must be equal; on the
+    node schedule every live slot is transferred exactly once, and each
+    reachable block's S and live slot group is popped at most once.
+    Returns the engine."""
+    oracle = DenseReference(program, **config)
+    expected = oracle.run()
+    engine = SpeculativeCacheAnalysis(program, **config)
+    result = engine.run()
+    assert result.classifications == expected.classifications
+    assert result.entry_states == expected.entry_states
+    live = live_slots(engine.last_fixpoint)
+    assert live == live_slots(oracle.last_fixpoint)
+    assert engine.chooser.export_state() == oracle.chooser.export_state()
+    assert result.widenings == expected.widenings
+    assert result.num_virtual_edges_active == expected.num_virtual_edges_active
+    if is_block_granular(engine):
+        assert result.iterations == expected.iterations
+    else:
+        assert engine._slot_transfers == len(live)
+        assert engine._slot_transfers <= oracle._slot_transfers
+        assert result.iterations <= len(program.cfg.reachable_blocks()) + len(live)
+    return engine
 
 
 class TestSparseMatchesDenseReference:
@@ -119,48 +178,51 @@ class TestSparseMatchesDenseReference:
     @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
     @pytest.mark.parametrize("config_name", ["paper_default", "no_speculation"])
     def test_differential_matrix(
-        self, random_programs, strategy, geometry, config_name
+        self, random_programs, loop_free_programs, strategy, geometry, config_name
     ):
-        """The sparse engine's result is identical to the dense schedule's
-        across merge strategies x cache geometries x speculation configs
-        on seeded random programs.  The engines share one pop
-        schedule by construction, so even the iteration and widening
-        counters must agree — asserting them documents that the sparse
-        rebuild is an optimisation, not a semantic change."""
+        """The engine reaches the dense block schedule's fixpoint across
+        merge strategies x cache geometries x speculation configs on
+        seeded random programs, with and without loops.  The programs
+        with a loop are scheduled block by block, like the reference, so
+        there even the pop counts agree; the loop-free ones run the node
+        schedule."""
         cache = GEOMETRIES[geometry]
         speculation = getattr(SpeculationConfig, config_name)().with_strategy(strategy)
-        for program in random_programs:
-            dense = DenseReference(
+        schedules = set()
+        for program in random_programs + loop_free_programs:
+            engine = assert_matches_reference(
                 program, cache_config=cache, speculation=speculation
-            ).run()
-            sparse = SpeculativeCacheAnalysis(
-                program, cache_config=cache, speculation=speculation
-            ).run()
-            assert sparse.classifications == dense.classifications
-            assert sparse.entry_states == dense.entry_states
-            assert sparse.iterations == dense.iterations
-            assert sparse.widenings == dense.widenings
+            )
+            schedules.add(is_block_granular(engine))
+        assert schedules == {True, False}, "the matrix must reach both schedules"
+
+    def test_loop_free_programs_have_live_slots(self, loop_free_programs, bench_cache):
+        """The loop-free inputs exercise what the node schedule reorders:
+        live window and resume slots, and rollbacks into S."""
+        for program in loop_free_programs:
+            engine = SpeculativeCacheAnalysis(program, cache_config=bench_cache)
+            engine.run()
+            assert not is_block_granular(engine)
+            kinds = {slot[0] for _, slot in live_slots(engine.last_fixpoint)}
+            assert kinds == {"window", "resume"}
 
     def test_differential_on_table7_harnesses(self, bench_cache):
         for name in ("hash", "des", "str2key"):
             kernel = crypto_kernel(name, 64, 64)
             program = compile_source(build_client_source(kernel, 2880))
-            dense = DenseReference(program, cache_config=bench_cache).run()
-            sparse = SpeculativeCacheAnalysis(
-                program, cache_config=bench_cache
-            ).run()
-            assert sparse.classifications == dense.classifications
-            assert sparse.iterations == dense.iterations
+            engine = assert_matches_reference(program, cache_config=bench_cache)
+            assert not is_block_granular(engine)
 
     def test_differential_on_widening_active_kernel(self, bench_cache):
-        """adpcm is the corpus kernel whose fixpoint actually widens; the
-        schedules (and therefore the widening timing) must still agree."""
+        """adpcm is the corpus kernel whose fixpoint actually widens; its
+        passes stay block-granular, so the schedules (and therefore the
+        widening timing) must still agree."""
         program = compile_source(wcet_benchmark_source("adpcm"))
-        dense = DenseReference(program, cache_config=bench_cache).run()
-        sparse = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
-        assert dense.widenings > 0, "adpcm stopped widening; pick another kernel"
-        assert sparse.classifications == dense.classifications
-        assert sparse.widenings == dense.widenings
+        engine = assert_matches_reference(program, cache_config=bench_cache)
+        assert engine.last_fixpoint.widenings > 0, (
+            "adpcm stopped widening; pick another kernel"
+        )
+        assert is_block_granular(engine)
 
 
 # ----------------------------------------------------------------------

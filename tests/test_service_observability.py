@@ -22,7 +22,7 @@ import pytest
 
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.request import SHARD_BACKENDS, AnalysisRequest
-from repro.obs import CollectingReporter, render_prometheus, reporting
+from repro.obs import CollectingReporter, render_prometheus, reporting, tracer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import JobScheduler, JobState
 from repro.service.server import ReproServer
@@ -445,6 +445,36 @@ class TestTraceRelayOverProcesses:
         )
         # Grafted into one trace: every span shares the dispatch trace id.
         assert len({span["trace_id"] for span in spans}) == 1
+
+
+class _SlowBatchSink:
+    """A tracer sink that takes 0.3 s to export ``scheduler.batch`` spans,
+    as a trace file on a slow disk can."""
+
+    def export(self, span) -> None:
+        if span.get("name") == "scheduler.batch":
+            time.sleep(0.3)
+
+
+class TestTraceAfterResult:
+    def test_trace_rpc_right_after_the_result_holds_the_dispatch_span(self):
+        """A job finishes only after its ``scheduler.batch`` span has been
+        exported to every sink, so a ``trace`` RPC sent as soon as the
+        result arrives finds it — even behind a slow sink attached ahead
+        of the daemon's ring buffer (as the ``REPRO_TRACE`` file sink is)."""
+        sink = _SlowBatchSink()
+        tracer().add_sink(sink)
+        try:
+            srv = ReproServer(port=0, max_workers=1).start()
+            try:
+                with ServiceClient(port=srv.port) as cli:
+                    cli.analyze(distinct_request(11), timeout=60)
+                    names = {span["name"] for span in cli.trace(cli.last_job_id)}
+            finally:
+                srv.stop()
+        finally:
+            tracer().remove_sink(sink)
+        assert "scheduler.batch" in names
 
 
 # ----------------------------------------------------------------------
