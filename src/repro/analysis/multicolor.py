@@ -1493,12 +1493,17 @@ def _shard_worker_factory(
     # Fork-started workers inherit the master's metrics registry; reset it
     # so the snapshot relayed at finalize only counts this worker's work.
     metrics().clear()
-    analysis = SpeculativeCacheAnalysis(
-        program,
-        cache_config=cache_config,
-        speculation=speculation,
-        scenario_shards=scenario_shards,
-    )
+    # They inherit its span sinks too, whose locks another master thread
+    # may have held at fork time, so a worker never exports a span
+    # itself: it relays its rounds' spans, and the set-up's (the vcfg
+    # build) are collected and dropped.
+    with tracer().collecting():
+        analysis = SpeculativeCacheAnalysis(
+            program,
+            cache_config=cache_config,
+            speculation=speculation,
+            scenario_shards=scenario_shards,
+        )
     return _ShardWorker(analysis, shard_indices)
 
 

@@ -79,6 +79,19 @@ def keep_at_least(packed: int, floor: int, lanes: LaneTable) -> int:
     return packed & (kept - (kept >> _GUARD_SHIFT))
 
 
+def all_lanes_present(packed: int, access: BlockAccess) -> bool:
+    """True when every lane of ``access.lane_mask`` is non-zero in
+    ``packed``.  Raises ``ValueError`` for an access with no lanes (one
+    that never went through :meth:`LaneTable.bind`)."""
+    mask = access.lane_mask
+    if not mask:
+        raise ValueError(
+            f"access to {access.symbol!r} has no lanes: bind it with LaneTable.bind first"
+        )
+    guard_mask = mask << _GUARD_SHIFT
+    return ((packed | guard_mask) - mask) & guard_mask == guard_mask
+
+
 def count_present(packed: int, lanes: LaneTable) -> int:
     """Number of non-zero lanes."""
     return (((packed | lanes.guards) - lanes.ones) & lanes.guards).bit_count()
@@ -233,9 +246,7 @@ class CacheState:
     def must_hit_access(self, access: BlockAccess) -> bool:
         """True when the access is guaranteed to hit, whichever block it
         resolves to at run time."""
-        if self.is_bottom:
-            return False
-        return all(lane_value(self.packed, lane) for lane in access.lanes)
+        return all_lanes_present(self.packed, access) and not self.is_bottom
 
     def cached_blocks(self) -> set[MemoryBlock]:
         return set(self.ages)

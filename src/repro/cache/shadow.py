@@ -22,6 +22,24 @@ per layout, shared by every state of an analysis (``join``, ``leq`` and
 ``widen`` raise ``ValueError`` on another flavour or an unequal table).
 The must join (pointwise max of ages) is then a lane-wise min of the
 values and the may join (pointwise min of ages) a lane-wise max.
+
+May ranking
+-----------
+The NYoung rule asks, for each must age ``a``, whether the ``a``-th
+largest may value reaches a threshold, so it needs the may values in
+descending order.  A state may carry them in :attr:`may_ranking`: the
+lane values of ``may_packed`` sorted in descending order and packed one
+per lane (``LaneTable.pack(sorted(values(may), reverse=True))``), or
+None when it has not been computed.  An LRU touch derives its result's
+ranking from its input's with a few big-int operations, because it
+moves one contiguous prefix of the ranking (the values at least the
+accessed block's).  ``widen``, and ``join`` when it hands back one of
+its operands, keep it since the may map does not change.  Every other
+operation that builds a new may map (``join`` results, unknown-index
+and secret accesses, FIFO touches) drops it, as do fresh and decoded
+states; a touch then sorts only when its NYoung step needs the ranking.
+The ranking is derived data: ``__eq__``, ``__hash__``, pickling and the
+codec ignore it.
 """
 
 from __future__ import annotations
@@ -32,6 +50,7 @@ from repro.cache.abstract import (
     AGE_INFINITY,
     AgeView,
     age_all,
+    all_lanes_present,
     check_compatible,
     check_num_lines,
     describe_ages,
@@ -52,10 +71,14 @@ class ShadowCacheState:
     ``must_packed`` holds the blocks guaranteed cached (age <=
     num_lines); ``may_packed`` the blocks that may be cached (shadow age
     <= num_lines).  :attr:`must` and :attr:`may` are read-only
-    ``{MemoryBlock: age}`` views of them.
+    ``{MemoryBlock: age}`` views of them.  ``may_ranking`` is the derived
+    descending ranking of ``may_packed``, or None (see the module
+    docstring).
     """
 
-    __slots__ = ("num_lines", "lanes", "must_packed", "may_packed", "is_bottom", "policy")
+    __slots__ = (
+        "num_lines", "lanes", "must_packed", "may_packed", "is_bottom", "policy", "may_ranking"
+    )
 
     def __init__(
         self,
@@ -73,8 +96,11 @@ class ShadowCacheState:
         self.may_packed = may_packed
         self.is_bottom = is_bottom
         self.policy = policy
+        self.may_ranking = None
 
-    def _with(self, must: int, may: int) -> "ShadowCacheState":
+    def _with(self, must: int, may: int, may_ranking: int | None = None) -> "ShadowCacheState":
+        """A state of the same flavour; ``may_ranking`` must be the ranking
+        of ``may`` itself, never one of another may map."""
         state = object.__new__(ShadowCacheState)
         state.num_lines = self.num_lines
         state.lanes = self.lanes
@@ -82,6 +108,7 @@ class ShadowCacheState:
         state.may_packed = may
         state.is_bottom = False
         state.policy = self.policy
+        state.may_ranking = may_ranking
         return state
 
     # ------------------------------------------------------------------
@@ -140,9 +167,7 @@ class ShadowCacheState:
         return self.age(block) != AGE_INFINITY
 
     def must_hit_access(self, access: BlockAccess) -> bool:
-        if self.is_bottom:
-            return False
-        return all(lane_value(self.must_packed, lane) for lane in access.lanes)
+        return all_lanes_present(self.must_packed, access) and not self.is_bottom
 
     def cached_blocks(self) -> set[MemoryBlock]:
         return set(self.must)
@@ -201,18 +226,36 @@ class ShadowCacheState:
         aging = ((may | guards) - (old_may or 1) * ones) & guards
         may -= aging >> _GUARD_SHIFT
         may += (num_lines - ((may >> shift) & _LANE)) << shift
+        ranking = self.may_ranking
+        if ranking is not None:
+            # The aged values (those >= old_may) are the ranking's first
+            # ``aging.bit_count()`` lanes.  Their last, smallest one is the
+            # accessed block's own old value and leaves (unless that was
+            # 0); the others move up one lane and down one value, lane 0
+            # takes the accessed block's new num_lines, and the lanes past
+            # the aged ones keep their values.
+            kept = aging.bit_count() * LANE_BITS
+            moved = (1 << (kept - LANE_BITS if old_may else kept)) - 1
+            ranking = (
+                (ranking >> kept << kept)
+                | (((ranking - ones) & moved) << LANE_BITS)
+                | num_lines
+            )
 
         # Step 2: update the must component using NYoung computed on the
         # *new* shadow ages.  Only blocks strictly younger than the
         # accessed block's old must age can age.
         younger = ((must | guards) - (old_must + 1) * ones) & guards
         if younger:
-            must -= self._nyoung_aged(must, may, younger) >> _GUARD_SHIFT
-        return self._with(must + ((num_lines - old_must) << shift), may)
+            if ranking is None:
+                ranking = lanes.pack(sorted(lanes.values(may), reverse=True))
+            must -= self._nyoung_aged(must, may, younger, ranking) >> _GUARD_SHIFT
+        return self._with(must + ((num_lines - old_must) << shift), may, ranking)
 
-    def _nyoung_aged(self, must: int, may: int, younger: int) -> int:
+    def _nyoung_aged(self, must: int, may: int, younger: int, ranking: int) -> int:
         """Guard mask of the ``younger`` lanes of ``must`` that age under
-        the new shadow ages ``may`` (Appendix B's NYoung rule).
+        the new shadow ages ``may`` (Appendix B's NYoung rule), given
+        ``ranking``, the lane values of ``may`` in descending order.
 
         A block ``u`` of must age ``a`` ages when ``NYoung(u) >= a``: at
         least ``a`` blocks other than ``u`` may sit at shadow age ``<= a``.
@@ -220,43 +263,42 @@ class ShadowCacheState:
         ``k`` blocks do iff ``w_k >= num_lines + 1 - a``; so ``w_a`` decides
         when ``u``'s own shadow age exceeds ``a``, and ``w_(a+1)`` when
         ``u`` is among those ``k`` blocks itself.  Both tests run
-        lane-parallel over the ages (lane ``a - 1`` for age ``a``); the
-        ages that pass become value ranges of ``must``, one run at a time
-        (on the states the analyses produce, each test passes on a single
-        run of ages).
+        lane-parallel over the ages (lane ``a - 1`` for age ``a``, against
+        the table's countdown ``num_lines, num_lines - 1, ...``), and each
+        passing lane is filled to all ones, so that the ages that pass
+        form runs of set bits.  One loop walks the runs: the lowest set bit
+        opens a run, adding it carries to the first gap above, which
+        closes it, and each run of ages becomes one value range of
+        ``must``.
         """
         num_lines = self.num_lines
         lanes = self.lanes
         guards = lanes.guards
+        ones = lanes.ones
         # Absent blocks rank last as 0 and never pass: every threshold is >= 1.
-        ranked = sorted(lanes.values(may), reverse=True)
-        count = min(len(ranked), num_lines)
-        low = (1 << (count * LANE_BITS)) - 1
-        age_guards = guards & low
-        # Lane a - 1: num_lines + 1 - a, the value of must age a.
-        thresholds = (num_lines + 1) * (lanes.ones & low) - (lanes.ramp & low)
-        ranks = lanes.pack(ranked[: count + 1])
-        # Guard set where the block's own shadow age is at most its must age.
-        counted = ((may | guards) - must) & guards
+        thresholds, age_guards = lanes.countdown(num_lines)
+        must_guarded = must | guards
+        # The younger blocks whose own shadow age is at most their must age.
+        counted = younger & ((may | guards) - must)
         aged = 0
-        for group, shifted in (
-            (younger & ~counted, ranks & low),
-            (younger & counted, ranks >> LANE_BITS),
-        ):
+        for group, ranks in ((younger ^ counted, ranking), (counted, ranking >> LANE_BITS)):
             if not group:
                 continue
-            holds = ((shifted | age_guards) - thresholds) & age_guards
-            flags = (holds >> _GUARD_SHIFT).to_bytes(2 * count, "little")[::2]
-            start = flags.find(1)
-            while start >= 0:
-                end = flags.find(0, start)
-                if end < 0:
-                    end = count
-                # Ages start + 1 .. end are values num_lines + 1 - end .. num_lines - start.
-                above = ((must | guards) - (num_lines + 1 - end) * lanes.ones) & guards
-                beyond = ((must | guards) - (num_lines + 1 - start) * lanes.ones) & guards
-                aged |= group & above & ~beyond
-                start = flags.find(1, end)
+            holds = ((ranks | age_guards) - thresholds) & age_guards
+            runs = (holds >> _GUARD_SHIFT) * _LANE
+            while runs:
+                first = runs & -runs
+                carried = runs + first
+                runs &= carried
+                # Lanes start .. end - 1: ages start + 1 .. end, must values
+                # num_lines + 1 - end .. num_lines - start (none above that
+                # when start is 0).
+                end = (carried ^ runs).bit_length() // LANE_BITS
+                reached = (must_guarded - (num_lines + 1 - end) * ones) & group
+                if first > 1:
+                    start = first.bit_length() // LANE_BITS
+                    reached ^= (must_guarded - (num_lines + 1 - start) * ones) & group
+                aged |= reached
         return aged
 
     def access_unknown(self, candidates: int) -> "ShadowCacheState":
@@ -359,7 +401,7 @@ class ShadowCacheState:
         kept = keep_at_least(self.must_packed, previous.must_packed, self.lanes)
         if kept == self.must_packed:
             return self
-        return self._with(kept, self.may_packed)
+        return self._with(kept, self.may_packed, self.may_ranking)
 
     def leq(self, other: "ShadowCacheState") -> bool:
         if other is self:

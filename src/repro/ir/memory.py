@@ -84,12 +84,13 @@ class LaneTable:
     depends only on the block set, never on hashing or insertion order;
     equal block sets give equal tables.  Tables compare by value (a
     precomputed key keeps that cheap), pickle as their block list, and
-    are never mutated once built.  ``ones`` has a 1 at the bottom of
-    every lane and ``guards`` a 1 at the top (guard) bit of every lane:
-    the broadcast constants of the SWAR lane arithmetic.
+    are never mutated once built (:meth:`countdown` only fills in
+    constants derived from the lane count).  ``ones`` has a 1 at the
+    bottom of every lane and ``guards`` a 1 at the top (guard) bit of
+    every lane: the broadcast constants of the SWAR lane arithmetic.
     """
 
-    __slots__ = ("blocks", "ones", "guards", "ramp", "_lane_of", "_key")
+    __slots__ = ("blocks", "ones", "guards", "_lane_of", "_key", "_countdowns")
 
     def __init__(self, blocks: Iterable[MemoryBlock]):
         ordered = tuple(sorted(set(blocks)))
@@ -97,9 +98,8 @@ class LaneTable:
         self._lane_of = {block: lane for lane, block in enumerate(ordered)}
         self.ones = int.from_bytes(b"\x01\x00" * len(ordered), "little")
         self.guards = self.ones << (LANE_BITS - 1)
-        #: ``1, 2, 3, ...`` in successive lanes (at most LANE_MAX of them).
-        self.ramp = self.pack(range(1, min(len(ordered), LANE_MAX) + 1))
         self._key = "\0".join(f"{block.symbol}\1{block.index}" for block in ordered)
+        self._countdowns: dict[int, tuple[int, int]] = {}
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -113,6 +113,23 @@ class LaneTable:
         if lane is None:
             raise ValueError(f"block {block} has no lane in this lane table")
         return lane
+
+    def countdown(self, top: int) -> tuple[int, int]:
+        """``top, top - 1, ...`` packed into the first ``min(len(self),
+        top)`` lanes, and the guard bits of those lanes.
+
+        Built once per ``top`` and kept with the table, like ``ones`` and
+        ``guards``: the shadow state's NYoung step compares against it on
+        every access (see :mod:`repro.cache.shadow`).
+        """
+        found = self._countdowns.get(top)
+        if found is None:
+            count = min(len(self.blocks), top)
+            found = self._countdowns[top] = (
+                self.pack(range(top, top - count, -1)),
+                self.guards & ((1 << (count * LANE_BITS)) - 1),
+            )
+        return found
 
     def mask(self, lanes: Iterable[int]) -> int:
         """A 1 at the bottom of each of ``lanes``."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.abstract import AGE_INFINITY, CacheState
+from repro.cache.shadow import ShadowCacheState
 from repro.ir.memory import (
     AccessKind,
     BlockAccess,
@@ -210,6 +211,27 @@ class TestLattice:
         access_all = unknown_access("t", 2)
         assert state.must_hit_access(access_all)
         assert not state.must_hit_access(unknown_access("t", 3))
+
+    @pytest.mark.parametrize("flavour", [CacheState, ShadowCacheState])
+    def test_must_hit_access_rejects_an_unbound_access(self, flavour):
+        """An access that never went through LaneTable.bind has no lanes;
+        it used to count as a guaranteed hit, even on an empty cache."""
+        unbound = BlockAccess(
+            kind=AccessKind.CONCRETE,
+            symbol="a",
+            blocks=(block("a"),),
+            is_write=False,
+            ref=MemoryRef(symbol="a", index_const=0),
+        )
+        empty = flavour.empty(4, LANES)
+        with pytest.raises(ValueError, match="'a'"):
+            empty.must_hit_access(unbound)
+        with pytest.raises(ValueError, match="'a'"):
+            flavour.bottom(4, LANES).must_hit_access(unbound)
+        bound = LANES.bind(unbound)
+        assert not empty.must_hit_access(bound)
+        assert empty.access(bound).must_hit_access(bound)
+        assert not flavour.bottom(4, LANES).must_hit_access(bound)
 
     def test_from_ages_drops_overflow(self):
         state = CacheState.from_ages(2, LANES, {block("a"): 1, block("b"): 5})

@@ -30,7 +30,7 @@ from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.pool import WorkerPoolError
 from repro.engine.request import SHARD_BACKENDS, AnalysisRequest
-from repro.obs import CollectingReporter, metrics, reporting
+from repro.obs import CollectingReporter, metrics, reporting, tracer
 from repro.service.scheduler import JobScheduler
 from repro.service.wire import (
     WireError,
@@ -347,6 +347,29 @@ class TestBackendTotals:
         assert fields["serial"]["fixpoint.round"]
         assert fields["serial"]["fixpoint.shard"]
         assert fields["serial"] == fields["processes"]
+
+
+class TestWorkerSinks:
+    def test_shard_workers_never_export_to_inherited_sinks(self, branchy_program, tmp_path):
+        """Forked shard workers inherit the master's span sinks, and
+        another master thread may hold a sink's lock at fork time (the
+        ``REPRO_TRACE`` file sink holds it while writing), so a worker
+        that exports to one can hang forever.  Every span a worker makes
+        must be collected and relayed; only the master's pid may export."""
+        writers = tmp_path / "writers"
+
+        class WriterPids:
+            def export(self, span):
+                with open(writers, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+
+        sink = WriterPids()
+        tracer().add_sink(sink)
+        try:
+            run_backend(branchy_program, "processes", cache_config=GEOMETRIES[0])
+        finally:
+            tracer().remove_sink(sink)
+        assert set(writers.read_text().split()) == {str(os.getpid())}
 
 
 class TestRequestPlumbing:
