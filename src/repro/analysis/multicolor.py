@@ -299,6 +299,7 @@ class SpeculativeCacheAnalysis:
         scenario_shards: int = 1,
         shard_backend: str | None = None,
         warm_start: WarmStartData | None = None,
+        vcfg: VirtualCFG | None = None,
     ):
         self.program = program
         self.cfg = program.cfg
@@ -319,7 +320,14 @@ class SpeculativeCacheAnalysis:
         #: The warm plan of the last solve, when one was used (drives
         #: classification reuse in run()).
         self._warm_plan: _WarmPlan | None = None
-        if warm_start is not None:
+        if vcfg is not None:
+            # Built by the caller for this cfg and speculation config: a
+            # process shard worker reuses its master's scenarios instead of
+            # rebuilding them.
+            if vcfg.cfg is not self.cfg or vcfg.config != self.speculation:
+                raise ValueError("vcfg was built for another cfg or speculation config")
+            self.vcfg, self._vcfg_reuse = vcfg, None
+        elif warm_start is not None:
             self.vcfg, self._vcfg_reuse = build_vcfg_incremental(
                 self.cfg,
                 self.speculation,
@@ -1373,12 +1381,13 @@ class _ShardWorker:
     The serial host is one worker owning every shard, built over the
     master's own analysis and driven in the calling thread through
     :meth:`round` and :meth:`finalize`.  In the process host each worker
-    process builds one over its own analysis of the same program
-    (:func:`_shard_worker_factory`; the shard partition is deterministic
-    on equal inputs) and is driven through :meth:`__call__`.  The mirror
-    starts at bottom and every round's delta holds each normal state the
-    master changed since the previous round, the entry state included, so
-    at every round start the mirror equals the master's ``normal``.
+    process builds one over its own analysis of the same program and the
+    master's scenarios (:func:`_shard_worker_factory`; the shard partition
+    is deterministic on equal inputs) and is driven through
+    :meth:`__call__`.  The mirror starts at bottom and every round's delta
+    holds each normal state the master changed since the previous round,
+    the entry state included, so at every round start the mirror equals
+    the master's ``normal``.
     """
 
     #: Shard fixpoints this host runs at once (reported on round events).
@@ -1487,6 +1496,7 @@ def _shard_worker_factory(
     speculation: SpeculationConfig,
     scenario_shards: int,
     shard_indices: tuple[int, ...],
+    vcfg: VirtualCFG,
 ) -> _ShardWorker:
     """Picklable :class:`~repro.engine.pool.PersistentWorkerPool` entry
     point: builds one :class:`_ShardWorker` inside the worker process."""
@@ -1495,14 +1505,15 @@ def _shard_worker_factory(
     metrics().clear()
     # They inherit its span sinks too, whose locks another master thread
     # may have held at fork time, so a worker never exports a span
-    # itself: it relays its rounds' spans, and the set-up's (the vcfg
-    # build) are collected and dropped.
+    # itself: it relays its rounds' spans, and the set-up's are collected
+    # and dropped.
     with tracer().collecting():
         analysis = SpeculativeCacheAnalysis(
             program,
             cache_config=cache_config,
             speculation=speculation,
             scenario_shards=scenario_shards,
+            vcfg=vcfg,
         )
     return _ShardWorker(analysis, shard_indices)
 
@@ -1536,6 +1547,7 @@ class _ProcessShardHost:
                     analysis.speculation,
                     analysis.scenario_shards,
                     tuple(range(worker, shard_count, self.num_workers)),
+                    analysis.vcfg,
                 )
                 for worker in range(self.num_workers)
             ],

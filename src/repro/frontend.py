@@ -46,10 +46,6 @@ class CompiledProgram:
     def entry_function(self) -> str:
         return self.cfg.name
 
-    def content_fingerprint(self) -> str:
-        """Content hash of the analysed entry CFG (see ``CFG.content_fingerprint``)."""
-        return self.cfg.content_fingerprint()
-
     def layout_fingerprint(self) -> str:
         """Content hash of the memory layout the analysis states embed.
 

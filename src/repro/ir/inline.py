@@ -9,7 +9,7 @@ treated as opaque pure operations.
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 
 from repro.errors import LoweringError
 from repro.ir.basicblock import BasicBlock
@@ -28,6 +28,7 @@ from repro.ir.instructions import (
     Return,
     Store,
     Temp,
+    Terminator,
     UnOp,
 )
 from repro.lang.typecheck import ProgramInfo
@@ -43,10 +44,27 @@ def inline_calls(
     info: ProgramInfo,
     max_expansions: int = DEFAULT_MAX_EXPANSIONS,
 ) -> CFG:
-    """Return a copy of ``cfgs[entry]`` with user-function calls inlined."""
+    """Return ``cfgs[entry]`` with user-function calls inlined.
+
+    Pure: ``cfgs`` is never mutated.  The result gets its own CFG and
+    :class:`BasicBlock` containers, but shares every instruction and
+    terminator that inlining does not rename with ``cfgs``; the renamed
+    callee instructions and terminators are built with
+    ``dataclasses.replace``.  IR instructions are frozen, so sharing them
+    is safe.
+    """
     if entry not in cfgs:
         raise LoweringError(f"unknown entry function {entry!r}")
-    result = copy.deepcopy(cfgs[entry])
+    original = cfgs[entry]
+    result = CFG(
+        name=original.name,
+        entry=original.entry,
+        blocks={
+            name: BasicBlock(name, list(block.instructions), block.terminator)
+            for name, block in original.blocks.items()
+        },
+        params=list(original.params),
+    )
     expansions = 0
     while True:
         site = _find_call_site(result, cfgs)
@@ -134,23 +152,25 @@ def _inline_one(
 
 
 def _clone_callee(callee: CFG, prefix: str) -> list[BasicBlock]:
-    """Deep-copy the callee's reachable blocks, renaming blocks and temps."""
-    clones: list[BasicBlock] = []
-    for name in callee.reachable_blocks():
-        original = callee.block(name)
-        clone = BasicBlock(name=f"{prefix}{name}")
-        for instruction in original.instructions:
-            clone.append(_rename_instruction(copy.deepcopy(instruction), prefix))
-        clone.terminator = _rename_terminator(copy.deepcopy(original.terminator), prefix)
-        clones.append(clone)
-    return clones
+    """The callee's reachable blocks with blocks and temps renamed."""
+    return [
+        BasicBlock(
+            name=f"{prefix}{name}",
+            instructions=[
+                _rename_instruction(instruction, prefix)
+                for instruction in callee.block(name).instructions
+            ],
+            terminator=_rename_terminator(callee.block(name).terminator, prefix),
+        )
+        for name in callee.reachable_blocks()
+    ]
 
 
 def _rename_temp(temp: Temp, prefix: str) -> Temp:
     return Temp(f"{prefix}{temp.name}")
 
 
-def _rename_operand(operand: Operand, prefix: str) -> Operand:
+def _rename_operand(operand: Operand | None, prefix: str) -> Operand | None:
     if isinstance(operand, Temp):
         return _rename_temp(operand, prefix)
     return operand
@@ -158,38 +178,55 @@ def _rename_operand(operand: Operand, prefix: str) -> Operand:
 
 def _rename_instruction(instruction: Instruction, prefix: str) -> Instruction:
     if isinstance(instruction, Load):
-        instruction.dest = _rename_temp(instruction.dest, prefix)
-        if instruction.index_operand is not None:
-            instruction.index_operand = _rename_operand(instruction.index_operand, prefix)
-    elif isinstance(instruction, Store):
-        instruction.value = _rename_operand(instruction.value, prefix)
-        if instruction.index_operand is not None:
-            instruction.index_operand = _rename_operand(instruction.index_operand, prefix)
-    elif isinstance(instruction, BinOp):
-        instruction.dest = _rename_temp(instruction.dest, prefix)
-        instruction.left = _rename_operand(instruction.left, prefix)
-        instruction.right = _rename_operand(instruction.right, prefix)
-    elif isinstance(instruction, UnOp):
-        instruction.dest = _rename_temp(instruction.dest, prefix)
-        instruction.operand = _rename_operand(instruction.operand, prefix)
-    elif isinstance(instruction, Copy):
-        instruction.dest = _rename_temp(instruction.dest, prefix)
-        instruction.src = _rename_operand(instruction.src, prefix)
-    elif isinstance(instruction, CallInstr):
-        if instruction.dest is not None:
-            instruction.dest = _rename_temp(instruction.dest, prefix)
-        instruction.args = tuple(_rename_operand(arg, prefix) for arg in instruction.args)
+        return replace(
+            instruction,
+            dest=_rename_temp(instruction.dest, prefix),
+            index_operand=_rename_operand(instruction.index_operand, prefix),
+        )
+    if isinstance(instruction, Store):
+        return replace(
+            instruction,
+            value=_rename_operand(instruction.value, prefix),
+            index_operand=_rename_operand(instruction.index_operand, prefix),
+        )
+    if isinstance(instruction, BinOp):
+        return replace(
+            instruction,
+            dest=_rename_temp(instruction.dest, prefix),
+            left=_rename_operand(instruction.left, prefix),
+            right=_rename_operand(instruction.right, prefix),
+        )
+    if isinstance(instruction, UnOp):
+        return replace(
+            instruction,
+            dest=_rename_temp(instruction.dest, prefix),
+            operand=_rename_operand(instruction.operand, prefix),
+        )
+    if isinstance(instruction, Copy):
+        return replace(
+            instruction,
+            dest=_rename_temp(instruction.dest, prefix),
+            src=_rename_operand(instruction.src, prefix),
+        )
+    if isinstance(instruction, CallInstr):
+        return replace(
+            instruction,
+            dest=_rename_operand(instruction.dest, prefix),
+            args=tuple(_rename_operand(arg, prefix) for arg in instruction.args),
+        )
     return instruction
 
 
-def _rename_terminator(terminator, prefix: str):
+def _rename_terminator(terminator: Terminator, prefix: str) -> Terminator:
     if isinstance(terminator, Jump):
-        terminator.target = f"{prefix}{terminator.target}"
-    elif isinstance(terminator, CondBranch):
-        terminator.cond = _rename_operand(terminator.cond, prefix)
-        terminator.true_target = f"{prefix}{terminator.true_target}"
-        terminator.false_target = f"{prefix}{terminator.false_target}"
-    elif isinstance(terminator, Return):
-        if terminator.value is not None:
-            terminator.value = _rename_operand(terminator.value, prefix)
+        return replace(terminator, target=f"{prefix}{terminator.target}")
+    if isinstance(terminator, CondBranch):
+        return replace(
+            terminator,
+            cond=_rename_operand(terminator.cond, prefix),
+            true_target=f"{prefix}{terminator.true_target}",
+            false_target=f"{prefix}{terminator.false_target}",
+        )
+    if isinstance(terminator, Return):
+        return replace(terminator, value=_rename_operand(terminator.value, prefix))
     return terminator

@@ -1,4 +1,10 @@
-"""IR instructions, operands, and memory references."""
+"""IR instructions, operands, and memory references.
+
+Every class here is a frozen dataclass.  Instructions and terminators are
+shared between CFGs (the inliner copies only block containers, and builds
+the instructions it renames with ``dataclasses.replace``), so a pass that
+changes one builds a new one.
+"""
 
 from __future__ import annotations
 
@@ -68,7 +74,7 @@ class MemoryRef:
 # ----------------------------------------------------------------------
 # Instructions
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class Instruction:
     """Base class for non-terminator instructions."""
 
@@ -85,7 +91,7 @@ class Instruction:
         return ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Load(Instruction):
     """Load a value from memory into a temporary.
 
@@ -111,7 +117,7 @@ class Load(Instruction):
         return f"{self.dest} = {self.ref}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Store(Instruction):
     """Store a value from an operand into memory."""
 
@@ -132,7 +138,7 @@ class Store(Instruction):
         return f"{self.ref} <- {self.value}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinOp(Instruction):
     dest: Temp = None  # type: ignore[assignment]
     op: str = ""
@@ -149,7 +155,7 @@ class BinOp(Instruction):
         return f"{self.dest} = {self.left} {self.op} {self.right}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnOp(Instruction):
     dest: Temp = None  # type: ignore[assignment]
     op: str = ""
@@ -165,7 +171,7 @@ class UnOp(Instruction):
         return f"{self.dest} = {self.op}{self.operand}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Copy(Instruction):
     dest: Temp = None  # type: ignore[assignment]
     src: Operand = None  # type: ignore[assignment]
@@ -180,7 +186,7 @@ class Copy(Instruction):
         return f"{self.dest} = {self.src}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fence(Instruction):
     """A speculation barrier.
 
@@ -195,7 +201,7 @@ class Fence(Instruction):
         return "fence"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallInstr(Instruction):
     """A function call.
 
@@ -222,7 +228,7 @@ class CallInstr(Instruction):
 # ----------------------------------------------------------------------
 # Terminators
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class Terminator:
     """Base class for basic-block terminators."""
 
@@ -235,7 +241,7 @@ class Terminator:
         return ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Jump(Terminator):
     target: str = ""
 
@@ -246,7 +252,7 @@ class Jump(Terminator):
         return f"jump {self.target}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CondBranch(Terminator):
     """A two-way conditional branch.
 
@@ -273,7 +279,7 @@ class CondBranch(Terminator):
         return f"br {self.cond} ? {self.true_target} : {self.false_target}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Return(Terminator):
     value: Operand | None = None
 

@@ -373,20 +373,13 @@ class MemoryLayout:
 
     def _resolve_uncached(self, ref: MemoryRef) -> BlockAccess:
         obj = self.object(ref.symbol)
-        all_blocks = tuple(obj.blocks())
-        if ref.index_secret:
+        if ref.index_secret or ref.index_const is None:
+            # Only these may touch any block of the object; a concrete
+            # access needs just its own (large arrays have thousands).
             return BlockAccess(
-                kind=AccessKind.SECRET,
+                kind=AccessKind.SECRET if ref.index_secret else AccessKind.UNKNOWN,
                 symbol=ref.symbol,
-                blocks=all_blocks,
-                is_write=ref.is_write,
-                ref=ref,
-            )
-        if ref.index_const is None:
-            return BlockAccess(
-                kind=AccessKind.UNKNOWN,
-                symbol=ref.symbol,
-                blocks=all_blocks,
+                blocks=tuple(obj.blocks()),
                 is_write=ref.is_write,
                 ref=ref,
             )

@@ -5,9 +5,10 @@ The paper fully unrolls loops whose iteration count is statically known
 unresolved loops will be widened", Section 6.3).  We perform the
 transformation on the AST, before lowering: a ``for`` loop whose init,
 condition and step match the counter pattern is replaced by a flat block
-that re-assigns the counter to each constant value before a copy of the
-body.  The lowering's constant propagation then resolves array indices
-written with the counter to concrete memory blocks.
+that re-assigns the counter to each constant value before the body (one
+shared body object for every iteration).  The lowering's constant
+propagation then resolves array indices written with the counter to
+concrete memory blocks.
 
 Loops containing ``break``/``continue`` (such as quantl's search loop in
 Figure 8) are left untouched — exactly as in the paper's running example,
@@ -17,8 +18,7 @@ conservative fresh-line convention plus widening.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.lang import ast
 
@@ -38,19 +38,31 @@ class UnrollStats:
 def unroll_fixed_loops(
     program: ast.Program, max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> tuple[ast.Program, UnrollStats]:
-    """Return a copy of ``program`` with fixed-trip-count loops unrolled."""
+    """Return ``program`` with fixed-trip-count loops unrolled.
+
+    Pure: the input is never mutated.  Only the statements on the way to
+    an unrolled loop are rebuilt (with ``dataclasses.replace``); every
+    other subtree is shared with the input, and all iterations of an
+    unrolled loop emit the same (already unrolled) body object.  AST
+    nodes are frozen, so sharing them is safe.
+    """
     stats = UnrollStats()
-    new_program = copy.deepcopy(program)
-    for function in new_program.functions:
-        function.body = _unroll_block(function.body, max_iterations, stats)
-    return new_program, stats
+    functions = [
+        replace(function, body=_unroll_block(function.body, max_iterations, stats))
+        for function in program.functions
+    ]
+    return replace(program, functions=functions), stats
 
 
 def _unroll_block(block: ast.Block, max_iterations: int, stats: UnrollStats) -> ast.Block:
     new_statements: list[ast.Stmt] = []
     for stmt in block.statements:
         new_statements.extend(_unroll_statement(stmt, max_iterations, stats))
-    return ast.Block(statements=new_statements, line=block.line, column=block.column)
+    if len(new_statements) == len(block.statements) and all(
+        new is old for new, old in zip(new_statements, block.statements)
+    ):
+        return block
+    return replace(block, statements=new_statements)
 
 
 def _unroll_statement(
@@ -59,15 +71,16 @@ def _unroll_statement(
     if isinstance(stmt, ast.Block):
         return [_unroll_block(stmt, max_iterations, stats)]
     if isinstance(stmt, ast.If):
-        stmt = copy.deepcopy(stmt)
-        stmt.then_body = _unroll_block(stmt.then_body, max_iterations, stats)
-        if stmt.else_body is not None:
-            stmt.else_body = _unroll_block(stmt.else_body, max_iterations, stats)
+        then_body = _unroll_block(stmt.then_body, max_iterations, stats)
+        else_body = stmt.else_body
+        if else_body is not None:
+            else_body = _unroll_block(else_body, max_iterations, stats)
+        if then_body is not stmt.then_body or else_body is not stmt.else_body:
+            stmt = replace(stmt, then_body=then_body, else_body=else_body)
         return [stmt]
     if isinstance(stmt, ast.While):
-        stmt = copy.deepcopy(stmt)
-        stmt.body = _unroll_block(stmt.body, max_iterations, stats)
-        return [stmt]
+        body = _unroll_block(stmt.body, max_iterations, stats)
+        return [stmt if body is stmt.body else replace(stmt, body=body)]
     if isinstance(stmt, ast.For):
         return _unroll_for(stmt, max_iterations, stats)
     return [stmt]
@@ -77,18 +90,11 @@ def _unroll_for(stmt: ast.For, max_iterations: int, stats: UnrollStats) -> list[
     stats.loops_seen += 1
     # First unroll nested loops inside the body so iteration counts compose.
     body = _unroll_block(stmt.body, max_iterations, stats)
-    inner = ast.For(
-        init=stmt.init,
-        cond=stmt.cond,
-        step=stmt.step,
-        body=body,
-        line=stmt.line,
-        column=stmt.column,
-    )
+    inner = stmt if body is stmt.body else replace(stmt, body=body)
     plan = _plan_unroll(inner, max_iterations)
     if plan is None:
         return [inner]
-    counter, values, init_stmt = plan
+    counter, values, step, init_stmt = plan
     stats.loops_unrolled += 1
     stats.iterations_emitted += len(values)
     result: list[ast.Stmt] = []
@@ -96,14 +102,10 @@ def _unroll_for(stmt: ast.For, max_iterations: int, stats: UnrollStats) -> list[
         result.append(init_stmt)
     for value in values:
         result.append(_assign_counter(counter, value, stmt))
-        result.append(copy.deepcopy(body))
-    # Leave the counter at its final (loop-exiting) value for code after the
-    # loop that reads it.
-    final_value = values[-1] + (values[1] - values[0]) if len(values) > 1 else None
-    if values and final_value is None:
-        final_value = values[0] + 1
-    if final_value is not None:
-        result.append(_assign_counter(counter, final_value, stmt))
+        result.append(body)
+    # Leave the counter where C leaves it, one step past the last
+    # iteration, for code after the loop that reads it.
+    result.append(_assign_counter(counter, values[-1] + step, stmt))
     return result
 
 
@@ -118,8 +120,9 @@ def _assign_counter(counter: str, value: int, origin: ast.For) -> ast.Assign:
 
 def _plan_unroll(
     stmt: ast.For, max_iterations: int
-) -> tuple[str, list[int], ast.Stmt | None] | None:
-    """Return (counter name, iteration values, declaration to keep) or None."""
+) -> tuple[str, list[int], int, ast.Stmt | None] | None:
+    """Return (counter name, iteration values, step, declaration to keep)
+    or None."""
     if _contains_loop_escape(stmt.body):
         return None
     counter, start, init_stmt = _parse_init(stmt.init)
@@ -151,7 +154,7 @@ def _plan_unroll(
         value += step
     if not values or len(values) > max_iterations:
         return None
-    return counter, values, init_stmt
+    return counter, values, step, init_stmt
 
 
 def _contains_loop_escape(body: ast.Block) -> bool:

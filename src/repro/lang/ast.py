@@ -1,9 +1,14 @@
 """Abstract syntax tree for MiniC.
 
-Every node is a plain dataclass carrying an optional source location so
+Every node is a frozen dataclass carrying an optional source location so
 error messages and analysis reports can refer back to the program text.
 Expressions and statements form two small class hierarchies rooted at
 :class:`Expr` and :class:`Stmt`.
+
+Nodes are shared, not copied: passes that rewrite a tree (loop unrolling,
+fence patching) build each changed node with ``dataclasses.replace`` and
+reuse every untouched subtree, and an unrolled loop repeats one body
+object.  Never mutate a node, nor the lists it holds.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class Qualifiers:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     """Base class for all AST nodes."""
 
@@ -57,22 +62,22 @@ class Node:
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class Expr(Node):
     """Base class for expressions."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntLiteral(Expr):
     value: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Identifier(Expr):
     name: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Index(Expr):
     """An array element access ``array[index]``."""
 
@@ -80,20 +85,20 @@ class Index(Expr):
     index: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinaryOp(Expr):
     op: str = ""
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnaryOp(Expr):
     op: str = ""
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Call(Expr):
     name: str = ""
     args: list[Expr] = field(default_factory=list)
@@ -102,17 +107,17 @@ class Call(Expr):
 # ----------------------------------------------------------------------
 # Statements and declarations
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class Stmt(Node):
     """Base class for statements."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block(Stmt):
     statements: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VarDecl(Stmt):
     """Declaration of a scalar variable, possibly with an initializer."""
 
@@ -122,7 +127,7 @@ class VarDecl(Stmt):
     init: Expr | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrayDecl(Stmt):
     """Declaration of a one-dimensional array, possibly with an initializer
     list.  Initializer values must be integer constants."""
@@ -134,7 +139,7 @@ class ArrayDecl(Stmt):
     init: list[int] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assign(Stmt):
     """Assignment to either a scalar (``Identifier``) or an array element
     (``Index``)."""
@@ -143,7 +148,7 @@ class Assign(Stmt):
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExprStatement(Stmt):
     """An expression evaluated for its side effects, such as a call or a
     bare array read used to touch a cache line (``ph[i];``)."""
@@ -151,20 +156,20 @@ class ExprStatement(Stmt):
     expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(frozen=True)
 class If(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     then_body: Block = field(default_factory=Block)
     else_body: Block | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class While(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     body: Block = field(default_factory=Block)
 
 
-@dataclass
+@dataclass(frozen=True)
 class For(Stmt):
     init: Stmt | None = None
     cond: Expr | None = None
@@ -172,17 +177,17 @@ class For(Stmt):
     body: Block = field(default_factory=Block)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Return(Stmt):
     value: Expr | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Break(Stmt):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fence(Stmt):
     """A speculation barrier statement (``fence;``).
 
@@ -192,19 +197,19 @@ class Fence(Stmt):
     """
 
 
-@dataclass
+@dataclass(frozen=True)
 class Continue(Stmt):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Param(Node):
     name: str = ""
     base_type: BaseType = BaseType.INT
     qualifiers: Qualifiers = field(default_factory=Qualifiers)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionDef(Node):
     name: str = ""
     return_type: BaseType = BaseType.INT
@@ -212,7 +217,7 @@ class FunctionDef(Node):
     body: Block = field(default_factory=Block)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program(Node):
     """A MiniC translation unit: global declarations plus functions."""
 

@@ -187,8 +187,16 @@ class TypeChecker:
                     is_param=True,
                 )
             )
+        # Unrolling emits one shared body object for every iteration, so a
+        # declaration in an unrolled loop body is met again as the very same
+        # node; that repeat is the same variable.  Any other redeclaration
+        # (a shadowing one included) is an error.
+        declarations: dict[str, Stmt] = {}
         for stmt in walk_statements(function.body):
             if isinstance(stmt, (VarDecl, ArrayDecl)):
+                if declarations.get(stmt.name) is stmt:
+                    continue
+                declarations[stmt.name] = stmt
                 table.declare(self._symbol_from_decl(stmt, is_global=False))
                 if isinstance(stmt, ArrayDecl) and stmt.init is not None:
                     self.info.array_initializers[stmt.name] = list(stmt.init)

@@ -177,18 +177,18 @@ class VirtualCFG:
         return "\n".join(lines)
 
 
-# Scenario construction is deterministic in (cfg, config) and dominated
-# by the per-scenario window searches, so the result is memoised: every
-# engine construction over an already-seen (cfg, config) pair — repeat
-# requests against a cached compile, the per-candidate engines of the
-# mitigation searcher, differential benchmark runs — reuses the same
-# frozen scenario objects.  Entries are keyed by *content fingerprint*
-# rather than the old ``id(cfg)`` scheme, so re-parsing identical source
-# (the common service pattern: CI resubmitting the same program, the
-# mitigation loop re-emitting candidates) hits even though each parse
-# allocates a fresh CFG object.  The content key also removes the need
-# for weakref eviction — a bounded LRU caps residency instead, and a
-# mutated CFG simply hashes to a different key.
+# Scenarios of *incremental* rebuilds (``build_vcfg_incremental``) are
+# memoised per (content fingerprint, config): their CFG diff fingerprints
+# every block anyway.  A cold ``build_vcfg`` computes its scenarios
+# directly, because its key, a reflective walk over every instruction,
+# cost more than the memo saved.  Measured from a cleared memo: a
+# ``tables`` pass made 30 lookups, hit 0 times, and spent 56 ms
+# fingerprinting against 9 ms of scenario building; the 30 distinct
+# ``service`` ops, run once in process, made 50 lookups and hit 10 times,
+# spending 127 ms fingerprinting to save ~3 ms.  (The compile cache
+# already hands an identical source the same ``CompiledProgram``.)  The
+# memo is a bounded LRU keyed by content, so a mutated CFG simply hashes
+# to a different key.
 _VCFG_MEMO_SIZE = 128
 _vcfg_memo: LRUCache = LRUCache(maxsize=_VCFG_MEMO_SIZE)
 
@@ -230,31 +230,17 @@ def _compute_scenarios(
     return tuple(scenarios)
 
 
-def build_vcfg(
-    cfg: CFG, config: SpeculationConfig, *, fingerprint: str | None = None
-) -> VirtualCFG:
+def build_vcfg(cfg: CFG, config: SpeculationConfig) -> VirtualCFG:
     """Construct the virtual CFG (all speculation scenarios) for ``cfg``.
 
-    Memoised per (content fingerprint, config): repeat calls — including
-    calls against a *re-parsed but identical* CFG — share the frozen
-    :class:`SpeculationScenario` objects but always get a **fresh**
-    :class:`VirtualCFG` wrapper with a fresh ``scenarios`` list, so
-    callers that mutate the list (tests, the pre-PR benchmark reference)
-    cannot corrupt each other or the memo.  Pass ``fingerprint`` when the
-    caller has already computed ``cfg.content_fingerprint()``.
+    Computed afresh on every call: the scenario memo serves incremental
+    rebuilds only (see the comment above :data:`_VCFG_MEMO_SIZE`).  The
+    :class:`SpeculationScenario` objects are frozen; the ``scenarios``
+    list is the caller's own.
     """
-    key = (fingerprint or cfg.content_fingerprint(), config)
-    scenarios = _vcfg_memo.get(key)
-    if scenarios is None:
-        with span("vcfg", program=cfg.name) as vcfg_span:
-            scenarios = _compute_scenarios(cfg, config)
-            vcfg_span.set(scenarios=len(scenarios))
-        _vcfg_memo.put(key, scenarios)
-    else:
-        # The phase still happened (served from the content-keyed memo);
-        # traces that assert pipeline coverage rely on seeing it.
-        with span("vcfg", program=cfg.name) as vcfg_span:
-            vcfg_span.set(scenarios=len(scenarios), cached=True)
+    with span("vcfg", program=cfg.name) as vcfg_span:
+        scenarios = _compute_scenarios(cfg, config)
+        vcfg_span.set(scenarios=len(scenarios))
     return VirtualCFG(cfg=cfg, config=config, scenarios=list(scenarios))
 
 
@@ -298,11 +284,7 @@ def _window_reusable(
 
 
 def build_vcfg_incremental(
-    cfg: CFG,
-    config: SpeculationConfig,
-    baseline: VCFGBaseline,
-    *,
-    fingerprint: str | None = None,
+    cfg: CFG, config: SpeculationConfig, baseline: VCFGBaseline
 ) -> tuple[VirtualCFG, dict[str, int]]:
     """Rebuild the virtual CFG for an edited program, reusing what stands.
 
@@ -312,11 +294,12 @@ def build_vcfg_incremental(
     reused from ``baseline`` whenever the edit provably cannot have
     perturbed them (see :func:`_window_reusable`); only windows
     intersecting the edit are re-run.  The result is bit-identical to a
-    cold :func:`build_vcfg` and is inserted into the same memo.
+    cold :func:`build_vcfg`, and is memoised by content for the next
+    rebuild of the same graph.
 
     Returns the vcfg plus reuse counters for observability.
     """
-    key = (fingerprint or cfg.content_fingerprint(), config)
+    key = (cfg.content_fingerprint(), config)
     memoised = _vcfg_memo.get(key)
     if memoised is not None:
         stats = {"windows_reused": 0, "windows_recomputed": 0, "memo_hit": 1}

@@ -1,9 +1,13 @@
 """Unit tests for CFG structure, dominators, loops, unrolling, inlining,
 memory layout, and the IR printer."""
 
+import dataclasses
+
 import pytest
 
 from repro import compile_source
+from repro.analysis.baseline import analyze_baseline
+from repro.analysis.speculative import analyze_speculative
 from repro.errors import CFGError, ConfigError
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
@@ -13,12 +17,14 @@ from repro.ir.dominators import (
     immediate_dominators,
     immediate_postdominator,
 )
-from repro.ir.instructions import CondBranch, Const, Jump, MemoryRef, Return, Temp
+from repro.ir.inline import inline_calls
+from repro.ir.instructions import CallInstr, CondBranch, Const, Jump, MemoryRef, Return, Temp
 from repro.ir.loops import find_natural_loops, infer_trip_count, loop_of_block
 from repro.ir.lowering import lower_program
 from repro.ir.memory import AccessKind, MemoryBlock, MemoryLayout, placeholder_blocks
 from repro.ir.printer import format_cfg, format_instruction, format_memory_summary
 from repro.ir.unroll import unroll_fixed_loops
+from repro.lang import ast
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import check_program
 
@@ -232,18 +238,82 @@ class TestUnrolling:
         program, stats = unroll_fixed_loops(parse_program(source))
         assert stats.iterations_emitted == 4
 
-    def test_counter_value_after_loop_usable_as_index(self):
-        source = (
-            "char a[256]; int main() { reg int i;"
-            "  for (i = 0; i < 3; i++) { a[0]; }"
-            "  a[i * 64]; return 0; }"
-        )
+    @pytest.mark.parametrize(
+        "loop, access, index",
+        [
+            ("for (i = 0; i < 3; i++)", "a[i * 64]", 192),
+            # A single iteration still moves the counter by the step (C
+            # leaves i == 64 here, a different block than a[0]) ...
+            ("for (i = 0; i < 1; i = i + 64)", "a[i]", 64),
+            # ... and a downward loop moves it down.
+            ("for (i = 5; i > 4; i = i - 3)", "a[i]", 2),
+        ],
+        ids=["three-iterations", "one-iteration", "downward"],
+    )
+    def test_counter_value_after_loop_usable_as_index(self, loop, access, index):
+        source = f"char a[256]; int main() {{ reg int i; {loop} {{ a[0]; }} {access}; return 0; }}"
         program, _ = unroll_fixed_loops(parse_program(source))
         cfgs = lower_program(check_program(program))
         refs = [r.index_const for r in cfgs["main"].all_memory_refs() if r.symbol == "a"]
-        # The post-loop access resolves because the counter is left at its
-        # final value (3) by the unrolling pass.
-        assert 192 in refs
+        # The post-loop access resolves because the unrolling pass leaves
+        # the counter where C does: one step past the last iteration.
+        assert refs[-1] == index
+
+    def test_iterations_share_one_body(self):
+        source = "char a[256]; int main() { reg int i; for (i = 0; i < 4; i++) { a[i * 64]; } return 0; }"
+        program, _ = unroll_fixed_loops(parse_program(source))
+        bodies = [s for s in program.functions[0].body.statements if isinstance(s, ast.Block)]
+        assert len(bodies) == 4
+        assert all(body is bodies[0] for body in bodies)
+
+    def test_input_program_is_left_intact(self):
+        source = (
+            "char a[1024]; int k; int main() { reg int i; reg int j;"
+            "  for (i = 0; i < 2; i++) { for (j = 0; j < 2; j++) { a[i * 128 + j * 64]; } }"
+            "  if (k > 0) { for (i = 0; i < 2; i++) { a[i]; } }"
+            "  while (k > 0) { for (i = 0; i < 2; i++) { a[i]; } k = k - 1; }"
+            "  return 0; }"
+        )
+        program = parse_program(source)
+        unroll_fixed_loops(program)
+        assert program == parse_program(source)
+
+    @pytest.mark.parametrize(
+        "source, indices",
+        [
+            (
+                "int a[64]; int s; int main() { int i;"
+                "  for (i = 0; i < 2; i++) { int t; t = a[i * 16]; s = s + t; } return s; }",
+                [0, 16],
+            ),
+            (
+                "char a[1024]; int main() { reg int i;"
+                "  for (i = 0; i < 2; i++) { for (int j = 0; j < 2; j++) { a[i * 128 + j * 64]; } }"
+                "  return 0; }",
+                [0, 64, 128, 192],
+            ),
+        ],
+        ids=["local", "nested-counter"],
+    )
+    def test_declaration_in_unrolled_body_compiles(self, source, indices):
+        program = compile_source(source)
+        assert program.unroll_stats.iterations_emitted >= 2
+        refs = [r.index_const for r in program.cfg.all_memory_refs() if r.symbol == "a"]
+        assert refs == indices
+
+    def test_local_in_unrolled_body_analyses_like_a_hoisted_one(self):
+        inside = (
+            "char a[1024]; char b[1024]; int s; int k; int main() { int i;"
+            "  for (i = 0; i < 2; i++) { int t; t = a[i * 64];"
+            "    if (t > k) { s = s + b[i * 64]; } else { s = s + b[512]; } }"
+            "  s = s + a[0] + b[0]; return s; }"
+        )
+        hoisted = inside.replace("int t; ", "").replace("int i;", "int i; int t;")
+        assert hoisted != inside
+        for analyse in (analyze_baseline, analyze_speculative):
+            expected = analyse(compile_source(hoisted)).classifications
+            assert expected
+            assert analyse(compile_source(inside)).classifications == expected
 
 
 class TestInlining:
@@ -287,6 +357,42 @@ class TestInlining:
 
         with pytest.raises(LoweringError):
             compile_source(source)
+
+    CALLS = (
+        "int t[64];"
+        "int twice(int x) { return x * 2; }"
+        "int helper(int x) { if (x > 1) { return t[x] + twice(x); } return t[0]; }"
+        "int main() { int s; s = helper(2) + helper(3); return s; }"
+    )
+
+    def test_inlining_leaves_the_lowered_cfgs_intact(self):
+        program = compile_source(self.CALLS)
+        assert any(
+            isinstance(instruction, CallInstr)
+            for block in program.cfgs["main"].blocks.values()
+            for instruction in block.instructions
+        )
+        before = compile_source(self.CALLS, inline=False)
+        for name in ("twice", "helper", "main"):
+            assert str(program.cfgs[name]) == str(before.cfgs[name])
+
+    def test_inlining_twice_gives_equal_cfgs(self):
+        program = compile_source(self.CALLS)
+        again = inline_calls(program.cfgs, "main", program.info)
+        assert again == inline_calls(program.cfgs, "main", program.info)
+        assert again == program.cfg
+
+
+@pytest.mark.parametrize("node", ["statement", "instruction", "terminator"])
+def test_ast_and_ir_nodes_are_frozen(node):
+    source = TestInlining.CALLS
+    if node == "statement":
+        target = parse_program(source).function("main").body.statements[0]
+    else:
+        block = compile_source(source).cfg.block("entry")
+        target = block.instructions[0] if node == "instruction" else block.terminator
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        target.line = 99
 
 
 class TestMemoryLayout:

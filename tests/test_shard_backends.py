@@ -39,6 +39,7 @@ from repro.service.wire import (
     result_fingerprint,
 )
 from repro.speculation.config import SpeculationConfig
+from repro.speculation import vcfg as vcfg_module
 from repro.speculation.merge import MergeStrategy
 
 #: The paper's geometry axes, scaled down: fully associative LRU and
@@ -141,6 +142,41 @@ class TestDifferentialBackends:
                 cache_config=GEOMETRIES[0], speculation=speculation,
             ),
         )
+
+    def test_workers_reuse_the_masters_scenarios(self, branchy_program, monkeypatch):
+        """Process workers build their analyses over the master's vcfg: with
+        scenario construction broken once the master has built it, the
+        solve still runs on the pool (a worker that fails to set up would
+        send it back to the serial backend)."""
+        serial = run_backend(branchy_program, "serial", cache_config=GEOMETRIES[0])
+        analysis = SpeculativeCacheAnalysis(
+            branchy_program,
+            cache_config=GEOMETRIES[0],
+            speculation=SpeculationConfig(depth_miss=64, depth_hit=16),
+            scenario_shards=SHARDS,
+            shard_backend="processes",
+        )
+
+        def rebuild(*args):
+            raise AssertionError("a shard worker rebuilt the scenarios")
+
+        monkeypatch.setattr(vcfg_module, "_compute_scenarios", rebuild)
+        result = analysis.run()
+        assert analysis.shard_backend_used == "processes"
+        assert_bit_identical(serial, result)
+
+    def test_constructor_rejects_a_foreign_vcfg(self, branchy_program):
+        master = SpeculativeCacheAnalysis(branchy_program, cache_config=GEOMETRIES[0])
+        other = compile_source(branchy_kernel_source(4))
+        with pytest.raises(ValueError):
+            SpeculativeCacheAnalysis(other, cache_config=GEOMETRIES[0], vcfg=master.vcfg)
+        with pytest.raises(ValueError):
+            SpeculativeCacheAnalysis(
+                branchy_program,
+                cache_config=GEOMETRIES[0],
+                speculation=SpeculationConfig(depth_miss=64, depth_hit=16),
+                vcfg=master.vcfg,
+            )
 
     def test_backends_agree_on_table7_kernel(self, bench_cache):
         """The Table-7 harness shape (crypto kernel + client loop): every

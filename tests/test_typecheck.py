@@ -56,6 +56,20 @@ class TestErrors:
         with pytest.raises(TypeError_):
             check("int x; int x; int main() { return 0; }")
 
+    @pytest.mark.parametrize(
+        "declarations",
+        [
+            "int t; int t;",
+            "int i = 64; { int i = 0; }",
+            "int t; char t;",
+            "int t[4]; int t[8];",
+            "int t; secret int t;",
+        ],
+    )
+    def test_local_redeclaration(self, declarations):
+        with pytest.raises(TypeError_):
+            check(f"int main() {{ {declarations} return 0; }}")
+
     def test_duplicate_function(self):
         with pytest.raises(TypeError_):
             check("int f() { return 0; } int f() { return 1; }")
