@@ -93,14 +93,6 @@ class DepthChooser:
             frozenset(self._locked_long),
         )
 
-    def absorb(self, other: "DepthChooser") -> None:
-        """Fold another chooser's per-color decisions into this one.
-
-        Used by the scenario-sharded engine, where each shard tracks the
-        active windows of its own (disjoint) colors."""
-        self._active.update(other._active)
-        self._locked_long.update(other._locked_long)
-
     def stats(self, scenarios: list[SpeculationScenario]) -> DepthBoundingStats:
         """Virtual edges are counted at instruction granularity: a rollback
         may occur after every speculated instruction, so each speculatively

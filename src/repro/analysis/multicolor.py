@@ -65,9 +65,10 @@ is the *dense* schedule — every visit re-transfers S and every slot at
 the block — by construction: a delivery whose inputs did not change
 re-joins a value already below the target state, and a window choice on
 an unchanged S chooses the same window again, so skipping either
-changes neither the states nor the set of blocks re-enqueued.  Where the engine widens, results and pop counts are
-therefore those of the dense block schedule.  Warm and sharded passes
-never widen, so they always pop nodes.
+changes neither the states nor the set of blocks re-enqueued.  Where
+the engine widens, results and pop counts are therefore those of the
+dense block schedule.  Warm passes never widen, so they always pop
+nodes.
 
 Where it does not, the least fixpoint is unique, and both schedules are
 chaotic iterations of the same monotone equations that reach it: the
@@ -78,63 +79,17 @@ counts differ.  The tests keep the dense block schedule as the
 differential oracle: a subclass that forces ``_block_granular`` and marks
 everything dirty.
 
-The engine is driven three ways:
+The engine is driven two ways, both through one sparse pass
+(:meth:`SpeculativeCacheAnalysis._run_sparse_pass`):
 
-* **cold** (:meth:`SpeculativeCacheAnalysis._solve_sparse`) — one sparse
-  pass over all scenarios, the canonical run;
-* **warm** (:meth:`SpeculativeCacheAnalysis._solve_warm`) — the same
-  pass seeded with a prior run's states, draining only the region an
-  edit affects;
-* **sharded** (``scenario_shards >= 2``,
-  :meth:`SpeculativeCacheAnalysis._solve_sharded`) — colors are
-  partitioned round-robin into shards, and each round alternates an
-  *outer normal-state fixpoint* (no scenarios) with per-shard sparse
-  fixpoints, each against a private copy of the normal states whose
-  changes are joined back deterministically.  Shards only interact
-  through the normal states, so the rounds are a chaotic iteration of
-  the same equation system and converge to the same least fixpoint for
-  every shard count.  The sharded scheduler computes the *exact*
-  join-fixpoint: widening's effect depends on the visit schedule, so
-  applying it per shard would make the result depend on the shard
-  count.  The cache lattices are finite, so termination does not need
-  it; where the canonical run widens (rare — deep unrolled loops) the
-  sharded result can be strictly more precise.
-
-The sharded round loop talks to a *shard host* through two calls:
-``round(delta)`` hands over the normal states changed since the last
-round and returns, per shard in shard order, the pops, the shard's
-changed normal states and whether dirty slots are left over;
-``finalize()`` returns each shard's slots and window chooser.  Both
-hosts run the same shard body, :meth:`_ShardWorker.round`, and
-``shard_backend`` (None means serial) picks the host:
-
-* ``"serial"`` — a :class:`_ShardWorker` owning every shard, run in the
-  calling thread over the master's own analysis: state dicts pass
-  directly, spans and progress go straight to the caller's tracer and
-  reporter;
-* ``"processes"`` — :class:`_ProcessShardHost`: the shards are spread
-  over persistent worker processes
-  (:class:`~repro.engine.pool.PersistentWorkerPool`; worker count from
-  ``REPRO_MAX_WORKERS``, default the CPU count), each running a
-  :class:`_ShardWorker`.  Deltas and replies cross the pipes
-  codec-encoded (:mod:`repro.cache.codec`); workers collect their spans
-  and progress and the host relays them, and each worker's metrics are
-  handed back at finalize.  If workers cannot start or die mid-run, the
-  solve reruns the same loop on the serial host.
-
-Both hosts are **bit-identical** by construction: the shard body is the
-same code on equal inputs, the codec round-trips states to equal
-values, and every join happens in the round loop in shard order, then
-block order.  The backend that actually ran is recorded in
-``shard_backend_used``.  Requests may therefore treat the backend as an
-execution knob, not a semantic one — result cache keys deliberately
-exclude it.
+* **cold** (:meth:`SpeculativeCacheAnalysis._solve_sparse`) — over all
+  scenarios from the entry state;
+* **warm** (:meth:`SpeculativeCacheAnalysis._solve_warm`) — seeded with
+  a prior run's states, draining only the region an edit affects.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.depth import DepthChooser
@@ -147,31 +102,17 @@ from repro.analysis.transfer import (
     transfer_block,
     transfer_block_with_prefix_join,
 )
-from repro.cache.codec import decode_state_map, encode_state_map
 from repro.cache.config import CacheConfig
-from repro.engine.pool import PersistentWorkerPool, WorkerPoolError, default_max_workers
-from repro.engine.request import SHARD_BACKENDS
 from repro.engine.worklist import PriorityWorklist, WideningPolicy, run_fixpoint
 from repro.frontend import CompiledProgram
 from repro.ir.cfg import diff_cfgs
 from repro.ir.loops import find_natural_loops
-from repro.obs import (
-    CollectingReporter,
-    current_reporter,
-    current_span,
-    metrics,
-    publish_progress,
-    reporting,
-    republish,
-    span,
-    tracer,
-)
+from repro.obs import current_reporter, metrics, publish_progress, span
 from repro.obs.progress import POP_PUBLISH_INTERVAL
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.vcfg import (
     SpeculationScenario,
     VCFGBaseline,
-    VirtualCFG,
     build_vcfg,
     build_vcfg_incremental,
 )
@@ -186,16 +127,6 @@ WIDENING_DELAY = 3
 #: computation always terminates, but a bug in a transfer function should
 #: surface as an error rather than an endless loop).
 MAX_VISITS = 5_000_000
-
-
-def resolve_shard_backend(shard_backend: str | None) -> str:
-    """Validate the backend knob: an explicit value, else ``"serial"``."""
-    resolved = "serial" if shard_backend is None else shard_backend
-    if resolved not in SHARD_BACKENDS:
-        raise ValueError(
-            f"unknown shard backend {resolved!r} (expected one of {SHARD_BACKENDS})"
-        )
-    return resolved
 
 
 @dataclass
@@ -271,23 +202,6 @@ class _WarmPlan:
     force_branches: set[str]
 
 
-@dataclass
-class _Shard:
-    """One group of colors plus the per-shard solver state that persists
-    across outer rounds of the sharded scheduler."""
-
-    index: int
-    scenarios_by_branch: dict[str, list[SpeculationScenario]]
-    chooser: DepthChooser
-    slots: dict[str, dict[SlotKey, object]]
-    dirty: dict[str, set]
-    visits: dict[str, int]
-
-    @property
-    def branch_blocks(self) -> set[str]:
-        return set(self.scenarios_by_branch)
-
-
 class SpeculativeCacheAnalysis:
     """The lifted analysis engine."""
 
@@ -296,21 +210,13 @@ class SpeculativeCacheAnalysis:
         program: CompiledProgram,
         cache_config: CacheConfig | None = None,
         speculation: SpeculationConfig | None = None,
-        scenario_shards: int = 1,
-        shard_backend: str | None = None,
         warm_start: WarmStartData | None = None,
-        vcfg: VirtualCFG | None = None,
     ):
         self.program = program
         self.cfg = program.cfg
         self.layout = program.layout
         self.cache_config = cache_config or CacheConfig.paper_default()
         self.speculation = speculation or SpeculationConfig.paper_default()
-        self.scenario_shards = max(1, int(scenario_shards))
-        self.shard_backend = resolve_shard_backend(shard_backend)
-        #: Which backend the last sharded solve actually executed on
-        #: (None until then; "serial" after a process-backend fallback).
-        self.shard_backend_used: str | None = None
         self.warm_start = warm_start
         #: Reuse counters of the last warm solve (or the fallback reason);
         #: None until solve() runs with a warm_start.
@@ -320,14 +226,7 @@ class SpeculativeCacheAnalysis:
         #: The warm plan of the last solve, when one was used (drives
         #: classification reuse in run()).
         self._warm_plan: _WarmPlan | None = None
-        if vcfg is not None:
-            # Built by the caller for this cfg and speculation config: a
-            # process shard worker reuses its master's scenarios instead of
-            # rebuilding them.
-            if vcfg.cfg is not self.cfg or vcfg.config != self.speculation:
-                raise ValueError("vcfg was built for another cfg or speculation config")
-            self.vcfg, self._vcfg_reuse = vcfg, None
-        elif warm_start is not None:
+        if warm_start is not None:
             self.vcfg, self._vcfg_reuse = build_vcfg_incremental(
                 self.cfg,
                 self.speculation,
@@ -441,21 +340,17 @@ class SpeculativeCacheAnalysis:
             "fixpoint",
             program=self.cfg.name,
             scenarios=len(self.vcfg.scenarios),
-            shards=self.scenario_shards,
         )
         with span(
             "fixpoint",
             program=self.cfg.name,
             kind="speculative",
             scenarios=len(self.vcfg.scenarios),
-            shards=self.scenario_shards,
         ) as fixpoint_span:
             fixpoint = self.solve()
             self.last_fixpoint = fixpoint
             fixpoint_span.set(
-                iterations=fixpoint.iterations,
-                widenings=fixpoint.widenings,
-                backend=self.shard_backend_used,
+                iterations=fixpoint.iterations, widenings=fixpoint.widenings
             )
             if self.warm_info is not None:
                 fixpoint_span.set(warm=self.warm_info.get("used", False))
@@ -478,7 +373,6 @@ class SpeculativeCacheAnalysis:
             num_virtual_edges=sum(
                 scenario.window_miss.num_instructions for scenario in scenarios
             ),
-            shard_backend_used=self.shard_backend_used,
         )
         stats = self.chooser.stats(scenarios)
         result.num_virtual_edges_active = stats.virtual_edges_active
@@ -497,36 +391,6 @@ class SpeculativeCacheAnalysis:
     # Fixpoint dispatch
     # ------------------------------------------------------------------
     def solve(self) -> SpeculativeFixpoint:
-        if self.scenario_shards >= 2:
-            if self.warm_start is not None:
-                # Warm starts are defined for the canonical engine only;
-                # the sharded (exact-fixpoint) scheduler runs cold.  The
-                # engine layer gates this before dispatch, so this is
-                # belt-and-braces bookkeeping.
-                self.warm_info = {"used": False, "fallback": "sharded"}
-                self.warm_start = None
-            # Always the exact-fixpoint scheduler, even for programs with
-            # fewer than two scenarios: a sharded request promises (and is
-            # result-keyed as) unwidened results, so falling back to the
-            # widened canonical engine here would break that contract.
-            if self.shard_backend == "processes":
-                try:
-                    host = _ProcessShardHost(self)
-                    with host.pool:
-                        fixpoint = self._solve_sharded(host)
-                    self.shard_backend_used = "processes"
-                    return fixpoint
-                except WorkerPoolError:
-                    # Workers unavailable or lost mid-run: the sharded
-                    # solve is deterministic and only commits state at
-                    # the end, so rerunning the loop serially is safe
-                    # (and surfaces any genuine analysis bug locally).
-                    pass
-            fixpoint = self._solve_sharded(
-                _ShardWorker(self, tuple(range(self._shard_count())))
-            )
-            self.shard_backend_used = "serial"
-            return fixpoint
         if self.warm_start is not None:
             plan = self._plan_warm(self.warm_start)
             if plan is not None:
@@ -547,7 +411,7 @@ class SpeculativeCacheAnalysis:
         return bool(policy.points)
 
     # ------------------------------------------------------------------
-    # Sparse (delta-driven) fixpoint — the default engine
+    # Cold sparse (delta-driven) fixpoint
     # ------------------------------------------------------------------
     def _solve_sparse(self) -> SpeculativeFixpoint:
         cfg = self.cfg
@@ -566,11 +430,8 @@ class SpeculativeCacheAnalysis:
             normal=normal,
             speculative=speculative,
             dirty=dirty,
-            chooser=self.chooser,
-            scenarios_by_branch=self._scenarios_by_branch,
             policy=policy,
             visits=visits,
-            normal_changed=set(),
             description="speculative fixpoint",
         )
         fixpoint.widenings = policy.widenings
@@ -806,11 +667,8 @@ class SpeculativeCacheAnalysis:
             normal=normal,
             speculative=speculative,
             dirty=dirty,
-            chooser=self.chooser,
-            scenarios_by_branch=self._scenarios_by_branch,
             policy=policy,
             visits=visits,
-            normal_changed=set(),
             description="warm speculative fixpoint",
         )
         fixpoint.widenings = policy.widenings
@@ -821,20 +679,15 @@ class SpeculativeCacheAnalysis:
         normal: dict[str, object],
         speculative: dict[str, dict[SlotKey, object]],
         dirty: dict[str, set],
-        chooser: DepthChooser | None,
-        scenarios_by_branch: dict[str, list[SpeculationScenario]],
         policy: WideningPolicy,
         visits: dict[str, int],
-        normal_changed: set[str],
         description: str,
     ) -> int:
         """Drain one sparse fixpoint from the marks in ``dirty`` to
         convergence; returns the pop count.
 
         Items are node keys (see the module docstring), or ``(rank,)``
-        for a whole block when the pass is block-granular.  Blocks whose
-        normal state changed at least once are accumulated into
-        ``normal_changed`` (the sharded scheduler's join set)."""
+        for a whole block when the pass is block-granular."""
         rpo = self._rpo
         rank = self._rank
         block_granular = self._block_granular(policy)
@@ -884,11 +737,9 @@ class SpeculativeCacheAnalysis:
                 pending = {slot for slot in dirty[name] if node(name, slot) == item}
                 dirty[name] -= pending
             deliveries = self._process_block_sparse(
-                name, pending, normal, speculative, mark, chooser, scenarios_by_branch
+                name, pending, normal, speculative, mark
             )
-            self._apply_deliveries(
-                deliveries, normal, speculative, policy, visits, mark, normal_changed
-            )
+            self._apply_deliveries(deliveries, normal, speculative, policy, visits, mark)
             return ()
 
         return run_fixpoint(
@@ -902,8 +753,6 @@ class SpeculativeCacheAnalysis:
         normal: dict[str, object],
         speculative: dict[str, dict[SlotKey, object]],
         mark,
-        chooser: DepthChooser | None,
-        scenarios_by_branch: dict[str, list[SpeculationScenario]],
     ) -> list[_Delivery]:
         """Transfer what ``pending`` marks at block ``name`` (``None`` for
         S, slot keys for slots) and return the deliveries."""
@@ -933,9 +782,7 @@ class SpeculativeCacheAnalysis:
                 self._slot_transfers += 1
                 if slot[0] == "window":
                     deliveries.extend(
-                        self._process_window_slot(
-                            name, slot, slot_state, successors, chooser
-                        )
+                        self._process_window_slot(name, slot, slot_state, successors)
                     )
                 else:
                     deliveries.extend(
@@ -948,9 +795,9 @@ class SpeculativeCacheAnalysis:
         # on every pop) chooses the same window again.
         if not normal_dirty:
             return deliveries
-        for scenario in scenarios_by_branch.get(name, ()):
-            previous_window = chooser.active_window(scenario)
-            window = chooser.choose(scenario, state_in)
+        for scenario in self._scenarios_by_branch.get(name, ()):
+            previous_window = self.chooser.active_window(scenario)
+            window = self.chooser.choose(scenario, state_in)
             if window.depth > previous_window.depth:
                 # The window grew (the condition is no longer a proven hit):
                 # re-propagate from every block of the old window, and mark
@@ -968,145 +815,14 @@ class SpeculativeCacheAnalysis:
         return deliveries
 
     # ------------------------------------------------------------------
-    # Scenario-sharded fixpoint
-    # ------------------------------------------------------------------
-    def _shard_count(self) -> int:
-        return max(1, min(self.scenario_shards, len(self.vcfg.scenarios)))
-
-    def _shard_members(self, index: int) -> list[SpeculationScenario]:
-        """The colors of shard ``index`` in the round-robin partition that
-        the round loop and every shard host compute alike."""
-        return self.vcfg.scenarios[index :: self._shard_count()]
-
-    def _solve_sharded(
-        self, host: _ShardWorker | _ProcessShardHost
-    ) -> SpeculativeFixpoint:
-        """The sharded round loop over a shard host (see the module
-        docstring).  A round runs the outer normal-state fixpoint, hands
-        the shards every normal state changed since the previous round,
-        and joins their changed states back in shard order, then block
-        order.  It stops when no shard has work or the join changes
-        nothing."""
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        # Exact fixpoint: no widening (see the module docstring).
-        no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
-
-        normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
-        visits: dict[str, int] = {name: 0 for name in reachable}
-        normal_dirty: dict[str, set] = {name: set() for name in reachable}
-        no_slots: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        branch_blocks = [
-            {scenario.branch_block for scenario in self._shard_members(index)}
-            for index in range(self._shard_count())
-        ]
-        leftover_dirty = [False] * len(branch_blocks)
-        iterations = 0
-
-        pending_normal: set[str] = {cfg.entry}
-        # The entry state is non-bottom from the start, so the entry block
-        # counts as "changed" for the first round even though no delivery
-        # ever touches it.
-        delta: set[str] = {cfg.entry}
-        round_index = 0
-        while True:
-            with span(
-                "fixpoint.round", round=round_index, workers=host.num_workers
-            ) as round_span:
-                round_index += 1
-                # Phase 1: outer normal-state fixpoint (scenarios excluded).
-                for block in pending_normal:
-                    normal_dirty[block].add(None)
-                iterations += self._run_sparse_pass(
-                    normal=normal,
-                    speculative=no_slots,
-                    dirty=normal_dirty,
-                    chooser=None,
-                    scenarios_by_branch={},
-                    policy=no_widening,
-                    visits=visits,
-                    normal_changed=delta,
-                    description="sharded speculative fixpoint (normal phase)",
-                )
-                # Phase 2: the shard fixpoints, against the changed states.
-                seeded = sum(
-                    1
-                    for index, blocks in enumerate(branch_blocks)
-                    if leftover_dirty[index] or not delta.isdisjoint(blocks)
-                )
-                round_span.set(shards_seeded=seeded)
-                if not seeded:
-                    break
-                runs = host.round({block: normal[block] for block in delta})
-                # Phase 3: deterministic join, in shard order then block order.
-                joined: set[str] = set()
-                for index, pops, changed, leftover in runs:
-                    iterations += pops
-                    leftover_dirty[index] = leftover
-                    for block in sorted(changed, key=self._rank.__getitem__):
-                        current = normal[block]
-                        value = current.join(changed[block])
-                        if not value.leq(current):
-                            normal[block] = value
-                            joined.add(block)
-                round_span.set(joined_blocks=len(joined))
-                publish_progress(
-                    "fixpoint.round",
-                    round=round_index,
-                    shards_seeded=seeded,
-                    joined_blocks=len(joined),
-                    iterations=iterations,
-                    workers=host.num_workers,
-                )
-                if not joined:
-                    break
-                pending_normal = joined
-                delta = set(joined)
-
-        # Merge the per-shard slot dictionaries and window decisions back
-        # into the engine-level views used by classification.
-        speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        for _, slots, chooser in host.finalize():
-            for name, block_slots in slots.items():
-                speculative[name].update(block_slots)
-            self.chooser.absorb(chooser)
-        return SpeculativeFixpoint(
-            normal=normal, speculative=speculative, iterations=iterations, widenings=0
-        )
-
-    def _build_shards(self, reachable: list[str], indices) -> list[_Shard]:
-        shards: list[_Shard] = []
-        for index in indices:
-            by_branch: dict[str, list[SpeculationScenario]] = {}
-            for scenario in self._shard_members(index):
-                by_branch.setdefault(scenario.branch_block, []).append(scenario)
-            shards.append(
-                _Shard(
-                    index=index,
-                    scenarios_by_branch=by_branch,
-                    chooser=DepthChooser(self.speculation, self.layout),
-                    slots={name: {} for name in reachable},
-                    dirty={name: set() for name in reachable},
-                    visits={name: 0 for name in reachable},
-                )
-            )
-        return shards
-
-    # ------------------------------------------------------------------
     # Shared slot transfers
     # ------------------------------------------------------------------
     def _process_window_slot(
-        self,
-        name: str,
-        slot: SlotKey,
-        slot_state,
-        successors: list[str],
-        chooser: DepthChooser,
+        self, name: str, slot: SlotKey, slot_state, successors: list[str]
     ) -> list[_Delivery]:
         deliveries: list[_Delivery] = []
         scenario = self._scenario_by_color[slot[1]]
-        window = chooser.active_window(scenario)
+        window = self.chooser.active_window(scenario)
         if not window.contains(name):
             return deliveries
         limit = window.allowed_instructions(name)
@@ -1163,7 +879,6 @@ class SpeculativeCacheAnalysis:
         policy: WideningPolicy,
         visits: dict[str, int],
         mark,
-        normal_changed: set[str],
     ) -> None:
         """Join every delivery into its target; ``mark`` each state that
         grew (which dirties and enqueues it)."""
@@ -1178,7 +893,6 @@ class SpeculativeCacheAnalysis:
                 )
                 if not joined.leq(current):
                     normal[target] = joined
-                    normal_changed.add(target)
                     mark(target, None)
             else:
                 slots = speculative[target]
@@ -1369,224 +1083,3 @@ class SpeculativeCacheAnalysis:
         if self.warm_info is not None:
             self.warm_info["classifications_reused"] = reused
         return classifications
-
-
-# ----------------------------------------------------------------------
-# Shard hosts
-# ----------------------------------------------------------------------
-class _ShardWorker:
-    """The shard body both hosts run: the fixpoints of the shards at
-    ``shard_indices``, against a mirror of the master's normal states.
-
-    The serial host is one worker owning every shard, built over the
-    master's own analysis and driven in the calling thread through
-    :meth:`round` and :meth:`finalize`.  In the process host each worker
-    process builds one over its own analysis of the same program and the
-    master's scenarios (:func:`_shard_worker_factory`; the shard partition
-    is deterministic on equal inputs) and is driven through
-    :meth:`__call__`.  The mirror starts at bottom and every round's delta
-    holds each normal state the master changed since the previous round,
-    the entry state included, so at every round start the mirror equals
-    the master's ``normal``.
-    """
-
-    #: Shard fixpoints this host runs at once (reported on round events).
-    num_workers = 1
-
-    def __init__(
-        self, analysis: SpeculativeCacheAnalysis, shard_indices: tuple[int, ...]
-    ):
-        self.analysis = analysis
-        reachable = analysis.cfg.reachable_blocks()
-        self.policy = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
-        self.shards = analysis._build_shards(reachable, shard_indices)
-        self.mirror: dict[str, object] = {name: analysis._bottom for name in reachable}
-
-    def round(
-        self, delta: dict[str, object]
-    ) -> list[tuple[int, int, dict[str, object], bool]]:
-        """Run one round of every owned shard; returns ``(shard index,
-        pops, changed normal states, leftover dirty)`` per shard.  A shard
-        with nothing to do pops nothing and publishes nothing."""
-        self.mirror.update(delta)
-        runs: list[tuple[int, int, dict[str, object], bool]] = []
-        for shard in self.shards:
-            for block in delta.keys() & shard.branch_blocks:
-                shard.dirty[block].add(None)
-            if not any(shard.dirty.values()):
-                runs.append((shard.index, 0, {}, False))
-                continue
-            with span("fixpoint.shard", shard=shard.index) as shard_span:
-                local_normal = dict(self.mirror)
-                local_changed: set[str] = set()
-                pops = self.analysis._run_sparse_pass(
-                    normal=local_normal,
-                    speculative=shard.slots,
-                    dirty=shard.dirty,
-                    chooser=shard.chooser,
-                    scenarios_by_branch=shard.scenarios_by_branch,
-                    policy=self.policy,
-                    visits=shard.visits,
-                    normal_changed=local_changed,
-                    description=f"sharded speculative fixpoint (shard {shard.index})",
-                )
-                shard_span.set(pops=pops, changed_blocks=len(local_changed))
-            publish_progress(
-                "fixpoint.shard",
-                shard=shard.index,
-                pops=pops,
-                changed_blocks=len(local_changed),
-            )
-            runs.append(
-                (
-                    shard.index,
-                    pops,
-                    {block: local_normal[block] for block in local_changed},
-                    any(shard.dirty.values()),
-                )
-            )
-        return runs
-
-    def finalize(self) -> list[tuple[int, dict, DepthChooser]]:
-        """Each owned shard's non-empty slot dictionaries and chooser."""
-        return [
-            (
-                shard.index,
-                {name: slots for name, slots in shard.slots.items() if slots},
-                shard.chooser,
-            )
-            for shard in self.shards
-        ]
-
-    def __call__(self, message: tuple):
-        """The worker-process side of :class:`_ProcessShardHost`: the codec
-        and span/progress collection around :meth:`round`, and this
-        worker's metrics with :meth:`finalize` (slots and choosers pickle
-        to equal values)."""
-        if message[0] == "round":
-            _, delta_blob, want_spans, want_progress = message
-            # Collect only when the master is tracing/watching: otherwise
-            # the shard spans stay on the disabled (duration-only) fast
-            # path and progress publishing stays a no-op.
-            collect = tracer().collecting() if want_spans else contextlib.nullcontext()
-            progress = CollectingReporter() if want_progress else None
-            with collect as collected, reporting(progress):
-                runs = self.round(
-                    decode_state_map(delta_blob, self.analysis.layout.lanes)
-                )
-            return (
-                [
-                    (index, pops, encode_state_map(changed), leftover)
-                    for index, pops, changed, leftover in runs
-                ],
-                collected.spans if want_spans else [],
-                progress.events if want_progress else [],
-            )
-        if message[0] == "finalize":
-            metrics().counter("fixpoint.slot_retransfers").inc(
-                self.analysis._slot_transfers
-            )
-            return self.finalize(), metrics().snapshot()
-        raise ValueError(f"unknown shard-worker message {message[0]!r}")
-
-
-def _shard_worker_factory(
-    program: CompiledProgram,
-    cache_config: CacheConfig,
-    speculation: SpeculationConfig,
-    scenario_shards: int,
-    shard_indices: tuple[int, ...],
-    vcfg: VirtualCFG,
-) -> _ShardWorker:
-    """Picklable :class:`~repro.engine.pool.PersistentWorkerPool` entry
-    point: builds one :class:`_ShardWorker` inside the worker process."""
-    # Fork-started workers inherit the master's metrics registry; reset it
-    # so the snapshot relayed at finalize only counts this worker's work.
-    metrics().clear()
-    # They inherit its span sinks too, whose locks another master thread
-    # may have held at fork time, so a worker never exports a span
-    # itself: it relays its rounds' spans, and the set-up's are collected
-    # and dropped.
-    with tracer().collecting():
-        analysis = SpeculativeCacheAnalysis(
-            program,
-            cache_config=cache_config,
-            speculation=speculation,
-            scenario_shards=scenario_shards,
-            vcfg=vcfg,
-        )
-    return _ShardWorker(analysis, shard_indices)
-
-
-class _ProcessShardHost:
-    """The ``"processes"`` shard host: shards spread over persistent
-    worker processes, each running a :class:`_ShardWorker`.
-
-    Worker ``w`` owns shards ``w, w+W, w+2W, ...``; that affinity keeps
-    shard state resident across rounds.  Every worker gets every round's
-    delta, since mirrors must track the master even when a worker's own
-    shards have nothing to do.  Workers never write the trace file or
-    talk to the service layer: they collect spans and progress when the
-    master traces or is watched, and the host re-emits them.  Raises
-    :class:`WorkerPoolError` when workers cannot start or die mid-run;
-    the caller closes :attr:`pool`.
-    """
-
-    def __init__(self, analysis: SpeculativeCacheAnalysis):
-        shard_count = analysis._shard_count()
-        self.num_workers = max(
-            1, min(default_max_workers() or os.cpu_count() or 1, shard_count)
-        )
-        self.lanes = analysis.layout.lanes
-        self.pool = PersistentWorkerPool(
-            _shard_worker_factory,
-            [
-                (
-                    analysis.program,
-                    analysis.cache_config,
-                    analysis.speculation,
-                    analysis.scenario_shards,
-                    tuple(range(worker, shard_count, self.num_workers)),
-                    analysis.vcfg,
-                )
-                for worker in range(self.num_workers)
-            ],
-            name="repro-shard",
-        )
-
-    def round(
-        self, delta: dict[str, object]
-    ) -> list[tuple[int, int, dict[str, object], bool]]:
-        delta_blob = encode_state_map(delta)
-        replies = self.pool.request_all(
-            [("round", delta_blob, tracer().enabled, current_reporter().active)]
-            * self.num_workers
-        )
-        reply_bytes = 0
-        runs: list[tuple[int, int, dict[str, object], bool]] = []
-        for shard_runs, worker_spans, worker_progress in replies:
-            tracer().emit_foreign(worker_spans)
-            republish(worker_progress)
-            for index, pops, changed_blob, leftover in shard_runs:
-                reply_bytes += len(changed_blob)
-                runs.append(
-                    (index, pops, decode_state_map(changed_blob, self.lanes), leftover)
-                )
-        metrics().counter("codec.bytes_shipped").inc(
-            len(delta_blob) * self.num_workers + reply_bytes
-        )
-        round_span = current_span()
-        if round_span is not None:
-            round_span.set(delta_bytes=len(delta_blob), reply_bytes=reply_bytes)
-        runs.sort(key=lambda run: run[0])
-        return runs
-
-    def finalize(self) -> list[tuple[int, dict, DepthChooser]]:
-        entries: list[tuple[int, dict, DepthChooser]] = []
-        for worker_entries, worker_metrics in self.pool.request_all(
-            [("finalize",)] * self.num_workers
-        ):
-            metrics().absorb(worker_metrics)
-            entries.extend(worker_entries)
-        entries.sort(key=lambda entry: entry[0])
-        return entries

@@ -48,11 +48,10 @@ class CacheAnalysisResult:
     still reports the original computation — the lookup itself is
     near-free and not an "analysis time".
 
-    ``shard_backend_used`` and ``provenance`` are observational
-    (``compare=False``): they record *how* the verdict was produced —
-    which shard backend executed a sharded run, and the replayable
-    :class:`~repro.obs.provenance.ProvenanceStamp` the engine attaches —
-    and never participate in equality, result keys, or fingerprints.
+    ``provenance`` is observational (``compare=False``): the replayable
+    :class:`~repro.obs.provenance.ProvenanceStamp` the engine attaches
+    records *how* the verdict was produced, and never participates in
+    equality, result keys, or fingerprints.
     """
 
     program_name: str
@@ -62,7 +61,7 @@ class CacheAnalysisResult:
     classifications: list[AccessClassification] = field(default_factory=list)
     #: Worklist pops of the fixpoint.  A pop is one block, except on the
     #: speculative analysis's passes that cannot widen (loop-free
-    #: programs, sharded runs), where it is one node: S at a block, or
+    #: programs), where it is one node: S at a block, or
     #: one branch's window or resume slots at a block (see
     #: :mod:`repro.analysis.multicolor`).
     iterations: int = 0
@@ -72,15 +71,14 @@ class CacheAnalysisResult:
     num_virtual_edges: int = 0
     num_virtual_edges_active: int = 0
     from_cache: bool = False
-    shard_backend_used: str | None = field(default=None, compare=False)
     provenance: Any = field(default=None, compare=False)
 
     def __setstate__(self, state):
-        # Artifacts pickled before the telemetry fields existed must stay
-        # readable (and `dataclasses.replace`-able) without a store format
-        # bump: default the missing observational fields.
+        # Artifacts pickled by older versions must stay readable (and
+        # `dataclasses.replace`-able) without a store format bump: default
+        # the provenance stamp they may lack.  Attributes of fields since
+        # removed stay in `__dict__`, read by nothing.
         self.__dict__.update(state)
-        self.__dict__.setdefault("shard_backend_used", None)
         self.__dict__.setdefault("provenance", None)
 
     # ------------------------------------------------------------------

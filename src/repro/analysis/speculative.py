@@ -25,21 +25,12 @@ def analyze_speculative(
     depth_hit: int | None = None,
     dynamic_depth_bounding: bool | None = None,
     use_shadow_state: bool | None = None,
-    scenario_shards: int = 1,
-    shard_backend: str | None = None,
 ) -> CacheAnalysisResult:
     """Run the speculation-sound must-hit analysis on ``program``.
 
     Either pass a full :class:`SpeculationConfig`, or override individual
     knobs (merge strategy, ``bm``/``bh`` depths, dynamic bounding, shadow
     state); unspecified knobs keep the paper's defaults.
-
-    ``scenario_shards >= 2`` selects the scenario-sharded scheduler
-    (groups of colors solved against an outer normal-state fixpoint
-    loop); ``shard_backend`` picks where the shard fixpoints execute —
-    ``"serial"`` (the default, also what None means) or ``"processes"``
-    (bit-identical by construction; see the backend section of
-    :mod:`repro.analysis.multicolor`).
     """
     config = speculation or SpeculationConfig.paper_default()
     if merge_strategy is not None:
@@ -64,10 +55,6 @@ def analyze_speculative(
             ),
         )
     engine = SpeculativeCacheAnalysis(
-        program,
-        cache_config=cache_config,
-        speculation=config,
-        scenario_shards=scenario_shards,
-        shard_backend=shard_backend,
+        program, cache_config=cache_config, speculation=config
     )
     return engine.run()

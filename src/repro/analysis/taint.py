@@ -10,14 +10,10 @@ on them (computed against the post-dominator tree).  The fixpoint runs
 on the shared :mod:`repro.engine.worklist` kernel in the same
 reverse-postorder schedule as the cache analyses.
 
-Two consumers:
-
-* **leak blame paths** — :meth:`TaintResult.blame_path` returns the
-  shortest recorded def-use chain from a secret source to a leaking
-  access, for ``repro sidechannel --explain`` and the report layer.
-* **mitigation candidate ranking** — :func:`tainted_branch_blocks`
-  lets the fence-placement ranker score taint-reachable speculative
-  windows first (a pure ordering change).
+Its consumer is **leak blame paths**: :meth:`TaintResult.blame_path`
+returns the shortest recorded def-use chain from a secret source to a
+leaking access, for ``repro sidechannel --explain`` and the report
+layer.
 """
 
 from __future__ import annotations
@@ -568,34 +564,3 @@ def analyze_taint(program) -> TaintResult:
     return TaintAnalysis(
         program.cfg, program.layout, program.info.secret_symbols
     ).solve()
-
-
-def tainted_branch_blocks(program, taint: TaintResult | None = None) -> frozenset[str]:
-    """Branch blocks whose speculative windows can reach a tainted access
-    — the candidates worth scoring first during fence placement.
-
-    A branch is taint-relevant when any access site reachable from either
-    successor (conservatively ignoring depth bounds, so the answer does
-    not depend on the speculation config) is taint-reachable.
-    """
-    if taint is None:
-        taint = analyze_taint(program)
-    cfg = program.cfg
-    blocks_with_tainted_sites = {block for block, _ in taint.tainted_sites}
-    relevant: set[str] = set()
-    for branch in cfg.conditional_blocks():
-        seen: set[str] = set()
-        stack = list(cfg.successors(branch))
-        found = False
-        while stack and not found:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            if name in blocks_with_tainted_sites:
-                found = True
-                break
-            stack.extend(cfg.successors(name))
-        if found:
-            relevant.add(branch)
-    return frozenset(relevant)

@@ -1,11 +1,8 @@
 """Compact, versioned binary serialization of abstract cache states.
 
-Abstract states cross process boundaries in two places: the
-scenario-sharded fixpoint's process backend ships normal-state deltas to
-its workers every outer round (:mod:`repro.analysis.multicolor`), and
-retained snapshots keep whole fixpoints for incremental re-analysis
-(:mod:`repro.engine.incremental`).  States are packed ints over a
-layout's :class:`~repro.ir.memory.LaneTable` (see
+Retained snapshots keep whole fixpoints in this form for incremental
+re-analysis (:mod:`repro.engine.incremental`).  States are packed ints
+over a layout's :class:`~repro.ir.memory.LaneTable` (see
 :mod:`repro.cache.abstract`), so a state's body is a *lane-byte copy*:
 
 * one header (magic + format version + payload tag) per blob;
@@ -45,9 +42,8 @@ from repro.ir.memory import LANE_MAX, LaneTable, MemoryBlock
 MAGIC = b"RSC"
 
 #: Bump whenever the byte layout changes incompatibly.  Decoders reject
-#: every other version outright (the persistent store and the shard wire
-#: both prefer recomputation over misinterpretation).  Version 2: packed
-#: lane bytes over a per-blob lane table.
+#: every other version outright rather than misinterpret a state.
+#: Version 2: packed lane bytes over a per-blob lane table.
 CODEC_VERSION = 2
 
 #: Payload tags (one state vs a block-name → state map).
@@ -402,7 +398,7 @@ def decode_state(data: bytes, lanes: LaneTable | None = None):
 
 def encode_state_map(states: Mapping[str, object]) -> bytes:
     """Encode a block-name → state map in one blob with shared lane
-    tables — the shard-delta wire shape.  Keys are written in sorted
+    tables — the snapshot shape.  Keys are written in sorted
     order (canonical bytes for equal maps)."""
     tables = _LaneTables()
     body = bytearray()

@@ -24,34 +24,121 @@ distinct request plus one hit per in-batch duplicate, and one logical
 compile miss per distinct source.  If the platform refuses to give us a
 process pool (sandboxes without semaphores, restricted containers), the
 batch silently degrades to in-process execution.
+
+Batches share one process-wide executor (:func:`shared_process_pool`),
+created lazily and reused across calls, so repeated batches do not pay
+fork+import startup each time.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import threading
+from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
 from typing import Iterable
 
 from repro.engine.engine import AnalysisEngine, _copy_result, compile_request, execute_request
-from repro.engine.pool import (
-    _POOL_COLLECT_FAILURES,
-    _POOL_SETUP_FAILURES,
-    PersistentWorkerPool,
-    WorkerPoolError,
-    default_max_workers,
-    discard_shared_pool,
-    shared_process_pool,
-)
 from repro.engine.request import AnalysisRequest
-from repro.obs import tracer
+from repro.obs import metrics, tracer
 
 __all__ = [
-    "PersistentWorkerPool",
-    "WorkerPoolError",
     "default_max_workers",
     "discard_shared_pool",
     "run_batch",
     "shared_process_pool",
 ]
+
+#: Failures while *standing up* a pool (sandboxes without semaphores,
+#: restricted containers) that demote a batch to in-process execution.
+_POOL_SETUP_FAILURES = (BrokenExecutor, OSError, RuntimeError)
+
+#: Infrastructure failures while *collecting* results (a worker died
+#: abruptly, the pool broke mid-flight, or another batch found it broken
+#: and discarded it, cancelling the work still queued).  Deliberately
+#: narrower than the setup tuple: exceptions an analysis itself raises in
+#: a worker — including RuntimeError subclasses like RecursionError —
+#: propagate to the caller unchanged.
+_POOL_COLLECT_FAILURES = (BrokenExecutor, CancelledError, OSError)
+
+
+def default_max_workers() -> int | None:
+    """Worker count from the ``REPRO_MAX_WORKERS`` environment variable
+    (None — sequential — when unset or unparsable)."""
+    raw = os.environ.get("REPRO_MAX_WORKERS")
+    if not raw:
+        return None
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return None
+
+
+# ----------------------------------------------------------------------
+# Shared process-pool executor
+# ----------------------------------------------------------------------
+# One lazily-created executor is shared process-wide and grown (replaced)
+# when a caller needs more workers than it has; it is discarded when it
+# breaks (the next caller gets a fresh one) and at interpreter exit.
+_shared_pool: ProcessPoolExecutor | None = None
+_shared_pool_size = 0
+_shared_pool_lock = threading.Lock()
+
+
+def shared_process_pool(max_workers: int) -> ProcessPoolExecutor | None:
+    """The process-wide executor, sized for at least ``max_workers``
+    (None when the platform cannot stand up a process pool).
+
+    The executor outlives individual calls; callers must never shut it
+    down — report a broken one via :func:`discard_shared_pool` instead.
+    """
+    global _shared_pool, _shared_pool_size
+    max_workers = max(1, max_workers)
+    with _shared_pool_lock:
+        if _shared_pool is not None and _shared_pool_size >= max_workers:
+            return _shared_pool
+        stale = _shared_pool
+        _shared_pool = None
+        _shared_pool_size = 0
+        if stale is not None:
+            # Outgrown, not broken: a batch in another thread may still
+            # be waiting on work queued there, so the old executor
+            # finishes that work before its workers exit.
+            stale.shutdown(wait=False)
+        try:
+            pool = ProcessPoolExecutor(max_workers=max_workers)
+        except _POOL_SETUP_FAILURES:
+            return None
+        _shared_pool = pool
+        _shared_pool_size = max_workers
+        metrics().counter("pool.executors_started").inc()
+        metrics().gauge("pool.executor_size").set(max_workers)
+        return pool
+
+
+def discard_shared_pool(pool: ProcessPoolExecutor | None = None) -> None:
+    """Drop the shared executor, cancelling its queued work; the next
+    :func:`shared_process_pool` call builds a fresh one.
+
+    With ``pool`` (a batch's executor broke), only that executor is
+    dropped, and only while it is still the shared one: another batch may
+    already have replaced it with a larger, healthy executor and queued
+    work there.  Without it (interpreter exit), whichever executor is
+    current goes.
+    """
+    global _shared_pool, _shared_pool_size
+    with _shared_pool_lock:
+        if pool is not None and pool is not _shared_pool:
+            return
+        stale = _shared_pool
+        _shared_pool = None
+        _shared_pool_size = 0
+    if stale is not None:
+        stale.shutdown(wait=False, cancel_futures=True)
+
+
+atexit.register(discard_shared_pool)
 
 
 def run_batch(
@@ -164,18 +251,22 @@ def _execute_on_pool(
     pool = shared_process_pool(min(max_workers, len(units)))
     if pool is None:
         return None
-    fresh: dict[int, object] = {}
     want_spans = tracer().enabled
+    futures = []
     try:
-        futures = [
-            (
-                unit,
-                pool.submit(
-                    _execute_unit, [request for _, request in unit], want_spans
-                ),
-            )
-            for unit in units
-        ]
+        for unit in units:
+            requests = [request for _, request in unit]
+            futures.append((unit, pool.submit(_execute_unit, requests, want_spans)))
+    except RuntimeError:
+        # The executor broke, or a batch in another thread outgrew and
+        # retired it between two submits (submit then refuses new work).
+        # Either way this batch runs in process.
+        for _, future in futures:
+            future.cancel()
+        discard_shared_pool(pool)
+        return None
+    fresh: dict[int, object] = {}
+    try:
         for unit, future in futures:
             payload = future.result()
             tracer().emit_foreign(payload["spans"])
@@ -184,7 +275,7 @@ def _execute_on_pool(
     except _POOL_COLLECT_FAILURES:
         # The pool broke mid-flight; retire it so the next batch starts
         # from a healthy executor, and run this one in process.
-        discard_shared_pool()
+        discard_shared_pool(pool)
         return None
     return fresh
 

@@ -94,12 +94,8 @@ def execute_request(
                 program,
                 cache_config=request.cache_config,
                 speculation=request.speculation,
-                scenario_shards=request.scenario_shards,
-                shard_backend=request.shard_backend,
             )
-        result.provenance = stamp_for_request(
-            request, backend=result.shard_backend_used
-        )
+        result.provenance = stamp_for_request(request)
         analyze_span.set(
             result_key=request.result_key(), iterations=result.iterations
         )
@@ -322,7 +318,7 @@ class AnalysisEngine:
         """
         if not snapshot_eligible(request):
             raise ValueError(
-                "ephemeral runs require a speculative, unsharded request "
+                "ephemeral runs require a speculative request "
                 f"(got {request.describe()})"
             )
         self._requests += 1
@@ -359,7 +355,7 @@ class AnalysisEngine:
         """
         if not snapshot_eligible(request):
             raise ValueError(
-                "snapshots require a speculative, unsharded request "
+                "snapshots require a speculative request "
                 f"(got {request.describe()})"
             )
         key = request.result_key()

@@ -7,8 +7,7 @@ warm-start the sparse speculative fixpoint against an *edited* program:
   CFG (what :func:`repro.ir.cfg.diff_cfgs` maps the edit onto);
 * the final fixpoint states — the per-block normal states and every
   speculative slot — codec-compressed via :mod:`repro.cache.codec`
-  (the same lane-byte format the shard wire uses, far denser than
-  retaining the live object graph);
+  (lane bytes, far denser than retaining the live object graph);
 * the vcfg skeleton (frozen scenarios) and the depth chooser's final
   per-color decisions;
 * the run's classifications plus per-block *line* signatures, so
@@ -262,12 +261,10 @@ def snapshot_compatible(
 def snapshot_eligible(request: AnalysisRequest) -> bool:
     """May this request's run be snapshotted / warm-started at all?
 
-    Only the canonical sparse speculative engine retains and consumes
-    snapshots: the baseline analysis has no speculative slots to seed,
-    and the scenario-sharded scheduler promises (and is result-keyed as)
-    a different iteration structure.
+    Only the speculative engine retains and consumes snapshots: the
+    baseline analysis has no speculative slots to seed.
     """
-    return request.kind is AnalysisKind.SPECULATIVE and request.scenario_shards == 1
+    return request.kind is AnalysisKind.SPECULATIVE
 
 
 def execute_retaining(
@@ -290,14 +287,10 @@ def execute_retaining(
             program,
             cache_config=request.cache_config,
             speculation=request.speculation,
-            scenario_shards=request.scenario_shards,
-            shard_backend=request.shard_backend,
             warm_start=warm_start,
         )
         result = analysis.run()
-        result.provenance = stamp_for_request(
-            request, backend=result.shard_backend_used
-        )
+        result.provenance = stamp_for_request(request)
         analyze_span.set(
             result_key=request.result_key(), iterations=result.iterations
         )

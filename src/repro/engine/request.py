@@ -8,9 +8,9 @@ work items and the service's wire-format job descriptions (see
 :mod:`repro.service.wire`).
 
 Fields come in two groups.  The semantic ones (source, front-end
-options, geometry, speculation config, ``scenario_shards``) make up the
-result key.  The execution hints (``shard_backend``, ``warm_from``,
-``label``) never change a verdict, so equality and the key ignore them.
+options, geometry, speculation config) make up the result key.  The
+execution hints (``warm_from``, ``label``) never change a verdict, so
+equality and the key ignore them.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ class AnalysisKind(str, Enum):
     SPECULATIVE = "speculative"  # Algorithms 2/3, speculation-sound
 
 
-#: Valid values of the sharded engine's ``shard_backend`` execution axis
-#: (the canonical definition; the engine, the wire and the command lines
-#: validate against it).  None on a request means ``"serial"``.
-SHARD_BACKENDS = ("serial", "processes")
-
-
 @dataclass(frozen=True)
 class AnalysisRequest:
     """One declarative unit of analysis work.
@@ -44,23 +38,6 @@ class AnalysisRequest:
     the speculative analysis reads the flag from its
     :class:`SpeculationConfig`.  ``label`` is carried through for
     reporting and never affects caching.
-
-    ``scenario_shards`` selects the speculative engine's scheduler: 1 (the
-    default) is the canonical sparse fixpoint, >= 2 partitions the
-    speculation scenarios into that many shards solved around an outer
-    normal-state fixpoint loop (see
-    :mod:`repro.analysis.multicolor`).  It only affects
-    :data:`AnalysisKind.SPECULATIVE` runs, and participates in the result
-    key: the sharded scheduler computes the exact (unwidened) fixpoint,
-    whose iteration counts — and, on widening-active programs,
-    classifications — legitimately differ from the canonical engine's.
-
-    ``shard_backend`` picks *where* a sharded run executes —
-    ``"serial"`` (also what None means) or ``"processes"``.
-    Both backends are bit-identical (states, iteration counts,
-    classifications), so like ``label`` it is an execution hint: it never
-    affects equality, the result key, or the persistent store — existing
-    keys stay warm whatever backend computed them.
     """
 
     source: str
@@ -73,13 +50,11 @@ class AnalysisRequest:
     unroll: bool = True
     inline: bool = True
     max_unroll_iterations: int = 4096
-    scenario_shards: int = 1
-    shard_backend: str | None = field(default=None, compare=False)
     label: str | None = field(default=None, compare=False)
     #: ``result_key()`` of a prior request whose retained snapshot should
     #: warm-start this one (incremental re-analysis; see
     #: :mod:`repro.engine.incremental`).  Purely an execution hint, like
-    #: ``shard_backend``: warm results are bit-identical to cold ones, so
+    #: ``label``: warm results are bit-identical to cold ones, so
     #: the lineage handle never affects equality or the result key, and a
     #: missing/evicted/incompatible snapshot silently means a cold run.
     warm_from: str | None = field(default=None, compare=False)
@@ -166,16 +141,6 @@ class AnalysisRequest:
                 parts.append(self.use_shadow_state)
             else:
                 parts.append(self.resolved_speculation)
-                # Only sharded runs extend the key: default requests keep
-                # their historical keys, so persistent stores written
-                # before the knob existed stay warm.  The exact shard
-                # count is part of the key even though sharded
-                # *classifications* are shard-count invariant, because the
-                # reported iteration counts are not — and `repro submit
-                # --verify` fingerprints (which include iterations) must
-                # match a direct execution of the same request.
-                if self.scenario_shards >= 2:
-                    parts.append(("scenario_shards", self.scenario_shards))
             key = _digest("result", *parts)
             object.__setattr__(self, "_result_key", key)
         return key

@@ -64,37 +64,11 @@ def placement_cycles(
     )
 
 
-def _resolve_tainted_branches(program: CompiledProgram, tainted_branches):
-    """The taint-relevant branch set for candidate ranking: the passed-in
-    set when the caller already solved taint, else a fresh solve.  Pass
-    ``frozenset()`` to disable ranking outright."""
-    if tainted_branches is not None:
-        return frozenset(tainted_branches)
-    from repro.analysis.taint import tainted_branch_blocks
-
-    return tainted_branch_blocks(program)
-
-
-def surviving_branch_points(
-    program: CompiledProgram, tainted_branches=None
-) -> list[FencePoint]:
+def surviving_branch_points(program: CompiledProgram) -> list[FencePoint]:
     """Arm points of branches that survive compilation as conditional
-    branches.
-
-    Deterministic order, taint-relevant branches first: a branch whose
-    speculative windows can reach a taint-reachable access (see
-    :func:`repro.analysis.taint.tainted_branch_blocks`) is where a fence
-    can actually close a leak, so the greedy synthesiser scores those
-    candidates before the rest.  This is a pure *ordering* refinement —
-    the candidate set is unchanged, and within each taint class the
-    historical (line, taken-before-fallthrough) order is preserved.
-    ``tainted_branches`` accepts a precomputed set so one taint solve can
-    serve every candidate family.
-    """
+    branches, in (line, taken-before-fallthrough) order."""
     cfg = program.cfg
-    tainted = _resolve_tainted_branches(program, tainted_branches)
     points: set[FencePoint] = set()
-    tainted_lines: set[int] = set()
     for name in cfg.conditional_blocks():
         terminator = cfg.block(name).terminator
         assert isinstance(terminator, CondBranch)
@@ -102,18 +76,11 @@ def surviving_branch_points(
             continue
         points.add(FencePoint("taken", terminator.line))
         points.add(FencePoint("fallthrough", terminator.line))
-        if name in tainted:
-            tainted_lines.add(terminator.line)
-    return sorted(
-        points,
-        key=lambda p: (p.line not in tainted_lines, p.line, p.kind != "taken"),
-    )
+    return sorted(points, key=lambda p: (p.line, p.kind != "taken"))
 
 
 def hoist_points(
-    program: CompiledProgram,
-    speculation: SpeculationConfig | None = None,
-    tainted_branches=None,
+    program: CompiledProgram, speculation: SpeculationConfig | None = None
 ) -> list[FencePoint]:
     """Dominator-guided hoist candidates: source points inside blocks that
     several speculation windows share.
@@ -135,15 +102,11 @@ def hoist_points(
     ~0.3 ms per call on the ``service`` programs.
     """
     cfg = program.cfg
-    tainted = _resolve_tainted_branches(program, tainted_branches)
     vcfg = build_vcfg(cfg, speculation or SpeculationConfig.paper_default())
     coverage: dict[str, set[int]] = {}
-    tainted_cover: dict[str, bool] = {}
     for scenario in vcfg.scenarios:
-        relevant = scenario.branch_block in tainted
         for block in scenario.window_miss.allowed:
             coverage.setdefault(block, set()).add(scenario.color)
-            tainted_cover[block] = tainted_cover.get(block, False) or relevant
     shared = {block for block, colors in coverage.items() if len(colors) >= 2}
     if not shared:
         return []
@@ -163,10 +126,7 @@ def hoist_points(
                 best = candidate
         return best
 
-    # Taint-relevant hoists first (a window that can reach a tainted
-    # access is where truncation can close a leak), then widest coverage,
-    # then source order — the historical key, now one rank down.
-    ranked: list[tuple[bool, int, int, FencePoint]] = []
+    ranked: list[tuple[int, int, FencePoint]] = []
     seen: set[FencePoint] = set()
     for block in shared:
         target = hoisted(block)
@@ -177,11 +137,9 @@ def hoist_points(
         if point in seen:
             continue
         seen.add(point)
-        ranked.append(
-            (not tainted_cover.get(target, False), -len(coverage[target]), line, point)
-        )
+        ranked.append((-len(coverage[target]), line, point))
     ranked.sort()
-    return [point for _, _, _, point in ranked]
+    return [point for _, _, point in ranked]
 
 
 def _first_line(cfg: CFG, block: str) -> int | None:

@@ -224,7 +224,7 @@ def _synthesize(
     # IR-patched program, skipping the front end and the unperturbed part
     # of the fixpoint per candidate.  Verdict-identical to the cold path;
     # the final _verify gate stays cache-free source recompilation.
-    incremental = eng.incremental_enabled and request.scenario_shards == 1
+    incremental = eng.incremental_enabled
     if incremental:
         unpatched = eng.ensure_snapshot(request)
         base_key = request.result_key()
@@ -374,22 +374,11 @@ def _candidate_groups(program, request: AnalysisRequest) -> list[tuple[FencePoin
     2. single branch arms (one fence killing one scenario);
     3. whole branches (both arms — needed when both of a branch's
        scenarios pollute, as a lone arm fence then removes nothing).
-
-    Within each family, candidates touching taint-relevant speculative
-    windows come first (one taint solve shared by both families), so the
-    greedy rounds spend their early evaluations where a fence can
-    actually close a leak.
     """
-    from repro.analysis.taint import tainted_branch_blocks
-
-    tainted = tainted_branch_blocks(program)
     groups: list[tuple[FencePoint, ...]] = [
-        (point,)
-        for point in hoist_points(
-            program, request.resolved_speculation, tainted_branches=tainted
-        )
+        (point,) for point in hoist_points(program, request.resolved_speculation)
     ]
-    arms = surviving_branch_points(program, tainted_branches=tainted)
+    arms = surviving_branch_points(program)
     groups += [(point,) for point in arms if (point,) not in groups]
     by_line: dict[int, list[FencePoint]] = {}
     for point in arms:

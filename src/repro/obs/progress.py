@@ -2,10 +2,10 @@
 
 Spans (:mod:`repro.obs.tracing`) answer *what happened* after the fact;
 progress events answer *what is happening now*.  A long-running solve —
-a sparse fixpoint over thousands of scenarios, a sharded round schedule,
-a mitigation search scoring candidates — publishes small JSON-friendly
-events through the thread-local :class:`ProgressReporter`, and the
-service layer streams them to clients over the daemon's ``watch`` RPC.
+a sparse fixpoint over thousands of scenarios, a mitigation search
+scoring candidates — publishes small JSON-friendly events through the
+thread-local :class:`ProgressReporter`, and the service layer streams
+them to clients over the daemon's ``watch`` RPC.
 
 Like every facility in :mod:`repro.obs`, progress is **observational by
 contract**: reporters are written to, never read from, by instrumented
@@ -16,31 +16,28 @@ path is a single thread-local read — cheap enough to leave calls inline,
 though hot loops still throttle (the sparse kernel publishes pop counts
 every :data:`POP_PUBLISH_INTERVAL` pops, not per pop).
 
-Three reporter shapes cover the plumbing:
+Reporter shapes:
 
-* :class:`EventLog` — a bounded, sequence-numbered, watchable log with
-  blocking reads.  The scheduler gives every job one; the ``watch`` RPC
-  tails it.
-* :class:`CollectingReporter` — accumulates events in memory; worker
-  processes install one per round and relay the batch back through
-  their existing reply channel (mirroring span collect mode).
+* :class:`EventLog` (through :class:`LogReporter`) — a bounded,
+  sequence-numbered, watchable log with blocking reads.  The scheduler
+  gives every job one; the ``watch`` RPC tails it.
+* :class:`CallbackReporter` — adapts a plain callback.
 * A multiplexer is trivial to build from :class:`ProgressReporter`
   (see ``_BatchProgress`` in :mod:`repro.service.scheduler`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator
 from contextlib import contextmanager
 
 #: Sparse-kernel pop throttle: publish a ``fixpoint.pops`` event at most
 #: once per this many worklist pops.  Chosen so even the largest Table-2
 #: runs emit a handful of events, and small runs emit none from the pop
-#: path (they still get round/phase events).
+#: path (they still get phase events).
 POP_PUBLISH_INTERVAL = 4096
 
 #: Per-job event-log bound.  Old events are dropped (watchers see a seq
@@ -56,7 +53,7 @@ class ProgressReporter:
     """Interface: something that accepts progress events.
 
     ``phase`` is a dotted path naming what is running (``fixpoint``,
-    ``fixpoint.round``, ``mitigate.candidate``); ``fields`` must be
+    ``fixpoint.pops``, ``mitigate.candidate``); ``fields`` must be
     JSON-serialisable scalars or small lists.
     """
 
@@ -78,30 +75,6 @@ class _NullReporter(ProgressReporter):
 
 
 NULL_REPORTER = _NullReporter()
-
-
-class CollectingReporter(ProgressReporter):
-    """Accumulates events for relay through a reply channel.
-
-    Worker processes install one around each sharded round and ship
-    :attr:`events` back with the round's replies; the master republishes
-    them into its own current reporter via :func:`republish`.  Events
-    carry the worker's pid so relayed progress is attributable.
-    """
-
-    def __init__(self):
-        self.events: list[dict] = []
-        self._pid = os.getpid()
-
-    def publish(self, phase: str, **fields) -> None:
-        event = dict(fields)
-        event["phase"] = phase
-        event.setdefault("pid", self._pid)
-        self.events.append(event)
-
-    def drain(self) -> list[dict]:
-        events, self.events = self.events, []
-        return events
 
 
 class CallbackReporter(ProgressReporter):
@@ -215,17 +188,4 @@ def publish_progress(phase: str, **fields) -> None:
     """Publish an event to this thread's reporter (no-op when none)."""
     reporter = getattr(_state, "reporter", None)
     if reporter is not None:
-        reporter.publish(phase, **fields)
-
-
-def republish(events: Iterable[Mapping]) -> None:
-    """Re-emit relayed events (e.g. from a worker process) into this
-    thread's reporter.  Timestamps are re-stamped by the receiving sink;
-    the worker's identity survives in the ``pid`` field."""
-    reporter = getattr(_state, "reporter", None)
-    if reporter is None:
-        return
-    for event in events:
-        fields = dict(event)
-        phase = fields.pop("phase", "worker")
         reporter.publish(phase, **fields)

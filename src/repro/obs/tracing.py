@@ -1,7 +1,7 @@
 """Structured tracing: nestable spans with a JSON-lines exporter.
 
 A :class:`Span` records one timed phase of a computation — ``frontend``,
-``vcfg``, ``fixpoint``, ``fixpoint.round``, ``scheduler.dispatch`` — with
+``vcfg``, ``fixpoint``, ``classify``, ``scheduler.batch`` — with
 monotonic timing and free-form attributes.  Spans nest through a
 thread-local context stack, so the engine, the analyses and the service
 compose into one tree without passing handles around.

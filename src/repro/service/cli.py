@@ -13,8 +13,8 @@ Subcommands::
     repro trace        span tree of one daemon job (by job id)
 
 ``repro submit --watch`` streams the job's lifecycle + progress events
-(fixpoint rounds, shard completions, mitigation candidates) live over
-the daemon's ``watch`` RPC while the analysis runs.  ``repro stats
+(fixpoint and classify phases, pop counts, mitigation candidates) live
+over the daemon's ``watch`` RPC while the analysis runs.  ``repro stats
 --prom`` renders the daemon's full metrics registry in Prometheus text
 exposition format for scrapers; the human-readable ``repro stats``
 output adds bucket-interpolated p50/p99 lines for every histogram.
@@ -52,7 +52,7 @@ import signal
 import sys
 
 from repro.engine.engine import AnalysisEngine, execute_request
-from repro.engine.request import SHARD_BACKENDS, AnalysisKind, AnalysisRequest
+from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.obs import histogram_quantile, render_prometheus
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import DEFAULT_PORT, ReproServer
@@ -209,8 +209,6 @@ def _build_request(args: argparse.Namespace, source: str) -> AnalysisRequest:
         line_size=args.line_size,
         cache_config=cache_config,
         speculation=speculation,
-        scenario_shards=getattr(args, "scenario_shards", 1),
-        shard_backend=getattr(args, "shard_backend", None),
         label=args.label,
     )
 
@@ -698,11 +696,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{incremental['retained']} snapshots retained "
             f"({incremental['snapshots_stored']} stored)"
         )
-    if "sharded_jobs" in sched:
-        print(
-            f"sharding     : {sched['sharded_jobs']} sharded jobs, "
-            f"{sched['fanout_dispatches']} fan-out dispatches"
-        )
     slow = stats.get("slow_jobs") or []
     if slow:
         print(f"slow jobs    : {len(slow)} over threshold (most recent last)")
@@ -927,13 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_geometry_args(submit)
     submit.add_argument("--depth-miss", type=int, default=None,
                         help="speculation depth bound bm")
-    submit.add_argument("--scenario-shards", type=int, default=1,
-                        help="speculative engine scheduler: 1 = canonical sparse "
-                             "fixpoint, N >= 2 = N scenario shards around an outer "
-                             "normal-state fixpoint (exact, unwidened results)")
-    submit.add_argument("--shard-backend", default=None, choices=SHARD_BACKENDS,
-                        help="where sharded fixpoints execute (bit-identical "
-                             "results either way; default: serial)")
     submit.add_argument("--depth-hit", type=int, default=None,
                         help="speculation depth bound bh")
     submit.add_argument("--label", default=None)

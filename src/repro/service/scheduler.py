@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 from repro.engine.engine import AnalysisEngine
-from repro.engine.request import AnalysisKind, AnalysisRequest
+from repro.engine.request import AnalysisRequest
 from repro.obs import EventLog, ProgressReporter, metrics, reporting, span
 
 #: How many queued jobs one worker may claim per dispatch; batching lets
@@ -122,7 +122,7 @@ class Job:
         self._state = JobState.QUEUED
         self.events = EventLog()
         #: Last progress phase the running analysis reported (dotted
-        #: path, e.g. ``fixpoint.round``); None before any progress.
+        #: path, e.g. ``fixpoint.pops``); None before any progress.
         self.phase: str | None = None
 
     def record(self, event: str, **fields) -> dict:
@@ -196,11 +196,6 @@ class SchedulerStats:
     dispatched_batches: int = 0
     queued: int = 0
     running: int = 0
-    #: Queued (non-coalesced) jobs that use the scenario-sharded engine.
-    sharded_jobs: int = 0
-    #: Dispatches claimed solo because the job fans out over shard worker
-    #: processes (see :meth:`JobScheduler._fans_out`).
-    fanout_dispatches: int = 0
     #: Jobs whose end-to-end latency exceeded the slow-job threshold.
     slow_jobs: int = 0
     #: Currently queued jobs by priority name (``{"high": 0, ...}``).
@@ -211,9 +206,7 @@ class SchedulerStats:
             f"scheduler: {self.submitted} submitted "
             f"({self.coalesced} coalesced), {self.completed} completed, "
             f"{self.failed} failed, {self.cancelled} cancelled; "
-            f"{self.queued} queued, {self.running} running; "
-            f"{self.sharded_jobs} sharded "
-            f"({self.fanout_dispatches} fan-out dispatches)"
+            f"{self.queued} queued, {self.running} running"
         )
 
 
@@ -228,8 +221,6 @@ class _BatchProgress(ProgressReporter):
     Batches execute through ``engine.run_batch``, which interleaves the
     member requests, so progress inside a batch is attributed to the
     whole claim — exactly like the batch span's ``job_ids`` attribute.
-    Fan-out (process-sharded) jobs dispatch solo, so the jobs that emit
-    the most progress get exact attribution.
     """
 
     def __init__(self, jobs: list[Job]):
@@ -338,11 +329,6 @@ class JobScheduler:
             job = Job(self._next_id(), request, priority)
             self._jobs[job.id] = job
             self._inflight[key] = job
-            if (
-                request.kind is AnalysisKind.SPECULATIVE
-                and request.scenario_shards >= 2
-            ):
-                self._stats.sharded_jobs += 1
             heapq.heappush(self._heap, (int(priority), next(self._ticket), job))
             self._depth_changed(priority, +1)
             job.record(
@@ -447,23 +433,9 @@ class JobScheduler:
             self._queue_depth[priority]
         )
 
-    @staticmethod
-    def _fans_out(request: AnalysisRequest) -> bool:
-        """True when executing ``request`` will spawn shard worker
-        processes of its own (sharded speculative run, process backend).
-        Such jobs are dispatched in a batch of their own: their workers
-        already use the whole machine, so stacking other jobs' pool
-        workers on top would oversubscribe it rather than speed it up."""
-        return (
-            request.kind is AnalysisKind.SPECULATIVE
-            and request.scenario_shards >= 2
-            and request.shard_backend == "processes"
-        )
-
     def _claim_batch(self) -> list[Job] | None:
         """Claim up to ``batch_size`` queued jobs (highest priority
-        first, fan-out jobs solo); None once the scheduler drains after
-        shutdown."""
+        first); None once the scheduler drains after shutdown."""
         with self._lock:
             while not self._heap:
                 if self._shutdown:
@@ -475,9 +447,6 @@ class JobScheduler:
                 if job.state is not JobState.QUEUED:
                     heapq.heappop(self._heap)
                     continue  # cancelled while queued, or a stale bump entry
-                fans_out = self._fans_out(job.request)
-                if fans_out and batch:
-                    break  # leave the fan-out job for its own dispatch
                 heapq.heappop(self._heap)
                 job._state = JobState.RUNNING
                 job.started_at = time.monotonic()
@@ -486,9 +455,6 @@ class JobScheduler:
                 metrics().histogram("scheduler.queue_wait_seconds").observe(queue_wait)
                 job.record("dispatched", queued_seconds=round(queue_wait, 6))
                 batch.append(job)
-                if fans_out:
-                    self._stats.fanout_dispatches += 1
-                    break
             self._running += len(batch)
             self._stats.dispatched_batches += 1 if batch else 0
             return batch

@@ -27,7 +27,7 @@ from typing import Any, Mapping
 
 from repro.analysis.result import CacheAnalysisResult
 from repro.cache.config import CacheConfig
-from repro.engine.request import SHARD_BACKENDS, AnalysisKind, AnalysisRequest
+from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
 
@@ -106,8 +106,6 @@ def request_to_wire(request: AnalysisRequest) -> dict:
         "unroll": request.unroll,
         "inline": request.inline,
         "max_unroll_iterations": request.max_unroll_iterations,
-        "scenario_shards": request.scenario_shards,
-        "shard_backend": request.shard_backend,
         "label": request.label,
         "warm_from": request.warm_from,
     }
@@ -124,12 +122,6 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
         kind = AnalysisKind(data.get("kind", AnalysisKind.SPECULATIVE.value))
     except ValueError as error:
         raise WireError(f"unknown analysis kind {data.get('kind')!r}") from error
-    shard_backend = data.get("shard_backend")
-    if shard_backend is not None and shard_backend not in SHARD_BACKENDS:
-        raise WireError(
-            f"unknown shard backend {shard_backend!r} "
-            f"(expected one of {SHARD_BACKENDS})"
-        )
     # Pre-incremental clients simply omit the lineage handle; a handle the
     # server has no snapshot for silently degrades to a cold run, so no
     # existence check belongs here — only a shape check.
@@ -159,13 +151,10 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
             unroll=bool(data.get("unroll", True)),
             inline=bool(data.get("inline", True)),
             max_unroll_iterations=int(data.get("max_unroll_iterations", 4096)),
-            # Payloads from pre-sharding clients default to the canonical
-            # (unsharded) engine, pre-backend payloads to serial.  Older
-            # clients also send ``prune_scenarios``, a removed knob that
-            # never changed a verdict: the key is ignored, so those
-            # requests keep the result key of an unpruned run.
-            scenario_shards=int(data.get("scenario_shards", 1)),
-            shard_backend=shard_backend,
+            # Older clients send keys of removed knobs, which are ignored:
+            # ``prune_scenarios`` never changed a verdict, and requests
+            # with ``scenario_shards``/``shard_backend`` get the default
+            # result key and the one engine's result.
             label=data.get("label"),
             warm_from=warm_from,
         )
@@ -222,10 +211,9 @@ def result_to_wire(result: CacheAnalysisResult) -> dict:
 
 #: Wire-result keys that describe *how* a result was produced rather
 #: than *what* was computed; excluded from the semantic fingerprint.
-#: The provenance stamp carries a wall-clock timestamp and the executing
-#: backend, so it must never enter the digest — "replayed from the
-#: store" and "recomputed on another backend" compare equal exactly when
-#: the verdicts are bit-identical.
+#: The provenance stamp carries a wall-clock timestamp, so it must never
+#: enter the digest — "replayed from the store" and "recomputed" compare
+#: equal exactly when the verdicts are bit-identical.
 _PROVENANCE_KEYS = ("analysis_time", "from_cache", "provenance")
 
 

@@ -166,11 +166,10 @@ class TestCompactness:
         assert encoded * 5 <= pickled, (encoded, pickled)
 
     def test_state_map_much_smaller_than_pickle(self):
-        """The shard-delta shape (many states sharing one lane table) is
-        the codec's raison d'être; pickle memoises the shared table too
-        and packed states pickle as a few ints, so the map-level win is
-        smaller than the per-state one but must still cut the payload by
-        well over a third."""
+        """The snapshot shape (many states sharing one lane table): pickle
+        memoises the shared table too and packed states pickle as a few
+        ints, so the map-level win is smaller than the per-state one but
+        must still cut the payload by well over a third."""
         program = compile_source(branchy_kernel_source(8))
         result = SpeculativeCacheAnalysis(
             program,

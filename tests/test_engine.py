@@ -1,6 +1,10 @@
 """Tests for the unified analysis engine: the worklist kernel, the
 request/cache layers, batch execution, and the apps' engine routing."""
 
+import os
+import time
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
+
 import pytest
 
 from repro import compile_source
@@ -20,6 +24,7 @@ from repro.engine import (
 )
 from repro.errors import AnalysisError
 from repro.speculation.config import SpeculationConfig
+from repro.speculation.merge import MergeStrategy
 
 CACHE = CacheConfig(num_lines=8, line_size=64)
 
@@ -208,6 +213,46 @@ class TestAnalysisRequest:
         assert not no_unroll_request.unroll
         assert default_request.compile_key() != no_unroll_request.compile_key()
         assert default_request.result_key() != no_unroll_request.result_key()
+
+    #: Leading hex digits of result keys an on-disk result store already
+    #: holds.  A change here orphans every stored artifact, so it must
+    #: come with a ``STORE_FORMAT_VERSION`` bump.
+    PINNED_KEYS = {
+        "baseline": (AnalysisRequest.baseline, {}, "053b9a864bc22e7a"),
+        "speculative": (AnalysisRequest.speculative, {}, "2eb931c9826411b8"),
+        "small_cache": (
+            AnalysisRequest.speculative,
+            {"cache_config": CacheConfig(num_lines=8, line_size=64)},
+            "07e7751884ec45f6",
+        ),
+        "fifo_2way": (
+            AnalysisRequest.speculative,
+            {
+                "cache_config": CacheConfig(
+                    num_lines=8, line_size=64, associativity=2, policy="fifo"
+                )
+            },
+            "847e9271e0fc1a2e",
+        ),
+        "merge_at_rollback": (
+            AnalysisRequest.speculative,
+            {
+                "speculation": SpeculationConfig(
+                    depth_miss=50,
+                    depth_hit=10,
+                    merge_strategy=MergeStrategy.MERGE_AT_ROLLBACK,
+                )
+            },
+            "73f58a0903f36321",
+        ),
+        "no_unroll": (AnalysisRequest.speculative, {"unroll": False}, "e4bb88e9f01a5e96"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_result_keys_are_stable(self, name):
+        factory, options, prefix = self.PINNED_KEYS[name]
+        source = "char a[64]; int p; int main() { if (p > 0) { a[0]; } a[0]; return 0; }"
+        assert factory(source, **options).result_key()[:16] == prefix
 
 
 class TestLRUCache:
@@ -428,6 +473,354 @@ class TestBatchExecution:
             (parallel.stats.compile, sequential.stats.compile),
         ):
             assert (mine.hits, mine.misses) == (theirs.hits, theirs.misses)
+
+    def test_growing_the_shared_executor_keeps_queued_work(self):
+        """A batch that needs more workers than the shared executor has
+        replaces it, while a batch in another thread may still wait on
+        work queued there: that work must complete, not be cancelled."""
+        from repro.engine.batch import discard_shared_pool, shared_process_pool
+
+        discard_shared_pool()
+        small = shared_process_pool(1)
+        # A 1-worker executor's call queue holds two tasks; the others
+        # wait in its pending queue, which cancellation would empty.
+        futures = [small.submit(time.sleep, 0.05) for _ in range(6)]
+        try:
+            assert shared_process_pool(2) is not small
+            for future in futures:
+                assert future.result(timeout=60) is None
+        finally:
+            discard_shared_pool()
+
+    def test_batch_workers_never_export_to_inherited_sinks(self, tmp_path):
+        """Forked batch workers inherit the master's span sinks, and
+        another master thread may hold a sink's lock at fork time (the
+        ``REPRO_TRACE`` file sink holds it while writing), so a worker
+        that exports to one can hang forever.  Every span a worker makes
+        must be collected and relayed; only the master's pid may export."""
+        from repro.engine.batch import discard_shared_pool
+        from repro.obs import tracer
+
+        writers = tmp_path / "writers"
+
+        class WriterPids:
+            def export(self, span):
+                with open(writers, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+
+        sink = WriterPids()
+        tracer().add_sink(sink)
+        # Workers forked before the sink was added would not inherit it.
+        discard_shared_pool()
+        engine = AnalysisEngine()
+        try:
+            engine.run_batch(
+                [
+                    AnalysisRequest.speculative(source, cache_config=CACHE)
+                    for source in (STRAIGHT_SOURCE, BRANCH_SOURCE)
+                ],
+                max_workers=2,
+            )
+        finally:
+            tracer().remove_sink(sink)
+        assert engine.stats.parallel_batches == 1, "the batch never used the pool"
+        assert set(writers.read_text().split()) == {str(os.getpid())}
+
+    def test_parallel_batch_relays_worker_spans_into_the_callers_trace(self):
+        """Spans a worker collects are grafted under the span the batch
+        runs in, in the caller's trace; their pids show they ran remotely."""
+        from repro.engine.batch import discard_shared_pool
+        from repro.obs import SpanBuffer, span, tracer
+
+        buffer = SpanBuffer()
+        tracer().add_sink(buffer)
+        discard_shared_pool()
+        engine = AnalysisEngine()
+        try:
+            with span("caller"):
+                engine.run_batch(
+                    [
+                        AnalysisRequest.speculative(source, cache_config=CACHE)
+                        for source in (STRAIGHT_SOURCE, BRANCH_SOURCE)
+                    ],
+                    max_workers=2,
+                )
+        finally:
+            tracer().remove_sink(buffer)
+        assert engine.stats.parallel_batches == 1, "the batch never used the pool"
+        spans = buffer.spans()
+        (caller,) = [s for s in spans if s["name"] == "caller"]
+        assert {s["trace_id"] for s in spans} == {caller["trace_id"]}
+        fixpoints = [s for s in spans if s["name"] == "fixpoint"]
+        assert len(fixpoints) == 2
+        assert all(s["pid"] != os.getpid() for s in fixpoints)
+        by_id = {s["span_id"]: s for s in spans}
+        for fixpoint in fixpoints:
+            ancestor = fixpoint
+            while ancestor["parent_id"] in by_id:
+                ancestor = by_id[ancestor["parent_id"]]
+            assert ancestor is caller
+
+
+def _exit_worker(requests, want_spans=False):
+    """Stands in for ``batch._execute_unit``: the worker dies abruptly."""
+    os._exit(3)
+
+
+class TestSharedExecutor:
+    """The process-wide executor behind parallel batches: sizing and
+    reuse, and every pool failure demoting a batch to in-process
+    execution with unchanged results."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self):
+        from repro.engine.batch import discard_shared_pool
+
+        discard_shared_pool()
+        yield
+        discard_shared_pool()
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (None, None),
+            ("", None),
+            ("many", None),
+            ("2.5", None),
+            ("0", 1),
+            ("-4", 1),
+            ("1", 1),
+            ("3", 3),
+        ],
+        ids=["unset", "empty", "word", "fraction", "zero", "negative", "one", "three"],
+    )
+    def test_default_max_workers_reads_the_environment(self, monkeypatch, raw, expected):
+        from repro.engine.batch import default_max_workers
+
+        if raw is None:
+            monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_MAX_WORKERS", raw)
+        assert default_max_workers() == expected
+
+    @pytest.mark.parametrize(
+        "raw, parallel", [("2", 1), ("1", 0), (None, 0), ("many", 0)],
+        ids=["two", "one", "unset", "word"],
+    )
+    def test_run_batch_takes_its_worker_count_from_the_environment(
+        self, monkeypatch, raw, parallel
+    ):
+        if raw is None:
+            monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_MAX_WORKERS", raw)
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        results = engine.run_batch(requests)
+        assert engine.stats.parallel_batches == parallel
+        direct = [execute_request(request) for request in requests]
+        assert [r.classifications for r in results] == [r.classifications for r in direct]
+
+    def test_pool_is_reused_while_large_enough(self):
+        from repro.engine.batch import shared_process_pool
+        from repro.obs import metrics
+
+        started = metrics().counter("pool.executors_started").value
+        pool = shared_process_pool(2)
+        assert shared_process_pool(1) is pool
+        assert shared_process_pool(2) is pool
+        assert metrics().counter("pool.executors_started").value == started + 1
+
+    def test_pool_grows_for_a_larger_batch(self):
+        from repro.engine.batch import shared_process_pool
+        from repro.obs import metrics
+
+        started = metrics().counter("pool.executors_started").value
+        small = shared_process_pool(1)
+        large = shared_process_pool(3)
+        assert large is not small
+        assert shared_process_pool(2) is large
+        assert metrics().counter("pool.executors_started").value == started + 2
+        assert metrics().gauge("pool.executor_size").value == 3
+
+    def test_discard_twice_does_not_raise(self):
+        from repro.engine.batch import discard_shared_pool, shared_process_pool
+
+        assert shared_process_pool(1) is not None
+        discard_shared_pool()
+        discard_shared_pool()
+
+    def test_discard_makes_the_next_call_build_a_fresh_pool(self):
+        from repro.engine.batch import discard_shared_pool, shared_process_pool
+
+        first = shared_process_pool(1)
+        discard_shared_pool()
+        second = shared_process_pool(1)
+        assert second is not first
+        assert second.submit(abs, -7).result(timeout=60) == 7
+
+    def test_discard_cancels_queued_work(self):
+        """Unlike growing, discarding (a broken pool, interpreter exit)
+        cancels what has not started yet."""
+        from repro.engine.batch import discard_shared_pool, shared_process_pool
+
+        pool = shared_process_pool(1)
+        futures = [pool.submit(time.sleep, 0.5) for _ in range(8)]
+        discard_shared_pool()
+        # The executor's manager thread cancels asynchronously.
+        with pytest.raises(CancelledError):
+            futures[-1].result(timeout=60)
+
+    def test_setup_failure_runs_the_batch_in_process(self, monkeypatch):
+        from repro.engine import batch
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", refuse)
+        assert batch.shared_process_pool(2) is None
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        results = engine.run_batch(requests, max_workers=2)
+        assert engine.stats.parallel_batches == 0
+        sequential = AnalysisEngine().run_batch(requests)
+        for mine, theirs in zip(results, sequential):
+            assert mine.classifications == theirs.classifications
+            assert mine.iterations == theirs.iterations
+
+    def test_worker_death_falls_back_in_process_and_stays_correct(self, monkeypatch):
+        from repro.engine import batch
+        from repro.obs import metrics
+
+        monkeypatch.setattr(batch, "_execute_unit", _exit_worker)
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        results = engine.run_batch(requests, max_workers=2)
+        assert engine.stats.parallel_batches == 0
+        sequential = AnalysisEngine().run_batch(requests)
+        for mine, theirs in zip(results, sequential):
+            assert mine.classifications == theirs.classifications
+            assert mine.iterations == theirs.iterations
+        # The broken executor was retired: the next call builds a new one.
+        started = metrics().counter("pool.executors_started").value
+        assert batch.shared_process_pool(2) is not None
+        assert metrics().counter("pool.executors_started").value == started + 1
+
+    def test_batch_after_a_worker_death_uses_a_healthy_pool(self, monkeypatch):
+        from repro.engine import batch
+
+        requests = _batch_requests()
+        with monkeypatch.context() as patch:
+            patch.setattr(batch, "_execute_unit", _exit_worker)
+            AnalysisEngine().run_batch(requests, max_workers=2)
+        engine = AnalysisEngine()
+        engine.run_batch(requests, max_workers=2)
+        assert engine.stats.parallel_batches == 1
+
+    def test_an_executor_retired_before_submit_runs_the_batch_in_process(
+        self, monkeypatch
+    ):
+        """A batch in another thread may outgrow and retire the executor
+        this batch just took before it has submitted its work; submit then
+        refuses new work, and the batch must run in process."""
+        from repro.engine import batch
+
+        retired = ProcessPoolExecutor(max_workers=1)
+        retired.shutdown()
+        monkeypatch.setattr(batch, "shared_process_pool", lambda max_workers: retired)
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        results = engine.run_batch(requests, max_workers=2)
+        assert engine.stats.parallel_batches == 0
+        sequential = AnalysisEngine().run_batch(requests)
+        for mine, theirs in zip(results, sequential):
+            assert mine.classifications == theirs.classifications
+            assert mine.iterations == theirs.iterations
+
+    def test_work_cancelled_under_a_batch_runs_it_in_process(self, monkeypatch):
+        """A batch that finds its executor broken discards it, cancelling
+        work another batch still waits on there; that batch must run in
+        process, not raise CancelledError."""
+        from repro.engine import batch
+
+        class Cancelling:
+            def submit(self, fn, *args):
+                future = Future()
+                future.cancel()
+                return future
+
+        monkeypatch.setattr(batch, "shared_process_pool", lambda max_workers: Cancelling())
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        results = engine.run_batch(requests, max_workers=2)
+        assert engine.stats.parallel_batches == 0
+        sequential = AnalysisEngine().run_batch(requests)
+        assert [r.classifications for r in results] == [
+            r.classifications for r in sequential
+        ]
+
+    def test_discarding_a_retired_executor_keeps_the_current_one(self):
+        """A batch whose executor broke after another batch replaced it
+        must not drop (and cancel the work queued on) the replacement."""
+        from repro.engine.batch import discard_shared_pool, shared_process_pool
+
+        small = shared_process_pool(1)
+        large = shared_process_pool(2)
+        futures = [large.submit(time.sleep, 0.05) for _ in range(6)]
+        discard_shared_pool(small)
+        assert shared_process_pool(2) is large
+        for future in futures:
+            assert future.result(timeout=60) is None
+
+    def test_single_request_batches_never_start_a_pool(self):
+        from repro.obs import metrics
+
+        started = metrics().counter("pool.executors_started").value
+        engine = AnalysisEngine()
+        engine.run_batch([AnalysisRequest.baseline(STRAIGHT_SOURCE)], max_workers=4)
+        # Duplicates of one request are one distinct miss: one work unit.
+        engine.run_batch([AnalysisRequest.speculative(BRANCH_SOURCE)] * 3, max_workers=4)
+        assert engine.stats.parallel_batches == 0
+        assert metrics().counter("pool.executors_started").value == started
+
+    def test_fully_cached_batches_never_start_a_pool(self):
+        from repro.obs import metrics
+
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        for request in requests:
+            engine.run(request)
+        started = metrics().counter("pool.executors_started").value
+        results = engine.run_batch(requests, max_workers=2)
+        assert all(result.from_cache for result in results)
+        assert engine.stats.parallel_batches == 0
+        assert metrics().counter("pool.executors_started").value == started
+
+    @pytest.mark.parametrize(
+        "sizes, max_workers, expected",
+        [
+            ([1, 1, 1, 1], 2, [1, 1, 1, 1]),
+            ([5], 2, [3, 2]),
+            ([3, 1], 4, [1, 1, 1, 1]),
+            ([6, 2], 3, [3, 3, 2]),
+        ],
+        ids=["many_sources", "one_source", "more_workers", "mixed"],
+    )
+    def test_work_units_split_groups_without_mixing_sources(
+        self, sizes, max_workers, expected
+    ):
+        from repro.engine.batch import _work_units
+
+        index = iter(range(sum(sizes)))
+        groups = [[(next(index), f"source-{g}") for _ in range(size)]
+                  for g, size in enumerate(sizes)]
+        units = _work_units(groups, max_workers, sum(sizes))
+        assert [len(unit) for unit in units] == expected
+        assert all(len({source for _, source in unit}) == 1 for unit in units)
+        # Units partition the groups in order: nothing lost or reordered.
+        assert [item for unit in units for item in unit] == [
+            item for group in groups for item in group
+        ]
 
 
 # ----------------------------------------------------------------------

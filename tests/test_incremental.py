@@ -33,7 +33,7 @@ from repro.engine.incremental import (
     snapshot_from_analysis,
     warm_start_from_snapshot,
 )
-from repro.engine.request import SHARD_BACKENDS, AnalysisKind, AnalysisRequest
+from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.frontend import compile_source
 from repro.ir.cfg import diff_cfgs
 from repro.ir.memory import MemoryBlock
@@ -171,30 +171,6 @@ class TestWarmColdIdentity:
         reemitted_cfg = compile_source(reemitted).cfg
         assert diff_cfgs(base_cfg, reemitted_cfg).is_identical
 
-    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
-    def test_warm_matches_sharded_cold(self, backend):
-        """The warm (unsharded) verdict equals a scenario-sharded cold
-        run's on every backend — the sharded backends are pinned
-        bit-identical to the canonical engine elsewhere; this closes the
-        triangle."""
-        warm, _, _ = warm_vs_cold(
-            BASE_SOURCE, EDITS["statement_add"], GEOMETRIES[0]
-        )
-        sharded = execute_request(
-            _request(
-                EDITS["statement_add"],
-                GEOMETRIES[0],
-                scenario_shards=2,
-                shard_backend=backend,
-            )
-        )
-        assert warm.classifications == sharded.classifications
-        assert warm.entry_states == sharded.entry_states
-        assert warm.leak_site_count == sharded.leak_site_count
-        assert warm.hit_count == sharded.hit_count
-        assert warm.miss_count == sharded.miss_count
-        assert warm.speculative_miss_count == sharded.speculative_miss_count
-
 
 # ----------------------------------------------------------------------
 # The warm_from lineage handle
@@ -321,9 +297,33 @@ class TestColdFallbacks:
     def test_eligibility(self):
         assert snapshot_eligible(AnalysisRequest.speculative(BASE_SOURCE))
         assert not snapshot_eligible(AnalysisRequest.baseline(BASE_SOURCE))
-        assert not snapshot_eligible(
-            AnalysisRequest.speculative(BASE_SOURCE, scenario_shards=2)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=["paper-lru", "fifo-2way"])
+    def test_loop_that_survives_unrolling_falls_back_cold(self, geometry):
+        """A breaking loop keeps a widening point, and widening timing
+        depends on visit counts, so the warm plan declines with the
+        ``widening`` label and the run is the cold solve."""
+        from repro.obs import metrics
+
+        base_source = BASE_SOURCE.replace(
+            "    x = 0;\n",
+            "    x = 0;\n"
+            "    for (k = 0; k < 8; k = k + 1) {\n"
+            "        x = x + table[256];\n"
+            "        if (cnd[k] > 0) break;\n"
+            "    }\n",
         )
+        edited_source = base_source.replace(
+            "x = x + table[128];", "x = x + table[128];\n        x = x + table[192];"
+        )
+        label = metrics().counter("incremental.fallback.widening")
+        before = label.value
+        warm, cold, engine = warm_vs_cold(base_source, edited_source, geometry)
+        assert engine.stats.incremental.warm_hits == 0
+        assert engine.stats.incremental.cold_fallbacks == 1
+        assert label.value == before + 1
+        assert_semantically_identical(warm, cold)
+        assert warm.iterations == cold.iterations
 
 
 # ----------------------------------------------------------------------

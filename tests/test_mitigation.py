@@ -168,6 +168,47 @@ class TestPlacementCandidates:
             assert point.kind == "before"
             assert point.line > 0
 
+    def test_surviving_branch_points_order_by_line_taken_first(self):
+        source = (
+            "char a[64]; char b[64]; int p; int q;\n"
+            "int main() {\n"
+            "  if (q > 0) { b[0]; } else { a[0]; }\n"
+            "  if (p > 0) { a[0]; }\n"
+            "  return 0;\n"
+            "}\n"
+        )
+        assert surviving_branch_points(compile_source(source)) == [
+            FencePoint("taken", 3),
+            FencePoint("fallthrough", 3),
+            FencePoint("taken", 4),
+            FencePoint("fallthrough", 4),
+        ]
+
+    def test_candidate_groups_list_hoists_then_arms_then_whole_branches(self):
+        from repro.mitigation.synthesis import _candidate_groups
+
+        program = compile_source(SPEC_LEAK)
+        request = leak_request()
+        hoists = hoist_points(program, request.resolved_speculation)
+        arms = surviving_branch_points(program)
+        assert hoists and len(arms) == 2
+        # The hoist sits below the branch, yet it is tried first.
+        assert hoists[0].line > arms[0].line
+        assert _candidate_groups(program, request) == (
+            [(point,) for point in hoists] + [(point,) for point in arms] + [tuple(arms)]
+        )
+
+    def test_synthesis_runs_no_taint_pass(self, monkeypatch):
+        from repro.analysis import taint
+
+        def refuse(self):
+            raise AssertionError("fence placement ran the taint pass")
+
+        monkeypatch.setattr(taint.TaintAnalysis, "solve", refuse)
+        result = synthesize_mitigation(leak_request(), engine=AnalysisEngine())
+        assert result.chosen == "optimized"
+        assert result.selected().leak_sites_after == 0
+
 
 class TestSynthesis:
     def test_closes_speculation_only_leak(self):

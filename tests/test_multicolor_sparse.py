@@ -1,7 +1,8 @@
 """Tests for the sparse multi-color engine rebuild: differential equality
-against the dense block schedule (:class:`DenseReference`), the scenario-sharded
-scheduler, the heap-based window construction, the postdominator-tree
-convergence fix, and the precomputed slot-placement indices."""
+against the dense block schedule (:class:`DenseReference`), soundness of
+widening against the exact fixpoint (:class:`ExactReference`), the
+heap-based window construction, the postdominator-tree convergence fix,
+and the precomputed slot-placement indices."""
 
 from __future__ import annotations
 
@@ -10,18 +11,11 @@ import random
 import pytest
 
 from repro import compile_source
-from repro.analysis import analyze_speculative
-from repro.analysis.multicolor import SpeculativeCacheAnalysis
+from repro.analysis.multicolor import WIDENING_DELAY, SpeculativeCacheAnalysis
 from repro.bench.client import build_client_source
 from repro.bench.crypto import CRYPTO_BENCHMARKS, crypto_kernel
-from repro.bench.programs import (
-    branchy_kernel_source,
-    taint_sparse_kernel_source,
-    wcet_benchmark_source,
-)
+from repro.bench.programs import wcet_benchmark_source
 from repro.cache.config import CacheConfig
-from repro.engine.engine import execute_request
-from repro.engine.request import AnalysisRequest
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
 from repro.ir.dominators import (
@@ -30,8 +24,8 @@ from repro.ir.dominators import (
     immediate_postdominator,
     postdominator_tree,
 )
+from repro.engine.worklist import WideningPolicy
 from repro.ir.instructions import CondBranch, Const, Jump, Return, Temp
-from repro.service.wire import request_from_wire, request_to_wire
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
 from repro.speculation.vcfg import SpeculativeWindow, build_vcfg, compute_window
@@ -125,9 +119,9 @@ class DenseReference(SpeculativeCacheAnalysis):
     def _block_granular(self, policy):
         return True
 
-    def _process_block_sparse(self, name, pending, normal, speculative, *rest):
+    def _process_block_sparse(self, name, pending, normal, speculative, mark):
         pending = {None, *speculative[name]}
-        return super()._process_block_sparse(name, pending, normal, speculative, *rest)
+        return super()._process_block_sparse(name, pending, normal, speculative, mark)
 
 
 def live_slots(fixpoint) -> dict:
@@ -226,141 +220,93 @@ class TestSparseMatchesDenseReference:
 
 
 # ----------------------------------------------------------------------
-# Scenario sharding
+# Widened fixpoint vs the exact one
 # ----------------------------------------------------------------------
-class TestScenarioSharding:
-    def test_shard_counts_agree_on_widening_free_kernels(self, bench_cache):
-        """Without widening the fixpoint is the unique lfp, so every shard
-        count — including the canonical unsharded engine — must produce
-        identical classifications."""
-        for source in (
-            branchy_kernel_source(6),
-            build_client_source(crypto_kernel("hash", 64, 64), 2880),
-        ):
-            program = compile_source(source)
-            canonical = SpeculativeCacheAnalysis(
-                program, cache_config=bench_cache
-            ).run()
-            for shards in (2, 3, 8):
-                sharded = SpeculativeCacheAnalysis(
-                    program, cache_config=bench_cache, scenario_shards=shards
-                ).run()
-                assert sharded.classifications == canonical.classifications
-                assert sharded.widenings == 0
+class ExactReference(SpeculativeCacheAnalysis):
+    """The exact (least) fixpoint: no widening point, so the pass iterates
+    until nothing changes.  It terminates because the abstract cache
+    lattices are finite."""
 
-    def test_sharding_is_shard_count_invariant_under_widening(self, bench_cache):
-        """On widening-active programs the sharded scheduler computes the
-        exact (unwidened) fixpoint: identical for every shard count, and
-        never less precise than the canonical engine."""
+    def _widening_policy(self):
+        return WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
+
+
+def must_hits(result) -> dict:
+    """``{site: must_hit}`` over a result's classifications."""
+    return {
+        (c.block, c.instruction_index, c.speculative, c.scenario_color): c.must_hit
+        for c in result.classifications
+    }
+
+
+class TestWideningIsSound:
+    """Widening may lose precision but never invents a guaranteed hit:
+    every must-hit of the engine's widened fixpoint is a must-hit of the
+    exact one."""
+
+    def test_widened_adpcm_keeps_only_exact_must_hits(self, bench_cache):
         program = compile_source(wcet_benchmark_source("adpcm"))
-        canonical = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
-        assert canonical.widenings > 0
-        two = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=2
-        ).run()
-        four = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=4
-        ).run()
-        assert two.classifications == four.classifications
-        key = lambda c: (c.block, c.instruction_index, c.speculative, c.scenario_color)
-        canonical_hits = {key(c): c.must_hit for c in canonical.classifications}
-        sharded_hits = {key(c): c.must_hit for c in two.classifications}
-        assert set(canonical_hits) == set(sharded_hits)
-        # exact fixpoint: every canonical must-hit is preserved
-        assert all(
-            sharded_hits[site] for site, hit in canonical_hits.items() if hit
-        )
+        widened = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
+        exact = ExactReference(program, cache_config=bench_cache).run()
+        assert widened.widenings > 0, "adpcm stopped widening; pick another kernel"
+        assert exact.widenings == 0
+        widened_hits, exact_hits = must_hits(widened), must_hits(exact)
+        assert set(widened_hits) == set(exact_hits)
+        assert all(exact_hits[site] for site, hit in widened_hits.items() if hit)
 
-    def test_shard_counts_agree_on_random_programs(self, random_programs, bench_cache):
+    def test_widened_random_programs_keep_only_exact_must_hits(
+        self, random_programs, bench_cache
+    ):
         """At the 64-line cache the random programs' breaking loops make
-        the canonical engine widen; the sharded scheduler still computes
-        one exact fixpoint for every shard count, never less precise than
-        the canonical one: it classifies no site the widened fixpoint
-        does not reach, and keeps every must-hit of the sites it shares."""
-        key = lambda c: (c.block, c.instruction_index, c.speculative, c.scenario_color)
-        widened = 0
+        the engine widen.  The exact fixpoint reaches no site the widened
+        one does not, and keeps every must-hit of the sites they share."""
+        widenings = 0
         for program in random_programs:
-            canonical = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
-            widened += canonical.widenings
-            two = SpeculativeCacheAnalysis(
-                program, cache_config=bench_cache, scenario_shards=2
-            ).run()
-            three = SpeculativeCacheAnalysis(
-                program, cache_config=bench_cache, scenario_shards=3
-            ).run()
-            assert two.classifications == three.classifications
-            assert two.widenings == three.widenings == 0
-            canonical_hits = {key(c): c.must_hit for c in canonical.classifications}
-            sharded_hits = {key(c): c.must_hit for c in two.classifications}
-            assert set(sharded_hits) <= set(canonical_hits)
-            assert all(
-                hit for site, hit in sharded_hits.items() if canonical_hits[site]
-            )
-        assert widened > 0
+            widened = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
+            exact = ExactReference(program, cache_config=bench_cache).run()
+            widenings += widened.widenings
+            assert exact.widenings == 0
+            widened_hits, exact_hits = must_hits(widened), must_hits(exact)
+            assert set(exact_hits) <= set(widened_hits)
+            assert all(hit for site, hit in exact_hits.items() if widened_hits[site])
+        assert widenings > 0
 
-    def test_reported_scenario_counters_are_shard_invariant(self, bench_cache):
-        """Branch and virtual-edge counters describe the program, not the
-        schedule: sharding must not change them."""
-        program = compile_source(taint_sparse_kernel_source(8))
-        canonical = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
-        assert canonical.num_speculative_branches > 0
-        for shards in (2, 3):
-            sharded = SpeculativeCacheAnalysis(
-                program, cache_config=bench_cache, scenario_shards=shards
-            ).run()
-            assert sharded.num_speculative_branches == canonical.num_speculative_branches
-            assert sharded.num_virtual_edges == canonical.num_virtual_edges
-            assert (
-                sharded.num_virtual_edges_active
-                == canonical.num_virtual_edges_active
-            )
-            assert sharded.classifications == canonical.classifications
-            assert sharded.leak_detected and canonical.leak_detected
 
-    def test_sharding_with_no_scenarios_is_harmless(self, bench_cache):
-        program = compile_source(
-            "char a[64];\nint main() {\n  a[0];\n  return 0;\n}\n"
-        )
-        result = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=8
-        ).run()
+#: Programs without a conditional branch after compilation: straight-line
+#: code, and a loop the front end unrolls completely.
+BRANCH_FREE = {
+    "straight_line": (
+        "char a0[64]; char a1[64]; char a2[64]; char sbox[256]; secret int key;\n"
+        "int main() { a0[0]; a1[32]; a0[0]; sbox[key]; a2[0]; a1[0]; return 0; }\n"
+    ),
+    "unrolled_loop": (
+        "char a0[64]; char a1[256]; char sbox[256]; secret int key;\n"
+        "int main() { reg int i;\n"
+        "  for (i = 0; i < 256; i = i + 64) { a1[i]; }\n"
+        "  a0[0]; sbox[key]; return 0; }\n"
+    ),
+}
+
+
+class TestWithoutScenarios:
+    @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+    @pytest.mark.parametrize("name", sorted(BRANCH_FREE))
+    def test_branch_free_program_reaches_the_baseline_fixpoint(self, name, geometry):
+        """With no branch there is nothing to mispredict: the engine
+        builds no scenario and its fixpoint is the baseline analysis's."""
+        from repro.analysis import analyze_baseline
+
+        program = compile_source(BRANCH_FREE[name])
+        cache = GEOMETRIES[geometry]
+        engine = SpeculativeCacheAnalysis(program, cache_config=cache)
+        result = engine.run()
+        baseline = analyze_baseline(program, cache_config=cache)
+        assert engine.vcfg.scenarios == []
         assert result.num_speculative_branches == 0
-        assert result.classifications
-
-    def test_analyze_speculative_knob(self, quantl_program, bench_cache):
-        plain = analyze_speculative(quantl_program, cache_config=bench_cache)
-        sharded = analyze_speculative(
-            quantl_program, cache_config=bench_cache, scenario_shards=3
-        )
-        assert sharded.classifications == plain.classifications
-
-
-# ----------------------------------------------------------------------
-# Request / wire plumbing for the sharding knob
-# ----------------------------------------------------------------------
-class TestShardingPlumbing:
-    SOURCE = "char a[64]; char c[64];\nint main() {\n  if (c[0]) { a[0]; }\n  return 0;\n}\n"
-
-    def test_result_keys_separate_shard_counts(self):
-        plain = AnalysisRequest(source=self.SOURCE)
-        sharded = AnalysisRequest(source=self.SOURCE, scenario_shards=2)
-        assert plain.result_key() != sharded.result_key()
-        # the default keeps its historical key shape (warm stores stay valid)
-        assert plain.result_key() == AnalysisRequest(source=self.SOURCE).result_key()
-
-    def test_wire_roundtrip_and_legacy_default(self):
-        request = AnalysisRequest(source=self.SOURCE, scenario_shards=4)
-        assert request_from_wire(request_to_wire(request)) == request
-        legacy_payload = request_to_wire(AnalysisRequest(source=self.SOURCE))
-        del legacy_payload["scenario_shards"]
-        assert request_from_wire(legacy_payload).scenario_shards == 1
-
-    def test_execute_request_routes_shards(self):
-        plain = execute_request(AnalysisRequest(source=self.SOURCE))
-        sharded = execute_request(
-            AnalysisRequest(source=self.SOURCE, scenario_shards=2)
-        )
-        assert sharded.classifications == plain.classifications
+        assert result.num_virtual_edges == 0
+        assert live_slots(engine.last_fixpoint) == {}
+        assert result.entry_states == baseline.entry_states
+        assert result.classifications == baseline.classifications
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The contract under test is observational soundness: metrics, spans and
 provenance stamps may describe an analysis, but they must never change
-one.  The determinism tests run identical requests with tracing on and
-off across every shard backend and compare full wire fingerprints; the
+one.  The determinism tests run the same analysis with tracing on and
+off for each pass shape of the speculative engine and compare full wire
+fingerprints; the
 exporter tests pin the JSONL invariants (every line parses, spans nest,
 concurrent writers never interleave); the provenance tests replay a
 stamp back into a request and demand the identical verdict.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pickle
 import threading
 
@@ -22,7 +22,7 @@ import pytest
 from repro.analysis.result import CacheAnalysisResult
 from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
-from repro.engine.request import SHARD_BACKENDS, AnalysisKind, AnalysisRequest
+from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.obs import (
     MetricsRegistry,
     ProvenanceStamp,
@@ -78,18 +78,6 @@ class TestMetricsRegistry:
         registry.counter("x")
         with pytest.raises(TypeError):
             registry.gauge("x")
-
-    def test_absorb_merges_counters_and_histograms(self):
-        ours, theirs = MetricsRegistry(), MetricsRegistry()
-        ours.counter("n").inc(1)
-        theirs.counter("n").inc(5)
-        theirs.gauge("g").set(2.0)
-        theirs.histogram("h").observe(0.5)
-        ours.absorb(theirs.snapshot())
-        snap = ours.snapshot()
-        assert snap["n"]["value"] == 6
-        assert snap["g"]["value"] == 2.0
-        assert snap["h"]["count"] == 1
 
     def test_snapshot_is_json_serialisable(self):
         registry = MetricsRegistry()
@@ -191,48 +179,65 @@ class TestTracer:
 # Determinism: tracing must never perturb results
 # ----------------------------------------------------------------------
 class TestTracingDeterminism:
-    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
     def test_identical_results_with_tracing_on_and_off(
-        self, backend, tmp_path, monkeypatch
+        self, speculative_run, tmp_path, monkeypatch
     ):
-        request = AnalysisRequest.speculative(
-            SOURCE, scenario_shards=2, shard_backend=backend
-        )
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        untraced = execute_request(request)
-        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "trace.jsonl"))
-        traced = execute_request(request)
+        untraced = speculative_run()
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        traced = speculative_run()
         monkeypatch.delenv("REPRO_TRACE")
+        assert path.read_text(), "the traced run exported no spans"
         assert result_fingerprint(traced) == result_fingerprint(untraced)
         assert traced.classifications == untraced.classifications
         assert traced.entry_states == untraced.entry_states
         assert traced.iterations == untraced.iterations
 
-    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
-    def test_shard_spans_nest_under_rounds(self, backend):
-        """Shard spans hang off their round in one trace, whether they ran
-        in this process or were relayed from pool workers."""
+    def test_fixpoint_span_hangs_off_analyze_with_its_fields(self, speculative_run):
+        """One ``fixpoint`` span per solve, a child of ``analyze`` in the
+        same trace, carrying the scenario count and the solve's totals."""
         buffer = SpanBuffer()
         tracer().add_sink(buffer)
-        execute_request(
-            AnalysisRequest.speculative(
-                SOURCE, scenario_shards=2, shard_backend=backend
-            )
-        )
-        tracer().remove_sink(buffer)
+        try:
+            result = speculative_run()
+        finally:
+            tracer().remove_sink(buffer)
         spans = buffer.spans()
         by_id = {s["span_id"]: s for s in spans}
-        shard_spans = [s for s in spans if s["name"] == "fixpoint.shard"]
-        assert shard_spans
-        assert len({s["trace_id"] for s in spans}) == 1
-        rounds: dict[str, list[int]] = {}
-        for shard_span in shard_spans:
-            parent = by_id[shard_span["parent_id"]]
-            assert parent["name"] == "fixpoint.round"
-            rounds.setdefault(parent["span_id"], []).append(shard_span["attrs"]["shard"])
-        assert all(sorted(shards) == [0, 1] for shards in rounds.values())
-        in_process = {s["pid"] == os.getpid() for s in shard_spans}
-        assert in_process == {backend == "serial"}
+        fixpoints = [s for s in spans if s["name"] == "fixpoint"]
+        assert fixpoints
+        for fixpoint in fixpoints:
+            parent = by_id[fixpoint["parent_id"]]
+            assert parent["name"] == "analyze"
+            assert parent["trace_id"] == fixpoint["trace_id"]
+            assert set(fixpoint["attrs"]) - {"warm"} == {
+                "program", "kind", "scenarios", "iterations", "widenings",
+            }
+        # The last solve is the one whose result came back.
+        assert fixpoints[-1]["attrs"]["iterations"] == result.iterations
+        assert fixpoints[-1]["attrs"]["widenings"] == result.widenings
+
+    OP_COUNTERS = ("fixpoint.pops", "fixpoint.slot_retransfers", "fixpoint.widenings")
+
+    def test_op_counters_identical_with_tracing_on_and_off(
+        self, speculative_run, tmp_path, monkeypatch
+    ):
+        def counted() -> dict[str, int]:
+            before = {name: metrics().counter(name).value for name in self.OP_COUNTERS}
+            speculative_run()
+            return {
+                name: metrics().counter(name).value - before[name]
+                for name in self.OP_COUNTERS
+            }
+
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        untraced = counted()
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "trace.jsonl"))
+        traced = counted()
+        monkeypatch.delenv("REPRO_TRACE")
+        assert traced == untraced
+        assert untraced["fixpoint.pops"] > 0
 
     def test_result_keys_unaffected_by_tracing(self, tmp_path, monkeypatch):
         request = AnalysisRequest.speculative(SOURCE)
@@ -245,12 +250,12 @@ class TestTracingDeterminism:
         path = tmp_path / "trace.jsonl"
         monkeypatch.setenv("REPRO_TRACE", str(path))
         engine = AnalysisEngine()
-        engine.run(AnalysisRequest.speculative(SOURCE, scenario_shards=2))
+        engine.run(AnalysisRequest.speculative(SOURCE))
         monkeypatch.delenv("REPRO_TRACE")
         names = {json.loads(line)["name"] for line in path.read_text().splitlines()}
         for expected in (
             "engine.run", "analyze", "frontend", "parse", "unroll", "lower",
-            "vcfg", "fixpoint", "fixpoint.round", "fixpoint.shard", "classify",
+            "vcfg", "fixpoint", "classify",
         ):
             assert expected in names, f"missing span {expected!r}"
 
@@ -268,7 +273,7 @@ class TestProvenance:
         assert stamp.kind == "speculative"
 
     def test_stamp_replays_to_the_identical_verdict(self):
-        request = AnalysisRequest.speculative(SOURCE, scenario_shards=2)
+        request = AnalysisRequest.speculative(SOURCE)
         result = execute_request(request)
         replayed_request = result.provenance.replay_request()
         assert replayed_request == request
@@ -297,7 +302,6 @@ class TestProvenance:
             "unroll": False,
             "inline": False,
             "max_unroll_iterations": 512,
-            "scenario_shards": 2,
         }
         compared = {
             f.name: f for f in dataclasses.fields(AnalysisRequest) if f.compare
@@ -343,18 +347,51 @@ class TestProvenance:
         replay = execute_request(stored.provenance.replay_request())
         assert result_fingerprint(replay) == result_fingerprint(first)
 
-    def test_old_pickles_without_provenance_still_load(self):
+    def test_old_pickles_without_provenance_still_load(self, tmp_path):
+        """Artifacts older versions wrote to a result store load and replay
+        without a store format bump: results from before the provenance
+        stamp, and results from when requests could be sharded, which
+        carry ``shard_backend_used`` and a stamp with ``backend`` and
+        ``scenario_shards``."""
+        from repro.service.store import ResultStore
+        from repro.service.wire import result_to_wire
+
         result = execute_request(AnalysisRequest.baseline(SOURCE))
         state = result.__dict__.copy()
         state.pop("provenance")
-        state.pop("shard_backend_used")
         old = CacheAnalysisResult.__new__(CacheAnalysisResult)
         old.__setstate__(state)
         revived = pickle.loads(pickle.dumps(old))
         assert revived.provenance is None
-        assert revived.shard_backend_used is None
         # the engine's cache-replay copy path must survive such results
         assert dataclasses.replace(revived, from_cache=True).from_cache
+
+        # Pickling instances that carry the removed attributes writes the
+        # bytes the older classes wrote: class path plus attribute dict.
+        request = AnalysisRequest.speculative(SOURCE)
+        fresh = execute_request(request)
+        stamp = object.__new__(ProvenanceStamp)
+        stamp.__dict__.update(
+            fresh.provenance.__dict__, backend="processes", scenario_shards=2
+        )
+        stamp.__dict__["request"] = dict(
+            stamp.request, scenario_shards=2, shard_backend="processes"
+        )
+        legacy = CacheAnalysisResult.__new__(CacheAnalysisResult)
+        legacy.__dict__.update(
+            fresh.__dict__, shard_backend_used="processes", provenance=stamp
+        )
+        ResultStore(tmp_path / "store").put(request.result_key(), legacy)
+        loaded = ResultStore(tmp_path / "store").get(request.result_key())
+        assert loaded is not None
+        assert loaded == fresh
+        assert dataclasses.replace(loaded, from_cache=True).from_cache
+        json.dumps(result_to_wire(loaded))
+        assert result_fingerprint(loaded) == result_fingerprint(fresh)
+        loaded_stamp = dataclasses.replace(loaded.provenance, created_at=0.0)
+        assert loaded_stamp.to_wire()["result_key"] == request.result_key()
+        assert loaded_stamp.replay_request() == request
+        assert loaded_stamp.replay_request().result_key() == request.result_key()
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +414,7 @@ class TestServiceTelemetry:
             yield client
 
     def test_trace_rpc_returns_job_span_tree(self, client):
-        request = AnalysisRequest.speculative(SOURCE, scenario_shards=2)
+        request = AnalysisRequest.speculative(SOURCE)
         client.analyze(request)
         assert client.last_job_id is not None
         spans = client.trace(client.last_job_id)
@@ -395,13 +432,9 @@ class TestServiceTelemetry:
         with pytest.raises(ServiceError, match="unknown job"):
             client.trace("job-999999")
 
-    def test_stats_rpc_exposes_sharding_and_metrics(self, client):
-        client.analyze(
-            AnalysisRequest.speculative(SOURCE, scenario_shards=2)
-        )
+    def test_stats_rpc_exposes_metrics(self, client):
+        client.analyze(AnalysisRequest.speculative(SOURCE))
         stats = client.stats()
-        assert stats["scheduler"]["sharded_jobs"] >= 1
-        assert "fanout_dispatches" in stats["scheduler"]
         registry = stats["metrics"]
         assert registry["fixpoint.pops"]["value"] > 0
         json.dumps(stats)  # the whole payload is JSON-clean
@@ -427,9 +460,10 @@ class TestProgressPrimitives:
         NULL_REPORTER.publish("anything", pops=1)  # no-op, never raises
 
     def test_reporting_scopes_nest_and_restore(self):
-        from repro.obs import CollectingReporter, current_reporter, reporting
+        from repro.obs import CallbackReporter, current_reporter, reporting
 
-        outer, inner = CollectingReporter(), CollectingReporter()
+        outer = CallbackReporter(lambda phase, fields: None)
+        inner = CallbackReporter(lambda phase, fields: None)
         with reporting(outer):
             assert current_reporter() is outer
             with reporting(inner):
@@ -441,16 +475,21 @@ class TestProgressPrimitives:
         assert current_reporter().active is False
 
     def test_publish_progress_routes_to_installed_reporter(self):
-        from repro.obs import CollectingReporter, publish_progress, reporting
+        from repro.obs import ProgressReporter, publish_progress, reporting
 
-        collector = CollectingReporter()
-        with reporting(collector):
-            publish_progress("fixpoint.round", round=3)
-        assert collector.events == [
-            {"phase": "fixpoint.round", "round": 3, "pid": __import__("os").getpid()}
-        ]
-        drained = collector.drain()
-        assert len(drained) == 1 and collector.events == []
+        class Recorder(ProgressReporter):
+            def __init__(self):
+                self.events: list[tuple[str, dict]] = []
+
+            def publish(self, phase, **fields):
+                self.events.append((phase, fields))
+
+        recorder = Recorder()
+        publish_progress("fixpoint", program="before")  # nobody listens yet
+        with reporting(recorder):
+            publish_progress("fixpoint", program="main", scenarios=2)
+        publish_progress("classify", program="after")  # the scope has closed
+        assert recorder.events == [("fixpoint", {"program": "main", "scenarios": 2})]
 
     def test_callback_reporter(self):
         from repro.obs import CallbackReporter, reporting, publish_progress
@@ -459,16 +498,6 @@ class TestProgressPrimitives:
         with reporting(CallbackReporter(lambda phase, fields: seen.append((phase, fields)))):
             publish_progress("mitigate", leaks=2)
         assert seen == [("mitigate", {"leaks": 2})]
-
-    def test_republish_reemits_relayed_events(self):
-        from repro.obs import CollectingReporter, reporting, republish
-
-        relayed = [{"phase": "fixpoint.shard", "shard": 1, "pid": 99999}]
-        sink = CollectingReporter()
-        with reporting(sink):
-            republish(relayed)
-        assert sink.events == [{"phase": "fixpoint.shard", "shard": 1, "pid": 99999}]
-        republish(relayed)  # without a reporter: a silent no-op
 
     def test_event_log_stamps_and_orders(self):
         from repro.obs import EventLog

@@ -6,23 +6,22 @@ timestamps and sequence numbers), the per-priority queue-depth gauges
 and latency histograms, the slow-job log, the streaming ``watch`` RPC
 and its heartbeats, the ``events``/``top``/``metrics`` RPCs, Prometheus
 text exposition, the progress-reporting differential (progress on/off
-must be bit-identical across every shard backend), and the client's
-bounded connect retry.
+must be bit-identical for each pass shape of the speculative engine),
+and the client's bounded connect retry.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import socket
 import time
 
 import pytest
 
-from repro.engine.engine import AnalysisEngine, execute_request
-from repro.engine.request import SHARD_BACKENDS, AnalysisRequest
-from repro.obs import CollectingReporter, render_prometheus, reporting, tracer
+from repro.engine.engine import AnalysisEngine
+from repro.engine.request import AnalysisRequest
+from repro.obs import CallbackReporter, render_prometheus, reporting, tracer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import JobScheduler, JobState
 from repro.service.server import ReproServer
@@ -31,9 +30,8 @@ from repro.service.wire import result_fingerprint
 SOURCE = "char a[64]; int p; int main() { if (p > 0) { a[0]; } a[0]; return 0; }"
 BROKEN_SOURCE = "int main( { nope"
 
-#: Two secret-dependent branches -> multiple speculation scenarios, so a
-#: sharded run exercises round/shard progress events.
-SHARDY_SOURCE = """
+#: Two secret-dependent branches -> multiple speculation scenarios.
+BRANCHY_SOURCE = """
 char table[4096]; int k;
 int main() {
   int x = 0;
@@ -56,7 +54,7 @@ def distinct_request(i: int) -> AnalysisRequest:
 class TestLifecycleEvents:
     def test_full_lifecycle_sequence(self):
         with JobScheduler(AnalysisEngine(), max_workers=1) as sched:
-            job = sched.submit(AnalysisRequest.speculative(SHARDY_SOURCE))
+            job = sched.submit(AnalysisRequest.speculative(BRANCHY_SOURCE))
             job.result(timeout=60)
         events = job.events.snapshot()
         names = [event["event"] for event in events]
@@ -77,14 +75,11 @@ class TestLifecycleEvents:
 
     def test_analysis_publishes_progress_into_the_job_log(self):
         with JobScheduler(AnalysisEngine(), max_workers=1) as sched:
-            job = sched.submit(
-                AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2)
-            )
+            job = sched.submit(AnalysisRequest.speculative(BRANCHY_SOURCE))
             job.result(timeout=60)
         progress = [e for e in job.events.snapshot() if e["event"] == "progress"]
         phases = {e["phase"] for e in progress}
         assert "fixpoint" in phases and "classify" in phases
-        assert "fixpoint.round" in phases, "sharded solves must report rounds"
 
     def test_coalesced_job_logs_only_its_own_enqueue(self):
         sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
@@ -118,9 +113,7 @@ class TestLifecycleEvents:
 
     def test_status_reports_current_phase(self):
         with JobScheduler(AnalysisEngine(), max_workers=1) as sched:
-            job = sched.submit(
-                AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2)
-            )
+            job = sched.submit(AnalysisRequest.speculative(BRANCHY_SOURCE))
             job.result(timeout=60)
         # The last reported phase survives on the job and in its status.
         assert job.phase is not None
@@ -192,37 +185,38 @@ class TestLifecycleEvents:
 # Progress must never perturb results (the observational contract)
 # ----------------------------------------------------------------------
 class TestProgressDifferential:
-    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
-    def test_identical_results_with_progress_on_and_off(self, backend):
-        request = AnalysisRequest.speculative(
-            SHARDY_SOURCE, scenario_shards=2, shard_backend=backend
-        )
-        silent = execute_request(request)
-        collector = CollectingReporter()
-        with reporting(collector):
-            reported = execute_request(request)
+    def test_identical_results_with_progress_on_and_off(self, speculative_run):
+        silent = speculative_run()
+        phases: list[str] = []
+        with reporting(CallbackReporter(lambda phase, fields: phases.append(phase))):
+            reported = speculative_run()
         assert result_fingerprint(reported) == result_fingerprint(silent)
         assert reported.iterations == silent.iterations
         assert reported.entry_states == silent.entry_states
         assert reported.classifications == silent.classifications
-        phases = {event["phase"] for event in collector.events}
         assert "fixpoint" in phases and "classify" in phases
 
-    def test_processes_backend_relays_worker_progress(self):
-        request = AnalysisRequest.speculative(
-            SHARDY_SOURCE, scenario_shards=2, shard_backend="processes"
+    def test_progress_events_describe_each_solve(self, speculative_run):
+        """Each solve announces itself (``fixpoint``), may report pops on
+        the way (``fixpoint.pops``), and ends with ``classify`` carrying
+        the solve's iteration count."""
+        events: list[tuple[str, dict]] = []
+        with reporting(CallbackReporter(lambda phase, fields: events.append((phase, fields)))):
+            result = speculative_run()
+        assert events[0][0] == "fixpoint"
+        assert events[-1] == (
+            "classify", {"program": result.program_name, "iterations": result.iterations}
         )
-        collector = CollectingReporter()
-        with reporting(collector):
-            execute_request(request)
-        shard_events = [
-            e for e in collector.events if e["phase"] == "fixpoint.shard"
-        ]
-        assert shard_events, "workers must relay per-shard progress"
-        worker_pids = {e["pid"] for e in shard_events}
-        assert worker_pids and os.getpid() not in worker_pids, (
-            "relayed shard events must carry the worker's pid"
-        )
+        pops_seen = 0
+        for phase, fields in events:
+            assert phase in ("fixpoint", "fixpoint.pops", "classify")
+            if phase == "fixpoint":
+                assert set(fields) == {"program", "scenarios"}
+                pops_seen = 0
+            elif phase == "fixpoint.pops":
+                assert set(fields) == {"pops", "pass_name"}
+                assert fields["pops"] > pops_seen
+                pops_seen = fields["pops"]
 
     def test_publish_without_reporter_is_a_noop(self):
         from repro.obs import current_reporter, publish_progress
@@ -249,9 +243,7 @@ def client(server):
 
 class TestWatchRPC:
     def test_watch_streams_the_full_lifecycle(self, client):
-        job_id = client.submit(
-            AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2)
-        )
+        job_id = client.submit(AnalysisRequest.speculative(BRANCHY_SOURCE))
         seen: list[dict] = []
         status = client.watch(job_id, on_event=seen.append, timeout=60)
         assert status["state"] == "done"
@@ -332,7 +324,7 @@ class TestEventsTopMetricsRPCs:
     def test_events_rpc_concatenates_a_coalesced_jobs_primary(self, server):
         # Hold the queue with a first job so the duplicate coalesces.
         with ServiceClient(port=server.port) as cli:
-            request = AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2)
+            request = AnalysisRequest.speculative(BRANCHY_SOURCE)
             primary_id = cli.submit(request)
             follower_id = cli.submit(request)
             cli.result(follower_id, timeout=60)
@@ -378,10 +370,7 @@ _SAMPLE = re.compile(
 
 class TestPrometheusExposition:
     def test_every_line_is_valid_exposition(self, client):
-        client.analyze(
-            AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2),
-            timeout=60,
-        )
+        client.analyze(AnalysisRequest.speculative(BRANCHY_SOURCE), timeout=60)
         text = render_prometheus(client.metrics())
         assert text.endswith("\n")
         for line in text.splitlines():
@@ -418,33 +407,6 @@ class TestPrometheusExposition:
         out = capsys.readouterr().out
         assert "# TYPE repro_scheduler_e2e_seconds histogram" in out
         assert "repro_fixpoint_pops_total" in out
-
-
-# ----------------------------------------------------------------------
-# Daemon trace relay under the process backend (worker spans)
-# ----------------------------------------------------------------------
-class TestTraceRelayOverProcesses:
-    def test_trace_rpc_includes_worker_shard_spans(self, server):
-        with ServiceClient(port=server.port) as cli:
-            cli.analyze(
-                AnalysisRequest.speculative(
-                    SHARDY_SOURCE, scenario_shards=2, shard_backend="processes"
-                ),
-                timeout=120,
-            )
-            spans = cli.trace(cli.last_job_id)
-        by_name: dict[str, list[dict]] = {}
-        for span in spans:
-            by_name.setdefault(span["name"], []).append(span)
-        assert "scheduler.batch" in by_name and "fixpoint" in by_name
-        shard_spans = by_name.get("fixpoint.shard", [])
-        assert shard_spans, "worker shard spans must be relayed to the master"
-        worker_pids = {span["pid"] for span in shard_spans}
-        assert worker_pids and os.getpid() not in worker_pids, (
-            "relayed spans must carry the worker process's pid"
-        )
-        # Grafted into one trace: every span shares the dispatch trace id.
-        assert len({span["trace_id"] for span in spans}) == 1
 
 
 class _SlowBatchSink:

@@ -13,9 +13,11 @@ import socket
 
 import pytest
 
+from repro.bench.programs import taint_sparse_kernel_source
 from repro.cache.config import CacheConfig
 from repro.engine.engine import execute_request
 from repro.engine.request import AnalysisKind, AnalysisRequest
+from repro.obs import metrics
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ReproServer
 from repro.service.wire import (
@@ -50,8 +52,6 @@ NON_DEFAULT_FIELDS = {
     "unroll": False,
     "inline": False,
     "max_unroll_iterations": 512,
-    "scenario_shards": 2,
-    "shard_backend": "processes",
     "label": "every-field",
     "warm_from": "0" * 64,
 }
@@ -141,6 +141,125 @@ class TestWireFormat:
         replay.analysis_time = result.analysis_time * 10 + 1.0
         replay.from_cache = True
         assert result_fingerprint(result) == result_fingerprint(replay)
+
+
+class TestRemovedKnobs:
+    """Older clients still send the keys of removed request knobs; the
+    decoder ignores them, and the command line no longer offers them."""
+
+    def test_legacy_prune_scenarios_key_is_ignored(self):
+        """Older clients always send ``prune_scenarios``; the server decodes
+        such a payload to the request it would get without the key."""
+        request = AnalysisRequest.speculative(SOURCE)
+        plain = request_to_wire(request)
+        assert "prune_scenarios" not in plain
+        expected = result_fingerprint(execute_request(request))
+        for flag in (False, True):
+            legacy = request_from_wire(dict(plain, prune_scenarios=flag))
+            assert legacy == request
+            assert legacy.result_key() == request.result_key()
+            assert result_fingerprint(execute_request(legacy)) == expected
+
+    @pytest.mark.parametrize(
+        "shards, backend",
+        [
+            (2, "processes"),
+            (2, "threads"),
+            (2, "serial"),
+            (2, "fork"),
+            (0, "serial"),
+            (1, "serial"),
+            (8, "serial"),
+            ("two", "serial"),
+        ],
+    )
+    def test_legacy_shard_keys_are_ignored(self, shards, backend):
+        """A sharded request from an older client decodes to the default
+        request with the default result key, whatever values it sends:
+        ``"threads"`` and ``"fork"`` (which older servers rejected) and a
+        malformed shard count (older servers parsed an int) included."""
+        request = AnalysisRequest.speculative(SOURCE)
+        plain = request_to_wire(request)
+        assert "scenario_shards" not in plain and "shard_backend" not in plain
+        legacy = request_from_wire(
+            dict(plain, scenario_shards=shards, shard_backend=backend)
+        )
+        assert legacy == request
+        assert legacy.result_key() == request.result_key()
+
+    def test_daemon_answers_a_legacy_sharded_payload_with_the_canonical_result(
+        self, client
+    ):
+        request = AnalysisRequest.speculative(SOURCE)
+        payload = dict(
+            request_to_wire(request), scenario_shards=2, shard_backend="processes"
+        )
+        wire = client.call("analyze", request=payload, timeout=60)["result"]
+        assert result_fingerprint(wire) == result_fingerprint(execute_request(request))
+        assert wire["provenance"]["result_key"] == request.result_key()
+        assert "scenario_shards" not in wire["provenance"]["request"]
+
+    @pytest.mark.parametrize(
+        "target, keyword",
+        [
+            ("request", "scenario_shards"),
+            ("request", "shard_backend"),
+            ("analyze_speculative", "scenario_shards"),
+            ("analyze_speculative", "shard_backend"),
+            ("analysis", "scenario_shards"),
+            ("analysis", "shard_backend"),
+            ("analysis", "vcfg"),
+        ],
+    )
+    def test_python_api_rejects_the_removed_shard_parameters(self, target, keyword):
+        """In-process callers get a TypeError rather than a knob that is
+        silently ignored."""
+        from repro import compile_source
+        from repro.analysis import analyze_speculative
+        from repro.analysis.multicolor import SpeculativeCacheAnalysis
+
+        value = {"scenario_shards": 2, "shard_backend": "processes", "vcfg": None}[keyword]
+        build = {
+            "request": lambda: AnalysisRequest.speculative(SOURCE, **{keyword: value}),
+            "analyze_speculative": lambda: analyze_speculative(
+                compile_source(SOURCE), **{keyword: value}
+            ),
+            "analysis": lambda: SpeculativeCacheAnalysis(
+                compile_source(SOURCE), **{keyword: value}
+            ),
+        }[target]
+        with pytest.raises(TypeError, match=keyword):
+            build()
+
+    def test_cli_rejects_the_removed_prune_flag(self, tmp_path):
+        from repro.service.cli import build_parser
+
+        path = tmp_path / "prog.mc"
+        path.write_text(SOURCE)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", str(path), "--prune-scenarios"])
+
+    @pytest.mark.parametrize(
+        "flag", [["--scenario-shards", "2"], ["--shard-backend", "processes"]]
+    )
+    def test_cli_rejects_the_removed_shard_flags(self, tmp_path, flag):
+        from repro.service.cli import build_parser
+
+        path = tmp_path / "prog.mc"
+        path.write_text(SOURCE)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["submit", str(path), *flag])
+        assert excinfo.value.code == 2
+
+    def test_removed_prune_environment_variable_is_ignored(self, monkeypatch):
+        """``REPRO_PRUNE_SCENARIOS`` no longer exists: setting it leaves the
+        result, iteration counts included, and the metrics untouched."""
+        request = AnalysisRequest.speculative(taint_sparse_kernel_source(8))
+        monkeypatch.delenv("REPRO_PRUNE_SCENARIOS", raising=False)
+        expected = result_fingerprint(execute_request(request))
+        monkeypatch.setenv("REPRO_PRUNE_SCENARIOS", "1")
+        assert result_fingerprint(execute_request(request)) == expected
+        assert not any(name.startswith("prune.") for name in metrics().snapshot())
 
 
 class TestProtocol:

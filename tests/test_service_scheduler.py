@@ -3,12 +3,14 @@ isolation."""
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
 
 from repro.engine.engine import AnalysisEngine
 from repro.engine.request import AnalysisRequest
+from repro.obs import SpanBuffer, tracer
 from repro.service.scheduler import (
     JobPriority,
     JobScheduler,
@@ -237,3 +239,70 @@ class TestConcurrentClients:
         for i, result in results.items():
             by_request.setdefault(i % 4, set()).add(result_fingerprint(result))
         assert all(len(prints) == 1 for prints in by_request.values())
+
+
+def _exit_worker(requests, want_spans=False):
+    """Stands in for ``batch._execute_unit``: the worker dies abruptly."""
+    os._exit(3)
+
+
+class TestPooledClaims:
+    """With ``REPRO_MAX_WORKERS`` set, one claim of several jobs runs as
+    one parallel ``run_batch`` over the shared process pool."""
+
+    @pytest.fixture(autouse=True)
+    def _pool(self, monkeypatch):
+        from repro.engine.batch import discard_shared_pool
+
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+        discard_shared_pool()
+        yield
+        discard_shared_pool()
+
+    @staticmethod
+    def run_one_claim(engine, requests):
+        """Queue every request before the worker starts, so a single
+        claim holds them all; returns the jobs and the claim's span."""
+        buffer = SpanBuffer()
+        tracer().add_sink(buffer)
+        sched = JobScheduler(engine, max_workers=1, batch_size=8, autostart=False)
+        try:
+            jobs = [sched.submit(request) for request in requests]
+            sched.start_workers()
+            for job in jobs:
+                job.result(timeout=120)
+            assert sched.stats.dispatched_batches == 1
+        finally:
+            sched.shutdown(wait=True, timeout=30)
+            tracer().remove_sink(buffer)
+        (claim,) = [s for s in buffer.spans() if s["name"] == "scheduler.batch"]
+        return jobs, claim
+
+    def test_claimed_jobs_run_on_the_pool_and_match_direct_runs(self):
+        engine = AnalysisEngine()
+        requests = [distinct_request(i) for i in range(3)]
+        jobs, claim = self.run_one_claim(engine, requests)
+        assert engine.stats.parallel_batches == 1
+        assert claim["attrs"]["jobs"] == 3
+        for job, request in zip(jobs, requests):
+            assert job.state is JobState.DONE
+            assert result_fingerprint(job.result()) == result_fingerprint(
+                AnalysisEngine().run(request)
+            )
+
+    def test_a_worker_death_is_absorbed_without_per_job_retries(self, monkeypatch):
+        """``run_batch`` itself falls back in process when the pool
+        breaks, so the scheduler never re-runs the claim job by job."""
+        from repro.engine import batch
+
+        monkeypatch.setattr(batch, "_execute_unit", _exit_worker)
+        engine = AnalysisEngine()
+        requests = [distinct_request(i) for i in range(3)]
+        jobs, claim = self.run_one_claim(engine, requests)
+        assert engine.stats.parallel_batches == 0
+        assert "retried_individually" not in claim["attrs"]
+        for job, request in zip(jobs, requests):
+            assert job.state is JobState.DONE
+            assert result_fingerprint(job.result()) == result_fingerprint(
+                AnalysisEngine().run(request)
+            )

@@ -3,10 +3,14 @@ the soundness differential against the concrete speculative simulator."""
 
 from __future__ import annotations
 
+import json
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import compile_source
-from repro.analysis.taint import analyze_taint, tainted_branch_blocks
+from repro.analysis.taint import analyze_taint
+from repro.apps.sidechannel import detect_leaks, explain_leaks
 from repro.cache.config import CacheConfig
 from repro.speculation.predictor import (
     AlwaysNotTakenPredictor,
@@ -155,15 +159,84 @@ class TestBlamePaths:
             assert step.to_dict()["kind"] == step.kind
 
 
-class TestTaintedBranchBlocks:
-    def test_secret_branch_is_relevant(self):
-        program = compile_source(CONTROL_DEPENDENCE)
-        relevant = tainted_branch_blocks(program)
-        assert relevant
-        assert relevant <= frozenset(program.cfg.conditional_blocks())
+#: Leaks under speculation at an 8-line cache: the secret-indexed load
+#: of ``tab`` may hit or miss.
+LEAKY = """\
+char tab[256];
+char pad[64];
+secret char k;
+int p;
 
-    def test_public_program_has_no_relevant_branches(self):
-        assert tainted_branch_blocks(compile_source(NO_SECRETS)) == frozenset()
+int main() {
+  tab[0];
+  if (p > 0) {
+    pad[0];
+  }
+  tab[k];
+  return 0;
+}
+"""
+
+
+class TestExplainLeaks:
+    """``explain_leaks`` (behind ``repro sidechannel --explain``) is the
+    taint pass's production caller: every leak site gets a path from a
+    secret source to that very access."""
+
+    @staticmethod
+    def leaks():
+        program = compile_source(LEAKY)
+        report = detect_leaks(program, cache_config=CacheConfig(num_lines=8, line_size=64))
+        assert report.leak_sites, "LEAKY stopped leaking; adjust the program"
+        return program, report.leak_sites
+
+    def test_every_leak_site_is_blamed_on_a_secret(self):
+        program, sites = self.leaks()
+        blames = explain_leaks(program, sites)
+        assert set(blames) == {(site.block, site.instruction_index) for site in sites}
+        for (block, index), path in blames.items():
+            assert path[0].kind == "source"
+            assert path[-1].kind == "access"
+            assert (path[-1].block, path[-1].instruction_index) == (block, index)
+
+    def test_leak_sites_and_bare_pairs_explain_alike(self):
+        program, sites = self.leaks()
+        pairs = [(site.block, site.instruction_index) for site in sites]
+        assert explain_leaks(program, pairs) == explain_leaks(program, sites)
+
+    def test_public_accesses_have_no_blame(self):
+        program = compile_source(LEAKY)
+        public = [
+            (name, index)
+            for name in program.cfg.reachable_blocks()
+            for index, instruction in enumerate(program.cfg.block(name).instructions)
+            if any(ref.symbol == "pad" for ref in instruction.memory_refs())
+        ]
+        assert public
+        assert set(explain_leaks(program, public).values()) == {None}
+
+    @pytest.mark.parametrize("kernel", ["hash", "encoder", "des"])
+    def test_cli_explain_blames_every_leak_site(self, kernel, tmp_path, capsys):
+        from repro.service.cli import main
+
+        code = main(
+            [
+                "sidechannel", kernel, "--local", "--json", "--explain",
+                "--store-dir", str(tmp_path / "store"),
+            ]
+        )
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["spec_leak_sites"] >= 1
+        assert len(row["blame"]) == row["spec_leak_sites"]
+        for entry in row["blame"]:
+            path = entry["path"]
+            assert path[0]["kind"] == "source"
+            assert path[-1]["kind"] == "access"
+            assert (path[-1]["block"], path[-1]["instruction_index"]) == (
+                entry["block"],
+                entry["instruction_index"],
+            )
 
 
 # ----------------------------------------------------------------------
