@@ -47,7 +47,8 @@ from repro.analysis.multicolor import SpeculativeCacheAnalysis
 from repro.bench.programs import branchy_kernel_source
 from repro.cache.config import CacheConfig
 from repro.frontend import compile_source
-from repro.ir.dominators import VIRTUAL_EXIT, compute_postdominators
+from repro.ir.dominators import VIRTUAL_EXIT
+from repro.ir.instructions import Return
 from repro.speculation.config import SpeculationConfig
 
 #: Branch counts swept in full mode.  The pre-PR reconstruction is
@@ -66,6 +67,33 @@ BENCH_SPECULATION = SpeculationConfig(depth_miss=64, depth_hit=16)
 
 #: Required sparse-over-pre-PR speedup on the 128-branch kernel.
 REQUIRED_SPEEDUP_AT_128 = 5.0
+
+
+def _legacy_postdominators(cfg) -> dict[str, set[str]]:
+    """The pre-PR postdominator sets: iterative set intersection over the
+    whole reachable graph plus the virtual exit."""
+    nodes = cfg.reachable_blocks()
+    successors = {
+        node: list(cfg.blocks[node].terminator.targets()) for node in nodes
+    }
+    for node in nodes:
+        if isinstance(cfg.blocks[node].terminator, Return):
+            successors[node].append(VIRTUAL_EXIT)
+    all_nodes = set(nodes) | {VIRTUAL_EXIT}
+    pdom = {node: set(all_nodes) for node in nodes}
+    pdom[VIRTUAL_EXIT] = {VIRTUAL_EXIT}
+    changed = True
+    while changed:
+        changed = False
+        for node in nodes:
+            new = set(all_nodes)
+            for successor in successors[node]:
+                new &= pdom[successor]
+            new.add(node)
+            if new != pdom[node]:
+                pdom[node] = new
+                changed = True
+    return pdom
 
 
 def _legacy_farthest_postdominator(cfg, pdom, block):
@@ -99,7 +127,7 @@ class PrePRReference(DenseSchedule):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        pdom = compute_postdominators(self.cfg)
+        pdom = _legacy_postdominators(self.cfg)
         self.vcfg.scenarios = [
             dataclasses.replace(
                 scenario,

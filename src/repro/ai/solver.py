@@ -23,7 +23,6 @@ from repro.engine.worklist import (
     run_fixpoint,
 )
 from repro.ir.cfg import CFG
-from repro.ir.loops import find_natural_loops
 
 T = TypeVar("T")
 
@@ -73,11 +72,12 @@ def solve_forward(
         Blocks at which widening is applied.  Defaults to the headers of
         the natural loops of ``cfg``.
     """
+    graph = cfg.graph()
     if widening_points is None:
-        widening_points = {loop.header for loop in find_natural_loops(cfg)}
+        widening_points = graph.loop_headers
 
-    reachable = cfg.reachable_blocks()
-    order = {name: position for position, name in enumerate(cfg.reverse_postorder())}
+    reachable = graph.reachable
+    successors = graph.successors
     entry_states: dict[str, T] = {name: bottom for name in reachable}
     exit_states: dict[str, T] = {name: bottom for name in reachable}
     entry_states[cfg.entry] = entry_state
@@ -92,7 +92,7 @@ def solve_forward(
         state_out = transfer(name, entry_states[name])
         exit_states[name] = state_out
         changed: list[str] = []
-        for successor in cfg.successors(name):
+        for successor in successors[name]:
             current = entry_states[successor]
             joined = policy.apply(
                 successor, visit_counts.get(successor, 0), current, current.join(state_out)
@@ -102,7 +102,7 @@ def solve_forward(
                 changed.append(successor)
         return changed
 
-    worklist = PriorityWorklist(order, initial=[cfg.entry])
+    worklist = PriorityWorklist(graph.rank, initial=[cfg.entry])
     run_fixpoint(worklist, step, max_visits=max_visits)
     result.widenings = policy.widenings
     return result

@@ -68,7 +68,7 @@ def analyze_baseline(
         analysis_time=fixpoint_span.duration,
     )
     with span("classify", program=cfg.name) as classify_span:
-        for block in cfg.reachable_blocks():
+        for block in cfg.graph().reachable:
             state = result.entry_states[block]
             if getattr(state, "is_bottom", False):
                 continue

@@ -106,7 +106,6 @@ from repro.cache.config import CacheConfig
 from repro.engine.worklist import PriorityWorklist, WideningPolicy, run_fixpoint
 from repro.frontend import CompiledProgram
 from repro.ir.cfg import diff_cfgs
-from repro.ir.loops import find_natural_loops
 from repro.obs import current_reporter, metrics, publish_progress, span
 from repro.obs.progress import POP_PUBLISH_INTERVAL
 from repro.speculation.config import SpeculationConfig
@@ -261,13 +260,14 @@ class SpeculativeCacheAnalysis:
         self._scenarios_by_branch: dict[str, list[SpeculationScenario]] = {}
         for scenario in self.vcfg.scenarios:
             self._scenarios_by_branch.setdefault(scenario.branch_block, []).append(scenario)
-        # The schedule's ranks: reverse postorder of the reachable blocks,
-        # each block's position in it, and each color's branch position
-        # (the first component of its slots' node keys).
-        self._rpo: list[str] = self.cfg.reverse_postorder()
-        self._rank: dict[str, int] = {
-            name: position for position, name in enumerate(self._rpo)
-        }
+        # The graph index, taken once: every graph fact the passes read.
+        # The schedule's ranks are its reverse postorder of the reachable
+        # blocks, each block's position in it, and each color's branch
+        # position (the first component of its slots' node keys).
+        self._graph = graph = self.cfg.graph()
+        self._successors = graph.successors
+        self._rpo = graph.rpo
+        self._rank = graph.rank
         self._branch_rank: dict[int, int] = {
             scenario.color: self._rank[scenario.branch_block]
             for scenario in self.vcfg.scenarios
@@ -312,7 +312,7 @@ class SpeculativeCacheAnalysis:
             while stack:
                 block = stack.pop()
                 by_block.setdefault(block, set()).add(scenario.color)
-                for successor in self.cfg.successors(block):
+                for successor in self._successors[block]:
                     if successor != convergence and successor not in seen:
                         seen.add(successor)
                         stack.append(successor)
@@ -398,10 +398,7 @@ class SpeculativeCacheAnalysis:
         return self._solve_sparse()
 
     def _widening_policy(self) -> WideningPolicy:
-        return WideningPolicy(
-            points={loop.header for loop in find_natural_loops(self.cfg)},
-            delay=WIDENING_DELAY,
-        )
+        return WideningPolicy(points=self._graph.loop_headers, delay=WIDENING_DELAY)
 
     def _block_granular(self, policy: WideningPolicy) -> bool:
         """Whether a pass under ``policy`` pops whole blocks rather than
@@ -415,7 +412,7 @@ class SpeculativeCacheAnalysis:
     # ------------------------------------------------------------------
     def _solve_sparse(self) -> SpeculativeFixpoint:
         cfg = self.cfg
-        reachable = cfg.reachable_blocks()
+        reachable = self._graph.reachable
         policy = self._widening_policy()
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
@@ -462,7 +459,7 @@ class SpeculativeCacheAnalysis:
             return None
 
         cfg = self.cfg
-        reachable = set(cfg.reachable_blocks())
+        reachable = self._graph.reachable_set
         diff = diff_cfgs(warm.block_fingerprints, cfg)
 
         # --- scenario correspondence (structural, by branch identity) ----
@@ -536,7 +533,7 @@ class SpeculativeCacheAnalysis:
             if name in affected or name not in reachable:
                 continue
             affected.add(name)
-            stack.extend(cfg.successors(name))
+            stack.extend(self._successors[name])
             stack.extend(rollback_trigger.get(name, ()))
 
         # --- demote scenarios whose branch landed in the region -----------
@@ -591,7 +588,7 @@ class SpeculativeCacheAnalysis:
         cfg = self.cfg
         warm = plan.warm
         affected = plan.affected
-        reachable = cfg.reachable_blocks()
+        reachable = self._graph.reachable
         policy = self._widening_policy()  # no points — checked by _plan_warm
 
         color_map = {
@@ -648,7 +645,7 @@ class SpeculativeCacheAnalysis:
         for name in reachable:
             if name in affected:
                 continue
-            if any(successor in affected for successor in cfg.successors(name)):
+            if any(successor in affected for successor in self._successors[name]):
                 dirty[name].add(None)
                 dirty[name].update(speculative[name].keys())
                 continue
@@ -757,7 +754,7 @@ class SpeculativeCacheAnalysis:
         """Transfer what ``pending`` marks at block ``name`` (``None`` for
         S, slot keys for slots) and return the deliveries."""
         deliveries: list[_Delivery] = []
-        successors = self.cfg.successors(name)
+        successors = self._successors[name]
         state_in = normal[name]
         normal_dirty = None in pending
 
@@ -818,7 +815,7 @@ class SpeculativeCacheAnalysis:
     # Shared slot transfers
     # ------------------------------------------------------------------
     def _process_window_slot(
-        self, name: str, slot: SlotKey, slot_state, successors: list[str]
+        self, name: str, slot: SlotKey, slot_state, successors: tuple[str, ...]
     ) -> list[_Delivery]:
         deliveries: list[_Delivery] = []
         scenario = self._scenario_by_color[slot[1]]
@@ -856,7 +853,7 @@ class SpeculativeCacheAnalysis:
         return _Delivery(target, ("resume", scenario.color, origin), state)
 
     def _process_resume_slot(
-        self, name: str, slot: SlotKey, slot_state, successors: list[str]
+        self, name: str, slot: SlotKey, slot_state, successors: tuple[str, ...]
     ) -> list[_Delivery]:
         deliveries: list[_Delivery] = []
         scenario = self._scenario_by_color[slot[1]]
@@ -907,7 +904,7 @@ class SpeculativeCacheAnalysis:
     # ------------------------------------------------------------------
     def _classify(self, fixpoint: SpeculativeFixpoint) -> list[AccessClassification]:
         classifications: list[AccessClassification] = []
-        for block in self.cfg.reachable_blocks():
+        for block in self._graph.reachable:
             state = fixpoint.normal[block]
             # Accesses in the correct branch of a mispredicted execution
             # commit with the speculatively polluted cache, so the committed
@@ -980,7 +977,7 @@ class SpeculativeCacheAnalysis:
         stable_new_colors = {s.color for s in plan.stable.values()}
         for scenario in self.vcfg.scenarios:
             if scenario.color not in stable_new_colors:
-                walk(scenario, self.cfg.successors)
+                walk(scenario, self._successors.__getitem__)
         old_successors = plan.warm.old_successors
         for scenario in plan.warm.scenarios:
             if scenario.color not in plan.stable:
@@ -1023,7 +1020,7 @@ class SpeculativeCacheAnalysis:
 
         reused = 0
         classifications: list[AccessClassification] = []
-        for block in self.cfg.reachable_blocks():
+        for block in self._graph.reachable:
             if (
                 block not in affected
                 and block not in resume_touched

@@ -31,7 +31,6 @@ from repro.ir.instructions import (
     Store,
     Temp,
 )
-from repro.ir.dominators import postdominator_tree
 from repro.ir.memory import MemoryBlock, MemoryLayout
 
 #: Defensive bound on taint-fixpoint pops, far above any real program.
@@ -158,11 +157,13 @@ class TaintAnalysis:
         self._edge_seen: set[tuple] = set()
         self._block_out: set[str] = set()
         self._pending_requeues: list[str] = []
-        self._pdom = postdominator_tree(cfg)
+        self._graph = cfg.graph()
+        self._successors = self._graph.successors
+        self._pdom = self._graph.ipdom
         # symbol -> blocks that read it (re-enqueued when a store taints
         # the symbol's memory blocks for the first time).
         self._readers: dict[str, set[str]] = {}
-        for name in cfg.reachable_blocks():
+        for name in self._graph.reachable:
             for instruction in cfg.block(name).instructions:
                 for ref in instruction.memory_refs():
                     if not ref.is_write:
@@ -202,14 +203,10 @@ class TaintAnalysis:
                         detail=f"secret object {symbol!r} occupies {block}",
                     ),
                 )
-        reachable = self.cfg.reachable_blocks()
+        reachable = self._graph.reachable
         for name in reachable:
             self._tainted_in.setdefault(name, set())
-        order = {
-            name: position
-            for position, name in enumerate(self.cfg.reverse_postorder())
-        }
-        worklist = PriorityWorklist(order, reachable)
+        worklist = PriorityWorklist(self._graph.rank, reachable)
         run_fixpoint(
             worklist,
             self._step,
@@ -236,7 +233,7 @@ class TaintAnalysis:
         self._walk_block(name)
         requeue: list[str] = []
         out = self._block_out
-        for successor in self.cfg.successors(name):
+        for successor in self._successors[name]:
             target = self._tainted_in.setdefault(successor, set())
             before = len(target)
             target |= out
@@ -553,7 +550,7 @@ class TaintAnalysis:
             if name in region:
                 continue
             region.add(name)
-            for successor in self.cfg.successors(name):
+            for successor in self._successors[name]:
                 if successor != stop and successor not in region:
                     stack.append(successor)
         return region

@@ -35,9 +35,9 @@ class AccessTable:
         self.cfg = cfg
         self.layout = layout
         self._by_block: dict[str, list[SiteAccess]] = {}
-        for name in cfg.reachable_blocks():
+        for name in cfg.graph().reachable:
             sites: list[SiteAccess] = []
-            for index, instruction in enumerate(cfg.block(name).instructions):
+            for index, instruction in enumerate(cfg.blocks[name].instructions):
                 for ref in instruction.memory_refs():
                     sites.append(
                         SiteAccess(instruction_index=index, access=layout.resolve(ref))

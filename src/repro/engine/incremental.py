@@ -168,7 +168,7 @@ def snapshot_from_analysis(
         speculation=request.resolved_speculation,
         block_fingerprints=fingerprints,
         block_line_signatures=line_signatures,
-        old_successors={name: tuple(cfg.successors(name)) for name in cfg.blocks},
+        old_successors=dict(cfg.graph().successors),
         scenarios=tuple(analysis.vcfg.scenarios),
         chooser_active_depths=depths,
         chooser_locked=locked,

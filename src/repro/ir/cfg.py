@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import CFGError
 from repro.ir.basicblock import BasicBlock
+from repro.ir.graph import GraphIndex
 from repro.ir.instructions import CondBranch, Jump, MemoryRef, Return, Terminator
 
 
@@ -173,20 +174,37 @@ class CFG:
             raise CFGError(f"unknown block {name!r} in {self.name!r}") from exc
 
     # ------------------------------------------------------------------
-    # Graph queries
+    # Graph queries (all answered by the graph index)
     # ------------------------------------------------------------------
+    def graph(self) -> GraphIndex:
+        """The :class:`~repro.ir.graph.GraphIndex` of this CFG as it is now.
+
+        Reused while the structural key is unchanged and rebuilt after any
+        edit that changes it (see :mod:`repro.ir.graph`).  A fetch costs
+        one pass over the blocks: take the index once per pass and read
+        it, rather than calling the per-block queries below in a loop.
+        """
+        blocks = self.blocks.values()
+        key = (
+            self.entry,
+            tuple(self.blocks),
+            tuple([block.terminator for block in blocks]),
+            tuple([block.instructions for block in blocks]),
+            tuple([len(block.instructions) for block in blocks]),
+        )
+        index = self.__dict__.get("_graph_index")
+        if index is None or index.key != key:
+            index = self._graph_index = GraphIndex(self.name, key)
+        return index
+
     def successors(self, name: str) -> list[str]:
-        terminator = self.block(name).terminator
-        if terminator is None:
-            return []
-        return [target for target in terminator.targets()]
+        try:
+            return list(self.graph().successors[name])
+        except KeyError:
+            raise CFGError(f"unknown block {name!r} in {self.name!r}") from None
 
     def predecessors(self, name: str) -> list[str]:
-        preds = []
-        for block_name in self.blocks:
-            if name in self.successors(block_name):
-                preds.append(block_name)
-        return preds
+        return list(self.graph().predecessors.get(name, ()))
 
     def edges(self) -> list[Edge]:
         result: list[Edge] = []
@@ -214,57 +232,21 @@ class CFG:
             if isinstance(block.terminator, CondBranch)
         ]
 
-    # ------------------------------------------------------------------
-    # Traversals
-    # ------------------------------------------------------------------
     def reachable_blocks(self) -> list[str]:
         """Blocks reachable from the entry, in depth-first discovery order."""
-        seen: list[str] = []
-        seen_set: set[str] = set()
-        stack = [self.entry]
-        while stack:
-            name = stack.pop()
-            if name in seen_set:
-                continue
-            seen_set.add(name)
-            seen.append(name)
-            for successor in reversed(self.successors(name)):
-                if successor not in seen_set:
-                    stack.append(successor)
-        return seen
+        return list(self.graph().reachable)
 
     def reverse_postorder(self) -> list[str]:
         """Blocks in reverse postorder (a good worklist iteration order)."""
-        visited: set[str] = set()
-        postorder: list[str] = []
-
-        def visit(name: str) -> None:
-            stack: list[tuple[str, int]] = [(name, 0)]
-            while stack:
-                current, index = stack.pop()
-                if index == 0:
-                    if current in visited:
-                        continue
-                    visited.add(current)
-                successors = self.successors(current)
-                if index < len(successors):
-                    stack.append((current, index + 1))
-                    successor = successors[index]
-                    if successor not in visited:
-                        stack.append((successor, 0))
-                else:
-                    postorder.append(current)
-
-        visit(self.entry)
-        return list(reversed(postorder))
+        return list(self.graph().rpo)
 
     # ------------------------------------------------------------------
     # Whole-function queries
     # ------------------------------------------------------------------
     def all_memory_refs(self) -> list[MemoryRef]:
         refs: list[MemoryRef] = []
-        for name in self.reachable_blocks():
-            refs.extend(self.block(name).memory_refs())
+        for name in self.graph().reachable:
+            refs.extend(self.blocks[name].memory_refs())
         return refs
 
     def referenced_symbols(self) -> set[str]:
@@ -362,6 +344,6 @@ class CFG:
 
     def __str__(self) -> str:
         parts = [f"function {self.name}({', '.join(self.params)})"]
-        for name in self.reachable_blocks():
-            parts.append(str(self.block(name)))
+        for name in self.graph().reachable:
+            parts.append(str(self.blocks[name]))
         return "\n".join(parts)

@@ -1,179 +1,65 @@
-"""Dominator and post-dominator computation.
+"""Dominator and post-dominator queries.
 
 The speculative VCFG construction needs post-dominators to find the
 control-flow merge point of a branch (where Just-in-Time merging converts
 the speculative state back into the normal state), and natural-loop
 detection needs dominators to identify back edges.
+
+Every function here reads the CFG's graph index (:mod:`repro.ir.graph`),
+which computes both trees once per graph with Cooper, Harvey and
+Kennedy's algorithm over reverse-postorder numbers.  Postdominators are
+taken over a virtual exit (:data:`VIRTUAL_EXIT`) that joins every
+reachable return block.  A block that cannot reach a return (inside an
+infinite loop, say) has no immediate postdominator and maps to ``None``;
+so does a block whose only strict postdominator is the virtual exit.
+The results are fresh containers the caller may keep or modify.
 """
 
 from __future__ import annotations
 
 from repro.ir.cfg import CFG
-
-#: Name of the virtual exit node used for post-dominator computation when a
-#: function has several return blocks.
-VIRTUAL_EXIT = "__virtual_exit__"
-
-
-def _iterative_dominators(
-    nodes: list[str],
-    entry: str,
-    predecessors: dict[str, list[str]],
-) -> dict[str, set[str]]:
-    """Classic iterative dominator-set computation."""
-    all_nodes = set(nodes)
-    dom: dict[str, set[str]] = {node: set(all_nodes) for node in nodes}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for node in nodes:
-            if node == entry:
-                continue
-            preds = [pred for pred in predecessors.get(node, []) if pred in all_nodes]
-            if preds:
-                new_dom = set(all_nodes)
-                for pred in preds:
-                    new_dom &= dom[pred]
-            else:
-                new_dom = set()
-            new_dom.add(node)
-            if new_dom != dom[node]:
-                dom[node] = new_dom
-                changed = True
-    return dom
+from repro.ir.graph import VIRTUAL_EXIT
 
 
 def compute_dominators(cfg: CFG) -> dict[str, set[str]]:
     """Return, for every reachable block, the set of blocks dominating it."""
-    nodes = cfg.reachable_blocks()
-    predecessors = {node: cfg.predecessors(node) for node in nodes}
-    return _iterative_dominators(nodes, cfg.entry, predecessors)
+    graph = cfg.graph()
+    return {name: set(graph.dominator_chain(name)) for name in graph.reachable}
 
 
 def immediate_dominators(cfg: CFG) -> dict[str, str | None]:
-    """Return the immediate dominator of every reachable block.
-
-    The strict dominators of a node are totally ordered by dominance; the
-    immediate dominator is the *nearest* one — the candidate that every
-    other strict dominator dominates.
-    """
-    dom = compute_dominators(cfg)
-    idom: dict[str, str | None] = {}
-    for node, dominators in dom.items():
-        strict = dominators - {node}
-        idom[node] = _nearest_in_chain(strict, dom)
-    return idom
-
-
-def _nearest_in_chain(
-    candidates: set[str], relation: dict[str, set[str]]
-) -> str | None:
-    """The element of ``candidates`` that all other candidates (strictly)
-    relate to — i.e. the nearest strict (post)dominator, the bottom of the
-    chain.  ``relation[x]`` is the set of nodes (post)dominating ``x``.
-
-    Returns None when ``candidates`` is empty or does not form a chain
-    (which cannot happen for the (post)dominator sets of a node computed
-    over a graph where every node reaches the (virtual) root).
-    """
-    for candidate in sorted(candidates):
-        if all(
-            other in relation[candidate]
-            for other in candidates
-            if other != candidate
-        ):
-            return candidate
-    return None
+    """Return the immediate dominator of every reachable block (None for
+    the entry)."""
+    return dict(cfg.graph().idom)
 
 
 def compute_postdominators(cfg: CFG) -> dict[str, set[str]]:
     """Return, for every reachable block, the set of blocks post-dominating it.
 
-    A virtual exit node (``VIRTUAL_EXIT``) is used to join all return
-    blocks; it appears in the result sets but is not a real block.
+    The virtual exit (``VIRTUAL_EXIT``) joins all return blocks; it
+    appears in the result, as a key and in every set, but is not a real
+    block.  A block that cannot reach a return is postdominated vacuously
+    by every node: its set holds every reachable block and the virtual
+    exit.
     """
-    nodes = cfg.reachable_blocks()
-    exits = [node for node in cfg.exit_blocks() if node in nodes]
-    # Build the reverse graph including the virtual exit.
-    reverse_succ: dict[str, list[str]] = {node: [] for node in nodes}
-    reverse_succ[VIRTUAL_EXIT] = []
-    for node in nodes:
-        for successor in cfg.successors(node):
-            if successor in reverse_succ:
-                reverse_succ[successor].append(node)
-    for exit_node in exits:
-        reverse_succ[exit_node].append(VIRTUAL_EXIT)
-    # In the reversed graph "predecessors" are the original successors plus
-    # the virtual-exit wiring above.
-    all_nodes = nodes + [VIRTUAL_EXIT]
-    predecessors_in_reverse: dict[str, list[str]] = {node: [] for node in all_nodes}
-    for node in nodes:
-        successors = list(cfg.successors(node))
-        if node in exits:
-            successors.append(VIRTUAL_EXIT)
-        predecessors_in_reverse[node] = successors
-    predecessors_in_reverse[VIRTUAL_EXIT] = []
-    return _iterative_dominators(all_nodes, VIRTUAL_EXIT, predecessors_in_reverse)
-
-
-def _exit_reaching_postdominators(cfg: CFG) -> tuple[dict[str, set[str]], set[str]]:
-    """Postdominator sets computed over the *exit-reaching* subgraph only.
-
-    Returns ``(pdom, can_reach_exit)``.  Blocks that cannot reach any
-    return are excluded from the computation entirely: running the
-    iterative algorithm over the full graph leaves the doomed blocks'
-    sets at their ``all_nodes`` initialisation, and those polluted sets
-    do not form chains, so any selection from them (such as the
-    historical ``sorted(candidates)[0]`` fallback) returns an arbitrary
-    block that need not postdominate anything.
-    """
-    nodes = cfg.reachable_blocks()
-    node_set = set(nodes)
-    exits = [node for node in cfg.exit_blocks() if node in node_set]
-    # Backward reachability: which blocks can reach an exit at all.
-    can_reach_exit: set[str] = set(exits)
-    stack = list(exits)
-    while stack:
-        node = stack.pop()
-        for predecessor in cfg.predecessors(node):
-            if predecessor in node_set and predecessor not in can_reach_exit:
-                can_reach_exit.add(predecessor)
-                stack.append(predecessor)
-    sub_nodes = [node for node in nodes if node in can_reach_exit]
-    all_nodes = sub_nodes + [VIRTUAL_EXIT]
-    predecessors_in_reverse: dict[str, list[str]] = {VIRTUAL_EXIT: []}
-    for node in sub_nodes:
-        successors = [s for s in cfg.successors(node) if s in can_reach_exit]
-        if node in exits:
-            successors.append(VIRTUAL_EXIT)
-        predecessors_in_reverse[node] = successors
-    pdom = _iterative_dominators(all_nodes, VIRTUAL_EXIT, predecessors_in_reverse)
-    return pdom, can_reach_exit
+    graph = cfg.graph()
+    everything = set(graph.reachable) | {VIRTUAL_EXIT}
+    result: dict[str, set[str]] = {}
+    for name in graph.reachable:
+        chain = graph.postdominator_chain(name)
+        result[name] = set(everything) if chain is None else set(chain)
+    result[VIRTUAL_EXIT] = {VIRTUAL_EXIT}
+    return result
 
 
 def postdominator_tree(cfg: CFG) -> dict[str, str | None]:
     """Return the immediate postdominator of every reachable block.
 
-    Computed over the exit-reaching subgraph (see
-    :func:`_exit_reaching_postdominators`): a block that cannot reach any
-    return (e.g. inside an infinite loop) has no postdominators at all
-    and maps to None.
-
-    For exit-reaching blocks the strict postdominators form a chain and
-    the immediate one — the *nearest*, i.e. the first control-flow point
-    every path from the block to the exit must cross — is the candidate
-    that every other candidate postdominates.
+    That is the nearest block every path from the block to a return must
+    cross.  None when the block cannot reach a return, or when only the
+    virtual exit postdominates it.
     """
-    pdom, can_reach_exit = _exit_reaching_postdominators(cfg)
-    tree: dict[str, str | None] = {}
-    for node in cfg.reachable_blocks():
-        if node not in can_reach_exit:
-            tree[node] = None
-            continue
-        candidates = pdom[node] - {node, VIRTUAL_EXIT}
-        tree[node] = _nearest_in_chain(candidates, pdom)
-    return tree
+    return dict(cfg.graph().ipdom)
 
 
 def immediate_postdominator(cfg: CFG, block: str) -> str | None:
@@ -183,21 +69,14 @@ def immediate_postdominator(cfg: CFG, block: str) -> str | None:
     (i.e. the branch never reconverges before returning) or when
     ``block`` cannot reach any exit.
     """
-    return postdominator_tree(cfg).get(block)
+    return cfg.graph().ipdom.get(block)
 
 
 def common_postdominator(cfg: CFG, left: str, right: str) -> str | None:
-    """Return the nearest block post-dominating both ``left`` and ``right``.
+    """Return the nearest block post-dominating both ``left`` and ``right``,
+    other than ``left`` and ``right`` themselves.
 
-    None when either block cannot reach an exit (its postdominator set is
-    empty) or when the only common postdominator is the virtual exit.
-    The common postdominators are the intersection of two chains and so
-    form a chain themselves; no arbitrary fallback is needed.
+    None when either block cannot reach an exit or when the only common
+    postdominator is the virtual exit.
     """
-    pdom, can_reach_exit = _exit_reaching_postdominators(cfg)
-    if left not in can_reach_exit or right not in can_reach_exit:
-        return None
-    common = (pdom[left] & pdom[right]) - {VIRTUAL_EXIT, left, right}
-    if not common:
-        return None
-    return _nearest_in_chain(common, pdom)
+    return cfg.graph().common_postdominator(left, right)

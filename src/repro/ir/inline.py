@@ -83,8 +83,8 @@ def inline_calls(
 
 def _find_call_site(cfg: CFG, cfgs: dict[str, CFG]) -> tuple[str, int] | None:
     """Return (block name, instruction index) of the first inlinable call."""
-    for name in cfg.reachable_blocks():
-        block = cfg.block(name)
+    for name in cfg.graph().reachable:
+        block = cfg.blocks[name]
         for index, instruction in enumerate(block.instructions):
             if isinstance(instruction, CallInstr) and instruction.callee in cfgs:
                 return (name, index)
@@ -162,7 +162,7 @@ def _clone_callee(callee: CFG, prefix: str) -> list[BasicBlock]:
             ],
             terminator=_rename_terminator(callee.block(name).terminator, prefix),
         )
-        for name in callee.reachable_blocks()
+        for name in callee.graph().reachable
     ]
 
 

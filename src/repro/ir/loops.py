@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir.cfg import CFG
-from repro.ir.dominators import compute_dominators
 from repro.ir.instructions import BinOp, CondBranch, Const, Copy, Load, Temp
 
 
@@ -23,40 +22,25 @@ class Loop:
 
     def exits(self, cfg: CFG) -> list[str]:
         """Blocks outside the loop that are targets of edges from inside it."""
+        successors = cfg.graph().successors
         result: list[str] = []
         for block in self.blocks:
-            for successor in cfg.successors(block):
+            for successor in successors[block]:
                 if successor not in self.blocks and successor not in result:
                     result.append(successor)
         return result
 
 
 def find_natural_loops(cfg: CFG) -> list[Loop]:
-    """Find all natural loops of ``cfg`` (one per header, back edges merged)."""
-    dom = compute_dominators(cfg)
-    loops: dict[str, Loop] = {}
-    for source in cfg.reachable_blocks():
-        for target in cfg.successors(source):
-            if target in dom.get(source, set()):
-                # source -> target is a back edge; target is the loop header.
-                loop = loops.setdefault(target, Loop(header=target, blocks={target}))
-                loop.back_edges.append((source, target))
-                _collect_loop_body(cfg, loop, source)
-    return list(loops.values())
+    """Find all natural loops of ``cfg`` (one per header, back edges merged).
 
-
-def _collect_loop_body(cfg: CFG, loop: Loop, latch: str) -> None:
-    """Add to ``loop`` every block that reaches ``latch`` without passing
-    through the header (the standard natural-loop body computation)."""
-    stack = [latch]
-    while stack:
-        block = stack.pop()
-        if block in loop.blocks:
-            continue
-        loop.blocks.add(block)
-        for pred in cfg.predecessors(block):
-            if pred not in loop.blocks:
-                stack.append(pred)
+    Read from the graph index; each call returns fresh :class:`Loop`
+    objects.
+    """
+    return [
+        Loop(header=loop.header, blocks=set(loop.blocks), back_edges=list(loop.back_edges))
+        for loop in cfg.graph().loops
+    ]
 
 
 def loop_of_block(loops: list[Loop], block: str) -> Loop | None:
@@ -131,7 +115,7 @@ def _counter_symbol(header_block, counter: Temp) -> str | None:
 
 def _initial_value(cfg: CFG, loop: Loop, counter: Temp, symbol: str | None) -> int | None:
     """Find a constant assigned to the counter before entering the loop."""
-    for block_name in cfg.reachable_blocks():
+    for block_name in cfg.graph().reachable:
         if block_name in loop.blocks:
             continue
         for instruction in cfg.block(block_name).instructions:

@@ -545,7 +545,7 @@ class FunctionLowerer:
         for block in self.cfg.blocks.values():
             if not block.is_terminated:
                 block.terminator = Return(value=None)
-        reachable = set(self.cfg.reachable_blocks())
+        reachable = self.cfg.graph().reachable_set
         self.cfg.blocks = {
             name: block for name, block in self.cfg.blocks.items() if name in reachable
         }

@@ -27,8 +27,11 @@ def format_instruction(instruction: Instruction | Terminator) -> str:
 
 
 def format_block(cfg: CFG, name: str) -> str:
-    block = cfg.block(name)
-    lines = [f"{name}:  (preds: {', '.join(cfg.predecessors(name)) or 'none'})"]
+    return _format_block(name, cfg.block(name), cfg.graph().predecessors.get(name, ()))
+
+
+def _format_block(name: str, block, predecessors: tuple[str, ...]) -> str:
+    lines = [f"{name}:  (preds: {', '.join(predecessors) or 'none'})"]
     for instruction in block.instructions:
         lines.append(f"    {instruction}")
     if block.terminator is not None:
@@ -40,8 +43,9 @@ def format_cfg(cfg: CFG) -> str:
     """Format an entire CFG, blocks in reverse postorder."""
     header = f"function {cfg.name}({', '.join(cfg.params)})"
     parts = [header, "=" * len(header)]
-    for name in cfg.reverse_postorder():
-        parts.append(format_block(cfg, name))
+    graph = cfg.graph()
+    for name in graph.rpo:
+        parts.append(_format_block(name, cfg.blocks[name], graph.predecessors[name]))
     return "\n".join(parts)
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError, VerificationError
 from repro.ir.cfg import CFG
-from repro.ir.dominators import immediate_dominators, postdominator_tree
 from repro.ir.instructions import CondBranch, Fence, MemoryRef, Terminator
 from repro.ir.memory import MemoryLayout
 
@@ -224,8 +223,9 @@ def _graph_findings(cfg: CFG) -> list[LintFinding]:
     structural phase accepted."""
     findings: list[LintFinding] = []
     try:
-        reachable = cfg.reachable_blocks()
-        idom = immediate_dominators(cfg)
+        graph = cfg.graph()
+        reachable = graph.reachable
+        idom = graph.idom
         limit = len(reachable) + 1
         for block in reachable:
             if block == cfg.entry:
@@ -250,7 +250,7 @@ def _graph_findings(cfg: CFG) -> list[LintFinding]:
                         message="immediate-dominator chain does not terminate",
                     )
                 )
-        pdom = postdominator_tree(cfg)
+        pdom = graph.ipdom
         for block in reachable:
             if not _chain_reaches(block, pdom, None, limit):
                 findings.append(

@@ -29,7 +29,6 @@ from repro.apps.wcet import estimated_cycles
 from repro.cache.config import CacheConfig
 from repro.frontend import CompiledProgram
 from repro.ir.cfg import CFG
-from repro.ir.dominators import compute_dominators
 from repro.ir.instructions import CondBranch, Fence
 from repro.mitigation.patch import FencePoint
 from repro.speculation.config import SpeculationConfig
@@ -48,8 +47,8 @@ def count_ir_fences(program: CompiledProgram) -> int:
     cfg = program.cfg
     return sum(
         1
-        for name in cfg.reachable_blocks()
-        for instruction in cfg.block(name).instructions
+        for name in cfg.graph().reachable
+        for instruction in cfg.blocks[name].instructions
         if isinstance(instruction, Fence)
     )
 
@@ -110,20 +109,18 @@ def hoist_points(
     shared = {block for block, colors in coverage.items() if len(colors) >= 2}
     if not shared:
         return []
-    dominators = compute_dominators(cfg)
+    idom = cfg.graph().idom
 
     def hoisted(block: str) -> str:
         # The highest dominator of ``block`` that is itself shared and
         # covers at least the same scenarios (sound: a fence there still
         # truncates every window the original placement truncated).
         best = block
-        for candidate in sorted(dominators.get(block, ()) - {block}):
-            if (
-                candidate in shared
-                and coverage[candidate] >= coverage[block]
-                and candidate in dominators.get(best, set())
-            ):
+        candidate = idom.get(block)
+        while candidate is not None:
+            if candidate in shared and coverage[candidate] >= coverage[block]:
                 best = candidate
+            candidate = idom[candidate]
         return best
 
     ranked: list[tuple[int, int, FencePoint]] = []

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 from repro.engine.cache import LRUCache
 from repro.ir.cfg import CFG, diff_cfgs
-from repro.ir.dominators import postdominator_tree
-from repro.ir.instructions import CondBranch, Fence, MemoryRef
+from repro.ir.graph import GraphIndex
+from repro.ir.instructions import CondBranch, MemoryRef
 from repro.obs import metrics, span
 from repro.speculation.config import SpeculationConfig
 
@@ -201,7 +201,8 @@ def vcfg_memo_stats():
 def _compute_scenarios(
     cfg: CFG, config: SpeculationConfig
 ) -> tuple[SpeculationScenario, ...]:
-    ipdom = postdominator_tree(cfg)
+    graph = cfg.graph()
+    ipdom = graph.ipdom
     scenarios: list[SpeculationScenario] = []
     color = 0
     for branch_block in cfg.conditional_blocks():
@@ -221,8 +222,8 @@ def _compute_scenarios(
                     wrong_target=wrong,
                     correct_target=correct,
                     cond_refs=terminator.cond_refs,
-                    window_miss=compute_window(cfg, wrong, config.depth_miss),
-                    window_hit=compute_window(cfg, wrong, config.depth_hit),
+                    window_miss=_window(graph, wrong, config.depth_miss),
+                    window_hit=_window(graph, wrong, config.depth_hit),
                     convergence_block=convergence,
                 )
             )
@@ -257,7 +258,7 @@ class VCFGBaseline:
 
 
 def _window_reusable(
-    cfg: CFG, touched: frozenset[str], start: str, window: SpeculativeWindow
+    graph: GraphIndex, touched: frozenset[str], start: str, window: SpeculativeWindow
 ) -> bool:
     """May a baseline window be reused verbatim against the edited ``cfg``?
 
@@ -277,7 +278,7 @@ def _window_reusable(
     for name in window.allowed:
         # Members are untouched, hence present in the new CFG with their
         # old terminators — successors are well-defined and unchanged.
-        for successor in cfg.successors(name):
+        for successor in graph.successors[name]:
             if successor in touched:
                 return False
     return True
@@ -312,6 +313,7 @@ def build_vcfg_incremental(
         for s in baseline.scenarios
     }
 
+    graph = cfg.graph()
     reused = 0
     recomputed = 0
 
@@ -324,17 +326,17 @@ def build_vcfg_incremental(
             if (
                 old is not None
                 and old.depth == depth
-                and _window_reusable(cfg, touched, wrong, old)
+                and _window_reusable(graph, touched, wrong, old)
             ):
                 windows.append(old)
                 reused += 1
             else:
-                windows.append(compute_window(cfg, wrong, depth))
+                windows.append(_window(graph, wrong, depth))
                 recomputed += 1
         return windows[0], windows[1]
 
     with span("vcfg.incremental", program=cfg.name) as vcfg_span:
-        ipdom = postdominator_tree(cfg)
+        ipdom = graph.ipdom
         scenarios: list[SpeculationScenario] = []
         color = 0
         for branch_block in cfg.conditional_blocks():
@@ -385,10 +387,8 @@ def build_vcfg_incremental(
 
 def first_fence_index(cfg: CFG, block: str) -> int | None:
     """Index of the first :class:`Fence` in ``block`` (None when absent)."""
-    for index, instruction in enumerate(cfg.block(block).instructions):
-        if isinstance(instruction, Fence):
-            return index
-    return None
+    cfg.block(block)  # CFGError for an unknown block
+    return cfg.graph().fence_indexes[block]
 
 
 def compute_window(cfg: CFG, start: str, depth: int) -> SpeculativeWindow:
@@ -405,8 +405,19 @@ def compute_window(cfg: CFG, start: str, depth: int) -> SpeculativeWindow:
     excludes the block — and with it the whole scenario, when the block is
     the mispredicted target).
     """
+    if depth > 0:
+        cfg.block(start)  # CFGError for an unknown block
+    return _window(cfg.graph(), start, depth)
+
+
+def _window(graph: GraphIndex, start: str, depth: int) -> SpeculativeWindow:
+    """:func:`compute_window` over ``graph``'s successors, instruction
+    counts and fence indexes."""
     if depth <= 0:
         return SpeculativeWindow(depth=depth)
+    successors = graph.successors
+    counts = graph.instruction_counts
+    fences = graph.fence_indexes
     # Dijkstra over block entry distances.  Edge weights (instruction
     # counts) are non-negative, so expanding blocks in distance order
     # settles each block's final distance the first time it is popped;
@@ -419,15 +430,15 @@ def compute_window(cfg: CFG, start: str, depth: int) -> SpeculativeWindow:
         block_distance, block_name = heapq.heappop(heap)
         if block_distance > distance[block_name]:
             continue  # stale entry: a shorter path was found after the push
-        if first_fence_index(cfg, block_name) is not None:
+        if fences[block_name] is not None:
             # Speculation stalls at the fence until the branch resolves
             # and the excursion is squashed: successors are unreachable
             # speculatively through this block.
             continue
-        exit_distance = block_distance + cfg.block(block_name).instruction_count
+        exit_distance = block_distance + counts[block_name]
         if exit_distance >= depth:
             continue
-        for successor in cfg.successors(block_name):
+        for successor in successors[block_name]:
             if exit_distance < distance.get(successor, depth):
                 distance[successor] = exit_distance
                 heapq.heappush(heap, (exit_distance, successor))
@@ -435,8 +446,8 @@ def compute_window(cfg: CFG, start: str, depth: int) -> SpeculativeWindow:
     for name, dist in distance.items():
         if depth - dist <= 0:
             continue
-        limit = cfg.block(name).instruction_count
-        fence = first_fence_index(cfg, name)
+        limit = counts[name]
+        fence = fences[name]
         if fence is not None:
             limit = min(limit, fence)
         allowance = min(limit, depth - dist)

@@ -158,6 +158,16 @@ class TestLoops:
         assert loop.blocks == {"header", "body"}
         assert loop.exits(cfg) == ["exit"]
 
+    def test_loop_body_excludes_unreachable_blocks(self):
+        # An unreachable block that jumps into the body is outside the
+        # header's dominance region, so it is not part of the loop.
+        cfg = build_loop()
+        orphan = cfg.add_block(BasicBlock("orphan"))
+        orphan.terminator = Jump(target="body")
+        (loop,) = find_natural_loops(cfg)
+        assert loop.blocks == {"header", "body"}
+        assert loop.back_edges == [("body", "header")]
+
     def test_no_loops_in_diamond(self):
         assert find_natural_loops(build_diamond()) == []
 

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import graph_reference
 from repro import compile_source
 from repro.analysis.multicolor import WIDENING_DELAY, SpeculativeCacheAnalysis
 from repro.bench.client import build_client_source
@@ -18,17 +19,12 @@ from repro.bench.programs import wcet_benchmark_source
 from repro.cache.config import CacheConfig
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
-from repro.ir.dominators import (
-    VIRTUAL_EXIT,
-    compute_postdominators,
-    immediate_postdominator,
-    postdominator_tree,
-)
+from repro.ir.dominators import VIRTUAL_EXIT, immediate_postdominator, postdominator_tree
 from repro.engine.worklist import WideningPolicy
 from repro.ir.instructions import CondBranch, Const, Jump, Return, Temp
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
-from repro.speculation.vcfg import SpeculativeWindow, build_vcfg, compute_window
+from repro.speculation.vcfg import build_vcfg, compute_window
 
 # ----------------------------------------------------------------------
 # Seeded random MiniC programs
@@ -312,43 +308,6 @@ class TestWithoutScenarios:
 # ----------------------------------------------------------------------
 # Heap-based compute_window
 # ----------------------------------------------------------------------
-def reference_compute_window(cfg, start: str, depth: int) -> SpeculativeWindow:
-    """The pre-heap implementation (sort-the-worklist-per-pop), kept
-    verbatim as the equality oracle."""
-    from repro.speculation.vcfg import first_fence_index
-
-    if depth <= 0:
-        return SpeculativeWindow(depth=depth)
-    distance = {start: 0}
-    worklist = [start]
-    while worklist:
-        worklist.sort(key=lambda name: distance[name])
-        block_name = worklist.pop(0)
-        if first_fence_index(cfg, block_name) is not None:
-            continue
-        block_distance = distance[block_name]
-        exit_distance = block_distance + cfg.block(block_name).instruction_count
-        if exit_distance >= depth:
-            continue
-        for successor in cfg.successors(block_name):
-            if exit_distance < distance.get(successor, depth):
-                distance[successor] = exit_distance
-                if successor not in worklist:
-                    worklist.append(successor)
-    allowed = {}
-    for name, dist in distance.items():
-        if depth - dist <= 0:
-            continue
-        limit = cfg.block(name).instruction_count
-        fence = first_fence_index(cfg, name)
-        if fence is not None:
-            limit = min(limit, fence)
-        allowance = min(limit, depth - dist)
-        if allowance > 0:
-            allowed[name] = allowance
-    return SpeculativeWindow(depth=depth, allowed=allowed)
-
-
 class TestComputeWindowHeap:
     @pytest.mark.parametrize("name", sorted(CRYPTO_BENCHMARKS))
     def test_window_equality_on_table7_kernels(self, name):
@@ -368,7 +327,7 @@ class TestComputeWindowHeap:
             starts = set(cfg.reachable_blocks())
         for start in sorted(starts):
             for depth in (16, 20, 200):
-                assert compute_window(cfg, start, depth) == reference_compute_window(
+                assert compute_window(cfg, start, depth) == graph_reference.compute_window(
                     cfg, start, depth
                 )
 
@@ -378,7 +337,7 @@ class TestComputeWindowHeap:
             for start in cfg.reachable_blocks():
                 for depth in (0, 7, 64):
                     assert compute_window(cfg, start, depth) == (
-                        reference_compute_window(cfg, start, depth)
+                        graph_reference.compute_window(cfg, start, depth)
                     )
 
 
@@ -387,8 +346,9 @@ class TestComputeWindowHeap:
 # ----------------------------------------------------------------------
 def legacy_immediate_postdominator(cfg, block: str) -> str | None:
     """The pre-fix selection: an inverted chain test (which favours the
-    postdominator *nearest the exit*) plus an arbitrary sorted fallback."""
-    pdom = compute_postdominators(cfg)
+    postdominator *nearest the exit*) plus an arbitrary sorted fallback,
+    over the set-based postdominators of the whole graph."""
+    pdom = graph_reference.postdominators(cfg)
     candidates = pdom.get(block, set()) - {block, VIRTUAL_EXIT}
     if not candidates:
         return None

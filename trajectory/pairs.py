@@ -19,7 +19,13 @@ Print an entry's parent-vs-change table, as the README shows it:
 
 Each cell is the median over the side's runs with the quartile spread
 (IQR / median) in brackets; "pairs won" counts the pairs in which the
-change was better, in the direction ``BENCHMARK.json`` gives.
+change was better, in the direction ``BENCHMARK.json`` gives.  A last
+row per workload sums each side's failed and attempted ops and names
+any run whose verdicts were not correct: a pair that fails more ops is
+no win, whatever its metrics say.
+
+``run`` stops, printing the tail of perfbench's stderr, at the first run
+that prints no report; that run leaves no record.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ METRICS = BENCHMARK["end_to_end"]
 SECONDS = BENCHMARK["run_seconds"]
 #: The percentile each workload reports as ``latency_tail_ms`` (perfbench/README.md).
 TAIL = {"tables": "p98", "service": "p99.5"}
+#: Lines of perfbench's stderr shown when a run prints no report.
+STDERR_TAIL = 20
 
 
 def _path(workload: str) -> Path:
@@ -74,10 +82,16 @@ def run(args: argparse.Namespace) -> None:
                 sys.executable, "perfbench/run.py", "--workload", args.workload,
                 "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
             ]
-            output = subprocess.run(
+            completed = subprocess.run(
                 command, cwd=trees[side], capture_output=True, text=True, check=False
-            ).stdout
-            report = json.loads(output.strip().splitlines()[-1])
+            )
+            report = _report(completed.stdout)
+            if report is None:
+                tail = "\n".join(completed.stderr.strip().splitlines()[-STDERR_TAIL:])
+                sys.exit(
+                    f"pair {pair} seed {seed} {side}: perfbench printed no report "
+                    f"(exit {completed.returncode}); stderr ends:\n{tail}"
+                )
             entry["runs"].append(
                 {"side": side, "seed": seed, "pair": pair, "seconds": SECONDS,
                  "report": report}
@@ -86,6 +100,17 @@ def run(args: argparse.Namespace) -> None:
             value = report["metrics"]["throughput_ops"]["value"]
             print(f"pair {pair} seed {seed} {side}: correct={report['correct']} "
                   f"failed={report['failed']} throughput_ops={value:.4g}", flush=True)
+
+
+def _report(stdout: str) -> dict | None:
+    """perfbench's report: the last line of its stdout, when that is JSON."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
 
 
 def _spread(values: list[float]) -> float:
@@ -100,6 +125,16 @@ def _cell(values: list[float]) -> str:
     return f"{median} ({_spread(values):.2f})"
 
 
+def _ops_cell(reports: list[dict]) -> str:
+    failed = sum(report["failed"] for report in reports)
+    attempted = sum(report["attempted"] for report in reports)
+    cell = f"{failed} / {attempted}"
+    incorrect = sum(1 for report in reports if not report["correct"])
+    if incorrect:
+        cell += f", **{incorrect} run{'s' if incorrect > 1 else ''} not correct**"
+    return cell
+
+
 def table(args: argparse.Namespace) -> None:
     print("| workload | metric | before | after | after ÷ before | pairs won |")
     print("|---|---|---|---|---|---|")
@@ -109,12 +144,12 @@ def table(args: argparse.Namespace) -> None:
             continue
         pairs: dict[int, dict[str, dict]] = {}
         for record in entry["runs"]:
-            pairs.setdefault(record["pair"], {})[record["side"]] = record["report"]["metrics"]
+            pairs.setdefault(record["pair"], {})[record["side"]] = record["report"]
         complete = [sides for sides in pairs.values() if len(sides) == 2]
         for metric in METRICS:
             name = metric["name"]
-            before = [sides["parent"][name]["value"] for sides in complete]
-            after = [sides["change"][name]["value"] for sides in complete]
+            before = [sides["parent"]["metrics"][name]["value"] for sides in complete]
+            after = [sides["change"]["metrics"][name]["value"] for sides in complete]
             lower = metric["better"] == "lower"
             won = sum(1 for b, a in zip(before, after) if (a < b if lower else a > b))
             label = f"`{name}`"
@@ -125,6 +160,8 @@ def table(args: argparse.Namespace) -> None:
             ratio = statistics.median(after) / statistics.median(before)
             print(f"| `{workload}` | {label} | {_cell(before)} | {_cell(after)} | "
                   f"{ratio:.2f} | {won}/{len(complete)} |")
+        cells = [_ops_cell([sides[side] for sides in complete]) for side in ("parent", "change")]
+        print(f"| `{workload}` | ops failed / attempted | {cells[0]} | {cells[1]} | | |")
 
 
 def main() -> None:
