@@ -2,10 +2,12 @@
 
 For every Table-7 crypto kernel whose client harness leaks under the
 speculative analysis, run the full detect → repair → re-verify loop and
-compare the two placements the synthesiser evaluates:
+compare two placements:
 
 * **baseline** — fence-every-branch (both arms of every source
-  conditional; what blind ``lfence`` hardening does), and
+  conditional; what blind ``lfence`` hardening does).  The synthesiser
+  scores it only as its fallback, so the yardstick comes from a second,
+  ``optimize=False`` synthesis; and
 * **optimized** — the dominator-guided greedy minimiser, which only
   fences what the analysis proves matters.
 
@@ -40,10 +42,19 @@ EXPECTED_LEAKY = ("hash", "encoder", "chacha20", "ocb", "des")
 
 
 def run_suite(names: list[str], engine: AnalysisEngine) -> list[MitigationResult]:
-    return [
-        synthesize_mitigation(table7_client_request(name), engine=engine)
-        for name in names
-    ]
+    """Synthesise each kernel's placement, with the fence-every-branch
+    yardstick filled in from an ``optimize=False`` run where the
+    optimizer verified (and synthesis therefore left it out)."""
+    results = []
+    for name in names:
+        request = table7_client_request(name)
+        result = synthesize_mitigation(request, engine=engine)
+        if result.baseline is None and not result.already_safe:
+            result.baseline = synthesize_mitigation(
+                request, engine=engine, optimize=False
+            ).baseline
+        results.append(result)
+    return results
 
 
 def report(results: list[MitigationResult]) -> None:

@@ -4,16 +4,17 @@
 For each requested Table-7 crypto kernel, this script detects the
 speculative cache side channel in its Figure-10 client harness, then
 asks :func:`repro.mitigation.synthesize_mitigation` for a fence
-placement that closes it.  Two placements are compared:
+placement that closes it.  Two placements are considered:
 
-* the fence-every-branch **baseline** (no analysis, every source branch
-  arm fenced — what blind ``lfence`` hardening does), and
 * the **optimized** placement found by the dominator-guided greedy
   minimiser, which re-analyses every candidate through the engine and
-  keeps only fences that provably remove leak sites.
+  keeps only fences that provably remove leak sites, and
+* the fence-every-branch **baseline** (no analysis, every source branch
+  arm fenced — what blind ``lfence`` hardening does), scored only as the
+  fallback when no optimized placement verifies.
 
-Both must re-analyse to zero leak sites; the synthesiser refuses to
-return anything unverified.  ``repro mitigate`` is the daemon-backed
+The chosen placement must re-analyse to zero leak sites; the
+synthesiser refuses to return anything unverified.  ``repro mitigate`` is the daemon-backed
 equivalent of this script.
 
 Run with::
@@ -52,8 +53,8 @@ def main(argv: list[str]) -> None:
             )
         baseline, optimized = result.baseline, result.optimized
         if baseline is None:
-            # The incremental loop only scores the fence-every-branch
-            # strawman when the minimiser fails to verify a placement.
+            # Synthesis only scores the fence-every-branch strawman when
+            # the minimiser fails to verify a placement.
             print("  baseline : skipped (optimized placement verified)")
         else:
             print(

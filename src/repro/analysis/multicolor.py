@@ -91,6 +91,7 @@ The engine is driven two ways, both through one sparse pass
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from repro.analysis.depth import DepthChooser
 from repro.analysis.result import AccessClassification, CacheAnalysisResult
@@ -105,7 +106,8 @@ from repro.analysis.transfer import (
 from repro.cache.config import CacheConfig
 from repro.engine.worklist import PriorityWorklist, WideningPolicy, run_fixpoint
 from repro.frontend import CompiledProgram
-from repro.ir.cfg import diff_cfgs
+from repro.ir.cfg import CFG, diff_cfgs
+from repro.ir.graph import GraphIndex
 from repro.obs import current_reporter, metrics, publish_progress, span
 from repro.obs.progress import POP_PUBLISH_INTERVAL
 from repro.speculation.config import SpeculationConfig
@@ -147,22 +149,25 @@ class SpeculativeFixpoint:
     widenings: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class WarmStartData:
-    """A retained prior fixpoint, decoded and ready to seed a warm solve.
+    """A retained prior fixpoint, ready to seed a warm solve.
 
-    Built by :mod:`repro.engine.incremental` from an
-    :class:`~repro.engine.incremental.AnalysisSnapshot`; everything here is
-    expressed in the *old* program's terms (old scenario colors, old block
-    set) — :meth:`SpeculativeCacheAnalysis._plan_warm` maps it onto the
-    edited program.
+    What an :class:`~repro.engine.incremental.AnalysisSnapshot` keeps of a
+    finished run: its live states (immutable values, shared with the run
+    that produced them), scenarios, depth-chooser decisions and
+    classifications, all in the *old* program's terms (old scenario
+    colors, old block set) — :meth:`SpeculativeCacheAnalysis._plan_warm`
+    maps them onto the edited program.  It also keeps the analysed CFG
+    and the graph index the run read, and fingerprints that CFG on first
+    use: a run that never seeds a warm start never hashes a block.
     """
 
-    #: ``{block name: content fingerprint}`` of the predecessor CFG.
-    block_fingerprints: dict[str, str]
-    #: Successor lists of the predecessor CFG (the edited CFG cannot
-    #: reconstruct where removed/rewritten blocks used to deliver).
-    old_successors: dict[str, tuple[str, ...]]
+    #: The analysed CFG and the graph index the run read.  ``CFG`` is a
+    #: mutable container, so the CFG describes the analysed graph only
+    #: while ``cfg.graph()`` still returns ``graph`` (see :attr:`stale`).
+    cfg: CFG
+    graph: GraphIndex
     #: The predecessor's speculation scenarios (old colors).
     scenarios: tuple[SpeculationScenario, ...]
     #: The predecessor fixpoint's normal states per block.
@@ -174,13 +179,51 @@ class WarmStartData:
     #: Old colors whose window choice was locked to the long window.
     chooser_locked: frozenset[int]
     #: The predecessor run's classifications, for per-block reuse during
-    #: :meth:`SpeculativeCacheAnalysis._classify_warm` (None disables it).
-    classifications: tuple[AccessClassification, ...] | None = None
-    #: Per-block source-line signatures of the predecessor CFG.
-    #: Classifications embed the source lines of the accesses they report,
-    #: so reuse additionally requires the block's lines to match (content
-    #: fingerprints are deliberately line-insensitive).
-    block_line_signatures: dict[str, str] | None = None
+    #: :meth:`SpeculativeCacheAnalysis._classify_warm`.
+    classifications: tuple[AccessClassification, ...]
+    #: ``(block fingerprints, block line signatures)``, taken on first use.
+    _content: tuple[dict[str, str], dict[str, str]] | None = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def stale(self) -> bool:
+        """Whether the CFG was edited after the run and before anything
+        fingerprinted it: the retained states then describe a graph that
+        can no longer be hashed, and only a cold run is exact."""
+        return self._content is None and self.cfg.graph() is not self.graph
+
+    def _fingerprinted(self) -> tuple[dict[str, str], dict[str, str]]:
+        if self._content is None:
+            if self.stale:
+                raise ValueError(
+                    f"the CFG of {self.cfg.name!r} was edited after its "
+                    "analysis; its retained states no longer describe it"
+                )
+            self._content = (
+                self.cfg.block_fingerprints(),
+                self.cfg.block_line_signatures(),
+            )
+        return self._content
+
+    @property
+    def block_fingerprints(self) -> dict[str, str]:
+        """``{block name: content fingerprint}`` of the analysed CFG."""
+        return self._fingerprinted()[0]
+
+    @property
+    def block_line_signatures(self) -> dict[str, str]:
+        """Per-block source-line signatures of the analysed CFG.
+        Classifications embed the source lines of the accesses they
+        report, so reuse additionally requires the block's lines to match
+        (content fingerprints are deliberately line-insensitive)."""
+        return self._fingerprinted()[1]
+
+    @property
+    def old_successors(self) -> Mapping[str, tuple[str, ...]]:
+        """Successors in the analysed CFG (the edited CFG cannot tell
+        where removed or rewritten blocks used to deliver)."""
+        return self.graph.successors
 
 
 @dataclass
@@ -1002,8 +1045,6 @@ class SpeculativeCacheAnalysis:
         scenario color is remapped old→new.
         """
         warm = plan.warm
-        if warm.classifications is None or warm.block_line_signatures is None:
-            return self._classify(fixpoint)
         affected = plan.affected
         old_lines = warm.block_line_signatures
         new_lines = self.cfg.block_line_signatures()

@@ -36,10 +36,10 @@ moves one contiguous prefix of the ranking (the values at least the
 accessed block's).  ``widen``, and ``join`` when it hands back one of
 its operands, keep it since the may map does not change.  Every other
 operation that builds a new may map (``join`` results, unknown-index
-and secret accesses, FIFO touches) drops it, as do fresh and decoded
+and secret accesses, FIFO touches) drops it, as do fresh and unpickled
 states; a touch then sorts only when its NYoung step needs the ranking.
-The ranking is derived data: ``__eq__``, ``__hash__``, pickling and the
-codec ignore it.
+The ranking is derived data: ``__eq__``, ``__hash__`` and pickling
+ignore it.
 """
 
 from __future__ import annotations

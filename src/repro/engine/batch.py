@@ -18,7 +18,10 @@ loop:
   run per split chunk, inside the workers).
 
 Results are bit-identical either way: :func:`execute_request` is
-deterministic and side-effect free.  Cache statistics are kept
+deterministic and side-effect free.  Only the sequential path retains
+snapshots of its speculative runs and honours ``warm_from=`` handles
+(see :mod:`repro.engine.incremental`); fanned-out requests run cold and
+leave no snapshot behind.  Cache statistics are kept
 consistent with the sequential path: one result-cache lookup per
 distinct request plus one hit per in-batch duplicate, and one logical
 compile miss per distinct source.  If the platform refuses to give us a

@@ -10,6 +10,12 @@ so a batch that re-analyses the same program under several
 configurations compiles it once, and repeated requests skip the front
 end and the fixpoint entirely.
 
+Every speculative run also leaves a snapshot of its live fixpoint states
+(:mod:`repro.engine.incremental`), so a request that names its
+predecessor with ``warm_from=`` is re-analysed incrementally: seeded from
+those states, re-solving only what its edit affects, bit-identical to a
+cold run.
+
 :func:`execute_request` is the cache-free core — a pure module-level
 function so process-pool workers (see :mod:`repro.engine.batch`) can run
 it by reference.
@@ -17,11 +23,11 @@ it by reference.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro.analysis.baseline import analyze_baseline
 from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.incremental import (
     DEFAULT_SNAPSHOT_CACHE_SIZE,
@@ -31,7 +37,6 @@ from repro.engine.incremental import (
     snapshot_compatible,
     snapshot_eligible,
     snapshot_from_analysis,
-    warm_start_from_snapshot,
 )
 from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.frontend import CompiledProgram, compile_source
@@ -43,10 +48,6 @@ DEFAULT_COMPILE_CACHE_SIZE = 256
 
 #: Default capacity of the result cache.
 DEFAULT_RESULT_CACHE_SIZE = 1024
-
-#: Environment knob enabling incremental re-analysis when the engine is
-#: constructed without an explicit ``incremental=`` argument.
-INCREMENTAL_ENV = "REPRO_INCREMENTAL"
 
 
 def compile_request(request: AnalysisRequest) -> CompiledProgram:
@@ -73,28 +74,18 @@ def execute_request(
     ``compare=False``, excluded from fingerprints — so determinism of the
     *verdict* is unaffected.)
     """
-    # Imported lazily: the analyses' fixpoint loops import the worklist
-    # kernel from this package, so a module-level import would be circular.
-    from repro.analysis.baseline import analyze_baseline
-    from repro.analysis.speculative import analyze_speculative
-
+    if program is None:
+        program = compile_request(request)
+    if request.kind is not AnalysisKind.BASELINE:
+        return execute_retaining(request, program)[0]
     with span(
         "analyze", kind=request.kind.value, label=request.label
     ) as analyze_span:
-        if program is None:
-            program = compile_request(request)
-        if request.kind is AnalysisKind.BASELINE:
-            result = analyze_baseline(
-                program,
-                cache_config=request.cache_config,
-                use_shadow_state=request.use_shadow_state,
-            )
-        else:
-            result = analyze_speculative(
-                program,
-                cache_config=request.cache_config,
-                speculation=request.speculation,
-            )
+        result = analyze_baseline(
+            program,
+            cache_config=request.cache_config,
+            use_shadow_state=request.use_shadow_state,
+        )
         result.provenance = stamp_for_request(request)
         analyze_span.set(
             result_key=request.result_key(), iterations=result.iterations
@@ -114,8 +105,7 @@ class EngineStats:
     #: Tier-2 (on-disk result store) statistics; None when no store is
     #: attached.  Duck-typed so the engine stays below the service layer.
     store: Any = None
-    #: Incremental re-analysis accounting (always present; ``enabled``
-    #: records whether the engine resolves ``warm_from=`` handles).
+    #: Incremental re-analysis accounting.
     incremental: IncrementalStats = field(default_factory=IncrementalStats)
 
     def __str__(self) -> str:
@@ -127,7 +117,7 @@ class EngineStats:
         ]
         if self.store is not None:
             lines.append(f"  result store:  {self.store}")
-        if self.incremental.enabled or self.incremental.snapshots_stored:
+        if self.incremental.snapshots_stored:
             lines.append(f"  {self.incremental}")
         return "\n".join(lines)
 
@@ -140,7 +130,6 @@ class AnalysisEngine:
         compile_cache_size: int = DEFAULT_COMPILE_CACHE_SIZE,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         result_store: Any = None,
-        incremental: bool | None = None,
         snapshot_cache_size: int = DEFAULT_SNAPSHOT_CACHE_SIZE,
     ):
         self._compile_cache = LRUCache(maxsize=compile_cache_size)
@@ -149,27 +138,12 @@ class AnalysisEngine:
         self._requests = 0
         self._batches = 0
         self._parallel_batches = 0
-        #: None defers to the REPRO_INCREMENTAL environment variable at
-        #: each run (so a long-lived default engine follows the knob).
-        self._incremental = incremental
         self._snapshots = SnapshotStore(maxsize=snapshot_cache_size)
         self._warm_hits = 0
         self._cold_fallbacks = 0
         self._snapshots_stored = 0
         self._seeded_slots = 0
         self._invalidated_blocks = 0
-
-    @property
-    def incremental_enabled(self) -> bool:
-        """Whether runs retain snapshots and resolve ``warm_from=`` handles."""
-        if self._incremental is not None:
-            return self._incremental
-        return os.environ.get(INCREMENTAL_ENV, "").strip().lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
 
     # ------------------------------------------------------------------
     # Single-request API
@@ -191,7 +165,9 @@ class AnalysisEngine:
         the compile-cache round trip).  The returned result is a copy —
         mutating it never corrupts the cache — and cache hits are marked
         ``from_cache`` (their ``analysis_time`` reports the original
-        computation, not the lookup).
+        computation, not the lookup).  A speculative run retains a
+        snapshot, and warm-starts from the one ``request.warm_from`` names
+        when it is retained and compatible.
         """
         self._requests += 1
         with span("engine.run", kind=request.kind.value) as run_span:
@@ -199,22 +175,22 @@ class AnalysisEngine:
             if cached is not None:
                 run_span.set(cache_hit=True)
                 return _copy_result(cached, from_cache=True)
-            if self.incremental_enabled and snapshot_eligible(request):
-                result, warm = self._run_incremental(request, program)
-                run_span.set(cache_hit=False, warm=warm)
-                # Warm results are bit-identical to cold ones, but their
-                # observational fields (iterations, analysis_time) are
-                # not — and result fingerprints include iterations, so a
-                # cached warm result could fail a later `submit --verify`
-                # replay.  Only cold runs populate the result tiers.
-                if not warm:
-                    self._store_result(request, result)
+            if not snapshot_eligible(request):
+                result = execute_request(
+                    request, program=program or self.compile(request)
+                )
+                self._store_result(request, result)
+                run_span.set(cache_hit=False)
                 return _copy_result(result)
-            result = execute_request(
-                request, program=program or self.compile(request)
-            )
-            self._store_result(request, result)
-            run_span.set(cache_hit=False)
+            result, warm = self._run_incremental(request, program)
+            run_span.set(cache_hit=False, warm=warm)
+            # Warm results are bit-identical to cold ones, but their
+            # observational fields (iterations, analysis_time) are not —
+            # and result fingerprints include iterations, so a cached warm
+            # result could fail a later `submit --verify` replay.  Only
+            # cold runs populate the result tiers.
+            if not warm:
+                self._store_result(request, result)
         return _copy_result(result)
 
     def _resolve_warm_start(self, request: AnalysisRequest, program: CompiledProgram):
@@ -230,7 +206,7 @@ class AnalysisEngine:
         reason = snapshot_compatible(snapshot, request, program)
         if reason is not None:
             return None, reason
-        return warm_start_from_snapshot(snapshot, program.layout.lanes), None
+        return snapshot.warm, None
 
     def _note_warm_outcome(
         self, request: AnalysisRequest, analysis, seeded: bool, fallback: str | None
@@ -277,15 +253,16 @@ class AnalysisEngine:
         warm = self._note_warm_outcome(
             request, analysis, warm_start is not None, fallback
         )
-        # compact=False: in the interactive edit loop the very next
-        # request warm-starts from this snapshot, so a codec encode here
-        # costs more per edit than the warm solve saves on small kernels.
-        # The LRU store bounds how many live state graphs stay pinned.
-        self._snapshots.put(
-            snapshot_from_analysis(request, program, analysis, result, compact=False)
-        )
-        self._snapshots_stored += 1
+        self._retain(request, program, analysis, result)
         return result, warm
+
+    def _retain(
+        self, request: AnalysisRequest, program: CompiledProgram, analysis, result
+    ) -> None:
+        """Keep a snapshot of one finished run (its live states; the LRU
+        store bounds how many stay pinned)."""
+        self._snapshots.put(snapshot_from_analysis(request, program, analysis, result))
+        self._snapshots_stored += 1
 
     def run_ephemeral(
         self,
@@ -331,16 +308,7 @@ class AnalysisEngine:
                 request, analysis, warm_start is not None, fallback
             )
             if retain:
-                # compact=False: chaining snapshots skip the codec pass and
-                # carry their live states pre-decoded — the next candidate
-                # reads them back within milliseconds, and an encode per
-                # scored candidate would cost more than chaining saves.
-                self._snapshots.put(
-                    snapshot_from_analysis(
-                        request, program, analysis, result, compact=False
-                    )
-                )
-                self._snapshots_stored += 1
+                self._retain(request, program, analysis, result)
             run_span.set(warm=warm)
         return result
 
@@ -368,10 +336,7 @@ class AnalysisEngine:
             program = self.compile(request)
             result, analysis = execute_retaining(request, program)
             self._store_result(request, result)
-            self._snapshots.put(
-                snapshot_from_analysis(request, program, analysis, result)
-            )
-            self._snapshots_stored += 1
+            self._retain(request, program, analysis, result)
         return _copy_result(result)
 
     def seed_program(self, request: AnalysisRequest, program: CompiledProgram) -> None:
@@ -405,7 +370,6 @@ class AnalysisEngine:
             parallel_batches=self._parallel_batches,
             store=store.stats.snapshot() if store is not None else None,
             incremental=IncrementalStats(
-                enabled=self.incremental_enabled,
                 warm_hits=self._warm_hits,
                 cold_fallbacks=self._cold_fallbacks,
                 snapshots_stored=self._snapshots_stored,

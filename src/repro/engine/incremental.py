@@ -1,18 +1,24 @@
 """Retained analysis snapshots: the substrate of incremental re-analysis.
 
-An :class:`AnalysisSnapshot` captures everything a later run needs to
-warm-start the sparse speculative fixpoint against an *edited* program:
+Every speculative run the engine executes leaves an
+:class:`AnalysisSnapshot`: the identity of the producing request and the
+configuration its states are valid under, plus the solver-facing
+:class:`~repro.analysis.multicolor.WarmStartData`:
 
-* the per-block content fingerprints and successor lists of the analysed
-  CFG (what :func:`repro.ir.cfg.diff_cfgs` maps the edit onto);
 * the final fixpoint states — the per-block normal states and every
-  speculative slot — codec-compressed via :mod:`repro.cache.codec`
-  (lane bytes, far denser than retaining the live object graph);
+  speculative slot — as the live values the run produced (states are
+  immutable, so a snapshot shares them rather than copying or encoding
+  them);
 * the vcfg skeleton (frozen scenarios) and the depth chooser's final
   per-color decisions;
-* the run's classifications plus per-block *line* signatures, so
-  classification of untouched blocks can be reused verbatim when the
-  edit did not shift their source lines.
+* the run's classifications, reused verbatim for blocks an edit did not
+  touch;
+* the analysed CFG and the graph index the run read.  The per-block
+  content fingerprints and line signatures a warm start diffs against
+  (:func:`repro.ir.cfg.diff_cfgs`) are taken from that CFG on first use,
+  so a run whose snapshot never seeds a warm start never hashes a block.
+  A CFG edited before that first use is no longer the graph that was
+  analysed: the snapshot is then *stale* and the warm start runs cold.
 
 Snapshots live in a bounded :class:`SnapshotStore` LRU inside the
 :class:`~repro.engine.engine.AnalysisEngine`, keyed by the producing
@@ -26,23 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.codec import decode_state_map, encode_state_map
+from repro.analysis.multicolor import SpeculativeCacheAnalysis, WarmStartData
 from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.frontend import CompiledProgram
 from repro.obs import span, stamp_for_request
 
-#: Default capacity of the engine's snapshot LRU.  Snapshots are a few
-#: KB each for the paper's kernels (codec-compressed states dominate);
-#: the store is bounded regardless so a long-lived daemon cannot grow
-#: without limit.
+#: Default capacity of the engine's snapshot LRU.  A snapshot pins the
+#: live states and the CFG of one run; the store is bounded so a
+#: long-lived daemon cannot grow without limit.
 DEFAULT_SNAPSHOT_CACHE_SIZE = 64
-
-#: Separator used to flatten ``(block, slot)`` composite keys into the
-#: single string key space of :func:`repro.cache.codec.encode_state_map`.
-#: Block names and slot kinds come from the lowering pipeline's
-#: identifier alphabet and can never contain a unit separator.
-_KEY_SEP = "\x1f"
 
 
 @dataclass(frozen=True)
@@ -63,21 +62,6 @@ class AnalysisSnapshot:
     #: sound against a request resolving to the *same* analysis.
     cache_config: object
     speculation: object
-    #: Per-block content fingerprints of the analysed CFG.
-    block_fingerprints: dict[str, str]
-    #: Per-block source-line signatures (classification reuse gate).
-    block_line_signatures: dict[str, str]
-    #: Successor lists of the analysed CFG (diff closure needs to know
-    #: where removed/rewritten blocks used to deliver).
-    old_successors: dict[str, tuple[str, ...]]
-    #: The vcfg skeleton: frozen scenarios of the producing run.
-    scenarios: tuple
-    #: Final depth-chooser decisions: ``{color: active depth}``, locked colors.
-    chooser_active_depths: dict[int, int]
-    chooser_locked: frozenset[int]
-    #: Codec blobs: the normal-state map and the flattened slot map.
-    normal_blob: bytes
-    slots_blob: bytes
     #: Widening count of the producing run.  Retained states are only the
     #: exact least fixpoint — the thing warm exactness rests on — when the
     #: producing run never widened.
@@ -85,41 +69,15 @@ class AnalysisSnapshot:
     #: Secret annotations of the analysed program.  Fixpoint states do not
     #: depend on them, but retained classifications do — and they are not
     #: part of the layout fingerprint, so they gate compatibility here.
-    secret_symbols: frozenset[str] = frozenset()
-    #: The producing run's classifications (for per-block reuse).
-    classifications: tuple = ()
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate retained size (the codec blobs dominate)."""
-        return len(self.normal_blob) + len(self.slots_blob)
-
-
-def _flatten_slots(speculative: dict[str, dict]) -> dict[str, object]:
-    flat: dict[str, object] = {}
-    for block, slots in speculative.items():
-        for slot, state in slots.items():
-            parts = [block, slot[0], str(slot[1])]
-            parts.extend(str(extra) for extra in slot[2:])
-            flat[_KEY_SEP.join(parts)] = state
-    return flat
-
-
-def _unflatten_slots(flat: dict[str, object]) -> dict[str, dict]:
-    speculative: dict[str, dict] = {}
-    for key, state in flat.items():
-        block, kind, color, *extra = key.split(_KEY_SEP)
-        slot = (kind, int(color), *extra)
-        speculative.setdefault(block, {})[slot] = state
-    return speculative
+    secret_symbols: frozenset[str]
+    #: What the solver seeds a warm start with.  Sharing the live states
+    #: is safe: the solver treats states as immutable values and seeds
+    #: fresh dicts rather than writing into these.
+    warm: WarmStartData
 
 
 def snapshot_from_analysis(
-    request: AnalysisRequest,
-    program: CompiledProgram,
-    analysis,
-    result,
-    compact: bool = True,
+    request: AnalysisRequest, program: CompiledProgram, analysis, result
 ) -> AnalysisSnapshot:
     """Build a snapshot from a completed sparse speculative solve.
 
@@ -128,107 +86,32 @@ def snapshot_from_analysis(
     maps the result object does not carry); ``result`` the
     :class:`~repro.analysis.result.CacheAnalysisResult` it produced.
     Warm runs may be snapshotted too: their states are bit-identical to
-    the cold fixpoint by construction.
-
-    ``compact=False`` skips the codec pass: the live state maps are
-    attached directly as the pre-decoded warm data (they are immutable to
-    the solver) and the blobs stay empty.  The mitigation loop retains a
-    chaining snapshot per scored candidate this way — paying an encode it
-    would decode milliseconds later, per candidate, would cost more than
-    the chained warm start saves.  The trade is memory footprint:
-    non-compact snapshots pin the live object graph until evicted, which
-    is fine for an interactive loop's transient chain and wrong for a
-    long-lived daemon's baseline store.
+    the cold fixpoint by construction.  Nothing is hashed here.
     """
     fixpoint = analysis.last_fixpoint
     if fixpoint is None:
         raise ValueError("analysis has no retained fixpoint to snapshot")
-    cfg = program.cfg
     depths, locked = analysis.chooser.export_state()
-    if compact:
-        with span("snapshot.encode", program=cfg.name) as encode_span:
-            normal_blob = encode_state_map(fixpoint.normal)
-            slots_blob = encode_state_map(_flatten_slots(fixpoint.speculative))
-            encode_span.set(bytes=len(normal_blob) + len(slots_blob))
-    else:
-        normal_blob = b""
-        slots_blob = b""
-    fingerprints = cfg.block_fingerprints()
-    line_signatures = cfg.block_line_signatures()
-    # Prime the program's content caches: the mitigation loop derives every
-    # candidate's fingerprints from these by delta, and later warm runs
-    # against the same resident program skip the full canonicalisation pass.
-    cfg.attach_content_caches(fingerprints, line_signatures)
-    snapshot = AnalysisSnapshot(
+    return AnalysisSnapshot(
         result_key=request.result_key(),
         compile_key=request.compile_key(),
-        entry=cfg.name,
+        entry=analysis.cfg.name,
         layout_fingerprint=program.layout_fingerprint(),
         cache_config=request.resolved_cache_config,
         speculation=request.resolved_speculation,
-        block_fingerprints=fingerprints,
-        block_line_signatures=line_signatures,
-        old_successors=dict(cfg.graph().successors),
-        scenarios=tuple(analysis.vcfg.scenarios),
-        chooser_active_depths=depths,
-        chooser_locked=locked,
-        normal_blob=normal_blob,
-        slots_blob=slots_blob,
         widenings=result.widenings,
         secret_symbols=frozenset(program.info.secret_symbols),
-        classifications=tuple(result.classifications),
+        warm=WarmStartData(
+            cfg=analysis.cfg,
+            graph=analysis._graph,
+            scenarios=tuple(analysis.vcfg.scenarios),
+            normal=fixpoint.normal,
+            slots=fixpoint.speculative,
+            chooser_active_depths=depths,
+            chooser_locked=locked,
+            classifications=tuple(result.classifications),
+        ),
     )
-    if not compact:
-        from repro.analysis.multicolor import WarmStartData
-
-        warm = WarmStartData(
-            block_fingerprints=snapshot.block_fingerprints,
-            old_successors=snapshot.old_successors,
-            scenarios=snapshot.scenarios,
-            normal=dict(fixpoint.normal),
-            slots={name: dict(slots) for name, slots in fixpoint.speculative.items()},
-            chooser_active_depths=snapshot.chooser_active_depths,
-            chooser_locked=snapshot.chooser_locked,
-            classifications=snapshot.classifications,
-            block_line_signatures=snapshot.block_line_signatures,
-        )
-        object.__setattr__(snapshot, "_decoded_warm", warm)
-    return snapshot
-
-
-def warm_start_from_snapshot(snapshot: AnalysisSnapshot, lanes=None):
-    """Decode a snapshot into the solver's :class:`WarmStartData`.
-
-    The decoded value is memoised on the snapshot itself (and thus evicted
-    with it): an interactive loop warm-starting many candidate edits from
-    one baseline decodes the blobs once.  Sharing is safe because the
-    solver treats states as immutable values — ``join``/``access`` return
-    fresh states and seeded dict entries are only ever *replaced*.
-    ``lanes`` (the warm program's lane table) lets the decoded states
-    share that table object.
-    """
-    from repro.analysis.multicolor import WarmStartData
-
-    memo = getattr(snapshot, "_decoded_warm", None)
-    if memo is not None:
-        return memo
-
-    with span("snapshot.decode", bytes=snapshot.nbytes):
-        normal = decode_state_map(snapshot.normal_blob, lanes)
-        slots = _unflatten_slots(decode_state_map(snapshot.slots_blob, lanes))
-    warm = WarmStartData(
-        block_fingerprints=snapshot.block_fingerprints,
-        old_successors=snapshot.old_successors,
-        scenarios=snapshot.scenarios,
-        normal=normal,
-        slots=slots,
-        chooser_active_depths=snapshot.chooser_active_depths,
-        chooser_locked=snapshot.chooser_locked,
-        classifications=snapshot.classifications,
-        block_line_signatures=snapshot.block_line_signatures,
-    )
-    object.__setattr__(snapshot, "_decoded_warm", warm)
-    return warm
 
 
 def snapshot_compatible(
@@ -239,9 +122,10 @@ def snapshot_compatible(
 
     The checks mirror what warm exactness rests on: same resolved
     analysis configuration, same entry function, a memory layout whose
-    symbols/blocks the retained states actually denote, and a producing
-    run that never widened (widened states sit above the least fixpoint,
-    and a warm drain would never pull seeded blocks back down).
+    symbols/blocks the retained states actually denote, a producing run
+    that never widened (widened states sit above the least fixpoint, and
+    a warm drain would never pull seeded blocks back down), and a
+    retained CFG that still is the graph that was analysed.
     """
     if snapshot.widenings:
         return "baseline_widened"
@@ -255,6 +139,8 @@ def snapshot_compatible(
         return "cache_config_mismatch"
     if snapshot.speculation != request.resolved_speculation:
         return "speculation_mismatch"
+    if snapshot.warm.stale:
+        return "snapshot_stale"
     return None
 
 
@@ -272,14 +158,11 @@ def execute_retaining(
 ):
     """Run one speculative request keeping the solver instance around.
 
-    The cache-free twin of :func:`repro.engine.engine.execute_request`
-    for the speculative kind: identical result (same spans, same
-    provenance stamping), but returns ``(result, analysis)`` so the
-    caller can snapshot the final fixpoint states — which the plain
-    result object deliberately does not carry.
+    The speculative executor behind both the engine and
+    :func:`repro.engine.engine.execute_request`: returns
+    ``(result, analysis)`` so the caller can snapshot the final fixpoint
+    states, which the result object deliberately does not carry.
     """
-    from repro.analysis.multicolor import SpeculativeCacheAnalysis
-
     with span(
         "analyze", kind=request.kind.value, label=request.label
     ) as analyze_span:
@@ -301,7 +184,6 @@ def execute_retaining(
 class IncrementalStats:
     """Aggregate incremental-reuse accounting for one engine instance."""
 
-    enabled: bool = False
     warm_hits: int = 0
     cold_fallbacks: int = 0
     snapshots_stored: int = 0
@@ -320,7 +202,6 @@ class IncrementalStats:
     def to_wire(self) -> dict:
         """JSON-shaped form for the service stats payload."""
         return {
-            "enabled": self.enabled,
             "warm_hits": self.warm_hits,
             "cold_fallbacks": self.cold_fallbacks,
             "warm_rate": self.warm_rate,
@@ -333,8 +214,8 @@ class IncrementalStats:
 
     def __str__(self) -> str:
         return (
-            f"incremental: {'on' if self.enabled else 'off'}, "
-            f"{self.warm_hits} warm hits, {self.cold_fallbacks} cold fallbacks "
+            f"incremental: {self.warm_hits} warm hits, "
+            f"{self.cold_fallbacks} cold fallbacks "
             f"({self.warm_rate:.0%} warm), {self.retained} snapshots retained"
         )
 

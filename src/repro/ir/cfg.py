@@ -106,9 +106,9 @@ class CFGDiff:
 def diff_cfgs(old: "CFG | dict[str, str]", new: "CFG") -> CFGDiff:
     """Map an edited CFG onto its predecessor.
 
-    ``old`` may be a live :class:`CFG` or a retained ``{name: fingerprint}``
-    summary (the form snapshots store, so the predecessor program need not
-    stay resident).  Correspondence is by block name: the lowering pipeline
+    ``old`` may be a live :class:`CFG` or a ``{name: fingerprint}`` map (a
+    snapshot fingerprints its analysed CFG once and keeps the map).
+    Correspondence is by block name: the lowering pipeline
     derives names deterministically from source structure, so an edit that
     perturbs one statement leaves every other block's name and content
     intact.
@@ -163,8 +163,6 @@ class CFG:
         if block.name in self.blocks:
             raise CFGError(f"duplicate block {block.name!r} in {self.name!r}")
         self.blocks[block.name] = block
-        self._fingerprint_cache = None
-        self._line_signature_cache = None
         return block
 
     def block(self, name: str) -> BasicBlock:
@@ -262,38 +260,37 @@ class CFG:
     def attach_content_caches(
         self, fingerprints: dict[str, str], line_signatures: dict[str, str]
     ) -> None:
-        """Install precomputed per-block fingerprint/line-signature maps.
+        """Install per-block fingerprint and line-signature maps that a
+        trusted producer derived without hashing every block.
 
-        Trusted producers that *know* the maps match the current blocks —
-        the snapshot builder after a full computation, and the IR-level
-        fence patcher, which derives the edited graph's maps from its
-        predecessor's by re-fingerprinting only the blocks it touched —
-        attach them so the hot incremental paths (``diff_cfgs``, the vcfg
-        memo key, classification reuse) stop paying a full per-instruction
-        canonicalisation pass per candidate.  The caches are semantically
-        transparent; mutating a block *in place* after attaching is
-        unsupported (``add_block`` clears them, in-place instruction edits
-        cannot be seen — build a new CFG instead, as the lowering pipeline
-        and the patcher already do).
+        The IR-level fence patcher derives an edited graph's maps from its
+        predecessor's by re-hashing only the blocks it touched, so a
+        synthesis loop scoring many candidates against one program hashes
+        the whole graph once.  The maps are bound to the current graph
+        index, like the ones :meth:`block_fingerprints` computes: an edit
+        that changes the structural key drops them (see :meth:`graph`).
         """
-        self._fingerprint_cache = dict(fingerprints)
-        self._line_signature_cache = dict(line_signatures)
+        index = self.graph()
+        self._fingerprints = (index, dict(fingerprints))
+        self._line_signatures = (index, dict(line_signatures))
+
+    def _content_map(self, attribute: str, digest) -> dict[str, str]:
+        """One per-block digest map of the graph as it is now, computed on
+        first use and kept while :meth:`graph` returns the same index."""
+        index = self.graph()
+        cached = self.__dict__.get(attribute)
+        if cached is None or cached[0] is not index:
+            cached = (index, {name: digest(block) for name, block in self.blocks.items()})
+            setattr(self, attribute, cached)
+        return cached[1]
 
     def block_fingerprints(self) -> dict[str, str]:
         """Per-block content fingerprints, in block-dict order."""
-        cached = getattr(self, "_fingerprint_cache", None)
-        if cached is not None:
-            return dict(cached)
-        return {name: block_fingerprint(block) for name, block in self.blocks.items()}
+        return dict(self._content_map("_fingerprints", block_fingerprint))
 
     def block_line_signatures(self) -> dict[str, str]:
         """Per-block source-line signatures (see :func:`block_line_signature`)."""
-        cached = getattr(self, "_line_signature_cache", None)
-        if cached is not None:
-            return dict(cached)
-        return {
-            name: block_line_signature(block) for name, block in self.blocks.items()
-        }
+        return dict(self._content_map("_line_signatures", block_line_signature))
 
     def content_fingerprint(self) -> str:
         """A stable content hash of the whole function.
@@ -301,10 +298,9 @@ class CFG:
         Includes block *order* (scenario colors are assigned in
         ``conditional_blocks()`` order, which follows the block dict) so two
         CFGs with equal fingerprints produce identical vcfgs and identical
-        analysis results.  Computed fresh on every call unless a trusted
-        producer attached content caches (see
-        :meth:`attach_content_caches`): content-keyed memos must never
-        alias a mutated graph to its old key.
+        analysis results.  The block fingerprints behind it are kept only
+        while the graph index is, so a content-keyed memo never aliases an
+        edited graph to its old key.
         """
         payload = (
             self.name,

@@ -236,14 +236,11 @@ def apply_fence_points_ir(program, points: Iterable[FencePoint], source: str):
         name=cfg.name, entry=cfg.entry, blocks=new_blocks, params=list(cfg.params)
     )
     # Delta-derive the edited graph's content caches from the predecessor's
-    # (computed once and attached, so a synthesis loop scoring many
+    # (which the predecessor keeps, so a synthesis loop scoring many
     # candidates against one program fingerprints the whole graph once):
     # only the blocks that actually received fences are re-hashed.
-    base_fps = cfg.block_fingerprints()
-    base_sigs = cfg.block_line_signatures()
-    cfg.attach_content_caches(base_fps, base_sigs)
-    new_fps = dict(base_fps)
-    new_sigs = dict(base_sigs)
+    new_fps = cfg.block_fingerprints()
+    new_sigs = cfg.block_line_signatures()
     for name in touched:
         new_fps[name] = block_fingerprint(new_blocks[name])
         new_sigs[name] = block_line_signature(new_blocks[name])

@@ -109,7 +109,8 @@ def hoist_points(
     shared = {block for block, colors in coverage.items() if len(colors) >= 2}
     if not shared:
         return []
-    idom = cfg.graph().idom
+    graph = cfg.graph()
+    idom = graph.idom
 
     def hoisted(block: str) -> str:
         # The highest dominator of ``block`` that is itself shared and
@@ -123,9 +124,13 @@ def hoist_points(
             candidate = idom[candidate]
         return best
 
+    # The first block to claim a point fixes its coverage rank, so walk
+    # the shared blocks in reverse postorder (unreachable ones last, by
+    # name), never in set order, which follows the hash seed.
+    rank = graph.rank
     ranked: list[tuple[int, int, FencePoint]] = []
     seen: set[FencePoint] = set()
-    for block in shared:
+    for block in sorted(shared, key=lambda name: (rank.get(name, len(rank)), name)):
         target = hoisted(block)
         line = _first_line(cfg, target)
         if line is None:

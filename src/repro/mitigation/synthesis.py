@@ -4,33 +4,30 @@
 :class:`~repro.engine.request.AnalysisRequest`, detects its leak sites,
 and produces a :class:`MitigationResult` holding two placements:
 
-* the **fence-every-branch baseline** (no analysis, every source branch
-  arm fenced), and
 * the **optimized placement**: a greedy minimiser over analysis-guided
   candidates (surviving-branch arms plus dominator-guided hoist points),
   which each round evaluates every remaining candidate by actually
-  re-analysing the patched program through the engine — so "removes N
-  leak sites" is a proof, not a heuristic — and keeps the candidate
-  removing the most leaks at the lowest WCET-cycle overhead.
+  re-analysing the patched program — so "removes N leak sites" is a
+  proof, not a heuristic — and keeps the candidate removing the most
+  leaks at the lowest WCET-cycle overhead, and
+* the **fence-every-branch baseline** (no analysis, every source branch
+  arm fenced), evaluated only as the fallback when the optimizer does not
+  verify, or alone under ``optimize=False``.
 
-Every evaluation is an ordinary engine request: repeated synthesis of
-the same program is served from the result caches (including the tier-2
-store when one is attached), and the daemon memoises whole
-``MitigationResult`` values under :func:`mitigation_key`.
-
-When the engine runs with incremental re-analysis enabled
-(``REPRO_INCREMENTAL=1`` / ``AnalysisEngine(incremental=True)``), the
-loop instead analyses the unpatched program *once*, retains its fixpoint
-snapshot, and scores every candidate as a warm-started re-analysis of an
-IR-patched program (:func:`~repro.mitigation.patch.apply_fence_points_ir`)
-— skipping the front end and the unperturbed part of the fixpoint per
-candidate.  The verdicts are identical; only wall-clock changes.  The
-final verification gate is unchanged: cache-free recompilation and
-analysis of the selected placement's patched *source*.
+The unpatched program is analysed *once* and its fixpoint snapshot
+retained.  Every candidate is then scored as a warm-started re-analysis
+of an IR-patched program (:func:`~repro.mitigation.patch.apply_fence_points_ir`),
+skipping the front end and the unperturbed part of the fixpoint; each
+scored candidate's snapshot is kept too, so the next round starts from
+the scored placement it extends.  Points with no IR image take the
+source path: the patched source is compiled and warm-started through
+:meth:`~repro.engine.engine.AnalysisEngine.run`.  The daemon memoises
+whole ``MitigationResult`` values under :func:`mitigation_key`.
 
 The function *refuses to return an unverified placement*: the selected
-placement's patched source is re-analysed one final time through the
-engine, and anything but zero leak sites raises :class:`MitigationError`.
+placement's patched source is recompiled and re-analysed cache-free one
+final time, and anything but zero leak sites raises
+:class:`MitigationError`.
 """
 
 from __future__ import annotations
@@ -106,9 +103,9 @@ class MitigationResult:
     ``chosen`` names the placement a caller should apply: ``"optimized"``
     when the minimiser verified, ``"baseline"`` when only
     fence-every-branch did, ``"none"`` when the program was already
-    leak-free (both placements are then absent).  On incremental runs
-    where the optimizer verified, ``baseline`` is None — the yardstick
-    placement is only evaluated when needed as the fallback.
+    leak-free (both placements are then absent).  When the optimizer
+    verified, ``baseline`` is None: fence-every-branch is only evaluated
+    as the fallback (run with ``optimize=False`` for the yardstick).
     """
 
     name: str
@@ -122,14 +119,9 @@ class MitigationResult:
     analyses_run: int = 0
     synthesis_time: float = 0.0
     from_cache: bool = False
-    #: Whether candidates were scored through the incremental path
-    #: (IR-level patching + warm-started fixpoints).  When True and the
-    #: optimizer verified, ``baseline`` is None: the fence-every-branch
-    #: yardstick is only evaluated as the fallback placement.
-    incremental: bool = False
-    #: Wall-clock spent evaluating candidate placements (the part the
-    #: incremental path accelerates; the rest of ``synthesis_time`` is
-    #: the unpatched analysis and the final cache-free verification).
+    #: Wall-clock spent evaluating candidate placements (the rest of
+    #: ``synthesis_time`` is the unpatched analysis and the final
+    #: cache-free verification).
     scoring_time: float = 0.0
 
     @property
@@ -164,7 +156,6 @@ class MitigationResult:
             "analyses_run": self.analyses_run,
             "synthesis_time": self.synthesis_time,
             "from_cache": self.from_cache,
-            "incremental": self.incremental,
             "scoring_time": self.scoring_time,
         }
 
@@ -219,18 +210,8 @@ def _synthesize(
     label: str,
     mitigate_span,
 ) -> MitigationResult:
-    # The incremental path: retain a snapshot of the unpatched analysis
-    # and score every candidate as a warm-started re-analysis of an
-    # IR-patched program, skipping the front end and the unperturbed part
-    # of the fixpoint per candidate.  Verdict-identical to the cold path;
-    # the final _verify gate stays cache-free source recompilation.
-    incremental = eng.incremental_enabled
-    if incremental:
-        unpatched = eng.ensure_snapshot(request)
-        base_key = request.result_key()
-    else:
-        unpatched = eng.run(request)
-        base_key = None
+    unpatched = eng.ensure_snapshot(request)
+    base_key = request.result_key()
     leaks = unpatched.secret_dependent_classifications()
     program = eng.compile(request)
     program_ast = parse_program(request.source)
@@ -250,7 +231,6 @@ def _synthesize(
         leak_sites=[LeakSite.from_classification(c) for c in leaks],
         unpatched_wcet_cycles=unpatched_cycles,
         analyses_run=1,
-        incremental=incremental,
     )
     mitigate_span.set(leak_sites_before=len(leaks))
     publish_progress("mitigate", program=label, leak_sites_before=len(leaks))
@@ -264,7 +244,7 @@ def _synthesize(
     # the fresh group, not every fence placed so far).
     chained: dict[frozenset, str] = {}
 
-    def nearest_base(points: tuple[FencePoint, ...]) -> str | None:
+    def nearest_base(points: tuple[FencePoint, ...]) -> str:
         point_set = frozenset(points)
         best: tuple[int, str] | None = None
         for scored, key in chained.items():
@@ -282,23 +262,20 @@ def _synthesize(
                 request,
                 source=source,
                 label=f"{label}+fences",
-                warm_from=nearest_base(points) if incremental else base_key,
+                warm_from=nearest_base(points),
             )
-            analysed = None
-            patched_program = None
-            if incremental:
-                # Patch at the IR level and score through the quarantined
-                # warm path: no front end, no result-cache writes (the IR
-                # twin is verdict-identical but not line-faithful).  Points
-                # with no IR image — arms of fully-unrolled loops, as in
-                # the fence-every-branch baseline — take the source path.
-                patched_program = apply_fence_points_ir(program, points, source)
-                if patched_program is not None:
-                    analysed = eng.run_ephemeral(
-                        patched_request, patched_program, retain=True
-                    )
-                    chained[frozenset(points)] = patched_request.result_key()
-            if analysed is None:
+            # Patch at the IR level and score through the quarantined warm
+            # path: no front end, no result-cache writes (the IR twin is
+            # verdict-identical but not line-faithful).  Points with no IR
+            # image — arms of fully-unrolled loops, as in the
+            # fence-every-branch baseline — take the source path.
+            patched_program = apply_fence_points_ir(program, points, source)
+            if patched_program is not None:
+                analysed = eng.run_ephemeral(
+                    patched_request, patched_program, retain=True
+                )
+                chained[frozenset(points)] = patched_request.result_key()
+            else:
                 analysed = eng.run(patched_request)
                 patched_program = eng.compile(patched_request)
             result.analyses_run += 1
@@ -330,18 +307,12 @@ def _synthesize(
             patched_source=source,
         )
 
-    if not incremental:
-        result.baseline = evaluate(
-            tuple(enumerate_fence_points(program_ast)), "baseline"
-        )
     if optimize:
         result.optimized = _greedy_minimise(
             program, request, evaluate, len(leaks), max_rounds
         )
-    if incremental and (result.optimized is None or not result.optimized.verified):
-        # The fence-every-branch yardstick is only needed as the fallback
-        # placement; when the optimizer verified, skipping it keeps the
-        # interactive loop at one fixed-cost analysis (the unpatched one).
+    if result.optimized is None or not result.optimized.verified:
+        # Fence-every-branch is only needed as the fallback placement.
         result.baseline = evaluate(
             tuple(enumerate_fence_points(program_ast)), "baseline"
         )
@@ -351,13 +322,10 @@ def _synthesize(
     elif result.baseline is not None and result.baseline.verified:
         result.chosen = "baseline"
     else:
-        remaining = (
-            result.baseline.leak_sites_after if result.baseline is not None else len(leaks)
-        )
         raise MitigationError(
             f"no fence placement closes the {len(leaks)} leak site(s) of "
             f"{label!r}: even fence-every-branch leaves "
-            f"{remaining} (the leak is not a "
+            f"{result.baseline.leak_sites_after} (the leak is not a "
             "speculation artefact)"
         )
 
@@ -441,10 +409,11 @@ def _verify(
     placement's patched source *cache-free* and refuse to return anything
     that still leaks.
 
-    The greedy loop's own evaluations went through ``engine`` and sit in
-    its caches; replaying the same request would be a tautological check.
-    :func:`execute_request` is the engine's cache-free core, so this is an
-    independent recomputation of the verdict the result promises.
+    The greedy loop scored warm-started IR twins through ``engine``;
+    replaying them would be a tautological check.  :func:`execute_request`
+    is the engine's cache-free core and compiles the patched source, so
+    this is an independent recomputation of the verdict the result
+    promises.
     """
     from repro.engine.engine import execute_request
 

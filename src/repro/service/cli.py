@@ -126,16 +126,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         batch_size=args.batch_size,
         slow_job_seconds=args.slow_job_seconds,
-        incremental=args.incremental,
     )
     signal.signal(signal.SIGTERM, lambda *_: server.stop())
     store_note = "no store" if args.no_store else f"store at {args.store_dir}"
-    incremental_note = (
-        ", incremental" if server.engine.incremental_enabled else ""
-    )
     print(
         f"repro daemon listening on {server.host}:{server.port} "
-        f"({args.max_workers} workers, {store_note}{incremental_note})",
+        f"({args.max_workers} workers, {store_note})",
         flush=True,
     )
     try:
@@ -688,9 +684,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     incremental = stats.get("incremental")
     if incremental is not None:
-        state = "on" if incremental["enabled"] else "off"
         print(
-            f"incremental  : {state}, {incremental['warm_hits']} warm hits / "
+            f"incremental  : {incremental['warm_hits']} warm hits / "
             f"{incremental['cold_fallbacks']} cold fallbacks "
             f"({incremental['warm_rate']:.0%} warm), "
             f"{incremental['retained']} snapshots retained "
@@ -760,7 +755,7 @@ def _render_top(top: dict) -> list[str]:
         ),
     ]
     incremental = top.get("incremental")
-    if incremental and (incremental.get("enabled") or incremental.get("warm_hits")):
+    if incremental:
         lines.append(
             f"warm     {incremental['warm_hits']} hits / "
             f"{incremental['cold_fallbacks']} cold "
@@ -902,11 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace", default=None, metavar="PATH",
                        help="write every completed span to PATH as JSON lines "
                             "(equivalent to REPRO_TRACE=PATH)")
-    serve.add_argument("--incremental", action="store_true", default=None,
-                       help="retain analysis snapshots and warm-start "
-                            "re-analyses of edited programs (equivalent to "
-                            "REPRO_INCREMENTAL=1; omitting the flag defers "
-                            "to the environment)")
     serve.set_defaults(func=cmd_serve)
 
     submit = sub.add_parser("submit", help="analyse one MiniC source file")

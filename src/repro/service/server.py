@@ -91,13 +91,8 @@ class ReproServer:
         max_workers: int = 2,
         batch_size: int = 8,
         slow_job_seconds: float | None = None,
-        incremental: bool | None = None,
     ):
-        # ``incremental=None`` defers to REPRO_INCREMENTAL per run, so a
-        # daemon started without the flag still follows the environment.
-        self.engine = (
-            engine if engine is not None else AnalysisEngine(incremental=incremental)
-        )
+        self.engine = engine if engine is not None else AnalysisEngine()
         if store_dir is not None and self.engine.result_store is None:
             self.engine.attach_result_store(ResultStore(store_dir))
         self.scheduler = JobScheduler(
@@ -389,8 +384,9 @@ class ReproServer:
             "scheduler": vars(self.scheduler.stats),
             "incremental": engine_stats.incremental.to_wire(),
             "slow_jobs": self.scheduler.slow_jobs(),
-            # Process-wide registry: pool.*, store.*, fixpoint.*, codec.*
-            # counters from every subsystem that ran in this daemon.
+            # Process-wide registry: pool.*, store.*, fixpoint.*,
+            # incremental.* counters from every subsystem that ran in
+            # this daemon.
             "metrics": metrics().snapshot(),
         }
         return {"ok": True, "stats": payload}

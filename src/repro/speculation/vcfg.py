@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.engine.cache import LRUCache
 from repro.ir.cfg import CFG, diff_cfgs
@@ -199,9 +200,23 @@ def vcfg_memo_stats():
 
 
 def _compute_scenarios(
-    cfg: CFG, config: SpeculationConfig
+    cfg: CFG,
+    config: SpeculationConfig,
+    window_pair: Callable[[str, bool, str], tuple[SpeculativeWindow, SpeculativeWindow]]
+    | None = None,
 ) -> tuple[SpeculationScenario, ...]:
+    """Every scenario of ``cfg``, colored in ``conditional_blocks()``
+    order.  ``window_pair(branch block, mispredicted taken, wrong target)``
+    supplies a scenario's ``(window_miss, window_hit)``; by default both
+    are searched afresh."""
     graph = cfg.graph()
+    if window_pair is None:
+        def window_pair(branch_block, mispredicted_taken, wrong):
+            return (
+                _window(graph, wrong, config.depth_miss),
+                _window(graph, wrong, config.depth_hit),
+            )
+
     ipdom = graph.ipdom
     scenarios: list[SpeculationScenario] = []
     color = 0
@@ -214,6 +229,7 @@ def _compute_scenarios(
         for mispredicted_taken in (True, False):
             wrong = terminator.true_target if mispredicted_taken else terminator.false_target
             correct = terminator.false_target if mispredicted_taken else terminator.true_target
+            window_miss, window_hit = window_pair(branch_block, mispredicted_taken, wrong)
             scenarios.append(
                 SpeculationScenario(
                     color=color,
@@ -222,8 +238,8 @@ def _compute_scenarios(
                     wrong_target=wrong,
                     correct_target=correct,
                     cond_refs=terminator.cond_refs,
-                    window_miss=_window(graph, wrong, config.depth_miss),
-                    window_hit=_window(graph, wrong, config.depth_hit),
+                    window_miss=window_miss,
+                    window_hit=window_hit,
                     convergence_block=convergence,
                 )
             )
@@ -306,13 +322,11 @@ def build_vcfg_incremental(
         stats = {"windows_reused": 0, "windows_recomputed": 0, "memo_hit": 1}
         return VirtualCFG(cfg=cfg, config=config, scenarios=list(memoised)), stats
 
-    diff = diff_cfgs(baseline.block_fingerprints, cfg)
-    touched = diff.touched
+    touched = diff_cfgs(baseline.block_fingerprints, cfg).touched
     old_windows: dict[tuple[str, bool], tuple[SpeculativeWindow, SpeculativeWindow]] = {
         (s.branch_block, s.mispredicted_taken): (s.window_miss, s.window_hit)
         for s in baseline.scenarios
     }
-
     graph = cfg.graph()
     reused = 0
     recomputed = 0
@@ -336,44 +350,7 @@ def build_vcfg_incremental(
         return windows[0], windows[1]
 
     with span("vcfg.incremental", program=cfg.name) as vcfg_span:
-        ipdom = graph.ipdom
-        scenarios: list[SpeculationScenario] = []
-        color = 0
-        for branch_block in cfg.conditional_blocks():
-            terminator = cfg.block(branch_block).terminator
-            assert isinstance(terminator, CondBranch)
-            if terminator.true_target == terminator.false_target:
-                continue
-            convergence = ipdom.get(branch_block)
-            for mispredicted_taken in (True, False):
-                wrong = (
-                    terminator.true_target
-                    if mispredicted_taken
-                    else terminator.false_target
-                )
-                correct = (
-                    terminator.false_target
-                    if mispredicted_taken
-                    else terminator.true_target
-                )
-                window_miss, window_hit = window_pair(
-                    branch_block, mispredicted_taken, wrong
-                )
-                scenarios.append(
-                    SpeculationScenario(
-                        color=color,
-                        branch_block=branch_block,
-                        mispredicted_taken=mispredicted_taken,
-                        wrong_target=wrong,
-                        correct_target=correct,
-                        cond_refs=terminator.cond_refs,
-                        window_miss=window_miss,
-                        window_hit=window_hit,
-                        convergence_block=convergence,
-                    )
-                )
-                color += 1
-        frozen = tuple(scenarios)
+        frozen = _compute_scenarios(cfg, config, window_pair)
         vcfg_span.set(
             scenarios=len(frozen), windows_reused=reused, windows_recomputed=recomputed
         )

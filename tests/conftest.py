@@ -92,7 +92,7 @@ def _widening_active():
 
 
 def _warm_start():
-    engine = AnalysisEngine(incremental=True)
+    engine = AnalysisEngine()
     base = AnalysisRequest.speculative(TWO_BRANCH_SOURCE)
     engine.ensure_snapshot(base)
     result = engine.run(

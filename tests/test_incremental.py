@@ -7,12 +7,14 @@ classifications, same entry states, same aggregate counters — across
 edit shapes, cache geometries and merge strategies.  Only observational
 fields (iterations, analysis_time) may differ.
 
-Also pinned here: the ``warm_from=`` lineage handle never perturbs
-request identity or caching; every incompatibility degrades to a
-counted cold fallback rather than an error; snapshot codec round-trips;
-ephemeral (IR-patched) runs never pollute the result tiers; and the
-IR-level fence patching used by the incremental mitigation loop is
-verdict-equivalent to source-level patching.
+Also pinned here: every engine is incremental, with no knob to turn it
+off; snapshots fingerprint their CFG on first use, once, and never
+describe a CFG edited after its run; the ``warm_from=`` lineage handle
+never perturbs request identity or caching; every incompatibility
+degrades to a counted cold fallback rather than an error; ephemeral
+(IR-patched) runs never pollute the result tiers; and the IR-level fence
+patching used by the mitigation loop is verdict-equivalent to
+source-level patching.
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.incremental import (
-    _flatten_slots,
-    _unflatten_slots,
     execute_retaining,
     snapshot_compatible,
     snapshot_eligible,
     snapshot_from_analysis,
-    warm_start_from_snapshot,
 )
 from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.frontend import compile_source
@@ -44,6 +43,8 @@ from repro.mitigation.synthesis import synthesize_mitigation
 from repro.service.wire import WireError, request_from_wire, request_to_wire
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
+
+from cold_reference import ColdScoringEngine
 
 # ----------------------------------------------------------------------
 # Edited-program pairs
@@ -112,7 +113,7 @@ def assert_semantically_identical(warm, cold) -> None:
 def warm_vs_cold(base_source: str, edited_source: str, geometry, **kwargs):
     """Run the edit warm (seeded from the base snapshot) and cold
     (cache-free), returning ``(warm, cold, engine)``."""
-    engine = AnalysisEngine(incremental=True)
+    engine = AnalysisEngine()
     base = _request(base_source, geometry, **kwargs)
     engine.ensure_snapshot(base)
     edited = _request(
@@ -210,7 +211,7 @@ class TestWarmFromHandle:
         """A result cached under the plain request replays for the hinted
         twin (same key), and vice versa — the handle is execution advice,
         not identity."""
-        engine = AnalysisEngine(incremental=True)
+        engine = AnalysisEngine()
         request = AnalysisRequest.speculative(BASE_SOURCE)
         engine.ensure_snapshot(request)
         hinted = replace(request, warm_from="not-a-real-key")
@@ -236,7 +237,7 @@ class TestColdFallbacks:
         return engine.stats.incremental
 
     def test_missing_snapshot(self):
-        engine = AnalysisEngine(incremental=True)
+        engine = AnalysisEngine()
         request = replace(
             _request(EDITS["fence_insert"], GEOMETRIES[0]), warm_from="9" * 64
         )
@@ -247,7 +248,7 @@ class TestColdFallbacks:
         assert stats.warm_hits == 0
 
     def test_geometry_mismatch(self):
-        engine = AnalysisEngine(incremental=True)
+        engine = AnalysisEngine()
         base = _request(BASE_SOURCE, GEOMETRIES[0])
         engine.ensure_snapshot(base)
         edited = replace(
@@ -262,7 +263,7 @@ class TestColdFallbacks:
         """Fixpoint states do not depend on secret annotations but the
         retained classifications do: flipping an annotation must reject
         the snapshot, not silently reuse leak verdicts."""
-        engine = AnalysisEngine(incremental=True)
+        engine = AnalysisEngine()
         base = _request(BASE_SOURCE, GEOMETRIES[0])
         engine.ensure_snapshot(base)
         desecreted = BASE_SOURCE.replace("secret int key;", "int key;")
@@ -271,7 +272,7 @@ class TestColdFallbacks:
         assert stats.warm_hits == 0
 
     def test_lru_eviction_means_cold(self):
-        engine = AnalysisEngine(incremental=True, snapshot_cache_size=1)
+        engine = AnalysisEngine(snapshot_cache_size=1)
         base = _request(BASE_SOURCE, GEOMETRIES[0])
         engine.ensure_snapshot(base)
         evictor = _request(EDITS["condition_change"], GEOMETRIES[0])
@@ -327,51 +328,6 @@ class TestColdFallbacks:
 
 
 # ----------------------------------------------------------------------
-# Snapshot codec
-# ----------------------------------------------------------------------
-class TestSnapshotCodec:
-    def _retained(self, compact: bool):
-        program = compile_source(BASE_SOURCE)
-        request = _request(BASE_SOURCE, GEOMETRIES[0])
-        result, analysis = execute_retaining(request, program)
-        snapshot = snapshot_from_analysis(
-            request, program, analysis, result, compact=compact
-        )
-        return snapshot, analysis.last_fixpoint
-
-    @staticmethod
-    def _nonempty(slots):
-        # The flat encoding has no way to say "this block has zero slots",
-        # so empty per-block dicts vanish in the round trip; a missing
-        # block and an empty one mean the same thing to the warm planner.
-        return {name: per for name, per in slots.items() if per}
-
-    def test_blob_round_trip(self):
-        snapshot, fixpoint = self._retained(compact=True)
-        assert snapshot.nbytes > 0
-        warm = warm_start_from_snapshot(snapshot)
-        assert warm.normal == fixpoint.normal
-        assert warm.slots == self._nonempty(fixpoint.speculative)
-        # The decode is memoised on the snapshot (same object back).
-        assert warm_start_from_snapshot(snapshot) is warm
-
-    def test_flatten_unflatten_inverse(self):
-        _, fixpoint = self._retained(compact=True)
-        assert fixpoint.speculative, "test program produced no slots"
-        flat = _flatten_slots(fixpoint.speculative)
-        assert _unflatten_slots(flat) == self._nonempty(fixpoint.speculative)
-
-    def test_non_compact_skips_encode(self):
-        """Chaining snapshots carry their states pre-decoded with empty
-        blobs; the decoded view must equal the compact round-trip's."""
-        snapshot, fixpoint = self._retained(compact=False)
-        assert snapshot.nbytes == 0
-        warm = warm_start_from_snapshot(snapshot)
-        assert warm.normal == fixpoint.normal
-        assert warm.slots == fixpoint.speculative
-
-
-# ----------------------------------------------------------------------
 # Ephemeral runs: the IR-patch quarantine
 # ----------------------------------------------------------------------
 LEAKY_POINTS_SOURCE = BASE_SOURCE  # branch arms exist at lines 10 and 13
@@ -385,7 +341,7 @@ def _first_arm_points(source: str):
 
 class TestEphemeralQuarantine:
     def test_results_never_enter_the_cache(self):
-        engine = AnalysisEngine(incremental=True)
+        engine = AnalysisEngine()
         base = _request(BASE_SOURCE, GEOMETRIES[0])
         engine.ensure_snapshot(base)
         program = engine.compile(base)
@@ -408,7 +364,7 @@ class TestEphemeralQuarantine:
         assert ephemeral.miss_count == genuine.miss_count
 
     def test_retention_enables_chaining(self):
-        engine = AnalysisEngine(incremental=True)
+        engine = AnalysisEngine()
         base = _request(BASE_SOURCE, GEOMETRIES[0])
         engine.ensure_snapshot(base)
         before = engine.stats.incremental.retained
@@ -424,7 +380,7 @@ class TestEphemeralQuarantine:
         assert engine.stats.incremental.retained == before + 1
 
     def test_rejects_ineligible_requests(self):
-        engine = AnalysisEngine(incremental=True)
+        engine = AnalysisEngine()
         request = AnalysisRequest.baseline(BASE_SOURCE)
         with pytest.raises(ValueError, match="speculative"):
             engine.run_ephemeral(request, compile_source(BASE_SOURCE))
@@ -441,7 +397,7 @@ class TestIRPatchEquivalence:
         request = replace(
             table7_client_request("des"), kind=AnalysisKind.SPECULATIVE
         )
-        engine = AnalysisEngine(incremental=True)
+        engine = AnalysisEngine()
         engine.ensure_snapshot(request)
         program = engine.compile(request)
         program_ast = parse_program(request.source)
@@ -470,18 +426,18 @@ class TestIRPatchEquivalence:
 # Incremental mitigation synthesis: identical placements, fewer cycles
 # ----------------------------------------------------------------------
 class TestIncrementalSynthesis:
-    @pytest.mark.parametrize("kernel", ["des", "encoder"])
+    @pytest.mark.parametrize("kernel", ["des", "encoder", "hash", "chacha20", "ocb"])
     def test_verdict_equivalence(self, kernel):
+        """Warm-started candidate scoring chooses what cold scoring of
+        every patched source chooses."""
         from repro.bench.tables import table7_client_request
 
         request = table7_client_request(kernel)
-        cold = synthesize_mitigation(
-            request, engine=AnalysisEngine(incremental=False)
-        )
-        warm = synthesize_mitigation(
-            request, engine=AnalysisEngine(incremental=True)
-        )
-        assert not cold.incremental and warm.incremental
+        cold_engine, warm_engine = ColdScoringEngine(), AnalysisEngine()
+        cold = synthesize_mitigation(request, engine=cold_engine)
+        warm = synthesize_mitigation(request, engine=warm_engine)
+        assert cold_engine.stats.incremental.warm_hits == 0
+        assert warm_engine.stats.incremental.warm_hits > 0
         assert cold.chosen == warm.chosen
         assert cold.leak_sites_before == warm.leak_sites_before
         cold_sel, warm_sel = cold.selected(), warm.selected()
@@ -492,6 +448,341 @@ class TestIncrementalSynthesis:
             assert cold_sel.verified == warm_sel.verified
             assert cold_sel.wcet_cycles == warm_sel.wcet_cycles
             assert cold_sel.patched_source == warm_sel.patched_source
+
+    @pytest.mark.parametrize("kernel", ["des", "encoder"])
+    def test_fence_every_branch_equivalence(self, kernel):
+        """The yardstick placement (``optimize=False``) scores the same
+        warm as cold; its unrolled-loop arms take the source path."""
+        from repro.bench.tables import table7_client_request
+
+        request = table7_client_request(kernel)
+        cold = synthesize_mitigation(
+            request, engine=ColdScoringEngine(), optimize=False
+        ).baseline
+        engine = AnalysisEngine()
+        warm = synthesize_mitigation(request, engine=engine, optimize=False).baseline
+        assert engine.stats.incremental.warm_hits == 1
+        assert engine.stats.incremental.cold_fallbacks == 0
+        assert (cold.points, cold.source_fences, cold.ir_fences) == (
+            warm.points,
+            warm.source_fences,
+            warm.ir_fences,
+        )
+        assert cold.leak_sites_after == warm.leak_sites_after == 0
+        assert cold.wcet_cycles == warm.wcet_cycles
+        assert cold.patched_source == warm.patched_source
+
+
+# ----------------------------------------------------------------------
+# One engine: incremental re-analysis has no off switch
+# ----------------------------------------------------------------------
+def _warm_edit(engine: AnalysisEngine):
+    base = _request(BASE_SOURCE, GEOMETRIES[0])
+    engine.run(base)
+    edited = _request(
+        EDITS["statement_add"], GEOMETRIES[0], warm_from=base.result_key()
+    )
+    return engine.run(edited), execute_request(edited)
+
+
+class TestAlwaysIncremental:
+    def test_engine_takes_no_incremental_argument(self):
+        with pytest.raises(TypeError, match="incremental"):
+            AnalysisEngine(incremental=True)
+
+    def test_serve_has_no_incremental_flag(self):
+        from repro.service.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--incremental"])
+        assert excinfo.value.code == 2
+
+    def test_default_engine_warm_starts(self, monkeypatch):
+        monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
+        engine = AnalysisEngine()
+        warm, cold = _warm_edit(engine)
+        assert engine.stats.incremental.warm_hits == 1
+        assert_semantically_identical(warm, cold)
+
+    def test_removed_environment_variable_does_not_disable_warm_starts(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
+        engine = AnalysisEngine()
+        warm, cold = _warm_edit(engine)
+        assert engine.stats.incremental.warm_hits == 1
+        assert engine.stats.incremental.cold_fallbacks == 0
+        assert_semantically_identical(warm, cold)
+
+    def test_baseline_requests_retain_no_snapshot(self):
+        engine = AnalysisEngine()
+        engine.run(AnalysisRequest.baseline(BASE_SOURCE))
+        assert engine.stats.incremental.retained == 0
+
+    def test_wire_forms_carry_no_switch(self):
+        from repro.engine.incremental import IncrementalStats
+        from repro.mitigation.synthesis import MitigationResult
+
+        assert "enabled" not in IncrementalStats().to_wire()
+        assert " on," not in str(IncrementalStats())
+        wire = MitigationResult(name="p", leak_sites_before=0, secret_sites=0).to_wire()
+        assert "incremental" not in wire
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=["paper-lru", "fifo-2way"])
+    def test_warm_runs_seed_the_next_edit(self, geometry):
+        """A warm run's snapshot seeds the next edit of an edit chain."""
+        engine = AnalysisEngine()
+        previous = _request(BASE_SOURCE, geometry)
+        engine.run(previous)
+        chain = (
+            EDITS["fence_insert"],
+            EDITS["fence_insert"].replace("cnd[0]", "cnd[1]"),
+            EDITS["condition_change"],
+        )
+        for source in chain:
+            edited = _request(source, geometry, warm_from=previous.result_key())
+            assert_semantically_identical(engine.run(edited), execute_request(edited))
+            previous = edited
+        assert engine.stats.incremental.warm_hits == len(chain)
+
+    def test_parallel_batches_answer_warm_from_requests_cold(self):
+        """Pool workers retain no snapshots and run every request cold;
+        the answers equal the sequential path's warm ones."""
+        engines = AnalysisEngine(), AnalysisEngine()
+        base = _request(BASE_SOURCE, GEOMETRIES[0])
+        batch = [
+            _request(EDITS[edit], GEOMETRIES[0], warm_from=base.result_key())
+            for edit in ("fence_insert", "statement_add")
+        ]
+        results = []
+        for engine, max_workers in zip(engines, (1, 2)):
+            engine.run(base)
+            results.append(engine.run_batch(batch, max_workers=max_workers))
+        sequential, parallel = engines
+        assert sequential.stats.incremental.warm_hits == len(batch)
+        assert parallel.stats.incremental.warm_hits == 0
+        assert parallel.stats.incremental.retained == 1
+        for warm, cold in zip(*results):
+            assert_semantically_identical(warm, cold)
+
+
+# ----------------------------------------------------------------------
+# Fingerprints on first use, and never of the wrong CFG
+# ----------------------------------------------------------------------
+@pytest.fixture
+def hashed_blocks(monkeypatch):
+    """A list that records every block :func:`block_fingerprint` hashes."""
+    from repro.ir import cfg as cfg_module
+
+    hashed: list[str] = []
+    original = cfg_module.block_fingerprint
+
+    def counting(block):
+        hashed.append(block.name)
+        return original(block)
+
+    monkeypatch.setattr(cfg_module, "block_fingerprint", counting)
+    return hashed
+
+
+def _add_block(cfg, mark: int):
+    from repro.ir.basicblock import BasicBlock
+    from repro.ir.instructions import Return
+
+    cfg.add_block(BasicBlock(name=f"orphan{mark}", terminator=Return(line=mark)))
+
+
+def _assign_instructions(cfg, mark: int):
+    from repro.ir.instructions import Fence
+
+    block = cfg.blocks[cfg.entry]
+    block.instructions = [Fence(line=mark), *block.instructions]
+
+
+def _append(cfg, mark: int):
+    from repro.ir.instructions import Fence
+
+    cfg.blocks[cfg.entry].append(Fence(line=mark))
+
+
+def _assign_terminator(cfg, mark: int):
+    from repro.ir.instructions import Return
+
+    cfg.blocks[cfg.entry].terminator = Return(line=mark)
+
+
+class TestContentCaches:
+    @pytest.mark.parametrize(
+        "edit", [_add_block, _assign_instructions, _append, _assign_terminator]
+    )
+    def test_edits_drop_computed_and_attached_maps(self, edit):
+        """Content maps live with the graph index: an edit the index sees
+        drops them, whether computed or attached by a trusted producer."""
+        from repro.ir.cfg import block_fingerprint, block_line_signature
+
+        def fresh(cfg):
+            return (
+                {name: block_fingerprint(block) for name, block in cfg.blocks.items()},
+                {name: block_line_signature(block) for name, block in cfg.blocks.items()},
+            )
+
+        cfg = compile_source(BASE_SOURCE).cfg
+        before = cfg.content_fingerprint()
+        edit(cfg, 1)
+        assert (cfg.block_fingerprints(), cfg.block_line_signatures()) == fresh(cfg)
+        assert cfg.content_fingerprint() != before
+        stale = {name: "stale" for name in cfg.blocks}
+        cfg.attach_content_caches(stale, stale)
+        assert cfg.block_fingerprints() == stale
+        edit(cfg, 2)
+        assert (cfg.block_fingerprints(), cfg.block_line_signatures()) == fresh(cfg)
+
+
+class TestLazyFingerprints:
+    def test_cold_run_hashes_no_block(self, hashed_blocks):
+        engine = AnalysisEngine()
+        engine.run(_request(BASE_SOURCE, GEOMETRIES[0]))
+        assert engine.stats.incremental.retained == 1
+        assert hashed_blocks == []
+
+    def test_first_warm_start_hashes_each_snapshot_once(self, hashed_blocks):
+        engine = AnalysisEngine()
+        base = _request(BASE_SOURCE, GEOMETRIES[0])
+        engine.run(base)
+        base_blocks = len(engine.compile(base).cfg.blocks)
+        for number, edit in enumerate(("statement_add", "condition_change")):
+            hashed_blocks.clear()
+            edited = _request(EDITS[edit], GEOMETRIES[0], warm_from=base.result_key())
+            engine.run(edited)
+            edited_blocks = len(engine.compile(edited).cfg.blocks)
+            # The edited program is hashed once; the snapshot only the
+            # first time anything diffs against it.
+            assert len(hashed_blocks) == edited_blocks + (base_blocks if number == 0 else 0)
+        assert engine.stats.incremental.warm_hits == 2
+
+    def test_chained_candidate_hashes_only_its_patched_blocks(self, hashed_blocks):
+        from repro.mitigation.patch import enumerate_fence_points
+
+        engine = AnalysisEngine()
+        base = _request(BASE_SOURCE, GEOMETRIES[0])
+        engine.run(base)
+        program = engine.compile(base)
+        program_ast = parse_program(BASE_SOURCE)
+        first, second = enumerate_fence_points(program_ast)[:2]
+        warm_from = base.result_key()
+        for number, points in enumerate(((first,), (first, second))):
+            hashed_blocks.clear()
+            source = program_to_source(apply_fence_points(program_ast, points))
+            patched = apply_fence_points_ir(program, points, source)
+            request = replace(base, source=source, warm_from=warm_from)
+            engine.run_ephemeral(request, patched, retain=True)
+            patched_blocks = {
+                name
+                for name, block in patched.cfg.blocks.items()
+                if block.instructions != program.cfg.blocks[name].instructions
+            }
+            # The first candidate hashes the unpatched program once (the
+            # base every candidate derives from); each candidate hashes
+            # only the blocks it patched, and its warm start none.
+            base_blocks = set(program.cfg.blocks) if number == 0 else set()
+            assert sorted(hashed_blocks) == sorted([*base_blocks, *patched_blocks])
+            warm_from = request.result_key()
+        assert engine.stats.incremental.warm_hits == 2
+
+    def _fence_like_the_edit(self, program, edited_source):
+        """Edit ``program``'s CFG in place into the fenced edit's CFG."""
+        fenced = compile_source(edited_source).cfg
+        cfg = program.cfg
+        assert set(fenced.blocks) == set(cfg.blocks)
+        for name, block in fenced.blocks.items():
+            cfg.blocks[name].instructions = list(block.instructions)
+            cfg.blocks[name].terminator = block.terminator
+
+    def test_cfg_edited_after_its_snapshot_runs_cold(self):
+        """The snapshot's states describe the CFG as analysed.  Hashing
+        the edited CFG would make the fenced edit look unchanged and seed
+        every state of the unfenced run."""
+        from repro.obs import metrics
+
+        engine = AnalysisEngine()
+        base = _request(BASE_SOURCE, GEOMETRIES[0])
+        engine.run(base)
+        self._fence_like_the_edit(engine.compile(base), EDITS["fence_insert"])
+        stale = metrics().counter("incremental.fallback.snapshot_stale")
+        before = stale.value
+        edited = _request(
+            EDITS["fence_insert"], GEOMETRIES[0], warm_from=base.result_key()
+        )
+        result = engine.run(edited)
+        assert_semantically_identical(result, execute_request(edited))
+        assert engine.stats.incremental.cold_fallbacks == 1
+        assert stale.value == before + 1
+
+    def test_stale_retained_states_never_seed_a_solver(self):
+        """Outside the engine too: a solver handed the states of a CFG
+        edited since its run refuses them rather than hash the edit."""
+        from repro.analysis.multicolor import SpeculativeCacheAnalysis
+
+        program = compile_source(BASE_SOURCE)
+        request = _request(BASE_SOURCE, GEOMETRIES[0])
+        result, analysis = execute_retaining(request, program)
+        snapshot = snapshot_from_analysis(request, program, analysis, result)
+        self._fence_like_the_edit(program, EDITS["fence_insert"])
+        assert snapshot.warm.stale
+        assert snapshot_compatible(snapshot, request, program) == "snapshot_stale"
+        with pytest.raises(ValueError, match="edited after its analysis"):
+            SpeculativeCacheAnalysis(
+                compile_source(EDITS["fence_insert"]),
+                cache_config=GEOMETRIES[0],
+                warm_start=snapshot.warm,
+            )
+
+    def test_cfg_edited_after_first_use_keeps_its_fingerprints(self):
+        engine = AnalysisEngine()
+        base = _request(BASE_SOURCE, GEOMETRIES[0])
+        engine.run(base)
+        engine.run(_request(EDITS["statement_add"], GEOMETRIES[0], warm_from=base.result_key()))
+        self._fence_like_the_edit(engine.compile(base), EDITS["fence_insert"])
+        edited = _request(
+            EDITS["fence_insert"], GEOMETRIES[0], warm_from=base.result_key()
+        )
+        result = engine.run(edited)
+        assert engine.stats.incremental.warm_hits == 2
+        assert_semantically_identical(result, execute_request(edited))
+
+
+# ----------------------------------------------------------------------
+# Incremental vcfg rebuilds
+# ----------------------------------------------------------------------
+class TestIncrementalVCFG:
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_rebuild_equals_cold_build(self, edit):
+        from repro.speculation.vcfg import (
+            VCFGBaseline,
+            _vcfg_memo,
+            build_vcfg,
+            build_vcfg_incremental,
+        )
+
+        config = SpeculationConfig(depth_miss=12, depth_hit=4)
+        base = compile_source(BASE_SOURCE).cfg
+        edited = compile_source(EDITS[edit]).cfg
+        baseline = VCFGBaseline(
+            block_fingerprints=base.block_fingerprints(),
+            scenarios=tuple(build_vcfg(base, config).scenarios),
+        )
+        _vcfg_memo.clear()
+        vcfg, stats = build_vcfg_incremental(edited, config, baseline)
+        assert vcfg.scenarios == build_vcfg(edited, config).scenarios
+        assert stats["memo_hit"] == 0
+        assert stats["windows_reused"] + stats["windows_recomputed"] == 2 * len(
+            vcfg.scenarios
+        )
+        if edit == "fence_insert":
+            assert stats["windows_reused"] > 0
+        again, stats = build_vcfg_incremental(edited, config, baseline)
+        assert stats["memo_hit"] == 1
+        assert again.scenarios == vcfg.scenarios
 
 
 # ----------------------------------------------------------------------

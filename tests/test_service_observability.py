@@ -409,6 +409,29 @@ class TestPrometheusExposition:
         assert "repro_fixpoint_pops_total" in out
 
 
+    def test_cli_stats_and_top_report_incremental_without_a_switch(
+        self, server, capsys
+    ):
+        """Every engine is incremental: ``repro stats`` reports warm hits
+        with no on/off word, and ``repro top`` always shows its warm line."""
+        from repro.service.cli import _render_top
+        from repro.service.cli import main as cli_main
+
+        with ServiceClient(port=server.port) as cli:
+            cli.analyze(AnalysisRequest.speculative(SOURCE), timeout=60)
+            top = cli.top()
+        assert cli_main(["stats", "--port", str(server.port)]) == 0
+        line = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("incremental")
+        )
+        assert line.startswith("incremental  : 0 warm hits / 0 cold fallbacks")
+        assert "1 snapshots retained" in line
+        assert "enabled" not in top["incremental"]
+        assert any(line.startswith("warm     0 hits") for line in _render_top(top))
+
+
 class _SlowBatchSink:
     """A tracer sink that takes 0.3 s to export ``scheduler.batch`` spans,
     as a trace file on a slow disk can."""

@@ -92,14 +92,14 @@ class TestStablePlacement:
         """Two fresh interpreters with different PYTHONHASHSEED values must
         produce bit-identical set-associative analysis + simulation
         results (the acceptance criterion for the determinism fix), and
-        bit-identical codec bytes for a paper-default (fully associative,
-        shadow-state) analysis: lane assignment follows sorted block order,
-        never hashing."""
+        bit-identical entry states for a paper-default (fully associative,
+        shadow-state) analysis, down to each state's lane order and packed
+        must/may ages: lane assignment follows sorted block order, never
+        hashing."""
         script = (
             "import json\n"
             "from repro import compile_source\n"
             "from repro.analysis import analyze_speculative\n"
-            "from repro.cache.codec import encode_state_map\n"
             "from repro.cache.config import CacheConfig\n"
             "from repro.service.wire import result_fingerprint\n"
             "from repro.speculation.predictor import OpposingPredictor\n"
@@ -121,9 +121,13 @@ class TestStablePlacement:
             "sim = SpeculativeSimulator(program, cache_config=config,\n"
             "                           predictor=OpposingPredictor()).run({'p': 2})\n"
             "paper = analyze_speculative(program)\n"
+            "def lanes(state):\n"
+            "    return ([str(block) for block in state.lanes.blocks],\n"
+            "            hex(state.must_packed), hex(state.may_packed))\n"
             "print(json.dumps({\n"
             "    'fingerprint': result_fingerprint(result),\n"
-            "    'paper_states': encode_state_map(paper.entry_states).hex(),\n"
+            "    'paper_states': {name: lanes(state) for name, state\n"
+            "                     in sorted(paper.entry_states.items())},\n"
             "    'misses': sim.stats.misses,\n"
             "    'trace': [(r.memory_block.symbol, r.hit) for r in sim.accesses],\n"
             "}))\n"
