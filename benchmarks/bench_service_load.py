@@ -41,6 +41,7 @@ from repro.bench.programs import WCET_BENCHMARKS, wcet_benchmark_source
 from repro.bench.tables import BENCH_CACHE, BENCH_SPECULATION, table7_client_request
 from repro.engine.request import AnalysisRequest
 from repro.service.client import ServiceClient
+from repro.service.scheduler import FINISHED_JOBS_KEPT
 from repro.service.server import ReproServer
 
 #: Crypto kernels used for the side-channel slice of the mix (cheap ones
@@ -238,7 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small burst for CI (~60 submits, 4 threads)")
     parser.add_argument("--submits", type=int, default=600,
-                        help="total submit calls (duplicate-heavy: cycles the pool)")
+                        help="total submit calls (duplicate-heavy: cycles the pool; "
+                             f"at most {FINISHED_JOBS_KEPT}, the finished jobs a "
+                             "daemon keeps for the harvest)")
     parser.add_argument("--threads", type=int, default=8,
                         help="concurrent client connections")
     parser.add_argument("--wcet-programs", type=int, default=4)
@@ -258,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="write BENCH_service_load.json (see benchlib)")
     args = parser.parse_args(argv)
+    if args.submits > FINISHED_JOBS_KEPT:
+        parser.error(f"--submits above {FINISHED_JOBS_KEPT} cannot be harvested")
     if args.smoke:
         args.submits = min(args.submits, 60)
         args.threads = min(args.threads, 4)

@@ -7,8 +7,8 @@ four strategies, showing the precision/cost trade-off the paper discusses
 cache state at the merge point of the Figure 7 example for each strategy.
 
 The four per-strategy analyses are submitted to the process-wide engine
-as one batch, so the diamond compiles once and the requests deduplicate
-and (with ``REPRO_MAX_WORKERS``) fan out exactly as daemon traffic would.
+as one batch, so the diamond compiles once and repeated requests are
+answered from the engine's result cache.
 
 Run with::
 

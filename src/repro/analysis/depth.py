@@ -93,6 +93,31 @@ class DepthChooser:
             frozenset(self._locked_long),
         )
 
+    def import_state(
+        self,
+        active_depths: dict[int, int],
+        locked: frozenset[int],
+        scenarios: dict[int, SpeculationScenario],
+    ) -> None:
+        """The inverse of :meth:`export_state`: re-bind each exported
+        color's depth to the window of ``scenarios[color]``, the scenario
+        that stands for it now (it may carry another color).  A color
+        with no exported depth, or whose depth matches neither window,
+        stays unset and falls back to the long window as in a cold run;
+        a locked color is restored only onto the long window."""
+        for old_color, scenario in scenarios.items():
+            depth = active_depths.get(old_color)
+            if depth is None:
+                continue
+            if old_color in locked:
+                if depth == scenario.window_miss.depth:
+                    self._active[scenario.color] = scenario.window_miss
+                    self._locked_long.add(scenario.color)
+            elif depth == scenario.window_hit.depth:
+                self._active[scenario.color] = scenario.window_hit
+            elif depth == scenario.window_miss.depth:
+                self._active[scenario.color] = scenario.window_miss
+
     def stats(self, scenarios: list[SpeculationScenario]) -> DepthBoundingStats:
         """Virtual edges are counted at instruction granularity: a rollback
         may occur after every speculated instruction, so each speculatively

@@ -661,18 +661,9 @@ class SpeculativeCacheAnalysis:
         # active window of every scenario, including ones the warm drain
         # never re-processes.  Colors the prior run never chose stay
         # unseeded and fall back to the same default a cold run uses.
-        for old_color, scenario in plan.stable.items():
-            depth = warm.chooser_active_depths.get(old_color)
-            if depth is None:
-                continue
-            if old_color in warm.chooser_locked:
-                if depth == scenario.window_miss.depth:
-                    self.chooser._active[scenario.color] = scenario.window_miss
-                    self.chooser._locked_long.add(scenario.color)
-            elif depth == scenario.window_hit.depth:
-                self.chooser._active[scenario.color] = scenario.window_hit
-            elif depth == scenario.window_miss.depth:
-                self.chooser._active[scenario.color] = scenario.window_miss
+        self.chooser.import_state(
+            warm.chooser_active_depths, warm.chooser_locked, plan.stable
+        )
 
         # Dirty frontier: every unaffected block delivering into the
         # region re-sends everything it holds (joins into unaffected

@@ -165,8 +165,7 @@ def generate_table5(
 
     All 2x|names| analyses are submitted to the engine as one batch: each
     benchmark compiles once (shared by both analysis kinds) and, with
-    ``max_workers > 1`` (or ``REPRO_MAX_WORKERS`` set), the batch fans out
-    over a process pool.
+    ``max_workers > 1``, the batch fans out over a process pool.
     """
     cache = cache_config or BENCH_CACHE
     spec = speculation or BENCH_SPECULATION

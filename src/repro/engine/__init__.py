@@ -33,7 +33,7 @@ from repro.engine.engine import (
     default_engine,
     execute_request,
 )
-from repro.engine.batch import default_max_workers, run_batch
+from repro.engine.batch import run_batch
 
 __all__ = [
     "AnalysisEngine",
@@ -47,7 +47,6 @@ __all__ = [
     "WideningPolicy",
     "compile_request",
     "default_engine",
-    "default_max_workers",
     "execute_request",
     "program_request",
     "run_batch",

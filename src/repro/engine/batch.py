@@ -7,9 +7,10 @@ loop:
 * sequentially (the default), each request goes through
   :meth:`AnalysisEngine.run` — duplicates and repeats are answered by
   the engine's result cache;
-* with ``max_workers > 1``, requests missing the result cache are
-  deduplicated, chunked into work units that each compile their source
-  once, and fanned out over a
+* only when the caller passes ``max_workers > 1`` (the table
+  generators in :mod:`repro.bench.tables` take it as an argument), the
+  requests missing the result cache are deduplicated, chunked into work
+  units that each compile their source once, and fanned out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (analyses are pure
   CPU-bound Python, so processes are the only route to real parallelism
   under the GIL), then stored back into the engine's caches.  Large
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import atexit
 import math
-import os
 import threading
 from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
 from typing import Iterable
@@ -47,7 +47,6 @@ from repro.engine.request import AnalysisRequest
 from repro.obs import metrics, tracer
 
 __all__ = [
-    "default_max_workers",
     "discard_shared_pool",
     "run_batch",
     "shared_process_pool",
@@ -64,18 +63,6 @@ _POOL_SETUP_FAILURES = (BrokenExecutor, OSError, RuntimeError)
 #: a worker — including RuntimeError subclasses like RecursionError —
 #: propagate to the caller unchanged.
 _POOL_COLLECT_FAILURES = (BrokenExecutor, CancelledError, OSError)
-
-
-def default_max_workers() -> int | None:
-    """Worker count from the ``REPRO_MAX_WORKERS`` environment variable
-    (None — sequential — when unset or unparsable)."""
-    raw = os.environ.get("REPRO_MAX_WORKERS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -151,10 +138,7 @@ def run_batch(
 ) -> list:
     """Resolve ``requests`` through ``engine``; see the module docstring."""
     requests = list(requests)
-    if max_workers is None:
-        max_workers = default_max_workers()
-
-    if max_workers and max_workers > 1 and len(requests) > 1:
+    if max_workers is not None and max_workers > 1 and len(requests) > 1:
         results, used_pool = _run_deduplicated(engine, requests, max_workers)
         engine._note_batch(parallel=used_pool, requests=len(requests))
         return results

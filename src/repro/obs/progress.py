@@ -22,8 +22,9 @@ Reporter shapes:
   sequence-numbered, watchable log with blocking reads.  The scheduler
   gives every job one; the ``watch`` RPC tails it.
 * :class:`CallbackReporter` — adapts a plain callback.
-* A multiplexer is trivial to build from :class:`ProgressReporter`
-  (see ``_BatchProgress`` in :mod:`repro.service.scheduler`).
+* :class:`~repro.service.scheduler.Job` — a scheduler job is itself a
+  reporter: its worker installs it while the job's analysis runs, so
+  the job's log holds exactly its own progress.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Structured tracing: nestable spans with a JSON-lines exporter.
 
 A :class:`Span` records one timed phase of a computation — ``frontend``,
-``vcfg``, ``fixpoint``, ``classify``, ``scheduler.batch`` — with
+``vcfg``, ``fixpoint``, ``classify``, ``scheduler.job`` — with
 monotonic timing and free-form attributes.  Spans nest through a
 thread-local context stack, so the engine, the analyses and the service
 compose into one tree without passing handles around.
@@ -176,18 +176,14 @@ class SpanBuffer:
             return [span for span in self._spans if span.get("trace_id") == trace_id]
 
     def trace_for_job(self, job_id: str) -> list[dict]:
-        """The span tree of the dispatch that executed ``job_id``.
-
-        Matches spans carrying the job id directly (``job_id`` attribute)
-        or as a member of a batch dispatch (``job_ids`` attribute), then
-        returns the whole trace those spans belong to.
-        """
+        """The span tree of the run that executed ``job_id``: every
+        buffered span of the traces holding a span whose ``job_id``
+        attribute names it (the scheduler's ``scheduler.job`` span)."""
         with self._lock:
             trace_ids = {
                 span["trace_id"]
                 for span in self._spans
                 if span.get("attrs", {}).get("job_id") == job_id
-                or job_id in span.get("attrs", {}).get("job_ids", ())
             }
             return [
                 span for span in self._spans if span.get("trace_id") in trace_ids

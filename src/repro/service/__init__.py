@@ -7,8 +7,9 @@ into a long-running service with durable caching:
   result store (atomic writes, versioned headers, corruption-tolerant
   reads) that backs the engine's result LRU as a second cache tier;
 * :mod:`repro.service.scheduler` — an async job scheduler with priority
-  queues, in-flight request coalescing, and bounded concurrency over
-  ``engine.run_batch``;
+  queues, in-flight request coalescing, and bounded concurrency: each
+  worker thread claims one job at a time and resolves it through
+  ``engine.run``;
 * :mod:`repro.service.wire` — the line-delimited-JSON wire encoding of
   requests and results, plus the semantic result fingerprint;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the

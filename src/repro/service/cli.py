@@ -124,7 +124,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_workers=args.max_workers,
-        batch_size=args.batch_size,
         slow_job_seconds=args.slow_job_seconds,
     )
     signal.signal(signal.SIGTERM, lambda *_: server.stop())
@@ -661,8 +660,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    print(f"requests: {stats['requests']}  batches: {stats['batches']} "
-          f"({stats['parallel_batches']} parallel)")
+    print(f"requests     : {stats['requests']}")
     for tier in ("compile_cache", "result_cache", "result_store"):
         counters = stats.get(tier)
         if counters is None:
@@ -888,8 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store-dir", default=DEFAULT_STORE_DIR)
     serve.add_argument("--no-store", action="store_true",
                        help="run without the on-disk result store")
-    serve.add_argument("--max-workers", type=int, default=2)
-    serve.add_argument("--batch-size", type=int, default=8)
+    serve.add_argument("--max-workers", type=int, default=2,
+                       help="scheduler threads, each running one job at a time")
     serve.add_argument("--slow-job-seconds", type=float, default=None,
                        help="end-to-end latency above which a job is logged as "
                             "slow (default: REPRO_SLOW_JOB_SECONDS, then 30; "

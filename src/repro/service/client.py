@@ -286,8 +286,9 @@ class ServiceClient:
                     self._sock.settimeout(previous_timeout)
 
     def trace(self, job_id: str) -> list[dict]:
-        """Completed spans of the dispatch that executed ``job_id``
-        (empty when the daemon's span buffer has already recycled them)."""
+        """Completed spans of the run that executed ``job_id`` (for a
+        coalesced job, its primary's run; empty when the daemon's span
+        buffer has already recycled them)."""
         return self.call("trace", job_id=job_id)["spans"]
 
     def shutdown(self) -> None:

@@ -3,9 +3,11 @@
 The scheduler turns the synchronous :class:`~repro.engine.engine.AnalysisEngine`
 into a multi-client service: callers :meth:`~JobScheduler.submit` a
 request and get back a :class:`Job` handle immediately; worker threads
-drain a priority queue and resolve requests through the engine in small
-batches (so the engine's deduplication and optional process-pool fan-out
-still apply).  Three properties matter for serving traffic:
+drain a priority queue, claiming one job per dispatch and resolving it
+alone through :meth:`~repro.engine.engine.AnalysisEngine.run`, so a job
+finishes as soon as its own analysis does, its event log and span tree
+hold only its own work, and a failing request fails only its own job.
+Three properties matter for serving traffic:
 
 * **priority queues** — jobs carry a :class:`JobPriority`; higher
   priorities always dispatch first, FIFO within a priority;
@@ -20,7 +22,10 @@ still apply).  Three properties matter for serving traffic:
 
 The engine's caches (and its optional on-disk result store) sit below
 the scheduler, so repeat traffic is answered without touching a worker
-at all beyond the queue round trip.
+at all beyond the queue round trip.  The job registry behind the
+daemon's ``status``/``result``/``events``/``trace`` lookups always holds
+the queued and running jobs and their followers, and the newest
+:data:`FINISHED_JOBS_KEPT` finished ones.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ from repro.engine.engine import AnalysisEngine
 from repro.engine.request import AnalysisRequest
 from repro.obs import EventLog, ProgressReporter, metrics, reporting, span
 
-#: How many queued jobs one worker may claim per dispatch; batching lets
-#: ``engine.run_batch`` deduplicate and share compiles within the claim.
-DEFAULT_BATCH_SIZE = 8
+#: How many finished jobs (each with its request, event log and result)
+#: the job registry keeps, newest first; older finished ids answer
+#: ``unknown job``.  Queued and running jobs and their followers are
+#: always kept.
+FINISHED_JOBS_KEPT = 1024
 
 #: Default slow-job threshold (seconds end-to-end); overridable per
 #: scheduler (``slow_job_seconds=``) or via ``REPRO_SLOW_JOB_SECONDS``.
@@ -86,7 +93,7 @@ class JobState(str, Enum):
         return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
 
 
-class Job:
+class Job(ProgressReporter):
     """Handle for one submitted request.
 
     Coalesced jobs (identical in-flight requests) share the primary
@@ -96,7 +103,8 @@ class Job:
     Every job owns an :class:`~repro.obs.EventLog` recording its
     lifecycle (``queued -> coalesced|dispatched -> running -> done |
     failed | cancelled``) plus any ``progress`` events the analysis
-    publishes while it runs; the daemon's ``watch``/``events`` RPCs
+    publishes while it runs (the worker installs the job itself as its
+    thread's progress reporter); the daemon's ``watch``/``events`` RPCs
     stream it.  A coalesced job's log holds only its own ``queued`` and
     ``coalesced`` entries — execution events live on the primary.
     """
@@ -112,8 +120,8 @@ class Job:
         self.request = request
         self.priority = priority
         self.primary = primary
-        #: How many later submissions coalesced onto this job's future.
-        self.followers = 0
+        #: The later submissions that coalesced onto this job's future.
+        self.followers: list[Job] = []
         self.future: Future = primary.future if primary is not None else Future()
         self.submitted_at = time.monotonic()
         self.started_at: float | None = None
@@ -130,6 +138,9 @@ class Job:
         if event == "progress" and "phase" in fields:
             self.phase = fields["phase"]
         return self.events.append(event, job_id=self.id, **fields)
+
+    def publish(self, phase: str, **fields) -> None:
+        self.record("progress", phase=phase, **fields)
 
     # ------------------------------------------------------------------
     # State
@@ -193,7 +204,6 @@ class SchedulerStats:
     completed: int = 0
     failed: int = 0
     cancelled: int = 0
-    dispatched_batches: int = 0
     queued: int = 0
     running: int = 0
     #: Jobs whose end-to-end latency exceeded the slow-job threshold.
@@ -214,23 +224,6 @@ class SchedulerShutdown(RuntimeError):
     """Raised for submissions to a scheduler that has been shut down."""
 
 
-class _BatchProgress(ProgressReporter):
-    """Multiplexes analysis progress onto every job in one dispatched
-    batch.
-
-    Batches execute through ``engine.run_batch``, which interleaves the
-    member requests, so progress inside a batch is attributed to the
-    whole claim — exactly like the batch span's ``job_ids`` attribute.
-    """
-
-    def __init__(self, jobs: list[Job]):
-        self._jobs = jobs
-
-    def publish(self, phase: str, **fields) -> None:
-        for job in self._jobs:
-            job.record("progress", phase=phase, **fields)
-
-
 class JobScheduler:
     """Priority-queue front end over one :class:`AnalysisEngine`."""
 
@@ -238,13 +231,11 @@ class JobScheduler:
         self,
         engine: AnalysisEngine | None = None,
         max_workers: int = 2,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         autostart: bool = True,
         slow_job_seconds: float | None = None,
     ):
         self.engine = engine if engine is not None else AnalysisEngine()
         self.max_workers = max(1, max_workers)
-        self.batch_size = max(1, batch_size)
         if slow_job_seconds is None:
             slow_job_seconds = float(
                 os.environ.get("REPRO_SLOW_JOB_SECONDS", DEFAULT_SLOW_JOB_SECONDS)
@@ -257,6 +248,7 @@ class JobScheduler:
         self._ticket = itertools.count()
         self._job_seq = itertools.count(1)
         self._jobs: dict[str, Job] = {}
+        self._finished: deque[Job] = deque()  # oldest first, followers included
         self._inflight: dict[str, Job] = {}  # result_key -> primary job
         self._running = 0
         self._shutdown = False
@@ -305,7 +297,7 @@ class JobScheduler:
             if primary is not None and not primary.state.finished:
                 job = Job(self._next_id(), request, priority, primary=primary)
                 self._jobs[job.id] = job
-                primary.followers += 1
+                primary.followers.append(job)
                 self._stats.coalesced += 1
                 job.record("queued", priority=priority.name.lower())
                 job.record("coalesced", into=primary.id)
@@ -361,6 +353,7 @@ class JobScheduler:
             self._stats.cancelled += 1
             self._depth_changed(job.priority, -1)
             job.record("cancelled")
+            self._retire(job)
         job.future.cancel()
         return True
 
@@ -368,9 +361,7 @@ class JobScheduler:
     def stats(self) -> SchedulerStats:
         with self._lock:
             snapshot = SchedulerStats(**vars(self._stats))
-            snapshot.queued = sum(
-                1 for _, _, job in self._heap if job.state is JobState.QUEUED
-            )
+            snapshot.queued = sum(self._queue_depth.values())
             snapshot.running = self._running
             snapshot.queue_depth = {
                 priority.name.lower(): depth
@@ -382,8 +373,8 @@ class JobScheduler:
         """Status snapshots of the most recently submitted jobs (the
         ``top`` RPC's job table)."""
         with self._lock:
-            jobs = list(self._jobs.values())[-max(1, limit):]
-        return [job.status() for job in jobs]
+            jobs = list(itertools.islice(reversed(self._jobs.values()), max(1, limit)))
+        return [job.status() for job in reversed(jobs)]
 
     def slow_jobs(self) -> list[dict]:
         """Status snapshots of jobs that breached the slow threshold."""
@@ -433,85 +424,49 @@ class JobScheduler:
             self._queue_depth[priority]
         )
 
-    def _claim_batch(self) -> list[Job] | None:
-        """Claim up to ``batch_size`` queued jobs (highest priority
-        first); None once the scheduler drains after shutdown."""
+    def _claim(self) -> Job | None:
+        """Claim the highest-priority queued job; None once the
+        scheduler drains after shutdown."""
         with self._lock:
-            while not self._heap:
-                if self._shutdown:
-                    return None
-                self._lock.wait()
-            batch: list[Job] = []
-            while self._heap and len(batch) < self.batch_size:
-                _, _, job = self._heap[0]
-                if job.state is not JobState.QUEUED:
-                    heapq.heappop(self._heap)
-                    continue  # cancelled while queued, or a stale bump entry
-                heapq.heappop(self._heap)
-                job._state = JobState.RUNNING
-                job.started_at = time.monotonic()
-                self._depth_changed(job.priority, -1)
-                queue_wait = job.started_at - job.submitted_at
-                metrics().histogram("scheduler.queue_wait_seconds").observe(queue_wait)
-                job.record("dispatched", queued_seconds=round(queue_wait, 6))
-                batch.append(job)
-            self._running += len(batch)
-            self._stats.dispatched_batches += 1 if batch else 0
-            return batch
+            while True:
+                while not self._heap:
+                    if self._shutdown:
+                        return None
+                    self._lock.wait()
+                _, _, job = heapq.heappop(self._heap)
+                # Skip jobs cancelled while queued and stale bump entries.
+                if job.state is JobState.QUEUED:
+                    break
+            job._state = JobState.RUNNING
+            job.started_at = time.monotonic()
+            self._depth_changed(job.priority, -1)
+            queue_wait = job.started_at - job.submitted_at
+            metrics().histogram("scheduler.queue_wait_seconds").observe(queue_wait)
+            job.record("dispatched", queued_seconds=round(queue_wait, 6))
+            self._running += 1
+            return job
 
     def _worker_loop(self) -> None:
-        while True:
-            batch = self._claim_batch()
-            if batch is None:
-                return
-            if not batch:
-                continue
-            # The dispatch span carries the claimed job ids, so the
-            # daemon's ``trace`` RPC can find the whole execution tree of
-            # one job (every engine/fixpoint span nests under this one).
-            # Jobs finish only once the span has closed, i.e. has been
+        while (job := self._claim()) is not None:
+            # The job span carries the job id, so the daemon's ``trace``
+            # RPC finds the job's whole execution tree (every
+            # engine/fixpoint span nests under this one).  The job
+            # finishes only once the span has closed, i.e. has been
             # exported: a client that asks for the trace as soon as it
             # holds the result must find the whole tree.
-            outcomes: list[tuple[Job, object, Exception | None]] = []
+            result = error = None
             with span(
-                "scheduler.batch",
-                job_ids=[job.id for job in batch],
-                jobs=len(batch),
-                queued_seconds=round(
-                    max(job.started_at - job.submitted_at for job in batch), 6
-                ),
-            ) as batch_span:
-                for job in batch:
-                    job.record("running", jobs_in_batch=len(batch))
-                with reporting(_BatchProgress(batch)):
-                    try:
-                        results = self.engine.run_batch(
-                            [job.request for job in batch]
-                        )
-                    except Exception:
-                        # A batch-level failure says nothing about which
-                        # request is at fault — retry them individually so
-                        # healthy jobs still complete and only the
-                        # offender fails.
-                        results = None
-                if results is not None:
-                    outcomes = [
-                        (job, result, None) for job, result in zip(batch, results)
-                    ]
-                else:
-                    batch_span.set(retried_individually=True)
-                    for job in batch:
-                        with span("scheduler.job", job_id=job.id) as job_span, \
-                                reporting(_BatchProgress([job])):
-                            try:
-                                result = self.engine.run(job.request)
-                            except Exception as error:  # noqa: BLE001 — job-level report
-                                job_span.set(failed=True)
-                                outcomes.append((job, None, error))
-                            else:
-                                outcomes.append((job, result, None))
-            for job, result, error in outcomes:
-                self._finish(job, result=result, error=error)
+                "scheduler.job",
+                job_id=job.id,
+                queued_seconds=round(job.started_at - job.submitted_at, 6),
+            ) as job_span, reporting(job):
+                job.record("running")
+                try:
+                    result = self.engine.run(job.request)
+                except Exception as exc:  # noqa: BLE001 — job-level report
+                    job_span.set(failed=True)
+                    error = exc
+            self._finish(job, result=result, error=error)
 
     def _finish(self, job: Job, result=None, error: Exception | None = None) -> None:
         with self._lock:
@@ -538,7 +493,7 @@ class JobScheduler:
                     "done",
                     execute_seconds=round(execute_seconds, 6),
                     e2e_seconds=round(e2e_seconds, 6),
-                    followers=job.followers,
+                    followers=len(job.followers),
                 )
             if self.slow_job_seconds and e2e_seconds >= self.slow_job_seconds:
                 self._stats.slow_jobs += 1
@@ -555,8 +510,18 @@ class JobScheduler:
             inflight = self._inflight.get(job.request.result_key())
             if inflight is job:
                 del self._inflight[job.request.result_key()]
+            self._retire(job)
             self._lock.notify_all()
         if error is not None:
             job.future.set_exception(error)
         else:
             job.future.set_result(result)
+
+    def _retire(self, job: Job) -> None:
+        """Record a finished primary and its followers (caller holds the
+        lock), dropping the oldest finished jobs beyond
+        :data:`FINISHED_JOBS_KEPT` from the registry."""
+        self._finished.append(job)
+        self._finished.extend(job.followers)
+        while len(self._finished) > FINISHED_JOBS_KEPT:
+            del self._jobs[self._finished.popleft().id]

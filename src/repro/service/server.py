@@ -36,9 +36,10 @@ afterwards.
 
 The server keeps a bounded in-memory :class:`~repro.obs.SpanBuffer`
 attached to the process tracer, so the ``trace`` op can return the span
-tree of any recently executed job (matched through the scheduler
-dispatch span's ``job_ids`` attribute) without any trace file being
-configured.
+tree of any recently executed job (matched through the ``job_id``
+attribute of the ``scheduler.job`` span its worker ran it under; a
+coalesced job answers with its primary's tree) without any trace file
+being configured.
 
 ``mitigate`` runs the full detect → repair → re-verify synthesis of
 :mod:`repro.mitigation` on the server's engine (so all intermediate
@@ -89,7 +90,6 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_workers: int = 2,
-        batch_size: int = 8,
         slow_job_seconds: float | None = None,
     ):
         self.engine = engine if engine is not None else AnalysisEngine()
@@ -98,7 +98,6 @@ class ReproServer:
         self.scheduler = JobScheduler(
             self.engine,
             max_workers=max_workers,
-            batch_size=batch_size,
             slow_job_seconds=slow_job_seconds,
         )
         self._mitigations = LRUCache(maxsize=64)
@@ -374,8 +373,6 @@ class ReproServer:
         engine_stats = self.engine.stats
         payload = {
             "requests": engine_stats.requests,
-            "batches": engine_stats.batches,
-            "parallel_batches": engine_stats.parallel_batches,
             "compile_cache": vars(engine_stats.compile),
             "result_cache": vars(engine_stats.results),
             "result_store": (
@@ -434,11 +431,13 @@ class ReproServer:
         }
 
     def _op_trace(self, message: dict) -> dict:
-        """Completed spans of the dispatch that executed ``job_id``."""
-        job_id = str(message.get("job_id"))
-        if self.scheduler.job(job_id) is None:
-            return {"ok": False, "error": f"unknown job {job_id!r}"}
-        return {"ok": True, "spans": self.trace_buffer.trace_for_job(job_id)}
+        """Completed spans of the run that executed ``job_id`` (for a
+        coalesced job, its primary's run)."""
+        job = self.scheduler.job(str(message.get("job_id")))
+        if job is None:
+            return {"ok": False, "error": f"unknown job {message.get('job_id')!r}"}
+        spans = self.trace_buffer.trace_for_job((job.primary or job).id)
+        return {"ok": True, "spans": spans}
 
     def _op_shutdown(self, message: dict) -> dict:
         return {"ok": True, "stopping": True}

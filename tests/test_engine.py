@@ -580,44 +580,22 @@ class TestSharedExecutor:
         yield
         discard_shared_pool()
 
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [
-            (None, None),
-            ("", None),
-            ("many", None),
-            ("2.5", None),
-            ("0", 1),
-            ("-4", 1),
-            ("1", 1),
-            ("3", 3),
-        ],
-        ids=["unset", "empty", "word", "fraction", "zero", "negative", "one", "three"],
-    )
-    def test_default_max_workers_reads_the_environment(self, monkeypatch, raw, expected):
-        from repro.engine.batch import default_max_workers
+    def test_the_environment_never_fans_a_batch_out(self, monkeypatch):
+        """``REPRO_MAX_WORKERS`` is not read: without an explicit
+        ``max_workers`` a batch runs in process, retaining the snapshots
+        a pooled batch would not."""
+        from repro.obs import metrics
 
-        if raw is None:
-            monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_MAX_WORKERS", raw)
-        assert default_max_workers() == expected
-
-    @pytest.mark.parametrize(
-        "raw, parallel", [("2", 1), ("1", 0), (None, 0), ("many", 0)],
-        ids=["two", "one", "unset", "word"],
-    )
-    def test_run_batch_takes_its_worker_count_from_the_environment(
-        self, monkeypatch, raw, parallel
-    ):
-        if raw is None:
-            monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_MAX_WORKERS", raw)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+        started = metrics().counter("pool.executors_started").value
         engine = AnalysisEngine()
         requests = _batch_requests()
         results = engine.run_batch(requests)
-        assert engine.stats.parallel_batches == parallel
+        assert engine.stats.parallel_batches == 0
+        assert metrics().counter("pool.executors_started").value == started
+        assert engine.stats.incremental.retained == sum(
+            request.kind is AnalysisKind.SPECULATIVE for request in requests
+        )
         direct = [execute_request(request) for request in requests]
         assert [r.classifications for r in results] == [r.classifications for r in direct]
 
@@ -835,12 +813,8 @@ class TestAppsThroughEngine:
         assert engine.stats.results.hits >= 2  # second comparison fully cached
         assert first.non_speculative.misses == second.non_speculative.misses
         assert first.speculative.misses == second.speculative.misses
-        # The seeded program means the engine never ran the front end —
-        # unless REPRO_MAX_WORKERS routed the batch to worker processes,
-        # which cannot share the seeded program object and report their
-        # own compiles back into the parent's stats.
-        if engine.stats.parallel_batches == 0:
-            assert engine.stats.compile.misses == 0
+        # The seeded program means the engine never ran the front end.
+        assert engine.stats.compile.misses == 0
 
     def test_compare_wcet_matches_direct_analyses(self):
         program = compile_source(BRANCH_SOURCE)

@@ -141,14 +141,17 @@ class TestTracer:
     def test_span_buffer_finds_job_traces(self):
         buffer = SpanBuffer()
         tracer().add_sink(buffer)
-        with span("scheduler.batch", job_ids=["job-7"]):
+        with span("scheduler.job", job_id="job-7"):
             with span("analyze"):
                 pass
+        with span("scheduler.job", job_id="job-8"):
+            pass
         with span("unrelated"):
             pass
         tracer().remove_sink(buffer)
         names = {s["name"] for s in buffer.trace_for_job("job-7")}
-        assert names == {"scheduler.batch", "analyze"}
+        assert names == {"scheduler.job", "analyze"}
+        assert buffer.trace_for_job("job-9") == []
 
     def test_collecting_bypasses_sinks(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.jsonl"
@@ -419,12 +422,12 @@ class TestServiceTelemetry:
         assert client.last_job_id is not None
         spans = client.trace(client.last_job_id)
         names = {s["name"] for s in spans}
-        assert "scheduler.batch" in names
+        assert "scheduler.job" in names
         assert "fixpoint" in names
-        batch = next(s for s in spans if s["name"] == "scheduler.batch")
-        assert client.last_job_id in batch["attrs"]["job_ids"]
-        # one trace: every span shares the dispatch's trace id
-        assert {s["trace_id"] for s in spans} == {batch["trace_id"]}
+        job_span = next(s for s in spans if s["name"] == "scheduler.job")
+        assert job_span["attrs"]["job_id"] == client.last_job_id
+        # one trace: every span shares the job span's trace id
+        assert {s["trace_id"] for s in spans} == {job_span["trace_id"]}
 
     def test_trace_rpc_rejects_unknown_jobs(self, client):
         from repro.service.client import ServiceError

@@ -165,3 +165,33 @@ class TestDepthChooser:
         scenario = vcfg.scenarios[0]
         state = CacheState.empty(64, program.layout.lanes).access_block(MemoryBlock("p", 0))
         assert chooser.choose(scenario, state).depth == 2
+
+    def test_import_state_inverts_export_state(self):
+        program, vcfg, chooser = self._setup()
+        short, locked = vcfg.scenarios[:2]
+        empty = ShadowCacheState.empty(64, program.layout.lanes)
+        cached = empty.access_block(MemoryBlock("p", 0))
+        assert chooser.choose(short, cached).depth == 2
+        assert chooser.choose(locked, empty).depth == 200
+        restored = DepthChooser(chooser.config, program.layout)
+        restored.import_state(
+            *chooser.export_state(), {s.color: s for s in vcfg.scenarios}
+        )
+        assert restored.export_state() == chooser.export_state()
+        assert restored.active_window(short) is short.window_hit
+        # The locked color stays locked: a must-hit condition cannot
+        # shorten its window again.
+        assert restored.choose(locked, cached).depth == 200
+
+    def test_import_state_rebinds_colors_and_drops_unmatched_depths(self):
+        program, vcfg, chooser = self._setup()
+        first, second = vcfg.scenarios[:2]
+        # Exported colors 7 and 8 now stand for `second` and `first`; 8's
+        # depth matches neither window, and a locked color is restored
+        # only onto a long window.
+        chooser.import_state(
+            {7: 2, 8: 99, 9: 2}, frozenset({9}), {7: second, 8: first, 9: first}
+        )
+        assert chooser.active_window(second) is second.window_hit
+        assert chooser.active_window(first) is first.window_miss
+        assert chooser.export_state() == ({second.color: 2}, frozenset())

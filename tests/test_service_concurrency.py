@@ -1,19 +1,24 @@
-"""Thread-safety hammer tests for the caching tiers.
+"""Thread-safety hammer tests for the caching tiers and the scheduler.
 
 The service layer hits the in-memory :class:`LRUCache` and the on-disk
 :class:`ResultStore` from scheduler workers, connection threads and
 batch executors simultaneously; these tests lock in that neither tier
-corrupts state or miscounts under contention.
+corrupts state or miscounts under contention, and that the scheduler's
+counters and bounded job registry stay exact under many submitters and
+more workers than cores.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 
 from repro.engine.cache import LRUCache
 from repro.engine.engine import AnalysisEngine
 from repro.engine.request import AnalysisRequest
+from repro.service import scheduler as scheduler_module
+from repro.service.scheduler import JobScheduler, JobState
 from repro.service.store import ResultStore
 
 THREADS = 8
@@ -166,3 +171,53 @@ class TestResultStoreUnderContention:
         stats = engine.stats
         assert stats.store.corrupt_evicted == 0
         assert stats.results.hits + stats.store.hits > 0, "repeat traffic must hit a tier"
+
+
+class TestSchedulerUnderContention:
+    def test_counters_and_registry_stay_exact(self, monkeypatch):
+        """Eight submitters, four workers on a short switch interval: every
+        job finishes once, the counters balance, and the registry keeps
+        exactly the newest ``FINISHED_JOBS_KEPT`` finished jobs."""
+        monkeypatch.setattr(scheduler_module, "FINISHED_JOBS_KEPT", 16)
+        submits = 40
+        jobs: list = []
+        jobs_lock = threading.Lock()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobScheduler(AnalysisEngine(), max_workers=4) as sched:
+
+                def worker(seed: int) -> None:
+                    mine = []
+                    for i in range(submits):
+                        # Twelve distinct programs: later repeats coalesce
+                        # onto in-flight jobs or hit the result cache.
+                        n = (seed * submits + i) % 12
+                        source = f"char a{n}[64]; int main() {{ a{n}[0]; return 0; }}"
+                        mine.append(sched.submit(AnalysisRequest.baseline(source)))
+                        if i % 8 == 0:
+                            sched.recent_jobs(limit=4)
+                    for job in mine:
+                        assert job.wait(timeout=60)
+                    with jobs_lock:
+                        jobs.extend(mine)
+
+                assert _run_threads(worker) == []
+                assert sched.drain(timeout=60)
+                stats = sched.stats
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(jobs) == THREADS * submits
+        assert all(job.state is JobState.DONE for job in jobs)
+        assert stats.submitted == len(jobs) and stats.failed == 0
+        assert stats.completed == len(jobs) - stats.coalesced
+        assert stats.queued == stats.running == 0
+        kept = [job for job in jobs if sched.job(job.id) is job]
+        assert len(kept) == 16
+
+        def finished_at(job) -> float:
+            return (job.primary or job).finished_at
+
+        evicted = [job for job in jobs if sched.job(job.id) is None]
+        assert min(map(finished_at, kept)) >= max(map(finished_at, evicted))
+

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.bench.programs import branchy_kernel_source
 from repro.engine.engine import AnalysisEngine
 from repro.engine.request import AnalysisRequest
 from repro.obs import CallbackReporter, render_prometheus, reporting, tracer
@@ -271,13 +272,13 @@ class TestWatchRPC:
         """Raw-socket watch of a job whose execution stalls (the engine
         is slowed artificially): the daemon must keep the stream alive
         with heartbeat lines while no events arrive."""
-        real_run_batch = server.engine.run_batch
+        real_run = server.engine.run
 
-        def slow_run_batch(requests, **kwargs):
+        def slow_run(request, **kwargs):
             time.sleep(0.5)
-            return real_run_batch(requests, **kwargs)
+            return real_run(request, **kwargs)
 
-        monkeypatch.setattr(server.engine, "run_batch", slow_run_batch)
+        monkeypatch.setattr(server.engine, "run", slow_run)
         with socket.create_connection(("127.0.0.1", server.port), timeout=30) as conn:
             reader = conn.makefile("rb")
 
@@ -335,6 +336,20 @@ class TestEventsTopMetricsRPCs:
                 assert any(e["event"] == "done" for e in relayed), (
                     "a coalesced job's events must include its primary's"
                 )
+
+    def test_stats_carry_no_batch_counters(self, server, capsys):
+        from repro.service.cli import main as cli_main
+
+        with ServiceClient(port=server.port) as cli:
+            cli.analyze(AnalysisRequest.speculative(SOURCE), timeout=60)
+            stats = cli.stats()
+        assert stats["requests"] == 1
+        assert not {"batches", "parallel_batches"} & set(stats)
+        assert "dispatched_batches" not in stats["scheduler"]
+        assert cli_main(["stats", "--port", str(server.port)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "requests     : 1"
+        assert not any("batches" in line for line in out)
 
     def test_top_rpc_frame(self, client):
         job_id = client.submit(AnalysisRequest.speculative(SOURCE))
@@ -432,22 +447,22 @@ class TestPrometheusExposition:
         assert any(line.startswith("warm     0 hits") for line in _render_top(top))
 
 
-class _SlowBatchSink:
-    """A tracer sink that takes 0.3 s to export ``scheduler.batch`` spans,
+class _SlowJobSpanSink:
+    """A tracer sink that takes 0.3 s to export ``scheduler.job`` spans,
     as a trace file on a slow disk can."""
 
     def export(self, span) -> None:
-        if span.get("name") == "scheduler.batch":
+        if span.get("name") == "scheduler.job":
             time.sleep(0.3)
 
 
 class TestTraceAfterResult:
     def test_trace_rpc_right_after_the_result_holds_the_dispatch_span(self):
-        """A job finishes only after its ``scheduler.batch`` span has been
+        """A job finishes only after its ``scheduler.job`` span has been
         exported to every sink, so a ``trace`` RPC sent as soon as the
         result arrives finds it — even behind a slow sink attached ahead
         of the daemon's ring buffer (as the ``REPRO_TRACE`` file sink is)."""
-        sink = _SlowBatchSink()
+        sink = _SlowJobSpanSink()
         tracer().add_sink(sink)
         try:
             srv = ReproServer(port=0, max_workers=1).start()
@@ -459,7 +474,40 @@ class TestTraceAfterResult:
                 srv.stop()
         finally:
             tracer().remove_sink(sink)
-        assert "scheduler.batch" in names
+        assert "scheduler.job" in names
+
+
+class TestTraceRPC:
+    @staticmethod
+    def hold_the_worker(cli: ServiceClient) -> str:
+        """Occupy the daemon's one worker with a 32-branch kernel, so the
+        jobs submitted next are all queued together behind it."""
+        return cli.submit(AnalysisRequest.speculative(branchy_kernel_source(32)))
+
+    def test_a_jobs_trace_holds_exactly_its_own_run(self, server):
+        with ServiceClient(port=server.port) as cli:
+            ids = [self.hold_the_worker(cli)]
+            ids += [cli.submit(distinct_request(i)) for i in (21, 22)]
+            for job_id in ids:
+                cli.result(job_id, timeout=120)
+            for job_id in ids:
+                spans = cli.trace(job_id)
+                names = [s["name"] for s in spans]
+                assert names.count("analyze") == 1, names
+                (job_span,) = [s for s in spans if s["name"] == "scheduler.job"]
+                assert job_span["attrs"]["job_id"] == job_id
+
+    def test_a_coalesced_jobs_trace_is_its_primarys(self, server):
+        with ServiceClient(port=server.port) as cli:
+            self.hold_the_worker(cli)
+            request = distinct_request(23)
+            primary_id = cli.submit(request)
+            follower_id = cli.submit(request)
+            assert server.scheduler.job(follower_id).coalesced
+            cli.result(follower_id, timeout=120)
+            spans = cli.trace(follower_id)
+            assert spans, "a coalesced job's trace is its primary's run"
+            assert spans == cli.trace(primary_id)
 
 
 # ----------------------------------------------------------------------

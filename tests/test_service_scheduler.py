@@ -1,22 +1,25 @@
 """The async job scheduler: priorities, coalescing, status, failure
-isolation."""
+isolation, one job per dispatch, and the bounded job registry."""
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
 
+from repro.bench.programs import branchy_kernel_source
 from repro.engine.engine import AnalysisEngine
 from repro.engine.request import AnalysisRequest
 from repro.obs import SpanBuffer, tracer
+from repro.service import scheduler as scheduler_module
+from repro.service.cli import build_parser
 from repro.service.scheduler import (
     JobPriority,
     JobScheduler,
     JobState,
     SchedulerShutdown,
 )
+from repro.service.server import ReproServer
 from repro.service.wire import result_fingerprint
 
 SOURCE = "char a[64]; int p; int main() { if (p > 0) { a[0]; } a[0]; return 0; }"
@@ -32,7 +35,7 @@ def distinct_request(i: int) -> AnalysisRequest:
 
 @pytest.fixture
 def scheduler():
-    with JobScheduler(AnalysisEngine(), max_workers=2, batch_size=4) as sched:
+    with JobScheduler(AnalysisEngine(), max_workers=2) as sched:
         yield sched
 
 
@@ -88,9 +91,7 @@ class TestCoalescing:
     def test_coalescing_under_load(self):
         # Workers held back, so every duplicate reliably finds the
         # primary still queued.
-        sched = JobScheduler(
-            AnalysisEngine(), max_workers=1, batch_size=1, autostart=False
-        )
+        sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
         request = AnalysisRequest.speculative(SOURCE)
         jobs = [sched.submit(request) for _ in range(5)]
         coalesced = [job for job in jobs if job.coalesced]
@@ -114,41 +115,39 @@ class TestCoalescing:
 
 class TestPriorities:
     def test_dispatch_order_follows_priority(self):
-        sched = JobScheduler(
-            AnalysisEngine(), max_workers=1, batch_size=10, autostart=False
-        )
+        sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
         low = sched.submit(distinct_request(1), priority="low")
         normal = sched.submit(distinct_request(2), priority=JobPriority.NORMAL)
         high = sched.submit(distinct_request(3), priority="high")
-        batch = sched._claim_batch()
-        assert [job.id for job in batch] == [high.id, normal.id, low.id]
+        claimed = [sched._claim() for _ in range(3)]
+        assert [job.id for job in claimed] == [high.id, normal.id, low.id]
 
     def test_fifo_within_priority(self):
         sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
         jobs = [sched.submit(distinct_request(i)) for i in range(4)]
-        batch = sched._claim_batch()
-        assert [job.id for job in batch] == [job.id for job in jobs]
+        claimed = [sched._claim() for _ in jobs]
+        assert [job.id for job in claimed] == [job.id for job in jobs]
 
     def test_coalesced_high_priority_bumps_queued_primary(self):
-        sched = JobScheduler(
-            AnalysisEngine(), max_workers=1, batch_size=1, autostart=False
-        )
+        sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
         primary = sched.submit(AnalysisRequest.baseline(SOURCE), priority="low")
         fillers = [
             sched.submit(distinct_request(i), priority="normal") for i in range(3)
         ]
         urgent = sched.submit(AnalysisRequest.baseline(SOURCE), priority="high")
         assert urgent.coalesced
-        batch = sched._claim_batch()
-        assert batch[0].id == primary.id, (
+        assert sched._claim() is primary, (
             "a HIGH coalesced submission must pull its queued primary ahead "
             "of the NORMAL backlog"
         )
-        # The primary's stale LOW heap entry is skipped, not re-dispatched.
-        seen = [job.id for job in batch]
-        while sched._heap:
-            seen.extend(job.id for job in sched._claim_batch())
+        # The primary's stale LOW heap entry is skipped, not re-dispatched;
+        # after shutdown a claim on the drained heap returns None.
+        sched.shutdown(wait=False)
+        seen = [primary.id]
+        while (job := sched._claim()) is not None:
+            seen.append(job.id)
         assert seen == [primary.id] + [job.id for job in fillers]
+        assert not sched._heap
 
     def test_priority_parsing(self):
         assert JobPriority.parse(None) is JobPriority.NORMAL
@@ -180,8 +179,7 @@ class TestFailuresAndCancellation:
         assert sched.stats.cancelled == 1
         # A cancelled entry is skipped by the dispatcher.
         follow_up = sched.submit(distinct_request(1))
-        batch = sched._claim_batch()
-        assert [j.id for j in batch] == [follow_up.id]
+        assert sched._claim() is follow_up
 
     def test_cancel_refused_for_primary_with_followers(self):
         sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
@@ -241,68 +239,186 @@ class TestConcurrentClients:
         assert all(len(prints) == 1 for prints in by_request.values())
 
 
-def _exit_worker(requests, want_spans=False):
-    """Stands in for ``batch._execute_unit``: the worker dies abruptly."""
-    os._exit(3)
 
 
-class TestPooledClaims:
-    """With ``REPRO_MAX_WORKERS`` set, one claim of several jobs runs as
-    one parallel ``run_batch`` over the shared process pool."""
+def one_liner(i: int) -> AnalysisRequest:
+    return AnalysisRequest.speculative(
+        f"char c{i}[64]; int main() {{ c{i}[0]; return 0; }}"
+    )
 
-    @pytest.fixture(autouse=True)
-    def _pool(self, monkeypatch):
-        from repro.engine.batch import discard_shared_pool
 
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        discard_shared_pool()
-        yield
-        discard_shared_pool()
+def run_queued(requests, max_workers: int = 1, engine: AnalysisEngine | None = None):
+    """Queue every request before the workers start, run them all, and
+    return the jobs (finished, in submission order)."""
+    sched = JobScheduler(engine or AnalysisEngine(), max_workers=max_workers,
+                         autostart=False)
+    jobs = [sched.submit(request) for request in requests]
+    sched.start_workers()
+    with sched:
+        for job in jobs:
+            job.wait(timeout=120)
+    return jobs
 
-    @staticmethod
-    def run_one_claim(engine, requests):
-        """Queue every request before the worker starts, so a single
-        claim holds them all; returns the jobs and the claim's span."""
+
+class TestOneJobPerDispatch:
+    """Each worker claims one job and resolves it alone through
+    ``engine.run``: a job never waits for, shares the failure of, or logs
+    the progress of the jobs queued next to it."""
+
+    def test_short_jobs_finish_before_a_long_one_queued_ahead(self):
+        kernel = AnalysisRequest.speculative(branchy_kernel_source(32))
+        long_job, *short = run_queued(
+            [kernel] + [one_liner(i) for i in range(3)], max_workers=2
+        )
+        assert long_job.state is JobState.DONE
+        for job in short:
+            assert job.state is JobState.DONE
+            assert job.finished_at < long_job.finished_at, (
+                "a one-line program must not wait for the kernel queued ahead of it"
+            )
+
+    def test_a_broken_request_fails_alone_and_nothing_runs_twice(self):
+        engine = AnalysisEngine()
+        first, broken, last = run_queued(
+            [one_liner(0), AnalysisRequest.speculative(BROKEN_SOURCE), one_liner(1)],
+            engine=engine,
+        )
+        assert engine.stats.requests == 3, "every request is resolved exactly once"
+        assert [job.state for job in (first, broken, last)] == [
+            JobState.DONE, JobState.FAILED, JobState.DONE,
+        ]
+        assert broken.error and first.error is None and last.error is None
+
+    def test_each_log_holds_only_its_own_progress(self):
+        jobs = run_queued([distinct_request(0), distinct_request(1)])
+        for job in jobs:
+            phases = [
+                event["phase"]
+                for event in job.events.snapshot()
+                if event["event"] == "progress"
+            ]
+            assert phases.count("fixpoint") == 1, phases
+            assert phases.count("classify") == 1, phases
+            running = next(e for e in job.events.snapshot() if e["event"] == "running")
+            assert set(running) == {"event", "job_id", "seq", "t", "ts"}
+
+    def test_each_job_runs_under_its_own_span(self):
         buffer = SpanBuffer()
         tracer().add_sink(buffer)
-        sched = JobScheduler(engine, max_workers=1, batch_size=8, autostart=False)
         try:
-            jobs = [sched.submit(request) for request in requests]
-            sched.start_workers()
-            for job in jobs:
-                job.result(timeout=120)
-            assert sched.stats.dispatched_batches == 1
+            good, broken = run_queued(
+                [one_liner(2), AnalysisRequest.speculative(BROKEN_SOURCE)]
+            )
         finally:
-            sched.shutdown(wait=True, timeout=30)
             tracer().remove_sink(buffer)
-        (claim,) = [s for s in buffer.spans() if s["name"] == "scheduler.batch"]
-        return jobs, claim
+        spans = {
+            span["attrs"]["job_id"]: span
+            for span in buffer.spans()
+            if span["name"] == "scheduler.job"
+        }
+        assert set(spans) == {good.id, broken.id}
+        assert "failed" not in spans[good.id]["attrs"]
+        assert spans[broken.id]["attrs"]["failed"] is True
+        assert spans[good.id]["trace_id"] != spans[broken.id]["trace_id"]
 
-    def test_claimed_jobs_run_on_the_pool_and_match_direct_runs(self):
-        engine = AnalysisEngine()
-        requests = [distinct_request(i) for i in range(3)]
-        jobs, claim = self.run_one_claim(engine, requests)
-        assert engine.stats.parallel_batches == 1
-        assert claim["attrs"]["jobs"] == 3
-        for job, request in zip(jobs, requests):
-            assert job.state is JobState.DONE
-            assert result_fingerprint(job.result()) == result_fingerprint(
-                AnalysisEngine().run(request)
+    def test_done_event_counts_the_followers(self):
+        request = AnalysisRequest.speculative(SOURCE)
+        primary, *followers = run_queued([request] * 3)
+        assert [job.coalesced for job in followers] == [True, True]
+        done = primary.events.snapshot()[-1]
+        assert done["event"] == "done" and done["followers"] == 2
+
+    @pytest.mark.parametrize("build", [JobScheduler, ReproServer])
+    def test_there_is_no_batch_size(self, build):
+        with pytest.raises(TypeError, match="batch_size"):
+            build(AnalysisEngine(), batch_size=4)
+
+    def test_serve_has_no_batch_size_flag(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--batch-size", "4"])
+        assert excinfo.value.code == 2
+
+
+class TestQueueAccounting:
+    def test_a_bumped_job_is_counted_once(self):
+        sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
+        request = AnalysisRequest.baseline(SOURCE)
+        sched.submit(request, priority="low")
+        assert sched.submit(request, priority="high").coalesced
+        stats = sched.stats
+        assert stats.queue_depth == {"high": 1, "normal": 0, "low": 0}
+        assert stats.queued == 1, "the stale LOW heap entry is not a queued job"
+
+    def test_queued_tracks_the_depth_through_claims_and_cancels(self):
+        sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
+        jobs = [sched.submit(distinct_request(i), priority="low") for i in range(3)]
+        sched.submit(AnalysisRequest.speculative(jobs[0].request.source), priority="high")
+        assert sched.stats.queued == 3
+        assert sched._claim() is jobs[0]
+        assert sched.cancel(jobs[2].id)
+        stats = sched.stats
+        assert stats.queued == sum(stats.queue_depth.values()) == 1
+
+
+class _GatedEngine(AnalysisEngine):
+    """Holds a request labelled in ``gates`` until its gate opens, after
+    signalling that it started."""
+
+    def __init__(self, *labels: str):
+        super().__init__()
+        self.started = {label: threading.Event() for label in labels}
+        self.gates = {label: threading.Event() for label in labels}
+
+    def run(self, request, program=None):
+        if request.label in self.gates:
+            self.started[request.label].set()
+            assert self.gates[request.label].wait(timeout=60)
+        return super().run(request, program)
+
+
+class TestJobRegistry:
+    def test_only_the_newest_finished_jobs_are_kept(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "FINISHED_JOBS_KEPT", 2)
+        engine = _GatedEngine("g1", "g2")
+        sched = JobScheduler(engine, max_workers=2, autostart=False)
+
+        def gated(label: str):
+            return AnalysisRequest.speculative(
+                f"char {label}[64]; int main() {{ {label}[0]; return 0; }}", label=label
             )
 
-    def test_a_worker_death_is_absorbed_without_per_job_retries(self, monkeypatch):
-        """``run_batch`` itself falls back in process when the pool
-        breaks, so the scheduler never re-runs the claim job by job."""
-        from repro.engine import batch
-
-        monkeypatch.setattr(batch, "_execute_unit", _exit_worker)
-        engine = AnalysisEngine()
-        requests = [distinct_request(i) for i in range(3)]
-        jobs, claim = self.run_one_claim(engine, requests)
-        assert engine.stats.parallel_batches == 0
-        assert "retried_individually" not in claim["attrs"]
-        for job, request in zip(jobs, requests):
-            assert job.state is JobState.DONE
-            assert result_fingerprint(job.result()) == result_fingerprint(
-                AnalysisEngine().run(request)
-            )
+        g1 = sched.submit(gated("g1"))
+        finished = [sched.submit(distinct_request(i)) for i in range(4)]
+        g2 = sched.submit(gated("g2"))
+        queued = sched.submit(one_liner(0))
+        follower = sched.submit(one_liner(0))
+        assert follower.coalesced
+        sched.start_workers()
+        try:
+            # One worker holds g1; the other runs the four short jobs,
+            # then holds g2, so `queued` stays queued behind both.
+            assert engine.started["g1"].wait(60) and engine.started["g2"].wait(60)
+            assert all(job.state is JobState.DONE for job in finished)
+            assert [sched.job(job.id) for job in finished] == [
+                None, None, finished[2], finished[3]
+            ], "the oldest finished ids are forgotten"
+            assert sched.job(g1.id) is g1 and g1.state is JobState.RUNNING
+            assert sched.job(g2.id) is g2 and g2.state is JobState.RUNNING
+            assert sched.job(queued.id) is queued and queued.state is JobState.QUEUED
+            assert sched.job(follower.id) is follower
+            engine.gates["g2"].set()
+            follower.result(timeout=60)
+            # g2, then `queued` and its follower finished: the two newest
+            # finished jobs are the primary and its follower.
+            assert sched.job(g2.id) is None and sched.job(finished[3].id) is None
+            assert sched.job(queued.id) is queued and sched.job(follower.id) is follower
+            assert sched.job(g1.id) is g1, "a running job is always kept"
+            assert [status["job_id"] for status in sched.recent_jobs()] == [
+                g1.id, queued.id, follower.id
+            ]
+        finally:
+            for gate in engine.gates.values():
+                gate.set()
+            sched.shutdown(wait=True, timeout=30)
+        assert g1.state is JobState.DONE
+        assert sched.job(g1.id) is g1 and sched.job(queued.id) is None
