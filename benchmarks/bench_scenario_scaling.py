@@ -138,10 +138,7 @@ class PrePRReference(DenseSchedule):
             for scenario in self.vcfg.scenarios
         ]
         self.vcfg.invalidate_indices()
-        self._scenario_by_color = {s.color: s for s in self.vcfg.scenarios}
-        self._scenarios_by_branch = {}
-        for scenario in self.vcfg.scenarios:
-            self._scenarios_by_branch.setdefault(scenario.branch_block, []).append(scenario)
+        self._index_scenarios()
 
     def _linear_scenario_scan(self, color):
         for scenario in self.vcfg.scenarios:

@@ -12,12 +12,14 @@ from repro.ai.solver import solve_forward
 from repro.analysis.result import CacheAnalysisResult
 from repro.analysis.transfer import (
     AccessTable,
-    classify_block,
+    SiteFlags,
     new_bottom_state,
     new_entry_state,
-    transfer_block,
+    record_block,
+    site_classifications,
 )
 from repro.cache.config import CacheConfig
+from repro.errors import AnalysisError
 from repro.frontend import CompiledProgram
 from repro.obs import metrics, span
 
@@ -43,7 +45,14 @@ def analyze_baseline(
     config = cache_config or CacheConfig.paper_default()
     cfg = program.cfg
     table = AccessTable(cfg, program.layout)
-    secret_symbols = set(program.info.secret_symbols)
+    # Each block's classifications are read off its last transfer: a
+    # transfer runs again whenever the block's entry state grows, so the
+    # last one saw the final state.
+    records: dict[str, tuple[SiteFlags, ...]] = {}
+
+    def transfer(name: str, state):
+        state_out, records[name] = record_block(state, table, name)
+        return state_out
 
     # The public `analysis_time` is derived from the span's duration:
     # the span always times itself, sinks or not.
@@ -52,7 +61,7 @@ def analyze_baseline(
             cfg,
             entry_state=new_entry_state(config, use_shadow_state, program.layout),
             bottom=new_bottom_state(config, use_shadow_state, program.layout),
-            transfer=lambda name, state: transfer_block(state, table, name),
+            transfer=transfer,
         )
         fixpoint_span.set(iterations=result.iterations, widenings=result.widenings)
     metrics().counter("fixpoint.pops").inc(result.iterations)
@@ -69,11 +78,14 @@ def analyze_baseline(
     )
     with span("classify", program=cfg.name) as classify_span:
         for block in cfg.graph().reachable:
-            state = result.entry_states[block]
-            if getattr(state, "is_bottom", False):
+            if getattr(result.entry_states[block], "is_bottom", False):
                 continue
+            if block not in records:
+                raise AnalysisError(
+                    f"no transfer of {block!r} recorded its classifications"
+                )
             analysis.classifications.extend(
-                classify_block(state, table, block, secret_symbols)
+                site_classifications(block, table.sites(block), records[block])
             )
         classify_span.set(sites=len(analysis.classifications))
     return analysis

@@ -86,6 +86,27 @@ The engine is driven two ways, both through one sparse pass
   scenarios from the entry state;
 * **warm** (:meth:`SpeculativeCacheAnalysis._solve_warm`) — seeded with
   a prior run's states, draining only the region an edit affects.
+
+Classification from the last transfer
+-------------------------------------
+
+The verdicts are read off the fixpoint's own walks, not off a second
+walk after it.  The transfer of S at a block and the transfer of a
+window slot (the walk that also joins the rollback prefixes) record
+each access site's must-hit and secret-dependence flags on the state the
+site executes in, and the pass keeps each node's last record;
+:meth:`SpeculativeCacheAnalysis._classify` assembles the classifications
+from them.  That is exact on the node schedule and the block-granular
+schedule alike, because every change to a node's input marks the node
+dirty again: a join that grows its state, a widening, and a window that
+grows, which re-marks its slot at every block of the old window.  So a
+node's last transfer ran on its final state and under its final window
+limit.  (Windows only grow once chosen, and no slot of a color exists
+before its first choice, so no record outlives its window.)  Only where
+the classified state is not one the pass transferred is there a walk:
+S joined with the resume slots that reach its block, and, in a warm
+pass, a node the drain never transferred, which first tries the
+predecessor's retained classifications.
 """
 
 from __future__ import annotations
@@ -97,14 +118,18 @@ from repro.analysis.depth import DepthChooser
 from repro.analysis.result import AccessClassification, CacheAnalysisResult
 from repro.analysis.transfer import (
     AccessTable,
+    SiteFlags,
     classify_block,
     new_bottom_state,
     new_entry_state,
+    record_block,
+    record_window_block,
+    site_classifications,
     transfer_block,
-    transfer_block_with_prefix_join,
 )
 from repro.cache.config import CacheConfig
 from repro.engine.worklist import PriorityWorklist, WideningPolicy, run_fixpoint
+from repro.errors import AnalysisError
 from repro.frontend import CompiledProgram
 from repro.ir.cfg import CFG, diff_cfgs
 from repro.ir.graph import GraphIndex
@@ -178,8 +203,9 @@ class WarmStartData:
     chooser_active_depths: dict[int, int]
     #: Old colors whose window choice was locked to the long window.
     chooser_locked: frozenset[int]
-    #: The predecessor run's classifications, for per-block reuse during
-    #: :meth:`SpeculativeCacheAnalysis._classify_warm`.
+    #: The predecessor run's classifications, for per-block reuse where
+    #: a warm drain leaves a node untransferred
+    #: (:class:`_RetainedClassifications`).
     classifications: tuple[AccessClassification, ...]
     #: ``(block fingerprints, block line signatures)``, taken on first use.
     _content: tuple[dict[str, str], dict[str, str]] | None = field(
@@ -282,27 +308,16 @@ class SpeculativeCacheAnalysis:
             self._vcfg_reuse = None
         self.table = AccessTable(self.cfg, self.layout)
         self.chooser = DepthChooser(self.speculation, self.layout)
-        self.secret_symbols = set(program.info.secret_symbols)
         self._use_shadow = self.speculation.use_shadow_state
         #: Dirty-slot re-transfers performed by the sparse scheduler
         #: (telemetry only; published to the metrics registry by run()).
         self._slot_transfers = 0
+        #: ``{(block, None or window slot): site flags}``: the record of
+        #: each node's last transfer in the current pass, kept until run()
+        #: has assembled the classifications from it.
+        self._records: dict[tuple[str, SlotKey | None], tuple[SiteFlags, ...]] = {}
         self._bottom = new_bottom_state(self.cache_config, self._use_shadow, self.layout)
-        # ------------------------------------------------------------------
-        # Precomputed per-block indices (the sparse engine's substrate):
-        # which scenarios inject at a block, O(1) color -> scenario lookup,
-        # and which window/resume slots can ever be live at a block.
-        # These deliberately *snapshot* the vcfg's scenarios rather than
-        # going through VirtualCFG's (mutation-aware) lookups: the solver
-        # needs a stable view for the whole run, independent of anything
-        # external code does to vcfg.scenarios meanwhile.
-        # ------------------------------------------------------------------
-        self._scenario_by_color: dict[int, SpeculationScenario] = {
-            scenario.color: scenario for scenario in self.vcfg.scenarios
-        }
-        self._scenarios_by_branch: dict[str, list[SpeculationScenario]] = {}
-        for scenario in self.vcfg.scenarios:
-            self._scenarios_by_branch.setdefault(scenario.branch_block, []).append(scenario)
+        self._index_scenarios()
         # The graph index, taken once: every graph fact the passes read.
         # The schedule's ranks are its reverse postorder of the reachable
         # blocks, each block's position in it, and each color's branch
@@ -323,8 +338,45 @@ class SpeculativeCacheAnalysis:
         self._resume_colors: dict[str, frozenset[int]] | None = None
 
     # ------------------------------------------------------------------
-    # Slot-placement indices
+    # Scenario and slot-placement indices
     # ------------------------------------------------------------------
+    def _index_scenarios(self) -> None:
+        """Build the per-scenario lookups the passes read: which scenarios
+        inject at a block, O(1) color -> scenario lookup, and where each
+        color's rollbacks re-enter.  They deliberately *snapshot* the
+        vcfg's scenarios rather than going through VirtualCFG's
+        (mutation-aware) lookups: the solver needs a stable view for the
+        whole run, independent of anything external code does to
+        vcfg.scenarios meanwhile."""
+        self._scenario_by_color: dict[int, SpeculationScenario] = {
+            scenario.color: scenario for scenario in self.vcfg.scenarios
+        }
+        self._scenarios_by_branch: dict[str, list[SpeculationScenario]] = {}
+        for scenario in self.vcfg.scenarios:
+            self._scenarios_by_branch.setdefault(scenario.branch_block, []).append(scenario)
+        self._rollback: dict[int, tuple[str, SlotKey | None, bool]] = {
+            scenario.color: self._rollback_target(scenario)
+            for scenario in self.vcfg.scenarios
+        }
+
+    def _rollback_target(
+        self, scenario: SpeculationScenario
+    ) -> tuple[str, SlotKey | None, bool]:
+        """Where ``scenario``'s rollbacks re-enter the normal flow (rule 3):
+        ``(correct target, slot, per origin)``.  The slot is None when the
+        rollback converts into S at once, else the color's resume slot,
+        which non-collapsing strategies extend by the rollback block."""
+        strategy = self.speculation.merge_strategy
+        target = scenario.correct_target
+        convergence = scenario.convergence_block
+        if (
+            not strategy.convert_at_merge_point
+            or convergence is None
+            or convergence == target
+        ):
+            return target, None, False
+        return target, ("resume", scenario.color), not strategy.collapse_rollback_points
+
     def _index_window_colors(self) -> dict[str, frozenset[int]]:
         """Inverse of the per-scenario window-membership sets: for every
         block, the colors whose ``bm`` window contains it.  The active
@@ -423,17 +475,16 @@ class SpeculativeCacheAnalysis:
             "classify", program=self.cfg.name, iterations=fixpoint.iterations
         )
         with span("classify", program=self.cfg.name) as classify_span:
-            if self._warm_plan is not None:
-                result.classifications = self._classify_warm(fixpoint, self._warm_plan)
-            else:
-                result.classifications = self._classify(fixpoint)
+            result.classifications = self._classify(fixpoint)
             classify_span.set(sites=len(result.classifications))
+        self._records = {}
         return result
 
     # ------------------------------------------------------------------
     # Fixpoint dispatch
     # ------------------------------------------------------------------
     def solve(self) -> SpeculativeFixpoint:
+        self._records = {}
         if self.warm_start is not None:
             plan = self._plan_warm(self.warm_start)
             if plan is not None:
@@ -795,7 +846,9 @@ class SpeculativeCacheAnalysis:
         # --- normal transfer and propagation (only when S[n] changed) ------
         state_out = None
         if normal_dirty:
-            state_out = transfer_block(state_in, self.table, name)
+            state_out, self._records[(name, None)] = record_block(
+                state_in, self.table, name
+            )
             for successor in successors:
                 deliveries.append(_Delivery(successor, None, state_out))
 
@@ -857,7 +910,7 @@ class SpeculativeCacheAnalysis:
         if not window.contains(name):
             return deliveries
         limit = window.allowed_instructions(name)
-        slot_out, prefix_join = transfer_block_with_prefix_join(
+        slot_out, prefix_join, self._records[(name, slot)] = record_window_block(
             slot_state, self.table, name, limit
         )
         # Window propagation (rule 2): only into blocks still inside the window.
@@ -866,25 +919,11 @@ class SpeculativeCacheAnalysis:
                 deliveries.append(_Delivery(successor, slot, slot_out))
         # Rollback (rule 3): the join of all prefix states re-enters the
         # normal flow at the correct target.
-        deliveries.append(self._rollback_delivery(scenario, name, prefix_join))
+        target, resume_slot, per_origin = self._rollback[scenario.color]
+        if per_origin:
+            resume_slot += (name,)
+        deliveries.append(_Delivery(target, resume_slot, prefix_join))
         return deliveries
-
-    def _rollback_delivery(
-        self, scenario: SpeculationScenario, origin: str, state
-    ) -> _Delivery:
-        strategy = self.speculation.merge_strategy
-        target = scenario.correct_target
-        convergence = scenario.convergence_block
-        convert_immediately = (
-            not strategy.convert_at_merge_point
-            or convergence is None
-            or convergence == target
-        )
-        if convert_immediately:
-            return _Delivery(target, None, state)
-        if strategy.collapse_rollback_points:
-            return _Delivery(target, ("resume", scenario.color), state)
-        return _Delivery(target, ("resume", scenario.color, origin), state)
 
     def _process_resume_slot(
         self, name: str, slot: SlotKey, slot_state, successors: tuple[str, ...]
@@ -937,6 +976,23 @@ class SpeculativeCacheAnalysis:
     # Classification
     # ------------------------------------------------------------------
     def _classify(self, fixpoint: SpeculativeFixpoint) -> list[AccessClassification]:
+        """The verdicts of every live node, in a fixed order: each
+        reachable block's committed accesses, then each scenario's window
+        blocks.
+
+        A node's verdicts come from the record of its last transfer (see
+        the module docstring).  Where the classified state is not one the
+        pass transferred — S joined with the resume slots that reach its
+        block, or, in a warm pass, a node the drain left alone — they come
+        from the predecessor run where the reuse gate allows
+        (:class:`_RetainedClassifications`) and from a fresh walk
+        otherwise.  A cold pass transfers every live node, so there a
+        missing record is an error, not a reason to walk.
+        """
+        records = self._records
+        table = self.table
+        plan = self._warm_plan
+        retained = None if plan is None else _RetainedClassifications(self, plan)
         classifications: list[AccessClassification] = []
         for block in self._graph.reachable:
             state = fixpoint.normal[block]
@@ -945,32 +1001,71 @@ class SpeculativeCacheAnalysis:
             # classification must also hold under every *resume* state that
             # reaches the block (window states model squashed instructions
             # only, their misses are the masked "#SpMiss").
-            for slot, slot_state in fixpoint.speculative.get(block, {}).items():
-                if slot[0] == "resume" and not getattr(slot_state, "is_bottom", False):
-                    state = slot_state if getattr(state, "is_bottom", False) else state.join(slot_state)
-            if getattr(state, "is_bottom", False):
+            resumes = [
+                slot_state
+                for slot, slot_state in fixpoint.speculative.get(block, {}).items()
+                if slot[0] == "resume" and not getattr(slot_state, "is_bottom", False)
+            ]
+            if not resumes:
+                if getattr(state, "is_bottom", False):
+                    continue
+                flags = records.get((block, None))
+                if flags is not None:
+                    classifications.extend(
+                        site_classifications(block, table.sites(block), flags)
+                    )
+                    continue
+                if retained is None:
+                    raise AnalysisError(
+                        f"no transfer of S at {block!r} recorded its classifications"
+                    )
+            reused = None if retained is None else retained.normal(block)
+            if reused is not None:
+                classifications.extend(reused)
                 continue
-            classifications.extend(
-                classify_block(state, self.table, block, self.secret_symbols)
-            )
+            for resume in resumes:
+                state = resume if getattr(state, "is_bottom", False) else state.join(resume)
+            classifications.extend(classify_block(state, table, block))
         for scenario in self.vcfg.scenarios:
-            window = self.chooser.active_window(scenario)
-            slot = ("window", scenario.color)
-            for block, limit in window.allowed.items():
+            color = scenario.color
+            slot = ("window", color)
+            for block, limit in self.chooser.active_window(scenario).allowed.items():
                 state = fixpoint.speculative.get(block, {}).get(slot)
                 if state is None or getattr(state, "is_bottom", False):
+                    continue
+                flags = records.get((block, slot))
+                if flags is not None:
+                    classifications.extend(
+                        site_classifications(
+                            block,
+                            table.sites_up_to(block, limit),
+                            flags,
+                            speculative=True,
+                            scenario_color=color,
+                        )
+                    )
+                    continue
+                if retained is None:
+                    raise AnalysisError(
+                        f"no transfer of window slot {color} at {block!r} "
+                        "recorded its classifications"
+                    )
+                reused = retained.window(color, block)
+                if reused is not None:
+                    classifications.extend(reused)
                     continue
                 classifications.extend(
                     classify_block(
                         state,
-                        self.table,
+                        table,
                         block,
-                        self.secret_symbols,
                         instruction_limit=limit,
                         speculative=True,
-                        scenario_color=scenario.color,
+                        scenario_color=color,
                     )
                 )
+        if retained is not None:
+            self.warm_info["classifications_reused"] = retained.reused
         return classifications
 
     def _resume_touched_blocks(self, plan: _WarmPlan) -> set[str]:
@@ -1018,97 +1113,71 @@ class SpeculativeCacheAnalysis:
                 walk(scenario, lambda name: old_successors.get(name, ()))
         return touched
 
-    def _classify_warm(
-        self, fixpoint: SpeculativeFixpoint, plan: _WarmPlan
-    ) -> list[AccessClassification]:
-        """:meth:`_classify`, reusing the prior run's classifications for
-        blocks the edit provably did not touch.
 
-        Reuse is bit-identical to reclassification: a block outside the
-        affected region has unchanged content (changed blocks seed the
-        region), an identical joined state (normal and stable-scenario
-        resume slots are seeded and input-closed; differing resume
-        populations are excluded via :meth:`_resume_touched_blocks`), and
-        — gated by the per-block line signature — identical source lines,
-        so ``classify_block`` would emit exactly the retained objects.
-        The same argument covers window classifications of stable
-        scenarios (equal windows, equal limits, seeded slots); only the
-        scenario color is remapped old→new.
-        """
+class _RetainedClassifications:
+    """A warm pass's offer of the predecessor run's classifications for
+    nodes the edit provably did not touch.
+
+    Reuse is bit-identical to reclassification: a block outside the
+    affected region has unchanged content (changed blocks seed the
+    region), an identical joined state (normal and stable-scenario resume
+    slots are seeded and input-closed; differing resume populations are
+    excluded via :meth:`SpeculativeCacheAnalysis._resume_touched_blocks`),
+    and — gated by the per-block line signature — identical source lines,
+    so ``classify_block`` would emit exactly the retained objects.  The
+    same argument covers window classifications of stable scenarios
+    (equal windows, equal limits, seeded slots); only the scenario color
+    is remapped old→new.
+    """
+
+    def __init__(self, analysis: SpeculativeCacheAnalysis, plan: _WarmPlan):
         warm = plan.warm
-        affected = plan.affected
-        old_lines = warm.block_line_signatures
-        new_lines = self.cfg.block_line_signatures()
-        resume_touched = self._resume_touched_blocks(plan)
-
-        old_normal: dict[str, list[AccessClassification]] = {}
-        old_window: dict[tuple[int, str], list[AccessClassification]] = {}
+        self._affected = plan.affected
+        self._old_lines = warm.block_line_signatures
+        self._new_lines = analysis.cfg.block_line_signatures()
+        self._resume_touched = analysis._resume_touched_blocks(plan)
+        self._old_color_of = {
+            scenario.color: old_color for old_color, scenario in plan.stable.items()
+        }
+        self._normal: dict[str, list[AccessClassification]] = {}
+        self._window: dict[tuple[int, str], list[AccessClassification]] = {}
         for classification in warm.classifications:
             if classification.speculative:
                 key = (classification.scenario_color, classification.block)
-                old_window.setdefault(key, []).append(classification)
+                self._window.setdefault(key, []).append(classification)
             else:
-                old_normal.setdefault(classification.block, []).append(classification)
+                self._normal.setdefault(classification.block, []).append(classification)
+        #: Classifications handed out so far.
+        self.reused = 0
 
-        reused = 0
-        classifications: list[AccessClassification] = []
-        for block in self._graph.reachable:
-            if (
-                block not in affected
-                and block not in resume_touched
-                and old_lines.get(block) == new_lines.get(block)
-                and block in old_lines
-            ):
-                retained = old_normal.get(block, ())
-                classifications.extend(retained)
-                reused += len(retained)
-                continue
-            state = fixpoint.normal[block]
-            for slot, slot_state in fixpoint.speculative.get(block, {}).items():
-                if slot[0] == "resume" and not getattr(slot_state, "is_bottom", False):
-                    state = slot_state if getattr(state, "is_bottom", False) else state.join(slot_state)
-            if getattr(state, "is_bottom", False):
-                continue
-            classifications.extend(
-                classify_block(state, self.table, block, self.secret_symbols)
-            )
+    def _untouched(self, block: str) -> bool:
+        return (
+            block not in self._affected
+            and block in self._old_lines
+            and self._old_lines[block] == self._new_lines.get(block)
+        )
 
-        old_color_of = {
-            scenario.color: old_color for old_color, scenario in plan.stable.items()
-        }
-        for scenario in self.vcfg.scenarios:
-            window = self.chooser.active_window(scenario)
-            slot = ("window", scenario.color)
-            old_color = old_color_of.get(scenario.color)
-            for block, limit in window.allowed.items():
-                if (
-                    old_color is not None
-                    and block not in affected
-                    and old_lines.get(block) == new_lines.get(block)
-                    and block in old_lines
-                ):
-                    for retained in old_window.get((old_color, block), ()):
-                        classifications.append(
-                            retained
-                            if retained.scenario_color == scenario.color
-                            else replace(retained, scenario_color=scenario.color)
-                        )
-                        reused += 1
-                    continue
-                state = fixpoint.speculative.get(block, {}).get(slot)
-                if state is None or getattr(state, "is_bottom", False):
-                    continue
-                classifications.extend(
-                    classify_block(
-                        state,
-                        self.table,
-                        block,
-                        self.secret_symbols,
-                        instruction_limit=limit,
-                        speculative=True,
-                        scenario_color=scenario.color,
-                    )
-                )
-        if self.warm_info is not None:
-            self.warm_info["classifications_reused"] = reused
-        return classifications
+    def normal(self, block: str) -> list[AccessClassification] | None:
+        """The committed classifications of ``block``, or None where the
+        gate refuses them."""
+        if block in self._resume_touched or not self._untouched(block):
+            return None
+        retained = self._normal.get(block, [])
+        self.reused += len(retained)
+        return retained
+
+    def window(self, color: int, block: str) -> list[AccessClassification] | None:
+        """The classifications of ``color``'s window at ``block``, or None
+        where the gate refuses them (``color`` is not a stable scenario's,
+        or the block was touched)."""
+        old_color = self._old_color_of.get(color)
+        if old_color is None or not self._untouched(block):
+            return None
+        retained = [
+            classification
+            if classification.scenario_color == color
+            else replace(classification, scenario_color=color)
+            for classification in self._window.get((old_color, block), ())
+        ]
+        self.reused += len(retained)
+        return retained

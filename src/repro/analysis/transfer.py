@@ -3,8 +3,19 @@
 Both the baseline and the speculative analysis iterate the same basic
 operation: push an abstract cache state through the memory accesses of a
 basic block.  This module pre-resolves every instruction's
-:class:`MemoryRef` to a :class:`BlockAccess` once per program and
-provides the block-level transfer and classification helpers.
+:class:`MemoryRef` to a :class:`BlockAccess` once per program (and each
+block's site prefix once per instruction limit) and provides the
+block-level transfers.
+
+Classification rides on the fixpoint's own transfers.  A *recording*
+transfer (:func:`record_block`, and :func:`record_window_block` for a
+speculative window block, which also joins the rollback prefixes) reads
+each site's must-hit and secret-dependence flags off the state it is
+about to access, so the analyses keep the last record of each node and
+turn it into :class:`AccessClassification` values once, after the
+fixpoint (:func:`site_classifications`).  :func:`classify_block` is the
+walk for a state no transfer saw, e.g. a normal state joined with the
+resume slots that reach its block.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from repro.cache.abstract import CacheState
 from repro.cache.config import CacheConfig
 from repro.cache.setassoc import SetAssocCacheState
 from repro.cache.shadow import ShadowCacheState
+from repro.errors import AnalysisError
 from repro.ir.cfg import CFG
 from repro.ir.memory import AccessKind, BlockAccess, MemoryLayout
 from repro.analysis.result import AccessClassification
@@ -34,25 +46,37 @@ class AccessTable:
     def __init__(self, cfg: CFG, layout: MemoryLayout):
         self.cfg = cfg
         self.layout = layout
-        self._by_block: dict[str, list[SiteAccess]] = {}
+        self._by_block: dict[str, tuple[SiteAccess, ...]] = {}
         for name in cfg.graph().reachable:
-            sites: list[SiteAccess] = []
-            for index, instruction in enumerate(cfg.blocks[name].instructions):
-                for ref in instruction.memory_refs():
-                    sites.append(
-                        SiteAccess(instruction_index=index, access=layout.resolve(ref))
-                    )
-            self._by_block[name] = sites
+            self._by_block[name] = tuple(
+                SiteAccess(instruction_index=index, access=layout.resolve(ref))
+                for index, instruction in enumerate(cfg.blocks[name].instructions)
+                for ref in instruction.memory_refs()
+            )
+        #: ``{block: {instruction limit: site prefix}}``, filled on first use.
+        self._prefixes: dict[str, dict[int, tuple[SiteAccess, ...]]] = {}
 
-    def sites(self, block: str) -> list[SiteAccess]:
-        return self._by_block.get(block, [])
+    def sites(self, block: str) -> tuple[SiteAccess, ...]:
+        return self._by_block.get(block, ())
 
-    def sites_up_to(self, block: str, instruction_limit: int | None) -> list[SiteAccess]:
-        """Sites of the first ``instruction_limit`` instructions (all when None)."""
-        sites = self._by_block.get(block, [])
+    def sites_up_to(
+        self, block: str, instruction_limit: int | None
+    ) -> tuple[SiteAccess, ...]:
+        """Sites of the first ``instruction_limit`` instructions (all when
+        None).  Each block's prefix is built once per limit."""
         if instruction_limit is None:
-            return sites
-        return [site for site in sites if site.instruction_index < instruction_limit]
+            return self._by_block.get(block, ())
+        by_limit = self._prefixes.get(block)
+        if by_limit is None:
+            by_limit = self._prefixes[block] = {}
+        prefix = by_limit.get(instruction_limit)
+        if prefix is None:
+            prefix = by_limit[instruction_limit] = tuple(
+                site
+                for site in self._by_block.get(block, ())
+                if site.instruction_index < instruction_limit
+            )
+        return prefix
 
     @property
     def total_sites(self) -> int:
@@ -92,11 +116,38 @@ def transfer_block(state, table: AccessTable, block: str, instruction_limit: int
     return current
 
 
-def transfer_block_with_prefix_join(
+#: One access site's verdict as a recording transfer reads it:
+#: ``(must_hit, secret_dependent)``.
+SiteFlags = tuple[bool, bool]
+
+
+def _flags(state, access: BlockAccess) -> SiteFlags:
+    """The verdict of ``access`` on ``state``, the state it executes in."""
+    must_hit = state.must_hit_access(access)
+    if access.kind is not AccessKind.SECRET or getattr(state, "is_bottom", False):
+        return must_hit, False
+    hit_blocks = sum(1 for b in access.blocks if state.must_hit(b))
+    return must_hit, 0 < hit_blocks < len(access.blocks)
+
+
+def record_block(
     state, table: AccessTable, block: str, instruction_limit: int | None = None
-):
-    """Like :func:`transfer_block`, but also return the join of the states
-    after *every* prefix of the block.
+) -> tuple[object, tuple[SiteFlags, ...]]:
+    """:func:`transfer_block`, also returning each site's flags."""
+    current = state
+    flags: list[SiteFlags] = []
+    for site in table.sites_up_to(block, instruction_limit):
+        access = site.access
+        flags.append(_flags(current, access))
+        current = current.access(access)
+    return current, tuple(flags)
+
+
+def record_window_block(
+    state, table: AccessTable, block: str, instruction_limit: int
+) -> tuple[object, object, tuple[SiteFlags, ...]]:
+    """:func:`record_block`, also returning the join of the states after
+    *every* prefix of the block: ``(state out, prefix join, flags)``.
 
     The prefix join is exactly the state contributed by a rollback that may
     happen at any point inside the block (Section 5.2): the merge of all
@@ -104,44 +155,61 @@ def transfer_block_with_prefix_join(
     """
     current = state
     prefix_join = state
+    flags: list[SiteFlags] = []
     for site in table.sites_up_to(block, instruction_limit):
-        current = current.access(site.access)
+        access = site.access
+        flags.append(_flags(current, access))
+        current = current.access(access)
         prefix_join = prefix_join.join(current)
-    return current, prefix_join
+    return current, prefix_join, tuple(flags)
+
+
+def site_classifications(
+    block: str,
+    sites: tuple[SiteAccess, ...],
+    flags: tuple[SiteFlags, ...],
+    speculative: bool = False,
+    scenario_color: int | None = None,
+) -> list[AccessClassification]:
+    """The classifications of ``sites`` (a prefix of ``block``'s sites)
+    from a recording transfer's ``flags`` for that same prefix."""
+    if len(flags) != len(sites):
+        raise AnalysisError(
+            f"a record of block {block!r} holds {len(flags)} sites, "
+            f"its classified prefix {len(sites)}"
+        )
+    # Positional, in field order: a frozen dataclass binds keywords
+    # measurably slower, and the fixpoint's whole output passes here.
+    return [
+        AccessClassification(
+            block,
+            site.instruction_index,
+            site.access.ref,
+            site.access.kind,
+            must_hit,
+            speculative,
+            scenario_color,
+            site.access.kind is AccessKind.SECRET,
+            secret_dependent,
+        )
+        for site, (must_hit, secret_dependent) in zip(sites, flags)
+    ]
 
 
 def classify_block(
     state,
     table: AccessTable,
     block: str,
-    secret_symbols: set[str],
     instruction_limit: int | None = None,
     speculative: bool = False,
     scenario_color: int | None = None,
 ) -> list[AccessClassification]:
     """Walk ``block`` from ``state`` and classify each access site."""
-    classifications: list[AccessClassification] = []
-    current = state
-    for site in table.sites_up_to(block, instruction_limit):
-        access = site.access
-        must_hit = current.must_hit_access(access)
-        secret_indexed = access.kind is AccessKind.SECRET
-        secret_dependent = False
-        if secret_indexed and not getattr(current, "is_bottom", False):
-            hit_blocks = sum(1 for b in access.blocks if current.must_hit(b))
-            secret_dependent = 0 < hit_blocks < len(access.blocks)
-        classifications.append(
-            AccessClassification(
-                block=block,
-                instruction_index=site.instruction_index,
-                ref=access.ref,
-                kind=access.kind,
-                must_hit=must_hit,
-                speculative=speculative,
-                scenario_color=scenario_color,
-                secret_indexed=secret_indexed,
-                secret_dependent=secret_dependent,
-            )
-        )
-        current = current.access(access)
-    return classifications
+    _, flags = record_block(state, table, block, instruction_limit)
+    return site_classifications(
+        block,
+        table.sites_up_to(block, instruction_limit),
+        flags,
+        speculative=speculative,
+        scenario_color=scenario_color,
+    )

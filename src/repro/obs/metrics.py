@@ -172,11 +172,14 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(name, Histogram, lambda: Histogram(name, edges))
 
-    def snapshot(self) -> dict[str, dict]:
-        """All instruments as one JSON-friendly ``{name: payload}`` dict,
-        sorted by name for stable output."""
+    def snapshot(self, prefix: str = "") -> dict[str, dict]:
+        """The instruments whose names start with ``prefix`` (all by
+        default) as one JSON-friendly ``{name: payload}`` dict, sorted by
+        name for stable output.  Only those instruments are serialised."""
         with self._lock:
-            instruments = list(self._instruments.items())
+            instruments = [
+                item for item in self._instruments.items() if item[0].startswith(prefix)
+            ]
         return {name: instrument.to_dict() for name, instrument in sorted(instruments)}
 
 

@@ -409,7 +409,6 @@ class ReproServer:
         """One frame of the live queue/worker view (``repro top``)."""
         stats = self.scheduler.stats
         limit = int(message.get("limit") or 32)
-        registry_snapshot = metrics().snapshot()
         return {
             "ok": True,
             "top": {
@@ -422,11 +421,7 @@ class ReproServer:
                 "jobs": self.scheduler.recent_jobs(limit),
                 # Only the scheduler's own latency/depth instruments:
                 # the full registry is the ``metrics`` op's job.
-                "metrics": {
-                    name: payload
-                    for name, payload in registry_snapshot.items()
-                    if name.startswith("scheduler.")
-                },
+                "metrics": metrics().snapshot(prefix="scheduler."),
             },
         }
 

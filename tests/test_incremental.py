@@ -24,6 +24,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.multicolor import SpeculativeCacheAnalysis
 from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.incremental import (
@@ -44,6 +45,7 @@ from repro.service.wire import WireError, request_from_wire, request_to_wire
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
 
+import classify_reference
 from cold_reference import ColdScoringEngine
 
 # ----------------------------------------------------------------------
@@ -171,6 +173,82 @@ class TestWarmColdIdentity:
         base_cfg = compile_source(BASE_SOURCE).cfg
         reemitted_cfg = compile_source(reemitted).cfg
         assert diff_cfgs(base_cfg, reemitted_cfg).is_identical
+
+
+#: Four diamonds in a row; short windows keep each branch's rollbacks
+#: local, so an edit at the end leaves the first diamond unaffected.
+FOUR_DIAMONDS_SOURCE = """
+char table[1024];
+char cnd[256];
+secret int key;
+int k;
+int main() {
+    int x;
+    x = 0;
+    if (cnd[0] > 0) {
+        x = x + table[64];
+    }
+    x = x + table[key];
+    if (k > 0) {
+        x = x + table[128];
+    }
+    x = x + table[192];
+    if (cnd[64] > 0) {
+        x = x + table[256];
+    }
+    x = x + table[320];
+    if (cnd[128] > 0) {
+        x = x + table[448];
+    }
+    x = x + table[384];
+    return x;
+}
+"""
+
+
+class TestWarmClassificationSources:
+    def test_line_shift_outside_the_edit_refuses_reuse(self):
+        """An edit at the end plus a blank line in the first branch arm:
+        the drain records the affected blocks and the frontier, the entry
+        block reuses the predecessor's classifications, and the arm below
+        the blank line is unaffected but carries shifted lines, so the
+        reuse gate refuses it and it is walked.  The result equals the
+        cold run's, element by element."""
+        geometry = GEOMETRIES[0]
+        speculation = SpeculationConfig(depth_miss=8, depth_hit=4)
+        edited_source = FOUR_DIAMONDS_SOURCE.replace(
+            "    if (cnd[0] > 0) {\n", "    if (cnd[0] > 0) {\n\n"
+        ).replace("table[384]", "table[512]")
+        base = _request(FOUR_DIAMONDS_SOURCE, geometry, speculation=speculation)
+        base_program = compile_source(FOUR_DIAMONDS_SOURCE)
+        result, analysis = execute_retaining(base, base_program)
+        warm_start = snapshot_from_analysis(base, base_program, analysis, result).warm
+
+        program = compile_source(edited_source)
+        warm = SpeculativeCacheAnalysis(
+            program, cache_config=geometry, speculation=speculation, warm_start=warm_start
+        )
+        warm_result = warm.run()
+        cold_result = SpeculativeCacheAnalysis(
+            program, cache_config=geometry, speculation=speculation
+        ).run()
+
+        assert warm.warm_info["used"]
+        old_lines = warm_start.block_line_signatures
+        new_lines = program.cfg.block_line_signatures()
+        affected = warm._warm_plan.affected
+        shifted = {
+            block
+            for block, lines in new_lines.items()
+            if block in old_lines and old_lines[block] != lines
+        }
+        assert affected, "the edit must leave blocks for the drain to record"
+        assert shifted - affected, "the blank line must shift an unaffected block"
+        assert warm.warm_info["classifications_reused"] > 0
+        classify_reference.assert_same_classifications(
+            warm_result.classifications, cold_result.classifications
+        )
+        assert warm_result.entry_states == cold_result.entry_states
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the sparse multi-color engine rebuild: differential equality
-against the dense block schedule (:class:`DenseReference`), soundness of
-widening against the exact fixpoint (:class:`ExactReference`), the
+against the dense block schedule (:class:`DenseReference`), classifications
+against a re-walk of the final states (``classify_reference``), soundness
+of widening against the exact fixpoint (:class:`ExactReference`), the
 heap-based window construction, the postdominator-tree convergence fix,
 and the precomputed slot-placement indices."""
 
@@ -10,13 +11,21 @@ import random
 
 import pytest
 
+import classify_reference
 import graph_reference
 from repro import compile_source
 from repro.analysis.multicolor import WIDENING_DELAY, SpeculativeCacheAnalysis
 from repro.bench.client import build_client_source
 from repro.bench.crypto import CRYPTO_BENCHMARKS, crypto_kernel
-from repro.bench.programs import wcet_benchmark_source
+from repro.bench.programs import (
+    WCET_BENCHMARKS,
+    branchy_kernel_source,
+    wcet_benchmark_source,
+)
+from repro.bench.tables import BENCH_CACHE, table7_client_request
 from repro.cache.config import CacheConfig
+from repro.engine.engine import compile_request
+from repro.engine.request import AnalysisRequest
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
 from repro.ir.dominators import VIRTUAL_EXIT, immediate_postdominator, postdominator_tree
@@ -137,17 +146,21 @@ def is_block_granular(engine: SpeculativeCacheAnalysis) -> bool:
 def assert_matches_reference(program, **config) -> SpeculativeCacheAnalysis:
     """Run the engine and :class:`DenseReference` on ``program`` and check
     that they reach the same fixpoint: normal states, non-bottom slots,
-    chosen windows, classifications and the widening and active
-    virtual-edge counters.  Where the engine's own pass is block-granular
-    the pop schedules coincide, so the pop counts must be equal; on the
-    node schedule every live slot is transferred exactly once, and each
-    reachable block's S and live slot group is popped at most once.
-    Returns the engine."""
+    chosen windows and the widening and active virtual-edge counters.
+    Both read their classifications off their own last transfers, so each
+    list must equal, element by element and in order, a re-walk of the
+    dense oracle's final states.  Where the engine's own pass is
+    block-granular the pop schedules coincide, so the pop counts must be
+    equal; on the node schedule every live slot is transferred exactly
+    once, and each reachable block's S and live slot group is popped at
+    most once.  Returns the engine."""
     oracle = DenseReference(program, **config)
     expected = oracle.run()
     engine = SpeculativeCacheAnalysis(program, **config)
     result = engine.run()
-    assert result.classifications == expected.classifications
+    rewalk = classify_reference.speculative_classifications(oracle)
+    classify_reference.assert_same_classifications(result.classifications, rewalk)
+    classify_reference.assert_same_classifications(expected.classifications, rewalk)
     assert result.entry_states == expected.entry_states
     live = live_slots(engine.last_fixpoint)
     assert live == live_slots(oracle.last_fixpoint)
@@ -206,13 +219,88 @@ class TestSparseMatchesDenseReference:
     def test_differential_on_widening_active_kernel(self, bench_cache):
         """adpcm is the corpus kernel whose fixpoint actually widens; its
         passes stay block-granular, so the schedules (and therefore the
-        widening timing) must still agree."""
+        widening timing) must still agree, and the classifications read
+        off the block schedule's last transfers must equal the re-walk."""
         program = compile_source(wcet_benchmark_source("adpcm"))
         engine = assert_matches_reference(program, cache_config=bench_cache)
         assert engine.last_fixpoint.widenings > 0, (
             "adpcm stopped widening; pick another kernel"
         )
         assert is_block_granular(engine)
+
+
+# ----------------------------------------------------------------------
+# Classifications from last transfers == a re-walk of the final states
+# ----------------------------------------------------------------------
+def benchmark_programs() -> dict:
+    """The 23 distinct programs of the Table 5/6/7 and ``branchy`` benchmark
+    requests, each as a baseline request at its analyses' cache."""
+    requests = {
+        f"t5/{name}": AnalysisRequest.baseline(
+            wcet_benchmark_source(name, BENCH_CACHE.num_lines, BENCH_CACHE.line_size),
+            line_size=BENCH_CACHE.line_size,
+            cache_config=BENCH_CACHE,
+        )
+        for name in WCET_BENCHMARKS
+    }
+    for name in CRYPTO_BENCHMARKS:
+        speculative = table7_client_request(name)
+        requests[f"t7/{name}"] = AnalysisRequest.baseline(
+            speculative.source,
+            line_size=speculative.line_size,
+            cache_config=speculative.cache_config,
+        )
+    for size in (16, 24, 32):
+        requests[f"branchy/{size}"] = AnalysisRequest.baseline(
+            branchy_kernel_source(size), cache_config=CacheConfig.paper_default()
+        )
+    return requests
+
+
+BENCHMARK_PROGRAMS = benchmark_programs()
+
+
+class TestClassificationsMatchTheRewalk:
+    """Classifications are read off each node's last transfer; they must
+    equal, element by element and in order, a walk over the final
+    states (``classify_reference``)."""
+
+    @pytest.mark.parametrize("dynamic_depth", [True, False], ids=["ddb", "no-ddb"])
+    @pytest.mark.parametrize("shadow", [True, False], ids=["shadow", "no-shadow"])
+    @pytest.mark.parametrize("strategy", list(MergeStrategy))
+    def test_speculative_configurations(
+        self, random_programs, loop_free_programs, strategy, shadow, dynamic_depth
+    ):
+        """Across merge strategies, the shadow state and dynamic depth
+        bounding, at the set-associative geometry, on two programs run
+        block by block (with a loop) and two run node by node (loop-free)."""
+        speculation = SpeculationConfig(
+            depth_miss=200,
+            depth_hit=20,
+            merge_strategy=strategy,
+            dynamic_depth_bounding=dynamic_depth,
+            use_shadow_state=shadow,
+        )
+        schedules = set()
+        for program in random_programs[:2] + loop_free_programs[:2]:
+            engine = assert_matches_reference(
+                program, cache_config=GEOMETRIES[1], speculation=speculation
+            )
+            schedules.add(is_block_granular(engine))
+        assert schedules == {True, False}, "the matrix must reach both schedules"
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_PROGRAMS))
+    def test_baseline_on_benchmark_programs(self, name):
+        from repro.analysis import analyze_baseline
+
+        request = BENCHMARK_PROGRAMS[name]
+        program = compile_request(request)
+        result = analyze_baseline(program, cache_config=request.resolved_cache_config)
+        assert result.classifications
+        classify_reference.assert_same_classifications(
+            result.classifications,
+            classify_reference.baseline_classifications(program, result),
+        )
 
 
 # ----------------------------------------------------------------------

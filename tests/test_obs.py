@@ -85,6 +85,28 @@ class TestMetricsRegistry:
         registry.histogram("h").observe(1.0)
         json.dumps(registry.snapshot())
 
+    def test_prefix_snapshot_serialises_only_matching_instruments(self, monkeypatch):
+        registry = MetricsRegistry()
+        registry.counter("scheduler.slow_jobs").inc()
+        registry.histogram("scheduler.e2e_seconds").observe(0.5)
+        registry.counter("fixpoint.pops").inc(9)
+        full = registry.snapshot()
+        serialised = []
+        histogram_type = type(registry.histogram("scheduler.e2e_seconds"))
+        to_dict = histogram_type.to_dict
+
+        def spy(instrument):
+            serialised.append(instrument)
+            return to_dict(instrument)
+
+        monkeypatch.setattr(histogram_type, "to_dict", spy)
+        registry.histogram("fixpoint.time").observe(1.0)
+        prefixed = registry.snapshot(prefix="scheduler.")
+        assert prefixed == {
+            name: payload for name, payload in full.items() if name.startswith("scheduler.")
+        }
+        assert serialised == [registry.histogram("scheduler.e2e_seconds")]
+
 
 # ----------------------------------------------------------------------
 # Tracer: disabled fast path and JSONL exporter

@@ -49,6 +49,12 @@ def distinct_request(i: int) -> AnalysisRequest:
     )
 
 
+def hold_the_worker(cli: ServiceClient) -> str:
+    """Occupy a one-worker daemon with a 32-branch kernel, so the jobs
+    submitted next are all queued together behind it."""
+    return cli.submit(AnalysisRequest.speculative(branchy_kernel_source(32)))
+
+
 # ----------------------------------------------------------------------
 # Job lifecycle event logs (scheduler level)
 # ----------------------------------------------------------------------
@@ -323,19 +329,21 @@ class TestEventsTopMetricsRPCs:
         assert all(event["job_id"] == job_id for event in events)
 
     def test_events_rpc_concatenates_a_coalesced_jobs_primary(self, server):
-        # Hold the queue with a first job so the duplicate coalesces.
+        # Hold the worker so the primary is still queued when its
+        # duplicate arrives: the duplicate must coalesce.
         with ServiceClient(port=server.port) as cli:
+            hold_the_worker(cli)
             request = AnalysisRequest.speculative(BRANCHY_SOURCE)
             primary_id = cli.submit(request)
             follower_id = cli.submit(request)
-            cli.result(follower_id, timeout=60)
+            cli.result(follower_id, timeout=120)
             events = cli.events(follower_id)
-            own = [e for e in events if e["job_id"] == follower_id]
-            if any(e["event"] == "coalesced" for e in own):
-                relayed = [e for e in events if e["job_id"] == primary_id]
-                assert any(e["event"] == "done" for e in relayed), (
-                    "a coalesced job's events must include its primary's"
-                )
+        own = [e["event"] for e in events if e["job_id"] == follower_id]
+        assert own == ["queued", "coalesced"]
+        relayed = [e for e in events if e["job_id"] == primary_id]
+        assert any(e["event"] == "done" for e in relayed), (
+            "a coalesced job's events must include its primary's"
+        )
 
     def test_stats_carry_no_batch_counters(self, server, capsys):
         from repro.service.cli import main as cli_main
@@ -360,6 +368,18 @@ class TestEventsTopMetricsRPCs:
         assert any(job["job_id"] == job_id for job in top["jobs"])
         assert all(name.startswith("scheduler.") for name in top["metrics"])
         json.dumps(top)  # the whole frame is JSON-clean
+
+    def test_top_frame_metrics_are_the_scheduler_entries_of_a_full_snapshot(
+        self, client
+    ):
+        job_id = client.submit(AnalysisRequest.speculative(SOURCE))
+        client.result(job_id, timeout=60)
+        full = client.metrics()
+        scheduler = {
+            name: payload for name, payload in full.items() if name.startswith("scheduler.")
+        }
+        assert scheduler and len(scheduler) < len(full)
+        assert client.top(limit=8)["metrics"] == scheduler
 
     def test_metrics_rpc_snapshot_is_renderable(self, client):
         client.analyze(AnalysisRequest.speculative(SOURCE), timeout=60)
@@ -478,15 +498,9 @@ class TestTraceAfterResult:
 
 
 class TestTraceRPC:
-    @staticmethod
-    def hold_the_worker(cli: ServiceClient) -> str:
-        """Occupy the daemon's one worker with a 32-branch kernel, so the
-        jobs submitted next are all queued together behind it."""
-        return cli.submit(AnalysisRequest.speculative(branchy_kernel_source(32)))
-
     def test_a_jobs_trace_holds_exactly_its_own_run(self, server):
         with ServiceClient(port=server.port) as cli:
-            ids = [self.hold_the_worker(cli)]
+            ids = [hold_the_worker(cli)]
             ids += [cli.submit(distinct_request(i)) for i in (21, 22)]
             for job_id in ids:
                 cli.result(job_id, timeout=120)
@@ -499,7 +513,7 @@ class TestTraceRPC:
 
     def test_a_coalesced_jobs_trace_is_its_primarys(self, server):
         with ServiceClient(port=server.port) as cli:
-            self.hold_the_worker(cli)
+            hold_the_worker(cli)
             request = distinct_request(23)
             primary_id = cli.submit(request)
             follower_id = cli.submit(request)

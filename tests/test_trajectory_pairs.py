@@ -1,5 +1,6 @@
-"""``trajectory/pairs.py``: the table shows failures, and ``run`` stops
-loudly when perfbench prints no report."""
+"""``trajectory/pairs.py``: the table shows failures, ``run`` stops
+loudly when perfbench prints no report, and a second ``run`` into an
+entry adds pairs rather than replacing them."""
 
 from __future__ import annotations
 
@@ -87,3 +88,51 @@ def test_run_stops_without_a_record_when_perfbench_prints_nothing(pairs, monkeyp
     assert message.endswith("ImportError: no module named x")
     assert "line 20" not in message  # only the tail
     assert not pairs._path("branchy").exists()
+
+
+def test_run_numbers_new_pairs_after_the_entrys_existing_ones(
+    pairs, monkeypatch, tmp_path, capsys
+):
+    """A second invocation adds pairs to an entry instead of replacing the
+    earlier ones in the table, and keeps alternating which side runs first."""
+    _write_entry(
+        pairs,
+        [
+            (0, "parent", _report(8.0)),
+            (0, "change", _report(10.0)),
+            (1, "change", _report(10.5)),
+            (1, "parent", _report(8.5)),
+        ],
+    )
+    trees = {tmp_path / "parent": "parent", tmp_path / "change": "change"}
+    for tree in trees:
+        tree.mkdir()
+    throughput = {"parent": 9.0, "change": 11.0}
+
+    def fake_run(command, cwd, capture_output, text, check):
+        report = _report(throughput[trees[cwd]])
+        return subprocess.CompletedProcess(command, 0, stdout=json.dumps(report) + "\n")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    pairs.run(
+        argparse.Namespace(
+            pr=7,
+            workload="branchy",
+            parent=str(tmp_path / "parent"),
+            change=str(tmp_path / "change"),
+            seeds="5-6",
+        )
+    )
+    runs = json.loads(pairs._path("branchy").read_text())["entries"][0]["runs"]
+    assert [(run["pair"], run["side"], run["seed"]) for run in runs[4:]] == [
+        (2, "parent", 5),
+        (2, "change", 5),
+        (3, "change", 6),
+        (3, "parent", 6),
+    ]
+    capsys.readouterr()
+    pairs.table(argparse.Namespace(pr=7))
+    rows = capsys.readouterr().out.splitlines()
+    assert "| `branchy` | ops failed / attempted | 0 / 160 | 0 / 160 | | |" in rows
+    (throughput_row,) = [row for row in rows if "`throughput_ops`" in row]
+    assert throughput_row.endswith("| 4/4 |")

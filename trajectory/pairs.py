@@ -8,7 +8,8 @@ perfbench's last JSON line.
 
 Run the pairs (untraced, ``BENCHMARK.json``'s ``run_seconds`` per run,
 one seed per pair, the side that runs first alternating with the pair
-index; each finished run is saved at once):
+index; each finished run is saved at once).  A second invocation for the
+same entry numbers its pairs after the entry's last one:
 
     python3 trajectory/pairs.py run --pr N --workload branchy \\
         --parent ../parent-checkout --change . --seeds 1201-1210
@@ -75,7 +76,10 @@ def run(args: argparse.Namespace) -> None:
         entry = {"pr": args.pr, "runs": []}
         trajectory["entries"].append(entry)
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    for pair, seed in enumerate(_seeds(args.seeds)):
+    # New pairs follow the entry's existing ones, so running more seeds
+    # into an entry adds pairs instead of replacing them in the table.
+    first = 1 + max((record["pair"] for record in entry["runs"]), default=-1)
+    for pair, seed in enumerate(_seeds(args.seeds), start=first):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             command = [
