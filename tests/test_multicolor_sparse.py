@@ -259,6 +259,23 @@ def benchmark_programs() -> dict:
 
 BENCHMARK_PROGRAMS = benchmark_programs()
 
+#: A loop that survives unrolling (its bound is a memory value) and
+#: touches five lines of a four-line cache.
+EVICTING_LOOP = """
+char a[64]; char b[64]; char c[64]; char d[64]; char e[64]; char cnd[64]; int n;
+int main() {
+  reg int i;
+  i = 0;
+  a[0];
+  while (i < n) {
+    a[0]; b[0]; c[0];
+    if (cnd[0]) { d[0]; } else { e[0]; }
+    i = i + 1;
+  }
+  return 0;
+}
+"""
+
 
 class TestClassificationsMatchTheRewalk:
     """Classifications are read off each node's last transfer; they must
@@ -288,6 +305,30 @@ class TestClassificationsMatchTheRewalk:
             )
             schedules.add(is_block_granular(engine))
         assert schedules == {True, False}, "the matrix must reach both schedules"
+
+    def test_a_revisit_that_loses_a_hit_replaces_the_first_record(self):
+        """A loop touching five lines evicts what its body first found
+        cached: the first transfer of each loop block classifies ``a[0]``
+        a hit, the last one a miss.  Both analyses must keep the last."""
+        program = compile_source(EVICTING_LOOP)
+        cache = GEOMETRIES[0]
+        from repro.analysis import analyze_baseline
+
+        baseline = analyze_baseline(program, cache_config=cache)
+        classify_reference.assert_same_classifications(
+            baseline.classifications,
+            classify_reference.baseline_classifications(program, baseline),
+        )
+        assert not any(
+            c.must_hit for c in baseline.classifications if c.ref.symbol == "a"
+        )
+        for strategy in MergeStrategy:
+            engine = assert_matches_reference(
+                program,
+                cache_config=cache,
+                speculation=SpeculationConfig.paper_default().with_strategy(strategy),
+            )
+            assert is_block_granular(engine)
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_PROGRAMS))
     def test_baseline_on_benchmark_programs(self, name):
