@@ -41,6 +41,12 @@ class TypeError_(SourceError):
     avoid shadowing the builtin)."""
 
 
+class NestingError(SourceError):
+    """Raised when a program nests deeper than the compiler's recursive
+    passes can follow: parentheses, statements, or a long operator chain
+    (whose tree is as deep as the chain is long)."""
+
+
 class LoweringError(ReproError):
     """Raised when the AST-to-IR lowering encounters an unsupported form."""
 

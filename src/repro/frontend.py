@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.errors import NestingError, ReproError
 from repro.ir.cfg import CFG
 from repro.ir.inline import inline_calls
 from repro.ir.lowering import lower_program
@@ -90,47 +90,52 @@ def compile_source(
     inline:
         Inline calls to user-defined functions into the entry function.
     """
-    with span("frontend", bytes=len(source)) as frontend_span:
-        with span("parse"):
-            program = parse_program(source)
-        with span("unroll") as unroll_span:
-            if unroll:
-                program, unroll_stats = unroll_fixed_loops(
-                    program, max_iterations=max_unroll_iterations
-                )
-            else:
-                unroll_stats = UnrollStats()
-            unroll_span.set(loops=unroll_stats.loops_unrolled)
-        with span("lower"):
-            info = check_program(program)
-            cfgs = lower_program(info)
-        if not cfgs:
-            raise ReproError("program defines no functions")
-        entry_name = _pick_entry(entry, cfgs)
-        with span("inline"):
-            if inline:
-                entry_cfg = inline_calls(cfgs, entry_name, info)
-            else:
-                entry_cfg = cfgs[entry_name]
-        layout = MemoryLayout.from_program(info, line_size=line_size, cfg=entry_cfg)
-        frontend_span.set(entry=entry_name, blocks=len(entry_cfg.blocks))
-    compiled = CompiledProgram(
-        source=source,
-        info=info,
-        cfgs=cfgs,
-        cfg=entry_cfg,
-        layout=layout,
-        unroll_stats=unroll_stats,
-        unroll=unroll,
-        inline=inline,
-        max_unroll_iterations=max_unroll_iterations,
-    )
-    if debug_verify_enabled():
-        # Debug-mode gate (REPRO_DEBUG_VERIFY): every compiled program is
-        # linted before any analysis can consume it, so pipeline bugs fail
-        # here with structured findings instead of corrupting a fixpoint.
-        with span("verify"):
-            assert_valid_ir(compiled)
+    try:
+        with span("frontend", bytes=len(source)) as frontend_span:
+            with span("parse"):
+                program = parse_program(source)
+            with span("unroll") as unroll_span:
+                if unroll:
+                    program, unroll_stats = unroll_fixed_loops(
+                        program, max_iterations=max_unroll_iterations
+                    )
+                else:
+                    unroll_stats = UnrollStats()
+                unroll_span.set(loops=unroll_stats.loops_unrolled)
+            with span("lower"):
+                info = check_program(program)
+                cfgs = lower_program(info)
+            if not cfgs:
+                raise ReproError("program defines no functions")
+            entry_name = _pick_entry(entry, cfgs)
+            with span("inline"):
+                if inline:
+                    entry_cfg = inline_calls(cfgs, entry_name, info)
+                else:
+                    entry_cfg = cfgs[entry_name]
+            layout = MemoryLayout.from_program(info, line_size=line_size, cfg=entry_cfg)
+            frontend_span.set(entry=entry_name, blocks=len(entry_cfg.blocks))
+        compiled = CompiledProgram(
+            source=source,
+            info=info,
+            cfgs=cfgs,
+            cfg=entry_cfg,
+            layout=layout,
+            unroll_stats=unroll_stats,
+            unroll=unroll,
+            inline=inline,
+            max_unroll_iterations=max_unroll_iterations,
+        )
+        if debug_verify_enabled():
+            # Debug-mode gate (REPRO_DEBUG_VERIFY): every compiled program is
+            # linted before any analysis can consume it, so pipeline bugs fail
+            # here with structured findings instead of corrupting a fixpoint.
+            with span("verify"):
+                assert_valid_ir(compiled)
+    except RecursionError:
+        # Every pass walks the tree recursively, so a program nested past
+        # the interpreter's recursion limit is a source error, not a crash.
+        raise NestingError("program nests too deeply") from None
     return compiled
 
 

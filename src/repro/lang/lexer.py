@@ -1,12 +1,27 @@
-"""Hand-written lexer for MiniC.
+"""Regular-expression scanner for MiniC.
 
 The lexer turns source text into a flat list of :class:`Token` objects.
-It understands decimal and hexadecimal integer literals, character
-literals (which become their integer codepoint), identifiers, keywords,
-and both ``//`` and ``/* ... */`` comments.
+It understands decimal and hexadecimal integer literals with C suffixes,
+character literals (which become their integer codepoint), identifiers,
+keywords, and both ``//`` and ``/* ... */`` comments.
+
+One compiled pattern, matched at the current offset, skips the
+whitespace and comments before a token and matches the token itself;
+its named group says what kind of token it is.  Line and column come
+from a table of line starts.  The rare inputs the pattern leaves to the
+``other`` group (non-ASCII identifiers, malformed literals, unknown
+characters) are finished by hand, so every token and error is the one a
+character-by-character scan gives.  An integer literal is emitted only
+if ``int()`` converts it: ``0x`` without digits, or digits such as
+``²`` that are not decimal, raise :class:`~repro.errors.LexerError`.
 """
 
 from __future__ import annotations
+
+import re
+from bisect import bisect_right
+from functools import partial
+from itertools import accumulate
 
 from repro.errors import LexerError
 from repro.lang.tokens import (
@@ -27,138 +42,116 @@ _ESCAPES = {
     '"': ord('"'),
 }
 
+_OPERATORS = {**dict(MULTI_CHAR_OPERATORS), **SINGLE_CHAR_OPERATORS}
+
+#: ``_token((type, value, line, column))`` builds a :class:`Token` without
+#: the Python-level ``__new__`` of a named tuple.
+_token = partial(tuple.__new__, Token)
+
+_TOKEN = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
+    (?:
+        (?P<word>[A-Za-z_]\w*)
+        # A hex literal needs a digit, and a decimal run followed by a
+        # non-ASCII word character (``²``, ``é``) is left to ``other``.
+      | (?P<number>0[xX][0-9a-fA-F]+ | (?!0[xX])\d+(?![^\W_A-Za-z]))[lLuU]*
+      | (?P<char>'(?:\\[ntr0\\'"] | [^\\])')
+      | (?P<open_comment>/\*)
+      | (?P<op>"""
+    + "|".join(re.escape(text) for text, _ in MULTI_CHAR_OPERATORS)
+    + "|["
+    + re.escape("".join(SINGLE_CHAR_OPERATORS))
+    + r"""])
+      | (?P<other>.)
+      | (?P<end>\Z)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_WORD_REST = re.compile(r"\w*")
+
 
 class Lexer:
     """Converts MiniC source text into tokens."""
 
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        # Offset of each line's first character, then len(source) + 1.
+        self._line_starts = list(
+            accumulate((len(text) + 1 for text in source.split("\n")), initial=0)
+        )
 
-    # ------------------------------------------------------------------
-    # Character helpers
-    # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    # ------------------------------------------------------------------
-    # Tokenisation
-    # ------------------------------------------------------------------
     def tokenize(self) -> list[Token]:
         """Return the full token stream, terminated by an EOF token."""
+        source = self.source
+        starts = self._line_starts
+        match = _TOKEN.match
         tokens: list[Token] = []
+        append = tokens.append
+        pos = 0
+        line, line_start, next_line = 1, 0, starts[1]
         while True:
-            self._skip_whitespace_and_comments()
-            if self._at_end():
-                break
-            tokens.append(self._next_token())
-        tokens.append(Token(TokenType.EOF, "", self.line, self.column))
-        return tokens
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while not self._at_end():
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not self._at_end() and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self._at_end():
-                    raise LexerError("unterminated block comment", start_line, start_col)
-                self._advance(2)
+            found = match(source, pos)
+            kind = found.lastgroup
+            start = found.start(kind)
+            if start >= next_line:
+                line = bisect_right(starts, start)
+                line_start, next_line = starts[line - 1], starts[line]
+            column = start - line_start + 1
+            pos = found.end()
+            if kind == "word":
+                text = found[kind]
+                append(_token((KEYWORDS.get(text, TokenType.IDENT), text, line, column)))
+            elif kind == "op":
+                text = found[kind]
+                append(_token((_OPERATORS[text], text, line, column)))
+            elif kind == "number":
+                append(_token((TokenType.INT_LITERAL, found[kind], line, column)))
+            elif kind == "char":
+                text = found[kind]
+                value = _ESCAPES[text[2]] if len(text) == 4 else ord(text[1])
+                append(Token(TokenType.INT_LITERAL, str(value), line, column))
+            elif kind == "end":
+                append(Token(TokenType.EOF, "", line, column))
+                return tokens
+            elif kind == "open_comment":
+                raise LexerError("unterminated block comment", line, column)
             else:
-                return
+                token, pos = self._irregular(start, line, column)
+                append(token)
 
-    def _next_token(self) -> Token:
-        line, column = self.line, self.column
-        char = self._peek()
-
+    def _irregular(self, start: int, line: int, column: int) -> tuple[Token, int]:
+        """Finish the token at ``start`` that the pattern left to its
+        ``other`` group; return it with the offset after it, or raise."""
+        source = self.source
+        char = source[start]
         if char.isdigit():
-            return self._lex_number(line, column)
-        if char.isalpha() or char == "_":
-            return self._lex_identifier(line, column)
+            end = start
+            if source.startswith(("0x", "0X"), start):
+                end += 2  # no hex digit follows
+            else:
+                while end < len(source) and source[end].isdigit():
+                    end += 1
+            text = source[start:end]
+            if not text.isdecimal():
+                word = _WORD_REST.match(source, end).group()
+                raise LexerError(f"malformed integer literal {text + word!r}", line, column)
+            while source[end : end + 1] in ("l", "L", "u", "U"):
+                end += 1
+            return Token(TokenType.INT_LITERAL, text, line, column), end
+        if char.isalpha():
+            end = _WORD_REST.match(source, start + 1).end()
+            text = source[start:end]
+            return Token(KEYWORDS.get(text, TokenType.IDENT), text, line, column), end
         if char == "'":
-            return self._lex_char_literal(line, column)
-
-        for text, token_type in MULTI_CHAR_OPERATORS:
-            if self.source.startswith(text, self.pos):
-                self._advance(len(text))
-                return Token(token_type, text, line, column)
-
-        if char in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(SINGLE_CHAR_OPERATORS[char], char, line, column)
-
+            if source[start + 1 : start + 2] == "\\":
+                escape = source[start + 2 : start + 3]
+                if escape not in _ESCAPES:
+                    raise LexerError(f"unknown escape sequence \\{escape}", line, column)
+            raise LexerError("unterminated character literal", line, column)
         raise LexerError(f"unexpected character {char!r}", line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.pos]
-        # Consume (and drop) C integer suffixes such as L, UL, u.
-        while self._peek() in ("l", "L", "u", "U"):
-            self._advance()
-        return Token(TokenType.INT_LITERAL, text, line, column)
-
-    def _lex_identifier(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        token_type = KEYWORDS.get(text, TokenType.IDENT)
-        return Token(token_type, text, line, column)
-
-    def _lex_char_literal(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        if self._at_end():
-            raise LexerError("unterminated character literal", line, column)
-        char = self._peek()
-        if char == "\\":
-            self._advance()
-            escape = self._peek()
-            if escape not in _ESCAPES:
-                raise LexerError(f"unknown escape sequence \\{escape}", line, column)
-            value = _ESCAPES[escape]
-            self._advance()
-        else:
-            value = ord(char)
-            self._advance()
-        if self._peek() != "'":
-            raise LexerError("unterminated character literal", line, column)
-        self._advance()
-        return Token(TokenType.INT_LITERAL, str(value), line, column)
 
 
 def tokenize(source: str) -> list[Token]:

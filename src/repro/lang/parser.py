@@ -5,6 +5,11 @@ benchmarks need: global scalar/array declarations with constant
 initializers, function definitions, ``if``/``else``, ``while``, ``for``,
 ``break``/``continue``/``return``, assignments (including ``+=``, ``-=``,
 ``++`` and ``--`` sugar), and the usual expression operators.
+
+Lookahead is an index into the token list, which the parser pads with a
+second EOF so ``_peek(1)`` never runs off the end.  Statements descend
+recursively; binary expressions are parsed by one precedence-climbing
+loop over :data:`_BINARY_PRECEDENCE` (C's levels, left-associative).
 """
 
 from __future__ import annotations
@@ -56,23 +61,48 @@ _QUALIFIER_KEYWORDS = {
 
 _DECL_START = set(_TYPE_KEYWORDS) | _QUALIFIER_KEYWORDS
 
+_UNARY_OPERATORS = {TokenType.MINUS, TokenType.NOT, TokenType.TILDE, TokenType.PLUS}
+
+#: Binary operators and their precedence, loosest first, as in C.
+_BINARY_PRECEDENCE = {
+    TokenType.OR_OR: 1,
+    TokenType.AND_AND: 2,
+    TokenType.PIPE: 3,
+    TokenType.CARET: 4,
+    TokenType.AMP: 5,
+    TokenType.EQ: 6,
+    TokenType.NE: 6,
+    TokenType.LT: 7,
+    TokenType.LE: 7,
+    TokenType.GT: 7,
+    TokenType.GE: 7,
+    TokenType.SHL: 8,
+    TokenType.SHR: 8,
+    TokenType.PLUS: 9,
+    TokenType.MINUS: 9,
+    TokenType.STAR: 10,
+    TokenType.SLASH: 10,
+    TokenType.PERCENT: 10,
+}
+
 
 class Parser:
     """Parses a token stream into a :class:`Program`."""
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # A second EOF past the end lets ``_peek(1)`` index without a clamp
+        # (``_advance`` never moves past the first).
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
 
     # ------------------------------------------------------------------
     # Token helpers
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + offset]
 
     def _check(self, token_type: TokenType) -> bool:
-        return self._peek().type is token_type
+        return self.tokens[self.pos].type is token_type
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -400,111 +430,34 @@ class Parser:
     # ------------------------------------------------------------------
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
-    def _parse_expression(self) -> Expr:
-        return self._parse_logical_or()
-
-    def _parse_logical_or(self) -> Expr:
-        expr = self._parse_logical_and()
-        while self._check(TokenType.OR_OR):
-            token = self._advance()
-            right = self._parse_logical_and()
-            expr = BinaryOp(op="||", left=expr, right=right, line=token.line, column=token.column)
-        return expr
-
-    def _parse_logical_and(self) -> Expr:
-        expr = self._parse_bit_or()
-        while self._check(TokenType.AND_AND):
-            token = self._advance()
-            right = self._parse_bit_or()
-            expr = BinaryOp(op="&&", left=expr, right=right, line=token.line, column=token.column)
-        return expr
-
-    def _parse_bit_or(self) -> Expr:
-        expr = self._parse_bit_xor()
-        while self._check(TokenType.PIPE):
-            token = self._advance()
-            right = self._parse_bit_xor()
-            expr = BinaryOp(op="|", left=expr, right=right, line=token.line, column=token.column)
-        return expr
-
-    def _parse_bit_xor(self) -> Expr:
-        expr = self._parse_bit_and()
-        while self._check(TokenType.CARET):
-            token = self._advance()
-            right = self._parse_bit_and()
-            expr = BinaryOp(op="^", left=expr, right=right, line=token.line, column=token.column)
-        return expr
-
-    def _parse_bit_and(self) -> Expr:
-        expr = self._parse_equality()
-        while self._check(TokenType.AMP):
-            token = self._advance()
-            right = self._parse_equality()
-            expr = BinaryOp(op="&", left=expr, right=right, line=token.line, column=token.column)
-        return expr
-
-    def _parse_equality(self) -> Expr:
-        expr = self._parse_relational()
-        while self._peek().type in (TokenType.EQ, TokenType.NE):
-            token = self._advance()
-            right = self._parse_relational()
-            expr = BinaryOp(
-                op=token.value, left=expr, right=right, line=token.line, column=token.column
-            )
-        return expr
-
-    def _parse_relational(self) -> Expr:
-        expr = self._parse_shift()
-        while self._peek().type in (TokenType.LT, TokenType.LE, TokenType.GT, TokenType.GE):
-            token = self._advance()
-            right = self._parse_shift()
-            expr = BinaryOp(
-                op=token.value, left=expr, right=right, line=token.line, column=token.column
-            )
-        return expr
-
-    def _parse_shift(self) -> Expr:
-        expr = self._parse_additive()
-        while self._peek().type in (TokenType.SHL, TokenType.SHR):
-            token = self._advance()
-            right = self._parse_additive()
-            expr = BinaryOp(
-                op=token.value, left=expr, right=right, line=token.line, column=token.column
-            )
-        return expr
-
-    def _parse_additive(self) -> Expr:
-        expr = self._parse_multiplicative()
-        while self._peek().type in (TokenType.PLUS, TokenType.MINUS):
-            token = self._advance()
-            right = self._parse_multiplicative()
-            expr = BinaryOp(
-                op=token.value, left=expr, right=right, line=token.line, column=token.column
-            )
-        return expr
-
-    def _parse_multiplicative(self) -> Expr:
+    def _parse_expression(self, min_precedence: int = 1) -> Expr:
+        """Parse a binary expression whose operators bind at least as
+        tightly as ``min_precedence``; equal precedence associates left."""
         expr = self._parse_unary()
-        while self._peek().type in (TokenType.STAR, TokenType.SLASH, TokenType.PERCENT):
-            token = self._advance()
-            right = self._parse_unary()
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            precedence = _BINARY_PRECEDENCE.get(token.type, 0)
+            if precedence < min_precedence:
+                return expr
+            self.pos += 1
+            right = self._parse_expression(precedence + 1)
             expr = BinaryOp(
                 op=token.value, left=expr, right=right, line=token.line, column=token.column
             )
-        return expr
 
     def _parse_unary(self) -> Expr:
-        token = self._peek()
-        if token.type in (TokenType.MINUS, TokenType.NOT, TokenType.TILDE, TokenType.PLUS):
-            self._advance()
+        token = self.tokens[self.pos]
+        if token.type in _UNARY_OPERATORS:
+            self.pos += 1
             operand = self._parse_unary()
             if token.type is TokenType.PLUS:
                 return operand
             return UnaryOp(op=token.value, operand=operand, line=token.line, column=token.column)
-        if token.type is TokenType.LPAREN and self._peek(1).type in _DECL_START:
+        if token.type is TokenType.LPAREN and self.tokens[self.pos + 1].type in _DECL_START:
             # A C-style cast such as ``(long)detl`` — parse and discard the
             # type, the value semantics in MiniC are untyped integers.
-            self._advance()
+            self.pos += 1
             self._parse_decl_prefix()
             self._expect(TokenType.RPAREN, "')'")
             return self._parse_unary()
@@ -512,55 +465,48 @@ class Parser:
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            if self._check(TokenType.LBRACKET):
+            token = tokens[self.pos]
+            if token.type is TokenType.LBRACKET:
                 if not isinstance(expr, Identifier):
-                    token = self._peek()
                     raise ParseError(
                         "only named arrays can be indexed", token.line, token.column
                     )
-                bracket = self._advance()
+                self.pos += 1
                 index = self._parse_expression()
                 self._expect(TokenType.RBRACKET, "']'")
-                expr = Index(
-                    array=expr.name, index=index, line=bracket.line, column=bracket.column
-                )
-            elif self._check(TokenType.LPAREN):
+                expr = Index(array=expr.name, index=index, line=token.line, column=token.column)
+            elif token.type is TokenType.LPAREN:
                 if not isinstance(expr, Identifier):
-                    token = self._peek()
                     raise ParseError("only named functions can be called", token.line, token.column)
-                paren = self._advance()
+                self.pos += 1
                 args: list[Expr] = []
                 if not self._check(TokenType.RPAREN):
                     args.append(self._parse_expression())
                     while self._match(TokenType.COMMA):
                         args.append(self._parse_expression())
                 self._expect(TokenType.RPAREN, "')'")
-                expr = Call(name=expr.name, args=args, line=paren.line, column=paren.column)
+                expr = Call(name=expr.name, args=args, line=token.line, column=token.column)
             else:
                 return expr
 
     def _parse_primary(self) -> Expr:
-        token = self._peek()
-        if token.type is TokenType.INT_LITERAL:
-            self._advance()
-            return IntLiteral(value=_parse_int(token.value), line=token.line, column=token.column)
+        token = self.tokens[self.pos]
         if token.type is TokenType.IDENT:
-            self._advance()
+            self.pos += 1
             return Identifier(name=token.value, line=token.line, column=token.column)
+        if token.type is TokenType.INT_LITERAL:
+            self.pos += 1
+            text = token.value
+            value = int(text, 16) if text.startswith(("0x", "0X")) else int(text)
+            return IntLiteral(value=value, line=token.line, column=token.column)
         if token.type is TokenType.LPAREN:
-            self._advance()
+            self.pos += 1
             expr = self._parse_expression()
             self._expect(TokenType.RPAREN, "')'")
             return expr
         raise ParseError(f"unexpected token {token.value!r}", token.line, token.column)
-
-
-def _parse_int(text: str) -> int:
-    text = text.rstrip("uUlL")
-    if text.lower().startswith("0x"):
-        return int(text, 16)
-    return int(text, 10)
 
 
 def _require_constant(expr: Expr, context: Token) -> int:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenType(Enum):
@@ -70,6 +70,11 @@ class TokenType(Enum):
 
     # End of input
     EOF = auto()
+
+    # Members are singletons, so they hash by identity; Enum's default
+    # hashes the name in Python, and the parser looks a token type up in
+    # a dict or set for nearly every token.
+    __hash__ = object.__hash__
 
 
 KEYWORDS: dict[str, TokenType] = {
@@ -144,9 +149,8 @@ SINGLE_CHAR_OPERATORS: dict[str, TokenType] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source location."""
+class Token(NamedTuple):
+    """A single lexical token with its source location (an immutable tuple)."""
 
     type: TokenType
     value: str

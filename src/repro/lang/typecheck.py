@@ -7,11 +7,19 @@ memory layout, side-channel detection) consume:
 * the byte size of every variable and array;
 * the set of *secret-tainted* symbols: symbols declared with the
   ``secret`` qualifier plus any symbol that is (transitively) assigned an
-  expression mentioning a secret symbol.
+  expression mentioning a secret symbol, or passed one as an argument.
+
+Each function is walked once, each distinct statement node once (an
+unrolled loop repeats one body object).  The walk declares the locals,
+queues the use checks (run in walk order once every local is known) and
+records the taint flows: an assignment's or declaration's source names
+flow into its target, and a call's argument names into the callee's
+parameter.  The secret set is then closed over the flows with a worklist.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.errors import TypeError_
@@ -19,6 +27,7 @@ from repro.lang.ast import (
     ArrayDecl,
     Assign,
     BaseType,
+    BinaryOp,
     Block,
     Call,
     Expr,
@@ -32,10 +41,9 @@ from repro.lang.ast import (
     Qualifiers,
     Return,
     Stmt,
+    UnaryOp,
     VarDecl,
     While,
-    walk_expr,
-    walk_statements,
 )
 
 #: Functions treated as pure intrinsics: calls to them are allowed without a
@@ -144,6 +152,13 @@ class TypeChecker:
     def __init__(self, program: Program):
         self.program = program
         self.info = ProgramInfo(program=program, globals_table=SymbolTable())
+        # Secret-taint flows: each name maps to the names its value flows
+        # into, through an assignment, a declaration or a call argument.
+        self._flows: defaultdict[str, set[str]] = defaultdict(set)
+        # The function a call resolves to: the first definition of its name.
+        self._callees: dict[str, FunctionDef] = {}
+        for function in program.functions:
+            self._callees.setdefault(function.name, function)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -152,7 +167,7 @@ class TypeChecker:
         self._check_globals()
         for function in self.program.functions:
             self._check_function(function)
-        self._compute_secret_taint()
+        self.info.secret_symbols = self._secret_symbols()
         return self.info
 
     # ------------------------------------------------------------------
@@ -187,21 +202,14 @@ class TypeChecker:
                     is_param=True,
                 )
             )
-        # Unrolling emits one shared body object for every iteration, so a
-        # declaration in an unrolled loop body is met again as the very same
-        # node; that repeat is the same variable.  Any other redeclaration
-        # (a shadowing one included) is an error.
-        declarations: dict[str, Stmt] = {}
-        for stmt in walk_statements(function.body):
-            if isinstance(stmt, (VarDecl, ArrayDecl)):
-                if declarations.get(stmt.name) is stmt:
-                    continue
-                declarations[stmt.name] = stmt
-                table.declare(self._symbol_from_decl(stmt, is_global=False))
-                if isinstance(stmt, ArrayDecl) and stmt.init is not None:
-                    self.info.array_initializers[stmt.name] = list(stmt.init)
+        # One walk declares the locals, queues the use checks and records
+        # the taint flows; the uses are checked once every local is known.
+        self._table = table
+        self._uses: list[Expr | Assign] = []
+        self._visited: set[int] = set()
+        self._walk_statement(function.body)
         self.info.functions[function.name] = FunctionInfo(definition=function, table=table)
-        self._check_statement_uses(function, function.body, table)
+        self._check_uses(table)
 
     def _symbol_from_decl(self, decl: VarDecl | ArrayDecl, is_global: bool) -> Symbol:
         if isinstance(decl, ArrayDecl):
@@ -231,41 +239,107 @@ class TypeChecker:
         )
 
     # ------------------------------------------------------------------
-    # Use checking
+    # The walk
     # ------------------------------------------------------------------
-    def _check_statement_uses(
-        self, function: FunctionDef, stmt: Stmt, table: SymbolTable
-    ) -> None:
+    def _walk_statement(self, stmt: Stmt) -> None:
+        # Unrolling emits one shared body object for every iteration: walk
+        # it once.  A declaration in it is thereby declared once, and any
+        # other redeclaration (a shadowing one included) raises.
+        if id(stmt) in self._visited:
+            return
+        self._visited.add(id(stmt))
         if isinstance(stmt, Block):
             for child in stmt.statements:
-                self._check_statement_uses(function, child, table)
-        elif isinstance(stmt, (VarDecl, ArrayDecl)):
-            if isinstance(stmt, VarDecl) and stmt.init is not None:
-                self._check_expression_uses(stmt.init, table)
+                self._walk_statement(child)
         elif isinstance(stmt, Assign):
-            self._check_assign_target(stmt.target, table)
-            self._check_expression_uses(stmt.value, table)
+            target = stmt.target
+            self._uses.append(stmt)
+            name = None
+            if isinstance(target, Identifier):
+                name = target.name
+            elif isinstance(target, Index):
+                name = target.array
+                self._walk_expression(target.index, [])
+            self._flow(stmt.value, name)
         elif isinstance(stmt, ExprStatement):
-            self._check_expression_uses(stmt.expr, table)
+            self._walk_expression(stmt.expr, [])
+        elif isinstance(stmt, VarDecl):
+            self._table.declare(self._symbol_from_decl(stmt, is_global=False))
+            if stmt.init is not None:
+                self._flow(stmt.init, stmt.name)
+        elif isinstance(stmt, ArrayDecl):
+            self._table.declare(self._symbol_from_decl(stmt, is_global=False))
+            if stmt.init is not None:
+                self.info.array_initializers[stmt.name] = list(stmt.init)
         elif isinstance(stmt, If):
-            self._check_expression_uses(stmt.cond, table)
-            self._check_statement_uses(function, stmt.then_body, table)
+            self._walk_expression(stmt.cond, [])
+            self._walk_statement(stmt.then_body)
             if stmt.else_body is not None:
-                self._check_statement_uses(function, stmt.else_body, table)
+                self._walk_statement(stmt.else_body)
         elif isinstance(stmt, While):
-            self._check_expression_uses(stmt.cond, table)
-            self._check_statement_uses(function, stmt.body, table)
+            self._walk_expression(stmt.cond, [])
+            self._walk_statement(stmt.body)
         elif isinstance(stmt, For):
             if stmt.init is not None:
-                self._check_statement_uses(function, stmt.init, table)
+                self._walk_statement(stmt.init)
             if stmt.cond is not None:
-                self._check_expression_uses(stmt.cond, table)
+                self._walk_expression(stmt.cond, [])
             if stmt.step is not None:
-                self._check_statement_uses(function, stmt.step, table)
-            self._check_statement_uses(function, stmt.body, table)
+                self._walk_statement(stmt.step)
+            self._walk_statement(stmt.body)
         elif isinstance(stmt, Return):
             if stmt.value is not None:
-                self._check_expression_uses(stmt.value, table)
+                self._walk_expression(stmt.value, [])
+
+    def _flow(self, expr: Expr, target: str | None) -> None:
+        """Walk ``expr``; every name it reads flows into ``target``."""
+        names: list[str] = []
+        self._walk_expression(expr, names)
+        if target is not None:
+            for name in names:
+                self._flows[name].add(target)
+
+    def _walk_expression(self, expr: Expr, names: list[str]) -> None:
+        """Queue the use checks of ``expr``, record the flows of its call
+        arguments into the callees' parameters, and append every name it
+        reads to ``names``."""
+        if isinstance(expr, Identifier):
+            self._uses.append(expr)
+            names.append(expr.name)
+        elif isinstance(expr, BinaryOp):
+            self._walk_expression(expr.left, names)
+            self._walk_expression(expr.right, names)
+        elif isinstance(expr, Index):
+            self._uses.append(expr)
+            names.append(expr.array)
+            self._walk_expression(expr.index, names)
+        elif isinstance(expr, UnaryOp):
+            self._walk_expression(expr.operand, names)
+        elif isinstance(expr, Call):
+            callee = self._callees.get(expr.name)
+            params = callee.params if callee is not None else ()
+            for position, arg in enumerate(expr.args):
+                arg_names: list[str] = []
+                self._walk_expression(arg, arg_names)
+                names.extend(arg_names)
+                if position < len(params):
+                    for name in arg_names:
+                        self._flows[name].add(params[position].name)
+
+    # ------------------------------------------------------------------
+    # Use checking
+    # ------------------------------------------------------------------
+    def _check_uses(self, table: SymbolTable) -> None:
+        """Resolve the queued uses in walk order: identifiers, indexed
+        arrays, and each assignment's target."""
+        for node in self._uses:
+            if isinstance(node, Identifier):
+                if table.lookup(node.name) is None:
+                    raise TypeError_(f"use of undeclared {node.name!r}", node.line, node.column)
+            elif isinstance(node, Index):
+                self._check_indexed(node, table)
+            else:
+                self._check_assign_target(node.target, table)
 
     def _check_assign_target(self, target: Expr, table: SymbolTable) -> None:
         if isinstance(target, Identifier):
@@ -277,115 +351,39 @@ class TypeChecker:
                     f"cannot assign to array {target.name!r} as a whole", target.line, target.column
                 )
         elif isinstance(target, Index):
-            symbol = table.lookup(target.array)
-            if symbol is None:
-                raise TypeError_(f"indexing undeclared {target.array!r}", target.line, target.column)
-            if not symbol.is_array:
-                raise TypeError_(f"{target.array!r} is not an array", target.line, target.column)
-            self._check_expression_uses(target.index, table)
+            self._check_indexed(target, table)
         else:
             raise TypeError_("invalid assignment target", target.line, target.column)
 
-    def _check_expression_uses(self, expr: Expr, table: SymbolTable) -> None:
-        for node in walk_expr(expr):
-            if isinstance(node, Identifier):
-                symbol = table.lookup(node.name)
-                if symbol is None:
-                    raise TypeError_(f"use of undeclared {node.name!r}", node.line, node.column)
-            elif isinstance(node, Index):
-                symbol = table.lookup(node.array)
-                if symbol is None:
-                    raise TypeError_(f"indexing undeclared {node.array!r}", node.line, node.column)
-                if not symbol.is_array:
-                    raise TypeError_(f"{node.array!r} is not an array", node.line, node.column)
-            elif isinstance(node, Call):
-                if not self.program.has_function(node.name) and node.name not in INTRINSIC_FUNCTIONS:
-                    # Unknown external calls are tolerated but flagged as
-                    # intrinsics so the lowering treats them as opaque.
-                    continue
+    @staticmethod
+    def _check_indexed(node: Index, table: SymbolTable) -> None:
+        symbol = table.lookup(node.array)
+        if symbol is None:
+            raise TypeError_(f"indexing undeclared {node.array!r}", node.line, node.column)
+        if not symbol.is_array:
+            raise TypeError_(f"{node.array!r} is not an array", node.line, node.column)
 
     # ------------------------------------------------------------------
     # Secret taint
     # ------------------------------------------------------------------
-    def _compute_secret_taint(self) -> None:
-        """Propagate ``secret`` taint through assignments and parameter
-        passing until a fixed point is reached."""
-        secret: set[str] = set()
-        for symbol in self.info.globals_table.local_symbols():
-            if symbol.qualifiers.is_secret:
-                secret.add(symbol.name)
-        for info in self.info.functions.values():
-            for symbol in info.table.local_symbols():
-                if symbol.qualifiers.is_secret:
-                    secret.add(symbol.name)
-
-        changed = True
-        while changed:
-            changed = False
-            for info in self.info.functions.values():
-                for stmt in walk_statements(info.definition.body):
-                    if isinstance(stmt, Assign):
-                        if self._expr_is_tainted(stmt.value, secret):
-                            target_name = _target_name(stmt.target)
-                            if target_name is not None and target_name not in secret:
-                                secret.add(target_name)
-                                changed = True
-                    elif isinstance(stmt, VarDecl) and stmt.init is not None:
-                        if self._expr_is_tainted(stmt.init, secret) and stmt.name not in secret:
-                            secret.add(stmt.name)
-                            changed = True
-                    elif isinstance(stmt, (ExprStatement, Return)):
-                        pass
-                # Parameter taint: a call ``f(e1, .., ek)`` taints f's i-th
-                # parameter when the i-th argument is tainted.
-                for stmt in walk_statements(info.definition.body):
-                    for expr in _statement_expressions(stmt):
-                        for node in walk_expr(expr):
-                            if isinstance(node, Call) and self.program.has_function(node.name):
-                                callee = self.program.function(node.name)
-                                for param, arg in zip(callee.params, node.args):
-                                    if (
-                                        self._expr_is_tainted(arg, secret)
-                                        and param.name not in secret
-                                    ):
-                                        secret.add(param.name)
-                                        changed = True
-        self.info.secret_symbols = secret
-
-    @staticmethod
-    def _expr_is_tainted(expr: Expr, secret: set[str]) -> bool:
-        for node in walk_expr(expr):
-            if isinstance(node, Identifier) and node.name in secret:
-                return True
-            if isinstance(node, Index) and node.array in secret:
-                return True
-        return False
-
-
-def _target_name(target: Expr) -> str | None:
-    if isinstance(target, Identifier):
-        return target.name
-    if isinstance(target, Index):
-        return target.array
-    return None
-
-
-def _statement_expressions(stmt: Stmt) -> list[Expr]:
-    if isinstance(stmt, Assign):
-        return [stmt.target, stmt.value]
-    if isinstance(stmt, ExprStatement):
-        return [stmt.expr]
-    if isinstance(stmt, If):
-        return [stmt.cond]
-    if isinstance(stmt, While):
-        return [stmt.cond]
-    if isinstance(stmt, For):
-        return [stmt.cond] if stmt.cond is not None else []
-    if isinstance(stmt, Return):
-        return [stmt.value] if stmt.value is not None else []
-    if isinstance(stmt, VarDecl):
-        return [stmt.init] if stmt.init is not None else []
-    return []
+    def _secret_symbols(self) -> set[str]:
+        """The names declared ``secret`` and, transitively, every name a
+        secret value flows into."""
+        tables = [self.info.globals_table]
+        tables += [info.table for info in self.info.functions.values()]
+        secret = {
+            symbol.name
+            for table in tables
+            for symbol in table.local_symbols()
+            if symbol.qualifiers.is_secret
+        }
+        work = list(secret)
+        while work:
+            for target in self._flows.get(work.pop(), ()):
+                if target not in secret:
+                    secret.add(target)
+                    work.append(target)
+        return secret
 
 
 def check_program(program: Program) -> ProgramInfo:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CompiledProgram, compile_source
-from repro.errors import ReproError
+from repro.errors import LexerError, NestingError, ReproError
 
 
 class TestCompileSource:
@@ -60,3 +60,66 @@ class TestCompileSource:
     def test_cfgs_contains_all_functions(self):
         program = compile_source("int f() { return 1; } int main() { return f(); }")
         assert set(program.cfgs) == {"f", "main"}
+
+
+#: Programs nested deeper than the recursive passes can follow, one per
+#: shape: parentheses, statements, and a left-deep operator chain.
+DEEP_SOURCES = {
+    "parentheses": "int main() { int a; a = 1; return "
+    + "(" * 1000
+    + "a"
+    + ")" * 1000
+    + "; }",
+    "ifs": "int main() { int a; a = 1; "
+    + "if (a) { " * 300
+    + "a = 2;"
+    + " }" * 300
+    + " return a; }",
+    "sum": "int main() { int a; a = 1; return " + " + ".join(["a"] * 3000) + "; }",
+}
+
+#: Literals that ``int()`` rejects, each at line 1, column 22.
+MALFORMED_LITERALS = ("0x", "0xZ", "1²")
+
+
+def _lint_exit(source, capsys, monkeypatch):
+    import io
+
+    from repro.service.cli import main
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code = main(["lint", "-"])
+    return code, capsys.readouterr().err
+
+
+class TestSourceErrors:
+    @pytest.mark.parametrize("literal", MALFORMED_LITERALS)
+    def test_malformed_literal_is_a_lexer_error(self, literal):
+        with pytest.raises(LexerError) as excinfo:
+            compile_source(f"int main() {{ int a = {literal}; return a; }}")
+        assert "malformed integer literal" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 22)
+
+    @pytest.mark.parametrize("literal", MALFORMED_LITERALS)
+    def test_lint_exits_two_on_malformed_literal(self, literal, capsys, monkeypatch):
+        code, err = _lint_exit(
+            f"int main() {{ int a = {literal}; return a; }}", capsys, monkeypatch
+        )
+        assert code == 2
+        assert "malformed integer literal" in err
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_SOURCES))
+    def test_deep_nesting_is_a_source_error(self, shape):
+        with pytest.raises(NestingError, match="nests too deeply"):
+            compile_source(DEEP_SOURCES[shape])
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_SOURCES))
+    def test_lint_exits_two_on_deep_nesting(self, shape, capsys, monkeypatch):
+        code, err = _lint_exit(DEEP_SOURCES[shape], capsys, monkeypatch)
+        assert code == 2
+        assert "nests too deeply" in err
+
+    def test_seventy_nested_parentheses_compile(self):
+        """Precedence climbing keeps a parenthesis level to a few frames."""
+        source = "int main() { int a; a = 1; return " + "(" * 70 + "a" + ")" * 70 + "; }"
+        assert compile_source(source).entry_function == "main"

@@ -1,10 +1,18 @@
 """Unit tests for the MiniC lexer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import frontend_reference as reference
 from repro.errors import LexerError
-from repro.lang.lexer import tokenize
-from repro.lang.tokens import TokenType
+from repro.lang.lexer import Lexer, tokenize
+from repro.lang.tokens import (
+    KEYWORDS,
+    MULTI_CHAR_OPERATORS,
+    SINGLE_CHAR_OPERATORS,
+    Token,
+    TokenType,
+)
 
 
 def types(source):
@@ -181,3 +189,133 @@ class TestRealisticSnippets:
         kinds = types(source)
         assert TokenType.KW_FOR in kinds
         assert TokenType.PLUS_PLUS in kinds
+
+
+class TestMalformedLiterals:
+    """The scanner emits only integer literals that ``int()`` converts."""
+
+    @pytest.mark.parametrize(
+        "source, text, column",
+        [
+            ("int a = 0x;", "0x", 9),
+            ("int a = 0xZ;", "0xZ", 9),
+            ("int a = 1²;", "1²", 9),
+            ("a\n  ²", "²", 3),
+        ],
+    )
+    def test_malformed_literal_raises_with_location(self, source, text, column):
+        with pytest.raises(LexerError) as excinfo:
+            tokenize(source)
+        assert str(excinfo.value).startswith(f"malformed integer literal {text!r}")
+        assert (excinfo.value.line, excinfo.value.column) == (source.count("\n") + 1, column)
+
+    def test_non_ascii_decimal_digits_still_convert(self):
+        tokens = tokenize("١٢ 1١")
+        assert [int(token.value) for token in tokens[:-1]] == [12, 11]
+
+    def test_decimal_run_then_non_ascii_letter_is_two_tokens(self):
+        assert [(t.type, t.value) for t in tokenize("12é")[:-1]] == [
+            (TokenType.INT_LITERAL, "12"),
+            (TokenType.IDENT, "é"),
+        ]
+
+
+class TestTokenRecord:
+    def test_token_is_an_immutable_four_field_record(self):
+        token = tokenize("x")[0]
+        assert Token._fields == ("type", "value", "line", "column")
+        assert (token.type, token.value, token.line, token.column) == (
+            TokenType.IDENT,
+            "x",
+            1,
+            1,
+        )
+        with pytest.raises(AttributeError):
+            token.value = "y"
+
+
+# ----------------------------------------------------------------------
+# Differential check against the reference lexer
+# ----------------------------------------------------------------------
+_FRAGMENTS = sorted(KEYWORDS) + [
+    text for text, _ in MULTI_CHAR_OPERATORS
+] + sorted(SINGLE_CHAR_OPERATORS) + [
+    # identifiers, including non-ASCII letters
+    "x", "_a1", "foo_bar42", "é", "naïve", "Ωmega", "变量",
+    # decimal, hex and suffixed literals, and digits int() may reject
+    "0", "7", "42", "0x7c", "0XFF", "0x", "x1", "15L", "0xffUL", "7u", "9lu",
+    "١٢", "²",
+    # character literals and escapes
+    "'a'", "' '", "'''", "'\"'", "'\\n'", "'\\t'", "'\\r'", "'\\0'", "'\\\\'",
+    "'\\''", "'\\\"'", "'\\q'", "'", "'ab'", "'\\",
+    # comments, closed and not
+    "// line comment", "//", "/* block */", "/* two\nlines */", "/**/", "/*", "*/",
+    # whitespace and unknown characters
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\f", "$", "@", "#", "`", "\u00a0",
+]
+
+
+def _offset(source, line, column):
+    starts = [0] + [index + 1 for index, char in enumerate(source) if char == "\n"]
+    return starts[line - 1] + column - 1
+
+
+def _scan(source):
+    """The scanner's tokens as ``(type, value, line, column)`` and its
+    error as ``(message, line, column)`` or None.  On an error, the tokens
+    are those before the error's position."""
+    try:
+        return list(map(tuple, tokenize(source))), None
+    except LexerError as error:
+        prefix = source[: _offset(source, error.line, error.column)]
+        tokens = list(map(tuple, tokenize(prefix)))[:-1]
+        return tokens, (str(error), error.line, error.column)
+
+
+def _reference_scan(source):
+    """The reference lexer's tokens before its first error, and the error."""
+    lexer = reference.Lexer(source)
+    tokens = []
+    try:
+        while True:
+            lexer._skip_whitespace_and_comments()
+            if lexer._at_end():
+                break
+            tokens.append(tuple(lexer._next_token()))
+    except LexerError as error:
+        return tokens, (str(error), error.line, error.column)
+    tokens.append((TokenType.EOF, "", lexer.line, lexer.column))
+    return tokens, None
+
+
+def _converts(text):
+    try:
+        int(text, 16) if text.lower().startswith("0x") else int(text, 10)
+    except ValueError:
+        return False
+    return True
+
+
+class TestAgainstReferenceLexer:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join))
+    def test_same_tokens_and_errors(self, source):
+        expected_tokens, expected_error = _reference_scan(source)
+        malformed = [
+            (value, line, column)
+            for kind, value, line, column in expected_tokens
+            if kind is TokenType.INT_LITERAL and not _converts(value)
+        ]
+        tokens, error = _scan(source)
+        if not malformed:
+            assert (tokens, error) == (expected_tokens, expected_error)
+            return
+        # The one allowed difference: the reference passes a literal that
+        # int() rejects; the scanner raises there, after the same tokens.
+        value, line, column = malformed[0]
+        assert error is not None
+        message, error_line, error_column = error
+        assert message.startswith(f"malformed integer literal {value!r}"[:-1])
+        assert (error_line, error_column) == (line, column)
+        assert tokens == expected_tokens[: len(tokens)]
+        assert expected_tokens[len(tokens)][1:] == (value, line, column)

@@ -218,6 +218,86 @@ class TestExpressions:
         assert isinstance(expr.left.index, ast.Call)
 
 
+#: C's binary operators, the tightest-binding group first.
+C_PRECEDENCE = [
+    ("*", "/", "%"),
+    ("+", "-"),
+    ("<<", ">>"),
+    ("<", "<=", ">", ">="),
+    ("==", "!="),
+    ("&",),
+    ("^",),
+    ("|",),
+    ("&&",),
+    ("||",),
+]
+BINDING = {op: -rank for rank, group in enumerate(C_PRECEDENCE) for op in group}
+BINARY_OPERATORS = [op for group in C_PRECEDENCE for op in group]
+
+
+def _shape(expr: ast.Expr):
+    """``expr`` as nested tuples: operators with their operands."""
+    if isinstance(expr, ast.BinaryOp):
+        return (expr.op, _shape(expr.left), _shape(expr.right))
+    if isinstance(expr, ast.UnaryOp):
+        return (expr.op, _shape(expr.operand))
+    if isinstance(expr, ast.Index):
+        return (f"{expr.array}[]", _shape(expr.index))
+    if isinstance(expr, ast.Call):
+        return (f"{expr.name}()", *map(_shape, expr.args))
+    if isinstance(expr, ast.Identifier):
+        return expr.name
+    return expr.value
+
+
+class TestPrecedence:
+    PREFIX = "int main() { x = "
+
+    def _expr(self, text: str) -> ast.Expr:
+        program = parse_program(self.PREFIX + text + "; }")
+        return program.function("main").body.statements[0].value
+
+    def test_eighteen_binary_operators(self):
+        assert len(BINARY_OPERATORS) == 18
+
+    @pytest.mark.parametrize("op2", BINARY_OPERATORS)
+    @pytest.mark.parametrize("op1", BINARY_OPERATORS)
+    def test_operator_pair(self, op1, op2):
+        """``a OP1 b OP2 c`` groups by C precedence, equal levels to the
+        left, and each node carries its operator's position."""
+        text = f"a {op1} b {op2} c"
+        expr = self._expr(text)
+        column = {name: len(self.PREFIX) + text.index(name) + 1 for name in "abc"}
+        if BINDING[op2] > BINDING[op1]:
+            assert _shape(expr) == (op1, "a", (op2, "b", "c"))
+            first, second = expr, expr.right
+            leaves = [expr.left, expr.right.left, expr.right.right]
+        else:
+            assert _shape(expr) == (op2, (op1, "a", "b"), "c")
+            first, second = expr.left, expr
+            leaves = [expr.left.left, expr.left.right, expr.right]
+        assert (first.line, first.column) == (1, column["a"] + 2)
+        assert (second.line, second.column) == (1, column["b"] + 2)
+        assert [(leaf.name, leaf.column) for leaf in leaves] == sorted(column.items())
+
+    @pytest.mark.parametrize(
+        "text, shape",
+        [
+            ("-a[i] * b", ("*", ("-", ("a[]", "i")), "b")),
+            ("(long)x + y", ("+", "x", "y")),
+            ("!f(x) && y", ("&&", ("!", ("f()", "x")), "y")),
+            ("~a << -b", ("<<", ("~", "a"), ("-", "b"))),
+            ("+a - b", ("-", "a", "b")),
+            ("a * (b + c)", ("*", "a", ("+", "b", "c"))),
+            ("t[i + 1] % f(a, b || c)", ("%", ("t[]", ("+", "i", 1)), ("f()", "a", ("||", "b", "c")))),
+            ("a - b - c - d", ("-", ("-", ("-", "a", "b"), "c"), "d")),
+            ("a || b && c | d ^ e & f", ("||", "a", ("&&", "b", ("|", "c", ("^", "d", ("&", "e", "f")))))),
+        ],
+    )
+    def test_unary_cast_and_postfix(self, text, shape):
+        assert _shape(self._expr(text)) == shape
+
+
 class TestErrors:
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):

@@ -8,8 +8,12 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import frontend_reference as reference
 from repro import compile_source
 from repro.analysis.taint import analyze_taint
+from repro.bench.crypto import CRYPTO_BENCHMARKS
+from repro.bench.programs import WCET_BENCHMARKS, branchy_kernel_source, wcet_benchmark_source
+from repro.bench.tables import BENCH_CACHE, table7_client_request
 from repro.apps.sidechannel import detect_leaks, explain_leaks
 from repro.cache.config import CacheConfig
 from repro.speculation.predictor import (
@@ -350,3 +354,109 @@ class TestSoundnessAgainstSimulator:
         for block, index in taint.tainted_sites:
             instruction = program.cfg.block(block).instructions[index]
             assert instruction.memory_refs()
+
+
+# ----------------------------------------------------------------------
+# The checker's worklist against the reference round-robin fixpoint
+# ----------------------------------------------------------------------
+def _benchmark_sources() -> dict[str, str]:
+    """The 23 distinct programs of the ``tables`` and ``branchy`` runs."""
+    sources = {
+        f"t5/{name}": wcet_benchmark_source(name, BENCH_CACHE.num_lines, BENCH_CACHE.line_size)
+        for name in WCET_BENCHMARKS
+    }
+    sources.update(
+        (f"t7/{name}", table7_client_request(name).source) for name in CRYPTO_BENCHMARKS
+    )
+    sources.update((f"branchy/{size}", branchy_kernel_source(size)) for size in (16, 24, 32))
+    return sources
+
+
+CALL_FLOWS = """\
+secret int k;
+char t[256];
+int g(int b) { return b; }
+int f(int a, int unused) { int y = g(a); return y; }
+int main() {
+  int x;
+  int z;
+  int w;
+  x = f(k, 0);
+  z = x;
+  t[g(z)];
+  w = t[0];
+  return w;
+}
+"""
+
+
+_FLOW_VARS = ["v0", "v1", "v2", "v3"]
+
+
+@st.composite
+def flow_programs(draw):
+    """Assignment, array and call chains between a secret and public
+    names, some inside unrolled loops (whose bodies are shared)."""
+
+    def operand():
+        kind = draw(st.sampled_from(["var", "array", "call", "const"]))
+        if kind == "var":
+            return draw(st.sampled_from(_FLOW_VARS + ["k", "i"]))
+        if kind == "array":
+            return f"{draw(st.sampled_from(['t0', 't1']))}[{draw(st.sampled_from(_FLOW_VARS))}]"
+        if kind == "call":
+            first, second = draw(st.lists(st.sampled_from(_FLOW_VARS + ["k", "3"]), min_size=2, max_size=2))
+            return draw(st.sampled_from([f"f({first}, {second})", f"g({first})"]))
+        return str(draw(st.integers(0, 9)))
+
+    def statement():
+        kind = draw(st.sampled_from(["assign", "store", "touch", "if", "loop"]))
+        if kind == "assign":
+            return f"{draw(st.sampled_from(_FLOW_VARS))} = {operand()} + {operand()};"
+        if kind == "store":
+            return f"{draw(st.sampled_from(['t0', 't1']))}[{operand()}] = {operand()};"
+        if kind == "touch":
+            return f"{operand()};"
+        if kind == "if":
+            return f"if ({operand()} > 1) {{ {draw(st.sampled_from(_FLOW_VARS))} = {operand()}; }}"
+        return f"for (i = 0; i < 2; i++) {{ {draw(st.sampled_from(_FLOW_VARS))} = {operand()}; }}"
+
+    body = "\n  ".join(statement() for _ in range(draw(st.integers(1, 8))))
+    return f"""
+secret int k;
+char t0[64]; char t1[64];
+int v0; int v1; int v2; int v3;
+int g(int c) {{ int d = c; return d; }}
+int f(int a, int b) {{ v3 = b; return a; }}
+int main() {{
+  int i;
+  {body}
+  return 0;
+}}
+"""
+
+
+class TestSecretSymbolsAgainstReference:
+    def test_benchmark_programs(self):
+        sources = _benchmark_sources()
+        assert len(sources) == 23
+        for key, source in sources.items():
+            info = compile_source(source).info
+            assert info.secret_symbols == reference.secret_symbols(info), key
+
+    def test_call_and_assignment_chains(self):
+        info = compile_source(CALL_FLOWS).info
+        assert info.secret_symbols == {"k", "a", "b", "y", "x", "z"}
+        assert info.secret_symbols == reference.secret_symbols(info)
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(source=secret_programs())
+    def test_generated_programs(self, source):
+        info = compile_source(source).info
+        assert info.secret_symbols == reference.secret_symbols(info)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(source=flow_programs())
+    def test_generated_flows(self, source):
+        info = compile_source(source).info
+        assert info.secret_symbols == reference.secret_symbols(info)
