@@ -15,6 +15,9 @@ queues the use checks (run in walk order once every local is known) and
 records the taint flows: an assignment's or declaration's source names
 flow into its target, and a call's argument names into the callee's
 parameter.  The secret set is then closed over the flows with a worklist.
+A use the walk meets before the declaration of the local it names is an
+error, as in C, unless a global of that name exists (the use then
+resolves as the lookup order gives it).
 """
 
 from __future__ import annotations
@@ -206,6 +209,8 @@ class TypeChecker:
         # the taint flows; the uses are checked once every local is known.
         self._table = table
         self._uses: list[Expr | Assign] = []
+        # Each local's declaration: how many uses the walk had queued.
+        self._declared_at: dict[str, int] = {}
         self._visited: set[int] = set()
         self._walk_statement(function.body)
         self.info.functions[function.name] = FunctionInfo(definition=function, table=table)
@@ -264,11 +269,11 @@ class TypeChecker:
         elif isinstance(stmt, ExprStatement):
             self._walk_expression(stmt.expr, [])
         elif isinstance(stmt, VarDecl):
-            self._table.declare(self._symbol_from_decl(stmt, is_global=False))
+            self._declare_local(stmt)
             if stmt.init is not None:
                 self._flow(stmt.init, stmt.name)
         elif isinstance(stmt, ArrayDecl):
-            self._table.declare(self._symbol_from_decl(stmt, is_global=False))
+            self._declare_local(stmt)
             if stmt.init is not None:
                 self.info.array_initializers[stmt.name] = list(stmt.init)
         elif isinstance(stmt, If):
@@ -290,6 +295,10 @@ class TypeChecker:
         elif isinstance(stmt, Return):
             if stmt.value is not None:
                 self._walk_expression(stmt.value, [])
+
+    def _declare_local(self, decl: VarDecl | ArrayDecl) -> None:
+        self._table.declare(self._symbol_from_decl(decl, is_global=False))
+        self._declared_at[decl.name] = len(self._uses)
 
     def _flow(self, expr: Expr, target: str | None) -> None:
         """Walk ``expr``; every name it reads flows into ``target``."""
@@ -332,17 +341,28 @@ class TypeChecker:
     def _check_uses(self, table: SymbolTable) -> None:
         """Resolve the queued uses in walk order: identifiers, indexed
         arrays, and each assignment's target."""
-        for node in self._uses:
+        for position, node in enumerate(self._uses):
             if isinstance(node, Identifier):
+                self._check_declared_before(node, node.name, position)
                 if table.lookup(node.name) is None:
                     raise TypeError_(f"use of undeclared {node.name!r}", node.line, node.column)
             elif isinstance(node, Index):
-                self._check_indexed(node, table)
+                self._check_indexed(node, table, position)
             else:
-                self._check_assign_target(node.target, table)
+                self._check_assign_target(node.target, table, position)
 
-    def _check_assign_target(self, target: Expr, table: SymbolTable) -> None:
+    def _check_declared_before(self, node: Expr, name: str, position: int) -> None:
+        """Reject the use at queue ``position`` of a local the walk
+        declared later, unless a global of that name exists."""
+        if (
+            self._declared_at.get(name, -1) > position
+            and self.info.globals_table.lookup(name) is None
+        ):
+            raise TypeError_(f"use of {name!r} before its declaration", node.line, node.column)
+
+    def _check_assign_target(self, target: Expr, table: SymbolTable, position: int) -> None:
         if isinstance(target, Identifier):
+            self._check_declared_before(target, target.name, position)
             symbol = table.lookup(target.name)
             if symbol is None:
                 raise TypeError_(f"assignment to undeclared {target.name!r}", target.line, target.column)
@@ -351,12 +371,12 @@ class TypeChecker:
                     f"cannot assign to array {target.name!r} as a whole", target.line, target.column
                 )
         elif isinstance(target, Index):
-            self._check_indexed(target, table)
+            self._check_indexed(target, table, position)
         else:
             raise TypeError_("invalid assignment target", target.line, target.column)
 
-    @staticmethod
-    def _check_indexed(node: Index, table: SymbolTable) -> None:
+    def _check_indexed(self, node: Index, table: SymbolTable, position: int) -> None:
+        self._check_declared_before(node, node.array, position)
         symbol = table.lookup(node.array)
         if symbol is None:
             raise TypeError_(f"indexing undeclared {node.array!r}", node.line, node.column)

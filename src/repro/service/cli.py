@@ -661,7 +661,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     print(f"requests     : {stats['requests']}")
-    for tier in ("compile_cache", "result_cache", "result_store"):
+    for tier in ("compile_cache", "result_cache", "result_store", "reply_cache"):
         counters = stats.get(tier)
         if counters is None:
             print(f"{tier:13s}: (not attached)")

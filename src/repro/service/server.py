@@ -13,10 +13,13 @@ op       request fields                                response fields
 ping     —                                             ``pong`` (server time)
 submit   ``request`` (wire form), ``priority``         ``job_id``, ``coalesced``
 status   ``job_id``                                    ``job`` (status dict)
-result   ``job_id``, ``timeout`` (seconds, optional)   ``job``, ``result``
-analyze  ``request``, ``priority``, ``timeout``        submit + wait in one call
+result   ``job_id``, ``timeout`` (seconds, optional)   ``job``, ``result``,
+                                                       ``fingerprint``
+analyze  ``request``, ``priority``, ``timeout``        ``job``, ``result``,
+                                                       ``fingerprint``, ``job_id``
 mitigate ``request``, ``optimize``                     ``mitigation`` (wire form)
-stats    —                                             engine/scheduler/store/metrics
+stats    —                                             engine/scheduler/store/
+                                                       reply cache/metrics
 metrics  —                                             ``metrics`` (registry snapshot)
 events   ``job_id``                                    ``events`` (lifecycle log), ``job``
 top      ``limit``                                     ``top`` (queue/worker/job view)
@@ -24,6 +27,10 @@ watch    ``job_id``, ``heartbeat``, ``timeout``        *streaming* (see below)
 trace    ``job_id``                                    ``spans`` (completed span dicts)
 shutdown —                                             acknowledgement
 ======== ============================================= =========================
+
+``analyze`` is submit + wait in one call; its failure replies carry
+``job_id`` too.  ``fingerprint`` is the result's
+:func:`~repro.service.wire.result_fingerprint`.
 
 ``watch`` is the one streaming op: instead of a single response line the
 server tails the job's event log, writing one ``{"ok": true, "event":
@@ -47,9 +54,19 @@ analyses hit the shared caches) and memoises whole results — in memory
 and, when a store is attached, in the tier-2 store keyed by the
 program + configuration hash (:func:`repro.mitigation.mitigation_key`).
 
+A result replayed from the engine's result tiers never changes, so the
+``result`` and ``analyze`` replies encode it once: a bounded LRU
+(:data:`REPLY_CACHE_SIZE` results) keeps its JSON text and fingerprint,
+and each later reply line is assembled around that text.  An entry
+serves only replays of the very tier entry it was encoded from; fresh
+computations, warm runs and results without a provenance stamp are
+encoded per reply.
+
 Every response carries ``"ok": true`` or ``"ok": false`` plus
 ``"error"``; protocol errors never kill the connection, and a broken
-connection never kills the daemon.
+connection never kills the daemon.  A request line longer than
+:data:`MAX_REQUEST_LINE` bytes is answered with one error and closes its
+connection.
 """
 
 from __future__ import annotations
@@ -65,12 +82,7 @@ from repro.mitigation import mitigation_key, synthesize_mitigation
 from repro.obs import SpanBuffer, metrics, tracer
 from repro.service.scheduler import JobScheduler, JobState
 from repro.service.store import ResultStore
-from repro.service.wire import (
-    WireError,
-    request_from_wire,
-    result_fingerprint,
-    result_to_wire,
-)
+from repro.service.wire import WireError, encode_result, request_from_wire
 
 #: Default TCP port of the daemon (an unassigned registered port).
 DEFAULT_PORT = 7351
@@ -78,6 +90,42 @@ DEFAULT_PORT = 7351
 #: Default bound on how long a blocking ``result``/``analyze`` call may
 #: wait server-side before reporting a timeout to the client.
 DEFAULT_RESULT_TIMEOUT = 300.0
+
+#: How many replayed results keep their encoded reply text.
+REPLY_CACHE_SIZE = 64
+
+#: Longest request line the daemon reads, in bytes (newline excluded).
+MAX_REQUEST_LINE = 16 * 2**20
+
+
+class ReplyCache(LRUCache):
+    """Bounded LRU of encoded results, one entry per result key.
+
+    An entry keeps the result's JSON text and fingerprint together with
+    the provenance stamp of the result it was encoded from.  Every copy
+    the engine hands out of one tier entry shares that stamp, so a
+    ``from_cache`` result carrying the very same stamp is a replay of the
+    same, unchanged entry; any other result (a fresh computation, a warm
+    run, a replay of a recomputed entry) is encoded anew, and a replay of
+    a recomputed entry replaces the stale text.
+    """
+
+    def encoded(self, key: str, result) -> tuple[str, str]:
+        """``(text, fingerprint)`` of ``result``, the analysis result of
+        result key ``key`` (see :func:`~repro.service.wire.encode_result`)."""
+        provenance = result.provenance
+        if not result.from_cache or provenance is None:
+            return encode_result(result)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is provenance:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return entry[1:]
+            self.stats.misses += 1
+        entry = (provenance, *encode_result(result))
+        self.put(key, entry)
+        return entry[1:]
 
 
 class ReproServer:
@@ -101,6 +149,7 @@ class ReproServer:
             slow_job_seconds=slow_job_seconds,
         )
         self._mitigations = LRUCache(maxsize=64)
+        self._replies = ReplyCache(maxsize=REPLY_CACHE_SIZE)
         # Mitigation synthesis runs on the connection thread (it is a
         # multi-request *driver*, not a unit of scheduler work), so bound
         # and coalesce it explicitly: at most max_workers concurrent
@@ -173,7 +222,21 @@ class ReproServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
             reader = conn.makefile("rb")
-            for line in reader:
+            while True:
+                try:
+                    line = reader.readline(MAX_REQUEST_LINE + 1)
+                    if len(line) > MAX_REQUEST_LINE and not line.endswith(b"\n"):
+                        # Neither parse nor keep buffering an over-long
+                        # line: answer once and drop the connection.
+                        self._send_line(conn, {
+                            "ok": False,
+                            "error": f"request line exceeds {MAX_REQUEST_LINE} bytes",
+                        })
+                        return
+                except OSError:
+                    return
+                if not line:
+                    return
                 line = line.strip()
                 if not line:
                     continue
@@ -199,8 +262,9 @@ class ReproServer:
                     response = {"ok": False, "error": f"malformed JSON: {error}"}
                 except Exception as error:  # noqa: BLE001 — daemon must survive
                     response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
+                text = response if isinstance(response, str) else json.dumps(response)
                 try:
-                    conn.sendall(json.dumps(response).encode("utf-8") + b"\n")
+                    conn.sendall(text.encode("utf-8") + b"\n")
                 except OSError:
                     return
                 if message.get("op") == "shutdown" and response.get("ok"):
@@ -291,32 +355,41 @@ class ReproServer:
             return {"ok": False, "error": f"unknown job {message.get('job_id')!r}"}
         return self._await_result(job, message)
 
-    def _op_analyze(self, message: dict) -> dict:
+    def _op_analyze(self, message: dict) -> dict | str:
         """Submit + blocking result in one round trip."""
         request = request_from_wire(message.get("request") or {})
         job = self.scheduler.submit(request, priority=message.get("priority"))
-        response = self._await_result(job, message)
-        response.setdefault("job_id", job.id)
-        return response
+        return self._await_result(job, message, job_id=job.id)
 
-    def _await_result(self, job, message: dict) -> dict:
+    def _await_result(self, job, message: dict, job_id: str | None = None) -> dict | str:
+        """The reply to ``result`` (and, with ``job_id``, to ``analyze``):
+        an error dict, or the finished job's reply line as JSON text, the
+        result's text taken from the reply cache."""
         timeout = float(message.get("timeout") or DEFAULT_RESULT_TIMEOUT)
         if not job.wait(timeout=timeout):
-            return {"ok": False, "error": f"job {job.id} still {job.state.value}",
-                    "job": job.status()}
-        if job.state is JobState.FAILED:
-            return {"ok": False, "error": job.status()["error"], "job": job.status()}
-        if job.state is JobState.CANCELLED:
-            return {"ok": False, "error": f"job {job.id} was cancelled",
-                    "job": job.status()}
-        result = job.result()
-        wire = result_to_wire(result)
-        return {
-            "ok": True,
-            "job": job.status(),
-            "result": wire,
-            "fingerprint": result_fingerprint(wire),
-        }
+            response = {"ok": False, "error": f"job {job.id} still {job.state.value}",
+                        "job": job.status()}
+        elif job.state is JobState.FAILED:
+            response = {"ok": False, "error": job.status()["error"], "job": job.status()}
+        elif job.state is JobState.CANCELLED:
+            response = {"ok": False, "error": f"job {job.id} was cancelled",
+                        "job": job.status()}
+        else:
+            # The text json.dumps would write for {"ok", "job", "result",
+            # "fingerprint"[, "job_id"]}.
+            text, fingerprint = self._replies.encoded(
+                job.request.result_key(), job.result()
+            )
+            line = (
+                f'{{"ok": true, "job": {json.dumps(job.status())}, '
+                f'"result": {text}, "fingerprint": {json.dumps(fingerprint)}'
+            )
+            if job_id is not None:
+                line += f', "job_id": {json.dumps(job_id)}'
+            return line + "}"
+        if job_id is not None:
+            response["job_id"] = job_id
+        return response
 
     def _op_mitigate(self, message: dict) -> dict:
         """Synthesise (or replay) a verified fence placement."""
@@ -379,6 +452,7 @@ class ReproServer:
                 None if engine_stats.store is None else vars(engine_stats.store)
             ),
             "scheduler": vars(self.scheduler.stats),
+            "reply_cache": vars(self._replies.stats.snapshot()),
             "incremental": engine_stats.incremental.to_wire(),
             "slow_jobs": self.scheduler.slow_jobs(),
             # Process-wide registry: pool.*, store.*, fixpoint.*,

@@ -17,6 +17,8 @@ defines the only two payload shapes that cross the socket:
 content of a result (timing and cache provenance excluded), used by
 ``repro submit --verify`` and the CI smoke job to assert that
 service-served results are bit-identical to direct engine execution.
+:func:`encode_result` gives both the reply text of a result and its
+fingerprint, which the daemon keeps for results it replays.
 """
 
 from __future__ import annotations
@@ -231,3 +233,11 @@ def result_fingerprint(result: "CacheAnalysisResult | Mapping[str, Any]") -> str
         wire.pop(key, None)
     canonical = json.dumps(wire, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def encode_result(result: CacheAnalysisResult) -> tuple[str, str]:
+    """``(text, fingerprint)`` of one result: the JSON text of its wire
+    form, exactly as ``json.dumps`` writes it inside a reply line, and its
+    :func:`result_fingerprint`."""
+    wire = result_to_wire(result)
+    return json.dumps(wire), result_fingerprint(wire)

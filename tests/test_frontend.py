@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CompiledProgram, compile_source
-from repro.errors import LexerError, NestingError, ReproError
+from repro.errors import LexerError, NestingError, ReproError, TypeError_
 
 
 class TestCompileSource:
@@ -81,6 +81,12 @@ DEEP_SOURCES = {
 #: Literals that ``int()`` rejects, each at line 1, column 22.
 MALFORMED_LITERALS = ("0x", "0xZ", "1²")
 
+#: Sources that use a local before its declaration, which C rejects.
+USE_BEFORE_DECLARATION = (
+    "int main() { x = 1; int x; return x; }",
+    "int main() { int y; y = x; int x; return y; }",
+)
+
 
 def _lint_exit(source, capsys, monkeypatch):
     import io
@@ -118,6 +124,17 @@ class TestSourceErrors:
         code, err = _lint_exit(DEEP_SOURCES[shape], capsys, monkeypatch)
         assert code == 2
         assert "nests too deeply" in err
+
+    @pytest.mark.parametrize("source", USE_BEFORE_DECLARATION)
+    def test_use_before_declaration_is_a_type_error(self, source):
+        with pytest.raises(TypeError_, match="use of 'x' before its declaration"):
+            compile_source(source)
+
+    @pytest.mark.parametrize("source", USE_BEFORE_DECLARATION)
+    def test_lint_exits_two_on_use_before_declaration(self, source, capsys, monkeypatch):
+        code, err = _lint_exit(source, capsys, monkeypatch)
+        assert code == 2
+        assert "use of 'x' before its declaration" in err
 
     def test_seventy_nested_parentheses_compile(self):
         """Precedence climbing keeps a parenthesis level to a few frames."""

@@ -10,16 +10,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import threading
+import time
 
 import pytest
 
-from repro.bench.programs import taint_sparse_kernel_source
+from repro.bench.programs import branchy_kernel_source, taint_sparse_kernel_source
 from repro.cache.config import CacheConfig
 from repro.engine.engine import execute_request
 from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.obs import metrics
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ReproServer
+from repro.service.server import MAX_REQUEST_LINE, ReproServer
+from repro.service.store import ResultStore
 from repro.service.wire import (
     WireError,
     request_from_wire,
@@ -352,6 +355,115 @@ class TestProtocol:
             pytest.fail("server still accepting connections after shutdown")
 
 
+def served_fingerprint(port: int, request: AnalysisRequest) -> str:
+    """The ``fingerprint`` field of a fresh client's ``analyze`` reply."""
+    with ServiceClient(port=port) as cli:
+        return cli.call("analyze", request=request_to_wire(request), timeout=120)[
+            "fingerprint"
+        ]
+
+
+@pytest.fixture
+def connection_threads(monkeypatch):
+    """``end()`` waits until every daemon connection thread started in
+    the test has returned, and gives the exceptions that ended any thread
+    (a connection thread that dies on a fault raises one)."""
+    errors: list = []
+    monkeypatch.setattr(threading, "excepthook", errors.append)
+    before = set(threading.enumerate())
+
+    def end(timeout: float = 10.0) -> list:
+        deadline = time.monotonic() + timeout
+        while any(
+            thread.name.endswith("(_serve_connection)")
+            for thread in set(threading.enumerate()) - before
+        ):
+            assert time.monotonic() < deadline, "a connection thread never returned"
+            time.sleep(0.02)
+        return errors
+
+    return end
+
+
+class TestRequestLineCap:
+    def over_cap_reply(self, port: int, payload: bytes) -> tuple[dict, bytes]:
+        """Send ``payload`` on a raw connection; the daemon's one reply and
+        what the connection yields after it."""
+        with socket.create_connection(("127.0.0.1", port), timeout=60) as conn:
+            reader = conn.makefile("rb")
+            try:
+                conn.sendall(payload)
+            except OSError:
+                pass  # the daemon may close before the whole payload is sent
+            reply = json.loads(reader.readline())
+            return reply, reader.readline()
+
+    def test_line_without_newline_is_cut_at_the_cap(self, server):
+        reply, after = self.over_cap_reply(server.port, b"x" * (MAX_REQUEST_LINE + 1))
+        assert reply == {
+            "ok": False,
+            "error": f"request line exceeds {MAX_REQUEST_LINE} bytes",
+        }
+        assert after == b"", "the connection must close after the error"
+
+    def test_over_cap_ping_is_refused_then_fresh_clients_are_served(self, server):
+        pad = b"x" * MAX_REQUEST_LINE
+        reply, after = self.over_cap_reply(
+            server.port, b'{"op": "ping", "pad": "' + pad + b'"}\n'
+        )
+        assert reply["ok"] is False and "exceeds" in reply["error"]
+        assert after == b""
+        with ServiceClient(port=server.port) as cli:
+            assert cli.ping() > 0
+        request = AnalysisRequest.speculative(SOURCE)
+        assert served_fingerprint(server.port, request) == result_fingerprint(
+            execute_request(request)
+        )
+
+    def test_line_at_the_cap_is_answered(self, server):
+        prefix, suffix = b'{"op": "ping", "pad": "', b'"}'
+        line = prefix + b"x" * (MAX_REQUEST_LINE - len(prefix) - len(suffix)) + suffix
+        assert len(line) == MAX_REQUEST_LINE
+        with socket.create_connection(("127.0.0.1", server.port), timeout=60) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(line + b"\n")
+            assert json.loads(reader.readline())["ok"] is True
+            conn.sendall(b'{"op": "ping"}\n')
+            assert json.loads(reader.readline())["ok"] is True
+
+
+class TestFaultInjection:
+    """Clients that go away mid-conversation: the daemon keeps serving,
+    and a fresh client gets the result of direct execution."""
+
+    REQUEST = AnalysisRequest.speculative(branchy_kernel_source(32), label="branchy32")
+
+    def test_client_closing_before_the_analyze_reply(self, server, connection_threads):
+        message = {"op": "analyze", "request": request_to_wire(self.REQUEST)}
+        with socket.create_connection(("127.0.0.1", server.port), timeout=60) as conn:
+            conn.sendall(json.dumps(message).encode("utf-8") + b"\n")
+        expected = result_fingerprint(execute_request(self.REQUEST))
+        assert served_fingerprint(server.port, self.REQUEST) == expected
+        assert connection_threads() == []
+
+    def test_watch_client_disconnecting_mid_stream(self, server, connection_threads):
+        with ServiceClient(port=server.port) as cli:
+            job_id = cli.submit(self.REQUEST)
+        message = {"op": "watch", "job_id": job_id, "heartbeat": 0.05}
+        with socket.create_connection(("127.0.0.1", server.port), timeout=60) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(json.dumps(message).encode("utf-8") + b"\n")
+            first = json.loads(reader.readline())
+            assert first["ok"] is True and "done" not in first
+            reader.close()
+        with ServiceClient(port=server.port) as cli:
+            fingerprint = cli.call("result", job_id=job_id, timeout=120)["fingerprint"]
+        expected = result_fingerprint(execute_request(self.REQUEST))
+        assert fingerprint == expected
+        assert served_fingerprint(server.port, self.REQUEST) == expected
+        assert connection_threads() == []
+
+
 class TestDaemonRestartServedFromStore:
     """The acceptance criterion: a second identical submission against a
     *restarted* daemon is served from the on-disk store — no recompile,
@@ -403,3 +515,33 @@ class TestDaemonRestartServedFromStore:
         finally:
             second.stop()
         assert warm["from_cache"] is True
+
+    def test_restart_over_a_corrupt_store_entry(self, tmp_path):
+        """An entry overwritten with garbage is a miss: the restarted
+        daemon recomputes, and its repeat replays the recomputation."""
+        store_dir = str(tmp_path / "store")
+        request = AnalysisRequest.speculative(SOURCE, label="corrupt-me")
+        first = ReproServer(store_dir=store_dir, port=0).start()
+        with ServiceClient(port=first.port) as cli:
+            cli.analyze(request, timeout=60)
+        first.stop()
+        ResultStore(store_dir).path_for(request.result_key()).write_bytes(b"garbage\n" * 64)
+
+        second = ReproServer(store_dir=store_dir, port=0).start()
+        try:
+            with ServiceClient(port=second.port) as cli:
+                wire = request_to_wire(request)
+                recomputed = cli.call("analyze", request=wire, timeout=60)
+                repeat = cli.call("analyze", request=wire, timeout=60)
+                stats = cli.stats()
+        finally:
+            second.stop()
+        expected = result_fingerprint(execute_request(request))
+        assert recomputed["result"]["from_cache"] is False
+        assert repeat["result"]["from_cache"] is True
+        assert recomputed["fingerprint"] == repeat["fingerprint"] == expected
+        assert (
+            repeat["result"]["provenance"]["created_at"]
+            == recomputed["result"]["provenance"]["created_at"]
+        )
+        assert stats["result_store"]["corrupt_evicted"] == 1

@@ -106,6 +106,34 @@ class TestErrors:
         info = check("int main() { return my_abs(0-3); }")
         assert "main" in info.functions
 
+    @pytest.mark.parametrize(
+        "source, name, column",
+        [
+            ("int main() { x = 1; int x; return x; }", "x", 14),
+            ("int main() { int y; y = x; int x; return y; }", "x", 25),
+            ("int main() { a[0] = 1; int a[4]; return 0; }", "a", 15),
+            ("int main() { int y; y = a[1]; int a[4]; return y; }", "a", 26),
+            ("int main() { int y; if (y) { y = z; } int z; return y; }", "z", 34),
+        ],
+    )
+    def test_use_before_declaration(self, source, name, column):
+        with pytest.raises(TypeError_) as excinfo:
+            check(source)
+        assert str(excinfo.value).startswith(f"use of {name!r} before its declaration")
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "int x; int main() { x = 1; int x; return x; }",
+            "int t[4]; int main() { t[0] = 1; int t[4]; return t[0]; }",
+            "int main() { int x = 1; return x; }",
+            "int main() { int x; if (x) { int y; } y = 2; return y; }",
+        ],
+    )
+    def test_use_after_declaration_or_of_a_global_resolves(self, source):
+        assert "main" in check(source).functions
+
 
 class TestSecretTaint:
     def test_declared_secret(self):
