@@ -146,13 +146,11 @@ class PrePRReference(DenseSchedule):
                 return scenario
         raise KeyError(color)
 
-    def _process_window_slot(self, name, slot, slot_state, successors):
-        self._linear_scenario_scan(slot[1])
-        return super()._process_window_slot(name, slot, slot_state, successors)
-
-    def _process_resume_slot(self, name, slot, slot_state, successors):
-        self._linear_scenario_scan(slot[1])
-        return super()._process_resume_slot(name, slot, slot_state, successors)
+    def _process_block_sparse(self, name, pending, normal, speculative, mark):
+        # The dense schedule transfers every slot at the block.
+        for slot in speculative[name]:
+            self._linear_scenario_scan(slot[1])
+        return super()._process_block_sparse(name, pending, normal, speculative, mark)
 
 
 def _timed(factory):

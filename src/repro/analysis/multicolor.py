@@ -33,15 +33,22 @@ edges of Section 5.1:
 The sparse engine and its schedulers
 ------------------------------------
 
-There is one engine, delta-driven: every block carries a *dirty set* of
-the slots (``None`` for S) whose inputs changed since they were last
-transferred, and a pop re-transfers only dirty ones.  The worklist pops
-*nodes*, each keyed by its schedule priority (``rank`` is a block's
-reverse-postorder position, ``β`` the branch block of a slot's color):
+There is one engine, delta-driven: a pop re-transfers only the states
+(``None`` for S, or slots) whose inputs changed since they were last
+transferred.  The worklist queues *nodes*, each keyed by its schedule
+priority (``rank`` is a block's reverse-postorder position, ``β`` the
+branch block of a slot's color):
 
 * S at block ``b`` is ``(rank[b], 0, rank[b])``;
 * the window slots of ``β``'s colors at ``b`` are ``(rank[β], 1, rank[b])``,
   and their resume slots ``(rank[β], 2, rank[b])``.
+
+A map from each queued key to the states marked under it is the whole
+dirty bookkeeping: a pop takes its key's marked set, transfers those
+slots in slot-creation order (each slot's position in its block's slot
+dict is kept from its creation on), and collects the deliveries as
+``(target, slot, value)`` tuples (``slot`` None for S), which are joined
+into their targets after the pop's transfers.
 
 A branch's windows are thus drained, and all their rollbacks delivered,
 before the correct target's S is consumed.  On an acyclic CFG every
@@ -59,8 +66,8 @@ the branch's final state, before any of its slots exists.
 A pass that can widen (``policy.points`` non-empty: a loop survived
 unrolling) is *block-granular* instead
 (:meth:`SpeculativeCacheAnalysis._block_granular`): all of a block's
-nodes share the one item ``(rank[b],)``, each pop transfers everything
-dirty at the block, and widening fires on per-block visit counts.  That
+nodes share the one key ``(rank[b],)``, each pop transfers everything
+marked at the block, and widening fires on per-block visit counts.  That
 is the *dense* schedule — every visit re-transfers S and every slot at
 the block — by construction: a delivery whose inputs did not change
 re-joins a value already below the target state, and a window choice on
@@ -75,9 +82,9 @@ chaotic iterations of the same monotone equations that reach it: the
 same normal and slot states, classifications and window choices (a
 must-hit is only ever lost as states grow, so the window the block
 schedule ends with is the one chosen on the final state).  Only the pop
-counts differ.  The tests keep the dense block schedule as the
-differential oracle: a subclass that forces ``_block_granular`` and marks
-everything dirty.
+counts differ.  The tests keep the drain this one replaced, forced onto
+the dense block schedule, as the differential oracle
+(``tests/drain_reference.py``).
 
 The engine is driven two ways, both through one sparse pass
 (:meth:`SpeculativeCacheAnalysis._run_sparse_pass`):
@@ -98,7 +105,7 @@ site executes in, and the pass keeps each node's last record;
 :meth:`SpeculativeCacheAnalysis._classify` assembles the classifications
 from them.  That is exact on the node schedule and the block-granular
 schedule alike, because every change to a node's input marks the node
-dirty again: a join that grows its state, a widening, and a window that
+again: a join that grows its state, a widening, and a window that
 grows, which re-marks its slot at every block of the old window.  So a
 node's last transfer ran on its final state and under its final window
 limit.  (Windows only grow once chosen, and no slot of a color exists
@@ -111,8 +118,8 @@ predecessor's retained classifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from repro.analysis.depth import DepthChooser
 from repro.analysis.result import AccessClassification, CacheAnalysisResult
@@ -153,15 +160,6 @@ WIDENING_DELAY = 3
 #: computation always terminates, but a bug in a transfer function should
 #: surface as an error rather than an endless loop).
 MAX_VISITS = 5_000_000
-
-
-@dataclass
-class _Delivery:
-    """One pending join: ``value`` flows into ``slot`` (or S) at ``target``."""
-
-    target: str
-    slot: SlotKey | None  # None means the normal state S
-    value: object
 
 
 @dataclass
@@ -331,14 +329,12 @@ class SpeculativeCacheAnalysis:
             for scenario in self.vcfg.scenarios
             if scenario.branch_block in self._rank
         }
-        # The slot-placement indices cost an O(#scenarios x window-size)
-        # sweep plus a per-scenario CFG walk, and only introspection needs
-        # them — built on first possible_slot_colors() call.
-        self._window_colors: dict[str, frozenset[int]] | None = None
-        self._resume_colors: dict[str, frozenset[int]] | None = None
+        #: ``{block: {slot: position}}``: each slot's position in its
+        #: block's slot dict during a pass, the order a pop transfers in.
+        self._born: dict[str, dict[SlotKey, int]] = {}
 
     # ------------------------------------------------------------------
-    # Scenario and slot-placement indices
+    # Scenario indices
     # ------------------------------------------------------------------
     def _index_scenarios(self) -> None:
         """Build the per-scenario lookups the passes read: which scenarios
@@ -376,54 +372,6 @@ class SpeculativeCacheAnalysis:
         ):
             return target, None, False
         return target, ("resume", scenario.color), not strategy.collapse_rollback_points
-
-    def _index_window_colors(self) -> dict[str, frozenset[int]]:
-        """Inverse of the per-scenario window-membership sets: for every
-        block, the colors whose ``bm`` window contains it.  The active
-        window is always a subset of ``window_miss``, so this is a sound
-        upper bound on the window slots that can live at the block."""
-        by_block: dict[str, set[int]] = {}
-        for scenario in self.vcfg.scenarios:
-            for block in scenario.window_miss.allowed:
-                by_block.setdefault(block, set()).add(scenario.color)
-        return {block: frozenset(colors) for block, colors in by_block.items()}
-
-    def _index_resume_colors(self) -> dict[str, frozenset[int]]:
-        """For every block, the colors whose resume slots can reach it: the
-        blocks reachable from the scenario's correct target along CFG edges
-        that do not enter the convergence block (where the slot converts
-        back into S and stops).  Empty when the merge strategy converts at
-        the rollback target (no resume slots exist at all)."""
-        by_block: dict[str, set[int]] = {}
-        strategy = self.speculation.merge_strategy
-        if not strategy.convert_at_merge_point:
-            return {}
-        for scenario in self.vcfg.scenarios:
-            convergence = scenario.convergence_block
-            if convergence is None or convergence == scenario.correct_target:
-                continue
-            seen = {scenario.correct_target}
-            stack = [scenario.correct_target]
-            while stack:
-                block = stack.pop()
-                by_block.setdefault(block, set()).add(scenario.color)
-                for successor in self._successors[block]:
-                    if successor != convergence and successor not in seen:
-                        seen.add(successor)
-                        stack.append(successor)
-        return {block: frozenset(colors) for block, colors in by_block.items()}
-
-    def possible_slot_colors(self, block: str) -> tuple[frozenset[int], frozenset[int]]:
-        """(window colors, resume colors) that can ever be live at ``block``."""
-        if self._window_colors is None:
-            self._window_colors = self._index_window_colors()
-        if self._resume_colors is None:
-            self._resume_colors = self._index_resume_colors()
-        empty: frozenset[int] = frozenset()
-        return (
-            self._window_colors.get(block, empty),
-            self._resume_colors.get(block, empty),
-        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -512,17 +460,13 @@ class SpeculativeCacheAnalysis:
         normal: dict[str, object] = {name: self._bottom for name in reachable}
         normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow, self.layout)
         speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        visits: dict[str, int] = {name: 0 for name in reachable}
-        dirty: dict[str, set] = {name: set() for name in reachable}
-        dirty[cfg.entry].add(None)
 
         fixpoint = SpeculativeFixpoint(normal=normal, speculative=speculative)
         fixpoint.iterations = self._run_sparse_pass(
             normal=normal,
             speculative=speculative,
-            dirty=dirty,
+            marks=[(cfg.entry, None)],
             policy=policy,
-            visits=visits,
             description="speculative fixpoint",
         )
         fixpoint.widenings = policy.widenings
@@ -716,41 +660,39 @@ class SpeculativeCacheAnalysis:
             warm.chooser_active_depths, warm.chooser_locked, plan.stable
         )
 
-        # Dirty frontier: every unaffected block delivering into the
+        # Marked frontier: every unaffected block delivering into the
         # region re-sends everything it holds (joins into unaffected
         # targets are no-ops); window slots additionally re-send when
         # their rollback target is affected, because rollback is the one
         # delivery that does not follow a successor edge.
-        visits: dict[str, int] = {name: 0 for name in reachable}
-        dirty: dict[str, set] = {name: set() for name in reachable}
+        marks: list[tuple[str, SlotKey | None]] = []
         if cfg.entry in affected:
-            dirty[cfg.entry].add(None)
+            marks.append((cfg.entry, None))
         for name in plan.force_branches:
-            dirty[name].add(None)
+            marks.append((name, None))
         for name in reachable:
             if name in affected:
                 continue
             if any(successor in affected for successor in self._successors[name]):
-                dirty[name].add(None)
-                dirty[name].update(speculative[name].keys())
+                marks.append((name, None))
+                marks.extend((name, slot) for slot in speculative[name])
                 continue
             for slot in speculative[name]:
                 if slot[0] != "window":
                     continue
                 scenario = self._scenario_by_color.get(slot[1])
                 if scenario is not None and scenario.correct_target in affected:
-                    dirty[name].add(slot)
+                    marks.append((name, slot))
 
         self.warm_info["seeded_slots"] = seeded_slots
-        self.warm_info["frontier_blocks"] = sum(1 for name in reachable if dirty[name])
+        self.warm_info["frontier_blocks"] = len({name for name, _ in marks})
 
         fixpoint = SpeculativeFixpoint(normal=normal, speculative=speculative)
         fixpoint.iterations = self._run_sparse_pass(
             normal=normal,
             speculative=speculative,
-            dirty=dirty,
+            marks=marks,
             policy=policy,
-            visits=visits,
             description="warm speculative fixpoint",
         )
         fixpoint.widenings = policy.widenings
@@ -760,40 +702,47 @@ class SpeculativeCacheAnalysis:
         self,
         normal: dict[str, object],
         speculative: dict[str, dict[SlotKey, object]],
-        dirty: dict[str, set],
+        marks: Iterable[tuple[str, SlotKey | None]],
         policy: WideningPolicy,
-        visits: dict[str, int],
         description: str,
     ) -> int:
-        """Drain one sparse fixpoint from the marks in ``dirty`` to
-        convergence; returns the pop count.
+        """Drain one sparse fixpoint from the initial ``marks`` (``(block,
+        None)`` for S, ``(block, slot)`` for a slot) to convergence;
+        returns the pop count.
 
-        Items are node keys (see the module docstring), or ``(rank,)``
-        for a whole block when the pass is block-granular."""
+        The worklist queues node keys (see the module docstring), or
+        ``(rank,)`` for a whole block when the pass is block-granular, and
+        ``marked`` maps each queued key to the states marked under it."""
         rpo = self._rpo
         rank = self._rank
+        branch_rank = self._branch_rank
         block_granular = self._block_granular(policy)
-        if block_granular:
-
-            def node(block: str, slot: SlotKey | None) -> tuple:
-                return (rank[block],)
-
-        else:
-            branch_rank = self._branch_rank
-
-            def node(block: str, slot: SlotKey | None) -> tuple:
-                position = rank[block]
-                if slot is None:
-                    return (position, 0, position)
-                return (branch_rank[slot[1]], 1 if slot[0] == "window" else 2, position)
-
-        worklist = PriorityWorklist(
-            None, [node(block, slot) for block, marks in dirty.items() for slot in marks]
-        )
+        bottom = self._bottom
+        visits = dict.fromkeys(self._graph.reachable, 0)
+        worklist = PriorityWorklist(None)
+        marked: dict[tuple, set] = {}
+        self._born = born = {
+            name: {slot: position for position, slot in enumerate(slots)}
+            for name, slots in speculative.items()
+        }
 
         def mark(block: str, slot: SlotKey | None) -> None:
-            dirty[block].add(slot)
-            worklist.push(node(block, slot))
+            if block_granular:
+                key = (rank[block],)
+            elif slot is None:
+                position = rank[block]
+                key = (position, 0, position)
+            else:
+                key = (branch_rank[slot[1]], 1 if slot[0] == "window" else 2, rank[block])
+            pending = marked.get(key)
+            if pending is None:
+                marked[key] = {slot}
+                worklist.push(key)
+            else:
+                pending.add(slot)
+
+        for block, slot in marks:
+            mark(block, slot)
 
         # Streaming progress: throttled to one event per
         # POP_PUBLISH_INTERVAL pops, and only when a reporter is
@@ -812,16 +761,30 @@ class SpeculativeCacheAnalysis:
                     )
             name = rpo[item[-1]]
             visits[name] += 1
-            if block_granular:
-                pending = dirty[name]
-                dirty[name] = set()
-            else:
-                pending = {slot for slot in dirty[name] if node(name, slot) == item}
-                dirty[name] -= pending
             deliveries = self._process_block_sparse(
-                name, pending, normal, speculative, mark
+                name, marked.pop(item), normal, speculative, mark
             )
-            self._apply_deliveries(deliveries, normal, speculative, policy, visits, mark)
+            # Join every delivery into its target; mark each state that grew.
+            for target, slot, value in deliveries:
+                if target not in normal:
+                    continue
+                if slot is None:
+                    current = normal[target]
+                    joined = policy.apply(
+                        target, visits[target], current, current.join(value)
+                    )
+                    if not joined.leq(current):
+                        normal[target] = joined
+                        mark(target, None)
+                else:
+                    slots = speculative[target]
+                    current = slots.get(slot, bottom)
+                    joined = current.join(value)
+                    if not joined.leq(current):
+                        if slot not in slots:
+                            born[target][slot] = len(slots)
+                        slots[slot] = joined
+                        mark(target, slot)
             return ()
 
         return run_fixpoint(
@@ -835,49 +798,75 @@ class SpeculativeCacheAnalysis:
         normal: dict[str, object],
         speculative: dict[str, dict[SlotKey, object]],
         mark,
-    ) -> list[_Delivery]:
+    ) -> list[tuple[str, SlotKey | None, object]]:
         """Transfer what ``pending`` marks at block ``name`` (``None`` for
-        S, slot keys for slots) and return the deliveries."""
-        deliveries: list[_Delivery] = []
+        S, slot keys for slots) and return the deliveries, as ``(target,
+        slot or None, value)`` tuples."""
+        deliveries: list[tuple[str, SlotKey | None, object]] = []
         successors = self._successors[name]
         state_in = normal[name]
-        normal_dirty = None in pending
+        normal_marked = None in pending
 
         # --- normal transfer and propagation (only when S[n] changed) ------
         state_out = None
-        if normal_dirty:
+        if normal_marked:
             state_out, self._records[(name, None)] = record_block(
                 state_in, self.table, name
             )
             for successor in successors:
-                deliveries.append(_Delivery(successor, None, state_out))
+                deliveries.append((successor, None, state_out))
 
-        # --- dirty speculative slots, in slot-creation order ----------------
-        # Iterating the slot dict (not the pending set) keeps the delivery
-        # order independent of hash randomisation and identical to the dense
-        # schedule's relative order.  Slots marked dirty before any state
-        # reached them are still bottom and are skipped, exactly as the
-        # dense schedule skips bottom slots.
-        if pending:
-            slots_in = speculative[name]
-            for slot, slot_state in slots_in.items():
-                if slot not in pending or getattr(slot_state, "is_bottom", False):
-                    continue
-                self._slot_transfers += 1
-                if slot[0] == "window":
-                    deliveries.extend(
-                        self._process_window_slot(name, slot, slot_state, successors)
+        # --- marked speculative slots, in slot-creation order --------------
+        # Creation order keeps the delivery order independent of hash
+        # randomisation and identical to the dense schedule's relative
+        # order.  Slots marked before any state reached them do not exist
+        # yet and are skipped, exactly as the dense schedule skips bottom
+        # slots.
+        slots_in = speculative[name]
+        live = [slot for slot in pending if slot in slots_in]
+        if len(live) > 1:
+            live.sort(key=self._born[name].__getitem__)
+        for slot in live:
+            slot_state = slots_in[slot]
+            if getattr(slot_state, "is_bottom", False):
+                continue
+            self._slot_transfers += 1
+            scenario = self._scenario_by_color[slot[1]]
+            if slot[0] == "resume":
+                slot_out = transfer_block(slot_state, self.table, name)
+                convergence = scenario.convergence_block
+                for successor in successors:
+                    # Into the convergence block it is conversion (rule 4):
+                    # vn_stop — the speculative state joins the normal flow
+                    # and stops being tracked separately.
+                    deliveries.append(
+                        (successor, None if successor == convergence else slot, slot_out)
                     )
-                else:
-                    deliveries.extend(
-                        self._process_resume_slot(name, slot, slot_state, successors)
-                    )
+                continue
+            allowed = self.chooser.active_window(scenario).allowed
+            limit = allowed.get(name)
+            if limit is None:
+                continue
+            slot_out, prefix_join, self._records[(name, slot)] = record_window_block(
+                slot_state, self.table, name, limit
+            )
+            # Window propagation (rule 2): only into blocks still inside
+            # the window.
+            for successor in successors:
+                if successor in allowed:
+                    deliveries.append((successor, slot, slot_out))
+            # Rollback (rule 3): the join of all prefix states re-enters
+            # the normal flow at the correct target.
+            target, resume_slot, per_origin = self._rollback[scenario.color]
+            if per_origin:
+                resume_slot += (name,)
+            deliveries.append((target, resume_slot, prefix_join))
 
         # --- window choice and scenario injection at branch blocks ---------
         # The choice reads only S[n], so it runs when S[n] is transferred:
         # re-running it on an unchanged state (as the dense schedule does
         # on every pop) chooses the same window again.
-        if not normal_dirty:
+        if not normal_marked:
             return deliveries
         for scenario in self._scenarios_by_branch.get(name, ()):
             previous_window = self.chooser.active_window(scenario)
@@ -885,8 +874,8 @@ class SpeculativeCacheAnalysis:
             if window.depth > previous_window.depth:
                 # The window grew (the condition is no longer a proven hit):
                 # re-propagate from every block of the old window, and mark
-                # the scenario's window slot dirty there so the re-transfer
-                # runs against the new window's limits and successor set.
+                # the scenario's window slot there so the re-transfer runs
+                # against the new window's limits and successor set.
                 slot = ("window", scenario.color)
                 for block in previous_window.allowed:
                     if block in normal:
@@ -894,83 +883,9 @@ class SpeculativeCacheAnalysis:
             if window.depth <= 0 or not window.contains(scenario.wrong_target):
                 continue
             deliveries.append(
-                _Delivery(scenario.wrong_target, ("window", scenario.color), state_out)
+                (scenario.wrong_target, ("window", scenario.color), state_out)
             )
         return deliveries
-
-    # ------------------------------------------------------------------
-    # Shared slot transfers
-    # ------------------------------------------------------------------
-    def _process_window_slot(
-        self, name: str, slot: SlotKey, slot_state, successors: tuple[str, ...]
-    ) -> list[_Delivery]:
-        deliveries: list[_Delivery] = []
-        scenario = self._scenario_by_color[slot[1]]
-        window = self.chooser.active_window(scenario)
-        if not window.contains(name):
-            return deliveries
-        limit = window.allowed_instructions(name)
-        slot_out, prefix_join, self._records[(name, slot)] = record_window_block(
-            slot_state, self.table, name, limit
-        )
-        # Window propagation (rule 2): only into blocks still inside the window.
-        for successor in successors:
-            if window.contains(successor):
-                deliveries.append(_Delivery(successor, slot, slot_out))
-        # Rollback (rule 3): the join of all prefix states re-enters the
-        # normal flow at the correct target.
-        target, resume_slot, per_origin = self._rollback[scenario.color]
-        if per_origin:
-            resume_slot += (name,)
-        deliveries.append(_Delivery(target, resume_slot, prefix_join))
-        return deliveries
-
-    def _process_resume_slot(
-        self, name: str, slot: SlotKey, slot_state, successors: tuple[str, ...]
-    ) -> list[_Delivery]:
-        deliveries: list[_Delivery] = []
-        scenario = self._scenario_by_color[slot[1]]
-        convergence = scenario.convergence_block
-        slot_out = transfer_block(slot_state, self.table, name)
-        for successor in successors:
-            if successor == convergence:
-                # Conversion (rule 4): vn_stop — the speculative state joins
-                # the normal flow and stops being tracked separately.
-                deliveries.append(_Delivery(successor, None, slot_out))
-            else:
-                deliveries.append(_Delivery(successor, slot, slot_out))
-        return deliveries
-
-    def _apply_deliveries(
-        self,
-        deliveries: list[_Delivery],
-        normal: dict[str, object],
-        speculative: dict[str, dict[SlotKey, object]],
-        policy: WideningPolicy,
-        visits: dict[str, int],
-        mark,
-    ) -> None:
-        """Join every delivery into its target; ``mark`` each state that
-        grew (which dirties and enqueues it)."""
-        for delivery in deliveries:
-            target = delivery.target
-            if target not in normal:
-                continue
-            if delivery.slot is None:
-                current = normal[target]
-                joined = policy.apply(
-                    target, visits.get(target, 0), current, current.join(delivery.value)
-                )
-                if not joined.leq(current):
-                    normal[target] = joined
-                    mark(target, None)
-            else:
-                slots = speculative[target]
-                current = slots.get(delivery.slot, self._bottom)
-                joined = current.join(delivery.value)
-                if not joined.leq(current):
-                    slots[delivery.slot] = joined
-                    mark(target, delivery.slot)
 
     # ------------------------------------------------------------------
     # Classification
@@ -1176,7 +1091,7 @@ class _RetainedClassifications:
         retained = [
             classification
             if classification.scenario_color == color
-            else replace(classification, scenario_color=color)
+            else classification._replace(scenario_color=color)
             for classification in self._window.get((old_color, block), ())
         ]
         self.reused += len(retained)

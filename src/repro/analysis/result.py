@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.cache.config import CacheConfig
 from repro.ir.instructions import MemoryRef
@@ -11,8 +11,7 @@ from repro.ir.memory import AccessKind
 from repro.speculation.config import SpeculationConfig
 
 
-@dataclass(frozen=True)
-class AccessClassification:
+class AccessClassification(NamedTuple):
     """The analysis verdict for one static memory-access site.
 
     ``speculative`` marks classifications of accesses *inside a
@@ -21,6 +20,11 @@ class AccessClassification:
     the pipeline and not directly observable).  ``secret_dependent`` is
     set for secret-indexed accesses whose hit/miss outcome depends on
     which element the secret selects — the side-channel condition.
+
+    A named tuple: the fixpoint's whole output is built of these, and a
+    tuple is several times cheaper to build than a frozen dataclass.
+    Stored results pickle it by position, so a change to its fields needs
+    a ``STORE_FORMAT_VERSION`` bump.
     """
 
     block: str

@@ -78,10 +78,6 @@ class AccessTable:
             )
         return prefix
 
-    @property
-    def total_sites(self) -> int:
-        return sum(len(sites) for sites in self._by_block.values())
-
 
 def new_entry_state(config: CacheConfig, use_shadow: bool, layout: MemoryLayout):
     """Fresh empty-cache state of the flavour ``config`` calls for, packed
@@ -178,19 +174,24 @@ def site_classifications(
             f"a record of block {block!r} holds {len(flags)} sites, "
             f"its classified prefix {len(sites)}"
         )
-    # Positional, in field order: a frozen dataclass binds keywords
-    # measurably slower, and the fixpoint's whole output passes here.
+    # The fixpoint's whole output passes here: build each named tuple
+    # from its field values in order, without the keyword-binding
+    # constructor.
+    new = tuple.__new__
     return [
-        AccessClassification(
-            block,
-            site.instruction_index,
-            site.access.ref,
-            site.access.kind,
-            must_hit,
-            speculative,
-            scenario_color,
-            site.access.kind is AccessKind.SECRET,
-            secret_dependent,
+        new(
+            AccessClassification,
+            (
+                block,
+                site.instruction_index,
+                site.access.ref,
+                site.access.kind,
+                must_hit,
+                speculative,
+                scenario_color,
+                site.access.kind is AccessKind.SECRET,
+                secret_dependent,
+            ),
         )
         for site, (must_hit, secret_dependent) in zip(sites, flags)
     ]

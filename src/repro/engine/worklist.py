@@ -13,7 +13,10 @@ implementation of that schedule.
   self-ordering items, by the items themselves.  It replaces the
   ``min(worklist, ...)`` + ``remove`` scan the ad-hoc loops used, which
   costs O(n) per pop and O(n²) over a run with a wide frontier; the heap
-  costs O(log n) per operation.
+  costs O(log n) per operation.  The multi-color engine queues node keys
+  (tuples of ints) and keeps, beside the worklist, the states marked
+  under each queued key, so a pop knows what to transfer without
+  scanning its block.
 * :class:`WideningPolicy` — where and when to widen, plus the
   lattice-based accounting of whether a widening actually changed the
   joined state (object identity is *not* a reliable signal: a ``widen``
@@ -132,8 +135,8 @@ def run_fixpoint(
     ``step(item)`` processes one item (a block, for the plain solvers)
     and returns the items whose abstract state changed (they are
     re-enqueued).  ``step`` may also enqueue items directly through the
-    worklist it closes over — the multi-color engine enqueues every node
-    it dirties that way.  Exceeding ``max_visits`` raises
+    worklist it closes over — the multi-color engine enqueues the key of
+    every node it marks that way.  Exceeding ``max_visits`` raises
     :class:`AnalysisError`: the lattice and schedule guarantee
     termination, so divergence means a broken transfer function or
     partial order.

@@ -41,7 +41,9 @@ from repro.obs import metrics
 #: Version 3: ``iterations`` counts node pops on non-widening passes, so
 #: a stored loop-free or sharded result no longer matches a fresh run's
 #: fingerprint (which includes ``iterations``).
-STORE_FORMAT_VERSION = 3
+#: Version 4: classifications are named tuples, pickled by position; a
+#: version-3 entry holds them as frozen dataclasses.
+STORE_FORMAT_VERSION = 4
 
 #: First header line of every entry (magic + format version).
 _MAGIC = b"repro-result-store"

@@ -22,8 +22,10 @@ from repro.engine import (
     execute_request,
     run_fixpoint,
 )
+from repro.analysis.result import AccessClassification
 from repro.errors import AnalysisError
 from repro.speculation.config import SpeculationConfig
+from repro.service.store import STORE_FORMAT_VERSION
 from repro.speculation.merge import MergeStrategy
 
 CACHE = CacheConfig(num_lines=8, line_size=64)
@@ -253,6 +255,25 @@ class TestAnalysisRequest:
         factory, options, prefix = self.PINNED_KEYS[name]
         source = "char a[64]; int p; int main() { if (p > 0) { a[0]; } a[0]; return 0; }"
         assert factory(source, **options).result_key()[:16] == prefix
+
+    def test_stored_record_shape_is_pinned(self):
+        """Stored results pickle each classification by position, so a
+        change to the record's fields orphans every stored artifact: it
+        must come with a ``STORE_FORMAT_VERSION`` bump and a new pin."""
+        assert (STORE_FORMAT_VERSION, AccessClassification._fields) == (
+            4,
+            (
+                "block",
+                "instruction_index",
+                "ref",
+                "kind",
+                "must_hit",
+                "speculative",
+                "scenario_color",
+                "secret_indexed",
+                "secret_dependent",
+            ),
+        )
 
 
 class TestLRUCache:

@@ -1,9 +1,11 @@
 """Tests for the sparse multi-color engine rebuild: differential equality
-against the dense block schedule (:class:`DenseReference`), classifications
+against the dense block schedule run by the drain the engine replaced
+(:class:`DenseReference`), step-for-step equality with that replaced drain
+on the engine's own schedule (:class:`DrainReference`), classifications
 against a re-walk of the final states (``classify_reference``), soundness
 of widening against the exact fixpoint (:class:`ExactReference`), the
 heap-based window construction, the postdominator-tree convergence fix,
-and the precomputed slot-placement indices."""
+and where slots can live."""
 
 from __future__ import annotations
 
@@ -13,8 +15,13 @@ import pytest
 
 import classify_reference
 import graph_reference
+from drain_reference import DrainReference
 from repro import compile_source
-from repro.analysis.multicolor import WIDENING_DELAY, SpeculativeCacheAnalysis
+from repro.analysis.multicolor import (
+    WIDENING_DELAY,
+    SpeculativeCacheAnalysis,
+    WarmStartData,
+)
 from repro.bench.client import build_client_source
 from repro.bench.crypto import CRYPTO_BENCHMARKS, crypto_kernel
 from repro.bench.programs import (
@@ -116,10 +123,10 @@ def loop_free_programs():
 # ----------------------------------------------------------------------
 # Sparse engine == dense block-schedule reference
 # ----------------------------------------------------------------------
-class DenseReference(SpeculativeCacheAnalysis):
-    """The dense block schedule: every pass pops whole blocks, and every pop
-    re-transfers the normal state and every slot at the block, whatever
-    changed."""
+class DenseReference(DrainReference):
+    """The dense block schedule, run by the replaced drain: every pass pops
+    whole blocks, and every pop re-transfers the normal state and every slot
+    at the block, whatever changed."""
 
     def _block_granular(self, policy):
         return True
@@ -227,6 +234,118 @@ class TestSparseMatchesDenseReference:
             "adpcm stopped widening; pick another kernel"
         )
         assert is_block_granular(engine)
+
+
+# ----------------------------------------------------------------------
+# The engine's drain == the drain it replaced, step for step
+# ----------------------------------------------------------------------
+def warm_start_of(analysis: SpeculativeCacheAnalysis, result) -> WarmStartData:
+    """What a snapshot keeps of a finished run (``snapshot_from_analysis``)."""
+    fixpoint = analysis.last_fixpoint
+    depths, locked = analysis.chooser.export_state()
+    return WarmStartData(
+        cfg=analysis.cfg,
+        graph=analysis._graph,
+        scenarios=tuple(analysis.vcfg.scenarios),
+        normal=fixpoint.normal,
+        slots=fixpoint.speculative,
+        chooser_active_depths=depths,
+        chooser_locked=locked,
+        classifications=tuple(result.classifications),
+    )
+
+
+def assert_same_drain(program, **config) -> tuple:
+    """Solve ``program`` with the engine and with :class:`DrainReference`,
+    which runs the replaced drain on the same schedule, and check that the
+    drains agree step for step: the same pops, slot transfers and
+    widenings, the same states, each block's slots created in the same
+    order (so every pop delivered in the same order), the same record of
+    every node's last transfer, with the nodes first transferred in the
+    same order, and the same window choices.  Returns the engine and its
+    fixpoint."""
+    engine = SpeculativeCacheAnalysis(program, **config)
+    ours = engine.solve()
+    reference = DrainReference(program, **config)
+    theirs = reference.solve()
+    assert ours.iterations == theirs.iterations
+    assert ours.widenings == theirs.widenings
+    assert engine._slot_transfers == reference._slot_transfers
+    assert ours.normal == theirs.normal
+    assert {block: list(slots.items()) for block, slots in ours.speculative.items()} == {
+        block: list(slots.items()) for block, slots in theirs.speculative.items()
+    }
+    assert list(engine._records.items()) == list(reference._records.items())
+    assert engine.chooser.export_state() == reference.chooser.export_state()
+    if engine.warm_info is not None:
+        # The second scenario build of a program reuses the first one's
+        # windows, which only the reuse counter shows.
+        assert {**engine.warm_info, "windows_reused": 0} == {
+            **reference.warm_info,
+            "windows_reused": 0,
+        }
+    return engine, ours
+
+
+def edited_in_the_middle(source: str) -> str:
+    """``source`` with one more access after the middle line of ``main``."""
+    lines = source.splitlines()
+    body = lines.index("int main() {") + 1
+    middle = body + (len(lines) - 2 - body) // 2
+    return "\n".join(lines[:middle] + ["  a4[32];"] + lines[middle:]) + "\n"
+
+
+class TestDrainMatchesTheReplacedDrain:
+    @pytest.mark.parametrize("strategy", list(MergeStrategy))
+    @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+    def test_random_programs(self, random_programs, loop_free_programs, strategy, geometry):
+        """Block by block (programs with a loop) and node by node
+        (loop-free programs), across merge strategies and geometries."""
+        speculation = SpeculationConfig.paper_default().with_strategy(strategy)
+        schedules = set()
+        for program in random_programs + loop_free_programs:
+            engine, _ = assert_same_drain(
+                program, cache_config=GEOMETRIES[geometry], speculation=speculation
+            )
+            schedules.add(is_block_granular(engine))
+        assert schedules == {True, False}, "the drains must meet both schedules"
+
+    def test_branchy_kernel_at_the_paper_default(self):
+        """The ``branchy`` shape: many concurrent slots per block, two
+        window slots under most window keys."""
+        program = compile_source(branchy_kernel_source(16))
+        engine, _ = assert_same_drain(program, cache_config=CacheConfig.paper_default())
+        assert not is_block_granular(engine)
+        assert engine._slot_transfers > len(program.cfg.reachable_blocks())
+
+    def test_widening_kernel(self, bench_cache):
+        program = compile_source(wcet_benchmark_source("adpcm"))
+        engine, fixpoint = assert_same_drain(program, cache_config=bench_cache)
+        assert is_block_granular(engine)
+        assert fixpoint.widenings > 0, "adpcm stopped widening; pick another kernel"
+
+    @pytest.mark.parametrize("strategy", list(MergeStrategy))
+    def test_warm_passes(self, strategy):
+        """Warm starts seed slots before the drain marks any, so the
+        creation order of a block's slots is not the order of its marks."""
+        rng = random.Random(SEED + 2)
+        speculation = SpeculationConfig.paper_default().with_strategy(strategy)
+        cache = GEOMETRIES[0]
+        used = 0
+        for _ in range(4):
+            source = random_source(rng, loops=False)
+            base = SpeculativeCacheAnalysis(
+                compile_source(source), cache_config=cache, speculation=speculation
+            )
+            warm_start = warm_start_of(base, base.run())
+            engine, _ = assert_same_drain(
+                compile_source(edited_in_the_middle(source)),
+                cache_config=cache,
+                speculation=speculation,
+                warm_start=warm_start,
+            )
+            used += engine.warm_info["used"]
+        assert used, "no edit ran warm"
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +692,7 @@ class TestPostdominatorTree:
 
 
 # ----------------------------------------------------------------------
-# O(1) scenario lookup and slot-placement indices
+# O(1) scenario lookup and slot placement
 # ----------------------------------------------------------------------
 class TestScenarioIndices:
     def test_scenario_lookup_tracks_mutation(self, quantl_program):
@@ -597,22 +716,39 @@ class TestScenarioIndices:
             vcfg.scenario(9999)
 
     def test_fixpoint_slots_stay_within_placement_indices(self, bench_cache):
-        """Every slot the fixpoint actually materialises lives at a block
-        the precomputed window/resume indices predicted."""
+        """Every slot the fixpoint materialises lives where its scenario
+        can place it: a window slot inside the color's long window, a
+        resume slot at a block reachable from the correct target without
+        entering the convergence block."""
         program = compile_source(
             build_client_source(crypto_kernel("des", 64, 64), 2880)
         )
         engine = SpeculativeCacheAnalysis(program, cache_config=bench_cache)
         fixpoint = engine.solve()
+        assert engine.speculation.merge_strategy.convert_at_merge_point
+        window_colors: dict[str, set[int]] = {}
+        resume_colors: dict[str, set[int]] = {}
+        for scenario in engine.vcfg.scenarios:
+            for block in scenario.window_miss.allowed:
+                window_colors.setdefault(block, set()).add(scenario.color)
+            convergence = scenario.convergence_block
+            if convergence is None or convergence == scenario.correct_target:
+                continue
+            seen = {scenario.correct_target}
+            stack = [scenario.correct_target]
+            while stack:
+                block = stack.pop()
+                resume_colors.setdefault(block, set()).add(scenario.color)
+                for successor in program.cfg.successors(block):
+                    if successor != convergence and successor not in seen:
+                        seen.add(successor)
+                        stack.append(successor)
         observed = 0
         for block, slots in fixpoint.speculative.items():
-            window_colors, resume_colors = engine.possible_slot_colors(block)
             for slot, state in slots.items():
                 if getattr(state, "is_bottom", False):
                     continue
                 observed += 1
-                if slot[0] == "window":
-                    assert slot[1] in window_colors, (block, slot)
-                else:
-                    assert slot[1] in resume_colors, (block, slot)
+                placed = window_colors if slot[0] == "window" else resume_colors
+                assert slot[1] in placed.get(block, ()), (block, slot)
         assert observed, "expected live speculative slots in the des harness"

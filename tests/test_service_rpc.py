@@ -545,3 +545,25 @@ class TestDaemonRestartServedFromStore:
             == recomputed["result"]["provenance"]["created_at"]
         )
         assert stats["result_store"]["corrupt_evicted"] == 1
+
+    def test_restart_over_an_entry_of_the_previous_store_format(self, tmp_path):
+        """An entry whose header names store format 3 (which pickled
+        classifications as frozen dataclasses) is evicted as stale, never
+        decoded: the restarted daemon recomputes and replies with the
+        fresh result."""
+        store_dir = str(tmp_path / "store")
+        request = AnalysisRequest.speculative(SOURCE, label="format-3")
+        ResultStore(store_dir, version=3).put(
+            request.result_key(), execute_request(request)
+        )
+        server = ReproServer(store_dir=store_dir, port=0).start()
+        try:
+            with ServiceClient(port=server.port) as cli:
+                reply = cli.call("analyze", request=request_to_wire(request), timeout=60)
+                stats = cli.stats()
+        finally:
+            server.stop()
+        assert reply["result"]["from_cache"] is False
+        assert reply["fingerprint"] == result_fingerprint(execute_request(request))
+        assert stats["result_store"]["version_evicted"] == 1
+        assert stats["result_store"]["hits"] == 0

@@ -1,6 +1,6 @@
-"""``trajectory/pairs.py``: the table shows failures, ``run`` stops
-loudly when perfbench prints no report, and a second ``run`` into an
-entry adds pairs rather than replacing them."""
+"""``trajectory/pairs.py``: the table shows failures and the acceptance
+verdicts, ``run`` stops loudly when perfbench prints no report, and a
+second ``run`` into an entry adds pairs rather than replacing them."""
 
 from __future__ import annotations
 
@@ -24,13 +24,16 @@ def pairs(tmp_path, monkeypatch):
     return module
 
 
-def _report(throughput: float, failed: int = 0, correct: bool = True) -> dict:
+def _report(
+    throughput: float, failed: int = 0, correct: bool = True, **overrides: float
+) -> dict:
     metrics = {
         "setup_s": 0.3,
         "throughput_ops": throughput,
         "latency_p50_ms": 100.0,
         "latency_tail_ms": 190.0,
         "peak_rss_mb": 31.0,
+        **overrides,
     }
     return {
         "correct": correct,
@@ -64,11 +67,53 @@ def test_table_shows_failed_ops_and_incorrect_runs(pairs, capsys):
     )
     pairs.table(argparse.Namespace(pr=7))
     rows = capsys.readouterr().out.splitlines()
-    throughput = "| `branchy` | `throughput_ops` (1/s) | 8.250 (0.03) | 10.25 (0.02) | 1.24 | 2/2 |"
+    throughput = (
+        "| `branchy` | `throughput_ops` (1/s) | 8.250 (0.03) | 10.25 (0.02) | 1.24 | 2/2 "
+        "| yes | too few pairs |"
+    )
     assert throughput in rows
     assert rows[-1] == (
-        "| `branchy` | ops failed / attempted | 0 / 80 | 3 / 80, **1 run not correct** | | |"
+        "| `branchy` | ops failed / attempted | 0 / 80 | 3 / 80, **1 run not correct** "
+        "| | | | |"
     )
+
+
+def test_table_skips_an_entry_without_a_complete_pair(pairs, capsys):
+    """While ``run`` is still on its first pair, the table has no rows for
+    the entry, rather than failing on an empty side."""
+    _write_entry(pairs, [(0, "parent", _report(8.0))])
+    pairs.table(argparse.Namespace(pr=7))
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_table_prints_the_bound_and_gain_verdicts(pairs, capsys):
+    """"inside bound": the change's median is worse than the parent's by no
+    more than the metric's ``BENCHMARK.json`` bound.  "gain": over at
+    least ten pairs, the change won at least 9 of 10 and beats the
+    parent's median by more than the parent's IQR."""
+    runs = []
+    for pair in range(10):
+        parent = _report(
+            10.0 + 0.1 * pair, latency_p50_ms=100.0 + 10 * pair, setup_s=0.3
+        )
+        change = _report(
+            9.0 if pair == 0 else 12.0 + 0.1 * pair,  # wins 9 of 10
+            latency_p50_ms=99.0 + 10 * pair,  # wins all, by less than the IQR
+            latency_tail_ms=250.0,  # 32% worse, past the 25% bound
+            peak_rss_mb=32.5,  # 5% worse, inside the 10% bound
+            setup_s=0.2 if pair < 8 else 0.4,  # wins 8 of 10
+        )
+        runs += [(pair, "parent", parent), (pair, "change", change)]
+    _write_entry(pairs, runs)
+    pairs.table(argparse.Namespace(pr=7))
+    rows = {
+        row.split(" | ")[1]: row for row in capsys.readouterr().out.splitlines()[2:]
+    }
+    assert rows["`throughput_ops` (1/s)"].endswith("| 9/10 | yes | yes |")
+    assert rows["`latency_p50_ms`"].endswith("| 10/10 | yes | no |")
+    assert rows["`latency_tail_ms` (slowest third)"].endswith("| 0/10 | **no** | no |")
+    assert rows["`peak_rss_mb`"].endswith("| 0/10 | yes | no |")
+    assert rows["`setup_s`"].endswith("| 8/10 | yes | no |")
 
 
 def test_run_stops_without_a_record_when_perfbench_prints_nothing(pairs, monkeypatch, tmp_path):
@@ -133,6 +178,6 @@ def test_run_numbers_new_pairs_after_the_entrys_existing_ones(
     capsys.readouterr()
     pairs.table(argparse.Namespace(pr=7))
     rows = capsys.readouterr().out.splitlines()
-    assert "| `branchy` | ops failed / attempted | 0 / 160 | 0 / 160 | | |" in rows
+    assert "| `branchy` | ops failed / attempted | 0 / 160 | 0 / 160 | | | | |" in rows
     (throughput_row,) = [row for row in rows if "`throughput_ops`" in row]
-    assert throughput_row.endswith("| 4/4 |")
+    assert throughput_row.endswith("| 4/4 | yes | too few pairs |")

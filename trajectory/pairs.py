@@ -20,10 +20,14 @@ Print an entry's parent-vs-change table, as the README shows it:
 
 Each cell is the median over the side's runs with the quartile spread
 (IQR / median) in brackets; "pairs won" counts the pairs in which the
-change was better, in the direction ``BENCHMARK.json`` gives.  A last
-row per workload sums each side's failed and attempted ops and names
-any run whose verdicts were not correct: a pair that fails more ops is
-no win, whatever its metrics say.
+change was better, in the direction ``BENCHMARK.json`` gives.  The last
+two columns are the acceptance verdicts: "inside bound" says whether the
+change's median is worse than the parent's by no more than the metric's
+``BENCHMARK.json`` bound, and "gain" whether, over at least ten
+complete pairs, the change won at least 9 of 10 and its median beats
+the parent's by more than the parent's IQR.  A last row per workload sums each side's failed and
+attempted ops and names any run whose verdicts were not correct: a pair
+that fails more ops is no win, whatever its metrics say.
 
 ``run`` stops, printing the tail of perfbench's stderr, at the first run
 that prints no report; that run leaves no record.
@@ -43,8 +47,11 @@ BENCHMARK = json.loads((HERE.parent / "BENCHMARK.json").read_text())
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 METRICS = BENCHMARK["end_to_end"]
 SECONDS = BENCHMARK["run_seconds"]
-#: The percentile each workload reports as ``latency_tail_ms`` (perfbench/README.md).
-TAIL = {"tables": "p98", "service": "p99.5"}
+#: What each workload reports as ``latency_tail_ms`` (perfbench/README.md).
+TAIL = {"tables": "p98", "branchy": "slowest third", "service": "p99.5"}
+#: A gain needs this many complete pairs, and this share of them won.
+GAIN_MIN_PAIRS = 10
+GAIN_PAIRS = 0.9
 #: Lines of perfbench's stderr shown when a run prints no report.
 STDERR_TAIL = 20
 
@@ -117,11 +124,15 @@ def _report(stdout: str) -> dict | None:
         return None
 
 
-def _spread(values: list[float]) -> float:
+def _iqr(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
     quartiles = statistics.quantiles(values, n=4, method="inclusive")
-    return (quartiles[2] - quartiles[0]) / statistics.median(values)
+    return quartiles[2] - quartiles[0]
+
+
+def _spread(values: list[float]) -> float:
+    return _iqr(values) / statistics.median(values)
 
 
 def _cell(values: list[float]) -> str:
@@ -139,9 +150,27 @@ def _ops_cell(reports: list[dict]) -> str:
     return cell
 
 
+def _verdicts(metric: dict, before: list[float], after: list[float], won: int) -> str:
+    """The "inside bound" and "gain" cells of one metric's row."""
+    lower = metric["better"] == "lower"
+    median_before = statistics.median(before)
+    median_after = statistics.median(after)
+    # How much better the change's median is, positive when better.
+    gap = median_before - median_after if lower else median_after - median_before
+    inside = "yes" if -gap <= metric["bound"] * median_before else "**no**"
+    if len(before) < GAIN_MIN_PAIRS:
+        gain = "too few pairs"
+    else:
+        gain = "yes" if won >= GAIN_PAIRS * len(before) and gap > _iqr(before) else "no"
+    return f"{inside} | {gain}"
+
+
 def table(args: argparse.Namespace) -> None:
-    print("| workload | metric | before | after | after ÷ before | pairs won |")
-    print("|---|---|---|---|---|---|")
+    print(
+        "| workload | metric | before | after | after ÷ before | pairs won "
+        "| inside bound | gain |"
+    )
+    print("|---|---|---|---|---|---|---|---|")
     for workload in WORKLOADS:
         entry = _entry(_load(workload), args.pr)
         if entry is None:
@@ -150,6 +179,8 @@ def table(args: argparse.Namespace) -> None:
         for record in entry["runs"]:
             pairs.setdefault(record["pair"], {})[record["side"]] = record["report"]
         complete = [sides for sides in pairs.values() if len(sides) == 2]
+        if not complete:
+            continue
         for metric in METRICS:
             name = metric["name"]
             before = [sides["parent"]["metrics"][name]["value"] for sides in complete]
@@ -163,9 +194,10 @@ def table(args: argparse.Namespace) -> None:
                 label += f" ({TAIL[workload]})"
             ratio = statistics.median(after) / statistics.median(before)
             print(f"| `{workload}` | {label} | {_cell(before)} | {_cell(after)} | "
-                  f"{ratio:.2f} | {won}/{len(complete)} |")
+                  f"{ratio:.2f} | {won}/{len(complete)} | "
+                  f"{_verdicts(metric, before, after, won)} |")
         cells = [_ops_cell([sides[side] for sides in complete]) for side in ("parent", "change")]
-        print(f"| `{workload}` | ops failed / attempted | {cells[0]} | {cells[1]} | | |")
+        print(f"| `{workload}` | ops failed / attempted | {cells[0]} | {cells[1]} | | | | |")
 
 
 def main() -> None:
