@@ -57,11 +57,14 @@ class LRUCache:
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(self, key: Hashable, default: Any = None, count_miss: bool = True) -> Any:
+        """The value cached under ``key`` (counted as a hit), or
+        ``default`` (counted as a miss unless ``count_miss`` is false)."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
-                self.stats.misses += 1
+                if count_miss:
+                    self.stats.misses += 1
                 return default
             self._entries.move_to_end(key)
             self.stats.hits += 1

@@ -169,6 +169,9 @@ class AnalysisEngine:
         snapshot, and warm-starts from the one ``request.warm_from`` names
         when it is retained and compatible.
         """
+        replay = self.replay(request)
+        if replay is not None:
+            return replay()
         self._requests += 1
         with span("engine.run", kind=request.kind.value) as run_span:
             cached = self._lookup_result(request)
@@ -192,6 +195,32 @@ class AnalysisEngine:
             if not warm:
                 self._store_result(request, result)
         return _copy_result(result)
+
+    def replay(self, request: AnalysisRequest):
+        """Look ``request`` up in the result LRU (tier 1) alone.
+
+        On a miss this returns None and counts nothing.  On a hit it
+        counts the LRU hit and returns the replay of the entry it found:
+        a function that counts the request, as :meth:`run` does, and
+        returns a ``from_cache`` copy of that entry under an
+        ``engine.run`` span with ``cache_hit=True``.  The lookup is one
+        get under the LRU's lock, so a later eviction cannot turn a hit
+        into a computation.  Returning the replay rather than its result
+        lets a caller choose its path on the lookup and still open its
+        own span around the replay: the job scheduler serves tier-1 hits
+        on the submitting thread this way, and :meth:`run` replays its
+        hits through here too.
+        """
+        cached = self._result_cache.get(request.result_key(), count_miss=False)
+        if cached is None:
+            return None
+
+        def replayed():
+            self._requests += 1
+            with span("engine.run", kind=request.kind.value, cache_hit=True):
+                return _copy_result(cached, from_cache=True)
+
+        return replayed
 
     def _resolve_warm_start(self, request: AnalysisRequest, program: CompiledProgram):
         """``(warm_start, fallback_reason)`` for one eligible request —

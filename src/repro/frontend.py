@@ -133,8 +133,10 @@ def compile_source(
             with span("verify"):
                 assert_valid_ir(compiled)
     except RecursionError:
-        # Every pass walks the tree recursively, so a program nested past
-        # the interpreter's recursion limit is a source error, not a crash.
+        # Every pass walks the tree recursively.  The parser refuses
+        # programs nested past MAX_NESTING whatever the caller's stack, so
+        # this only catches a caller that leaves too little of it: still
+        # a source error, not a crash.
         raise NestingError("program nests too deeply") from None
     return compiled
 

@@ -10,11 +10,18 @@ Lookahead is an index into the token list, which the parser pads with a
 second EOF so ``_peek(1)`` never runs off the end.  Statements descend
 recursively; binary expressions are parsed by one precedence-climbing
 loop over :data:`_BINARY_PRECEDENCE` (C's levels, left-associative).
+
+Every pass of the front end walks the tree recursively, so how deep a
+program may nest is a fixed bound, :data:`MAX_NESTING`, not whatever
+stack the caller happens to leave: the parser refuses to descend more
+levels than that, and :func:`parse_program` then refuses a tree more
+nodes deep, measured without recursion (an operator chain, which the
+parser builds in a loop, is as deep as it is long).
 """
 
 from __future__ import annotations
 
-from repro.errors import ParseError
+from repro.errors import NestingError, ParseError
 from repro.lang.ast import (
     ArrayDecl,
     Assign,
@@ -33,6 +40,7 @@ from repro.lang.ast import (
     If,
     Index,
     IntLiteral,
+    Node,
     Param,
     Program,
     Qualifiers,
@@ -60,6 +68,14 @@ _QUALIFIER_KEYWORDS = {
 }
 
 _DECL_START = set(_TYPE_KEYWORDS) | _QUALIFIER_KEYWORDS
+
+#: Deepest nesting the front end accepts, in parser levels (a block or
+#: statement body, an expression inside another, a prefix operator) and
+#: in syntax-tree nodes.  At this depth a program still compiles with 400
+#: frames of the interpreter's default recursion limit (1000) in use by
+#: the caller, so whether a program compiles does not depend on who
+#: compiles it.
+MAX_NESTING = 100
 
 _UNARY_OPERATORS = {TokenType.MINUS, TokenType.NOT, TokenType.TILDE, TokenType.PLUS}
 
@@ -94,6 +110,9 @@ class Parser:
         # (``_advance`` never moves past the first).
         self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
+        #: Nested blocks, bodies, expressions and prefix operators open
+        #: at the current token (see :meth:`_descend`).
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -114,6 +133,15 @@ class Parser:
         if self._peek().type in token_types:
             return self._advance()
         return None
+
+    def _descend(self) -> None:
+        """Open one more nesting level at the current token; past
+        :data:`MAX_NESTING` the program is refused.  The caller closes
+        the level (``self.depth -= 1``) when it returns; an error
+        abandons the parse, so no level needs closing on the way out."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep(self.tokens[self.pos])
 
     def _expect(self, token_type: TokenType, what: str) -> Token:
         token = self._peek()
@@ -269,6 +297,7 @@ class Parser:
     # Statements
     # ------------------------------------------------------------------
     def _parse_block(self) -> Block:
+        self._descend()
         open_token = self._expect(TokenType.LBRACE, "'{'")
         statements: list[Stmt] = []
         while not self._check(TokenType.RBRACE):
@@ -276,6 +305,7 @@ class Parser:
                 raise ParseError("unterminated block", open_token.line, open_token.column)
             statements.extend(self._parse_statement())
         self._expect(TokenType.RBRACE, "'}'")
+        self.depth -= 1
         return Block(statements=statements, line=open_token.line, column=open_token.column)
 
     def _parse_statement(self) -> list[Stmt]:
@@ -422,7 +452,9 @@ class Parser:
     def _parse_statement_as_block(self) -> Block:
         """Parse a statement and wrap it in a block if it is not one already."""
         token = self._peek()
+        self._descend()
         statements = self._parse_statement()
+        self.depth -= 1
         if len(statements) == 1 and isinstance(statements[0], Block):
             return statements[0]
         return Block(statements=statements, line=token.line, column=token.column)
@@ -433,12 +465,14 @@ class Parser:
     def _parse_expression(self, min_precedence: int = 1) -> Expr:
         """Parse a binary expression whose operators bind at least as
         tightly as ``min_precedence``; equal precedence associates left."""
+        self._descend()
         expr = self._parse_unary()
         tokens = self.tokens
         while True:
             token = tokens[self.pos]
             precedence = _BINARY_PRECEDENCE.get(token.type, 0)
             if precedence < min_precedence:
+                self.depth -= 1
                 return expr
             self.pos += 1
             right = self._parse_expression(precedence + 1)
@@ -450,7 +484,9 @@ class Parser:
         token = self.tokens[self.pos]
         if token.type in _UNARY_OPERATORS:
             self.pos += 1
+            self._descend()
             operand = self._parse_unary()
+            self.depth -= 1
             if token.type is TokenType.PLUS:
                 return operand
             return UnaryOp(op=token.value, operand=operand, line=token.line, column=token.column)
@@ -460,7 +496,10 @@ class Parser:
             self.pos += 1
             self._parse_decl_prefix()
             self._expect(TokenType.RPAREN, "')'")
-            return self._parse_unary()
+            self._descend()
+            operand = self._parse_unary()
+            self.depth -= 1
+            return operand
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
@@ -583,5 +622,37 @@ def _apply_binop(op: str, left: int, right: int) -> int | None:
 
 
 def parse_program(source: str) -> Program:
-    """Parse MiniC ``source`` text into a :class:`Program` AST."""
-    return Parser(tokenize(source)).parse()
+    """Parse MiniC ``source`` text into a :class:`Program` AST.
+
+    Raises :class:`~repro.errors.NestingError` for a program nested
+    deeper than :data:`MAX_NESTING` (see the module docstring)."""
+    program = Parser(tokenize(source)).parse()
+    _check_tree_depth(program)
+    return program
+
+
+def _check_tree_depth(program: Program) -> None:
+    """Refuse a syntax tree more than :data:`MAX_NESTING` nodes deep,
+    walking it with an explicit stack instead of recursion."""
+    stack: list[tuple[Node, int]] = [(program, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, depth = pop()
+        if depth > MAX_NESTING:
+            raise _too_deep(node)
+        depth += 1
+        for value in node.__dict__.values():
+            if isinstance(value, Node):
+                push((value, depth))
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, Node):
+                        push((item, depth))
+
+
+def _too_deep(where: Token | Node) -> NestingError:
+    return NestingError(
+        f"program nests too deeply (more than {MAX_NESTING} levels)",
+        where.line,
+        where.column,
+    )

@@ -2,7 +2,7 @@
 
 The scheduler turns the synchronous :class:`~repro.engine.engine.AnalysisEngine`
 into a multi-client service: callers :meth:`~JobScheduler.submit` a
-request and get back a :class:`Job` handle immediately; worker threads
+request and get back a :class:`Job` handle at once; worker threads
 drain a priority queue, claiming one job per dispatch and resolving it
 alone through :meth:`~repro.engine.engine.AnalysisEngine.run`, so a job
 finishes as soon as its own analysis does, its event log and span tree
@@ -16,15 +16,20 @@ Three properties matter for serving traffic:
   :meth:`~repro.engine.request.AnalysisRequest.result_key`) shares the
   first job's future instead of queueing duplicate work; each caller
   still gets its own :class:`Job` handle with its own id;
-* **bounded concurrency** — at most ``max_workers`` threads execute
+* **bounded concurrency** — at most ``max_workers`` threads compute
   analyses; everything else waits in the queue, so a flood of
   submissions degrades latency, not memory or CPU fairness.
 
 The engine's caches (and its optional on-disk result store) sit below
-the scheduler, so repeat traffic is answered without touching a worker
-at all beyond the queue round trip.  The job registry behind the
-daemon's ``status``/``result``/``events``/``trace`` lookups always holds
-the queued and running jobs and their followers, and the newest
+the scheduler.  A request whose result is in the engine's result LRU
+(tier 1) never touches a worker: :meth:`~JobScheduler.submit` replays it
+on the submitting thread, through the same job-running code a worker
+uses (lifecycle events, ``scheduler.job`` span, progress reporter), and
+returns the job finished.  The replay is one LRU lookup and a copy, so
+``max_workers`` bounds computations, not replays; every miss, a tier-2
+store hit included, is queued for the workers.  The job registry behind
+the daemon's ``status``/``result``/``events``/``trace`` lookups always
+holds the queued and running jobs and their followers, and the newest
 :data:`FINISHED_JOBS_KEPT` finished ones.
 """
 
@@ -41,6 +46,7 @@ from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import partial
 
 from repro.engine.engine import AnalysisEngine
 from repro.engine.request import AnalysisRequest
@@ -103,8 +109,8 @@ class Job(ProgressReporter):
     Every job owns an :class:`~repro.obs.EventLog` recording its
     lifecycle (``queued -> coalesced|dispatched -> running -> done |
     failed | cancelled``) plus any ``progress`` events the analysis
-    publishes while it runs (the worker installs the job itself as its
-    thread's progress reporter); the daemon's ``watch``/``events`` RPCs
+    publishes while it runs (the thread that runs it installs the job
+    itself as its progress reporter); the daemon's ``watch``/``events`` RPCs
     stream it.  A coalesced job's log holds only its own ``queued`` and
     ``coalesced`` entries — execution events live on the primary.
     """
@@ -281,11 +287,17 @@ class JobScheduler:
         request: AnalysisRequest,
         priority: JobPriority | str | int | None = None,
     ) -> Job:
-        """Queue ``request``; returns immediately with a :class:`Job`.
+        """Run or queue ``request``; returns a :class:`Job` without
+        waiting for a worker.
 
         An identical request already queued or running is *coalesced*:
         the returned job shares the in-flight job's future and never
-        occupies a queue slot of its own.
+        occupies a queue slot of its own.  Otherwise a request whose
+        result sits in the engine's result LRU (tier 1) is replayed on
+        the calling thread, and the returned job has already finished,
+        after the same lifecycle events, ``scheduler.job`` span and
+        progress reporter as a job a worker runs.  Every other request
+        is queued for the workers, tier-2 store hits included.
         """
         priority = JobPriority.parse(priority)
         key = request.result_key()
@@ -321,13 +333,18 @@ class JobScheduler:
             job = Job(self._next_id(), request, priority)
             self._jobs[job.id] = job
             self._inflight[key] = job
-            heapq.heappush(self._heap, (int(priority), next(self._ticket), job))
-            self._depth_changed(priority, +1)
             job.record(
                 "queued", priority=priority.name.lower(), label=request.describe()
             )
-            self._lock.notify()
-            return job
+            replay = self.engine.replay(request)
+            if replay is None:
+                heapq.heappush(self._heap, (int(priority), next(self._ticket), job))
+                self._depth_changed(priority, +1)
+                self._lock.notify()
+                return job
+            self._start(job)
+        self._run_job(job, replay)
+        return job
 
     def job(self, job_id: str) -> Job | None:
         with self._lock:
@@ -437,36 +454,48 @@ class JobScheduler:
                 # Skip jobs cancelled while queued and stale bump entries.
                 if job.state is JobState.QUEUED:
                     break
-            job._state = JobState.RUNNING
-            job.started_at = time.monotonic()
             self._depth_changed(job.priority, -1)
-            queue_wait = job.started_at - job.submitted_at
-            metrics().histogram("scheduler.queue_wait_seconds").observe(queue_wait)
-            job.record("dispatched", queued_seconds=round(queue_wait, 6))
-            self._running += 1
+            self._start(job)
             return job
+
+    def _start(self, job: Job) -> None:
+        """Dispatch ``job`` to the thread that will run it (caller holds
+        the lock)."""
+        job._state = JobState.RUNNING
+        job.started_at = time.monotonic()
+        queue_wait = job.started_at - job.submitted_at
+        metrics().histogram("scheduler.queue_wait_seconds").observe(queue_wait)
+        job.record("dispatched", queued_seconds=round(queue_wait, 6))
+        self._running += 1
 
     def _worker_loop(self) -> None:
         while (job := self._claim()) is not None:
-            # The job span carries the job id, so the daemon's ``trace``
-            # RPC finds the job's whole execution tree (every
-            # engine/fixpoint span nests under this one).  The job
-            # finishes only once the span has closed, i.e. has been
-            # exported: a client that asks for the trace as soon as it
-            # holds the result must find the whole tree.
-            result = error = None
-            with span(
-                "scheduler.job",
-                job_id=job.id,
-                queued_seconds=round(job.started_at - job.submitted_at, 6),
-            ) as job_span, reporting(job):
-                job.record("running")
-                try:
-                    result = self.engine.run(job.request)
-                except Exception as exc:  # noqa: BLE001 — job-level report
-                    job_span.set(failed=True)
-                    error = exc
-            self._finish(job, result=result, error=error)
+            self._run_job(job, partial(self.engine.run, job.request))
+
+    def _run_job(self, job: Job, compute) -> None:
+        """Run one dispatched job to its end: ``compute()`` gives its
+        result.  Workers run the jobs they claim through here, and
+        :meth:`submit` the tier-1 replays it serves itself.
+
+        The job span carries the job id, so the daemon's ``trace`` RPC
+        finds the job's whole execution tree (every engine/fixpoint span
+        nests under this one).  The job finishes only once the span has
+        closed, i.e. has been exported: a client that asks for the trace
+        as soon as it holds the result must find the whole tree.
+        """
+        result = error = None
+        with span(
+            "scheduler.job",
+            job_id=job.id,
+            queued_seconds=round(job.started_at - job.submitted_at, 6),
+        ) as job_span, reporting(job):
+            job.record("running")
+            try:
+                result = compute()
+            except Exception as exc:  # noqa: BLE001 — job-level report
+                job_span.set(failed=True)
+                error = exc
+        self._finish(job, result=result, error=error)
 
     def _finish(self, job: Job, result=None, error: Exception | None = None) -> None:
         with self._lock:

@@ -178,7 +178,8 @@ class ReproServer:
 
     def serve_forever(self) -> None:
         """Accept connections until :meth:`stop` is called (one thread
-        per connection; analyses run on the scheduler's workers, so slow
+        per connection; analyses are computed on the scheduler's workers
+        and only result-LRU replays on connection threads, so slow
         clients never block the queue)."""
         try:
             while not self._stopping.is_set():

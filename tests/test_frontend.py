@@ -4,6 +4,7 @@ import pytest
 
 from repro import CompiledProgram, compile_source
 from repro.errors import LexerError, NestingError, ReproError, TypeError_
+from repro.lang.parser import MAX_NESTING
 
 
 class TestCompileSource:
@@ -62,7 +63,7 @@ class TestCompileSource:
         assert set(program.cfgs) == {"f", "main"}
 
 
-#: Programs nested deeper than the recursive passes can follow, one per
+#: Programs nested past :data:`~repro.lang.parser.MAX_NESTING`, one per
 #: shape: parentheses, statements, and a left-deep operator chain.
 DEEP_SOURCES = {
     "parentheses": "int main() { int a; a = 1; return "
@@ -140,3 +141,57 @@ class TestSourceErrors:
         """Precedence climbing keeps a parenthesis level to a few frames."""
         source = "int main() { int a; a = 1; return " + "(" * 70 + "a" + ")" * 70 + "; }"
         assert compile_source(source).entry_function == "main"
+
+
+#: Program families nested ``n`` deep: parentheses, braced ``if``
+#: statements, a left-deep operator chain (its tree is as deep as the chain
+#: is long), prefix operators, array indexes and calls.
+NESTED_SHAPES = {
+    "parentheses": lambda n: "int main() { int a; a = 1; return "
+    + "(" * n + "a" + ")" * n + "; }",
+    "ifs": lambda n: "int main() { int a; a = 1; "
+    + "if (a) { " * n + "a = 2;" + " }" * n + " return a; }",
+    "chain": lambda n: "int main() { int a; a = 1; return "
+    + " + ".join(["a"] * n) + "; }",
+    "negations": lambda n: "int main() { int a; a = 1; return " + "- " * n + "a; }",
+    "right chain": lambda n: "int main() { int a; a = 1; return "
+    + "a + (" * n + "a" + ")" * n + "; }",
+    "indexes": lambda n: "int t[4]; int main() { int a; a = 1; return "
+    + "t[" * n + "a" + "]" * n + "; }",
+    "calls": lambda n: "int f(int x) { return x; } int main() { int a; a = 1; return "
+    + "f(" * n + "a" + ")" * n + "; }",
+}
+
+
+def _with_frames(frames: int, call):
+    """``call()`` with ``frames`` more of the interpreter's stack in use."""
+    if frames == 0:
+        return call()
+    return _with_frames(frames - 1, call)
+
+
+def _compiles(source: str) -> bool:
+    try:
+        compile_source(source)
+    except NestingError:
+        return False
+    return True
+
+
+class TestNestingBound:
+    """Whether a program compiles is a property of the program: the same
+    bound holds at the top of the stack and under 400 caller frames."""
+
+    @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+    @pytest.mark.parametrize("frames", [0, 400])
+    def test_both_sides_of_the_bound(self, shape, frames):
+        build = NESTED_SHAPES[shape]
+        low, high = 1, 2 * MAX_NESTING  # deepest accepted, at the top level
+        while low < high:
+            middle = (low + high + 1) // 2
+            low, high = (middle, high) if _compiles(build(middle)) else (low, middle - 1)
+        assert MAX_NESTING // 3 <= low < MAX_NESTING, low
+        program = _with_frames(frames, lambda: compile_source(build(low)))
+        assert program.entry_function == "main"
+        with pytest.raises(NestingError, match=f"more than {MAX_NESTING} levels"):
+            _with_frames(frames, lambda: compile_source(build(low + 1)))

@@ -463,6 +463,39 @@ class TestFaultInjection:
         assert served_fingerprint(server.port, self.REQUEST) == expected
         assert connection_threads() == []
 
+    def test_watch_client_that_stops_reading(self, server, connection_threads):
+        """A watcher with a small receive buffer that reads nothing but
+        stays connected holds up no one: not the job it watches, not
+        other clients, and its thread ends quietly once it closes."""
+        started = time.monotonic()
+        expected = result_fingerprint(execute_request(self.REQUEST))
+        direct = time.monotonic() - started
+        with ServiceClient(port=server.port) as cli:
+            job_id = cli.submit(self.REQUEST)
+        slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+        slow.connect(("127.0.0.1", server.port))
+        try:
+            message = {"op": "watch", "job_id": job_id, "heartbeat": 0.05}
+            slow.sendall(json.dumps(message).encode("utf-8") + b"\n")
+            beside = AnalysisRequest.speculative(SOURCE, label="beside-a-stalled-watch")
+            with ServiceClient(port=server.port) as cli:
+                started = time.monotonic()
+                reply = cli.call("analyze", request=request_to_wire(beside), timeout=60)
+                beside_seconds = time.monotonic() - started
+                done = cli.call("result", job_id=job_id, timeout=120)
+                events = cli.events(job_id)
+            assert reply["fingerprint"] == result_fingerprint(execute_request(beside))
+            assert beside_seconds < 10.0, beside_seconds
+            assert done["job"]["state"] == "done"
+            execute = next(e for e in events if e["event"] == "done")["execute_seconds"]
+            assert execute < 10 * direct + 5.0, (execute, direct)
+            assert served_fingerprint(server.port, self.REQUEST) == expected
+        finally:
+            slow.close()
+        assert done["fingerprint"] == expected
+        assert connection_threads() == []
+
 
 class TestDaemonRestartServedFromStore:
     """The acceptance criterion: a second identical submission against a

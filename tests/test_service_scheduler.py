@@ -20,6 +20,7 @@ from repro.service.scheduler import (
     SchedulerShutdown,
 )
 from repro.service.server import ReproServer
+from repro.service.store import ResultStore
 from repro.service.wire import result_fingerprint
 
 SOURCE = "char a[64]; int p; int main() { if (p > 0) { a[0]; } a[0]; return 0; }"
@@ -422,3 +423,75 @@ class TestJobRegistry:
             sched.shutdown(wait=True, timeout=30)
         assert g1.state is JobState.DONE
         assert sched.job(g1.id) is g1 and sched.job(queued.id) is None
+
+
+class TestTierOneReplays:
+    """``submit`` answers a request whose result sits in the engine's
+    result LRU on the calling thread; every other request is queued."""
+
+    LIFECYCLE = ["queued", "dispatched", "running", "done"]
+
+    def test_a_hit_returns_finished_and_a_miss_stays_queued(self):
+        engine = AnalysisEngine()
+        request = AnalysisRequest.speculative(SOURCE)
+        engine.run(request)
+        sched = JobScheduler(engine, max_workers=1, autostart=False)
+        hit = sched.submit(request)
+        assert hit.state is JobState.DONE
+        assert [event["event"] for event in hit.events.snapshot()] == self.LIFECYCLE
+        assert hit.result(timeout=0).from_cache
+        assert not sched.cancel(hit.id), "a finished job cannot be cancelled"
+        miss = sched.submit(AnalysisRequest.speculative(OTHER_SOURCE))
+        assert miss.state is JobState.QUEUED
+        stats = sched.stats
+        assert (stats.completed, stats.queued, stats.running) == (1, 1, 0)
+
+    def test_a_hit_runs_under_its_own_job_span(self):
+        engine = AnalysisEngine()
+        request = AnalysisRequest.speculative(SOURCE)
+        engine.run(request)
+        buffer = SpanBuffer()
+        tracer().add_sink(buffer)
+        try:
+            job = JobScheduler(engine, max_workers=1, autostart=False).submit(request)
+        finally:
+            tracer().remove_sink(buffer)
+        spans = buffer.trace_for_job(job.id)
+        (job_span,) = [span for span in spans if span["name"] == "scheduler.job"]
+        (run_span,) = [span for span in spans if span["name"] == "engine.run"]
+        assert job_span["attrs"]["job_id"] == job.id
+        assert run_span["parent_id"] == job_span["span_id"]
+        assert run_span["attrs"]["cache_hit"] is True
+
+    def test_every_hit_and_miss_is_counted_once(self, tmp_path):
+        """First runs, tier-1 repeats, a store-only hit after the memory
+        tiers are dropped, and a duplicate of a running job, through a
+        scheduler configured as the daemon configures it."""
+        engine = _GatedEngine("held")
+        engine.attach_result_store(ResultStore(str(tmp_path / "store")))
+        first, second = distinct_request(0), distinct_request(1)
+        held = AnalysisRequest.speculative(OTHER_SOURCE, label="held")
+        with JobScheduler(engine, max_workers=2) as sched:
+            for job in [sched.submit(first), sched.submit(second)]:
+                job.result(timeout=60)
+            repeats = [sched.submit(request) for request in (first, second) * 2]
+            assert [job.state for job in repeats] == [JobState.DONE] * 4
+            engine.clear_caches()
+            sched.submit(first).result(timeout=60)
+            assert sched.submit(first).state is JobState.DONE
+            primary = sched.submit(held)
+            assert engine.started["held"].wait(60)
+            follower = sched.submit(held)
+            assert follower.coalesced
+            engine.gates["held"].set()
+            follower.result(timeout=60)
+            stats = sched.stats
+        engine_stats = engine.stats
+        assert engine_stats.requests == 9
+        assert (engine_stats.results.hits, engine_stats.results.misses) == (5, 4)
+        store = engine_stats.store
+        assert (store.hits, store.misses, store.writes) == (1, 3, 3)
+        assert (stats.submitted, stats.completed, stats.coalesced) == (10, 9, 1)
+        assert (stats.failed, stats.queued, stats.running) == (0, 0, 0)
+        assert primary.state is JobState.DONE
+
