@@ -15,6 +15,14 @@ This script compiles each distinct program of perfbench's ``tables`` and
 
 Its keys are ``t5/<name>``, ``t7/<name>`` and ``branchy/<n>``.
 
+``.github/access-digests.json`` holds one digest of each program's
+resolved access sites, under the same keys: for each reachable block,
+in the graph index's order, each site of the block's access table as
+field values, never reprs (instruction index, kind, symbol, blocks as
+``(symbol, index)``, ``is_write``, lanes, lane mask, placeholder lanes
+and placeholder mask).  A change to access resolution or lane numbering
+must reproduce every bound access of every program.
+
 ``.github/vcfg-digests.json`` holds one digest of each program's
 speculation scenarios per ``(depth_miss, depth_hit)``: the depths its
 catalogue requests use, plus :data:`SHORT_DEPTHS`, whose windows end
@@ -24,8 +32,8 @@ both windows' depth and ``allowed`` map, in order.  Its keys are
 ``<program key>@<depth_miss>/<depth_hit>``.
 
 Check the committed digests (exit 1 naming every mismatch), or
-regenerate both files after a change that means to move a benchmark
-program's IR or scenarios:
+regenerate all three files after a change that means to move a
+benchmark program's IR, access sites or scenarios:
 
     python3 .github/ir_digests.py
     python3 .github/ir_digests.py --write
@@ -40,10 +48,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / ".github" / "ir-digests.json"
+ACCESS_DIGESTS = ROOT / ".github" / "access-digests.json"
 VCFG_DIGESTS = ROOT / ".github" / "vcfg-digests.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from catalogue import branchy_requests, tables_requests  # noqa: E402
+from repro.analysis.transfer import access_table  # noqa: E402
 from repro.engine.engine import compile_request  # noqa: E402
 from repro.engine.request import AnalysisKind  # noqa: E402
 from repro.speculation.config import SpeculationConfig  # noqa: E402
@@ -60,6 +70,29 @@ def ir_digest(program) -> str:
         parts = (name, tuple(map(repr, block.instructions)), repr(block.terminator))
         hasher.update(repr(parts).encode())
     hasher.update(program.layout_fingerprint().encode())
+    return hasher.hexdigest()
+
+
+def access_digest(program) -> str:
+    cfg = program.cfg
+    table = access_table(cfg, program.layout)
+    hasher = hashlib.sha256()
+    for name in cfg.graph().reachable:
+        for site in table.sites(name):
+            access = site.access
+            parts = (
+                name,
+                site.instruction_index,
+                access.kind.name,
+                access.symbol,
+                tuple((block.symbol, block.index) for block in access.blocks),
+                access.is_write,
+                access.lanes,
+                access.lane_mask,
+                access.placeholder_lanes,
+                access.placeholder_mask,
+            )
+            hasher.update(repr(parts).encode())
     return hasher.hexdigest()
 
 
@@ -83,8 +116,9 @@ def vcfg_digest(program, depth_miss: int, depth_hit: int) -> str:
     return hasher.hexdigest()
 
 
-def program_digests() -> tuple[dict[str, str], dict[str, str]]:
-    """``(IR digests, scenario digests)`` of the catalogue programs."""
+def program_digests() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+    """``(IR digests, access digests, scenario digests)`` of the catalogue
+    programs."""
     programs: dict[str, object] = {}
     depths: dict[str, set[tuple[int, int]]] = {}
     for request_id, request in tables_requests() + branchy_requests():
@@ -96,12 +130,13 @@ def program_digests() -> tuple[dict[str, str], dict[str, str]]:
             speculation = request.resolved_speculation
             depths[key].add((speculation.depth_miss, speculation.depth_hit))
     ir = {key: ir_digest(program) for key, program in programs.items()}
+    access = {key: access_digest(program) for key, program in programs.items()}
     vcfg = {
         f"{key}@{miss}/{hit}": vcfg_digest(program, miss, hit)
         for key, program in programs.items()
         for miss, hit in sorted(depths[key])
     }
-    return ir, vcfg
+    return ir, access, vcfg
 
 
 def _mismatches(label: str, path: Path, digests: dict[str, str]) -> list[str]:
@@ -120,19 +155,26 @@ def _mismatches(label: str, path: Path, digests: dict[str, str]) -> list[str]:
 
 
 def main() -> int:
-    ir, vcfg = program_digests()
-    files = ((DIGESTS, ir), (VCFG_DIGESTS, vcfg))
+    ir, access, vcfg = program_digests()
+    files = ((DIGESTS, ir), (ACCESS_DIGESTS, access), (VCFG_DIGESTS, vcfg))
     if "--write" in sys.argv[1:]:
         for path, digests in files:
             path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
             print(f"wrote {len(digests)} digests to {path.relative_to(ROOT)}")
         return 0
-    mismatches = _mismatches("IR", DIGESTS, ir) + _mismatches("scenario", VCFG_DIGESTS, vcfg)
+    mismatches = (
+        _mismatches("IR", DIGESTS, ir)
+        + _mismatches("access", ACCESS_DIGESTS, access)
+        + _mismatches("scenario", VCFG_DIGESTS, vcfg)
+    )
     for mismatch in mismatches:
         print(mismatch)
     if mismatches:
         return 1
-    print(f"IR gate OK: {len(ir)} programs; scenario gate OK: {len(vcfg)} digests")
+    print(
+        f"IR gate OK: {len(ir)} programs; access gate OK: {len(access)} programs; "
+        f"scenario gate OK: {len(vcfg)} digests"
+    )
     return 0
 
 

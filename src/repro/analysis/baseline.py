@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.ai.solver import solve_forward
 from repro.analysis.result import CacheAnalysisResult
 from repro.analysis.transfer import (
-    AccessTable,
     SiteFlags,
+    access_table,
     new_bottom_state,
     new_entry_state,
     record_block,
@@ -44,7 +44,7 @@ def analyze_baseline(
     """
     config = cache_config or CacheConfig.paper_default()
     cfg = program.cfg
-    table = AccessTable(cfg, program.layout)
+    table = access_table(cfg, program.layout)
     # Each block's classifications are read off its last transfer: a
     # transfer runs again whenever the block's entry state grows, so the
     # last one saw the final state.

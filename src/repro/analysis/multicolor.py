@@ -124,8 +124,8 @@ from typing import Iterable, Mapping
 from repro.analysis.depth import DepthChooser
 from repro.analysis.result import AccessClassification, CacheAnalysisResult
 from repro.analysis.transfer import (
-    AccessTable,
     SiteFlags,
+    access_table,
     classify_block,
     new_bottom_state,
     new_entry_state,
@@ -304,7 +304,7 @@ class SpeculativeCacheAnalysis:
         else:
             self.vcfg = build_vcfg(self.cfg, self.speculation)
             self._vcfg_reuse = None
-        self.table = AccessTable(self.cfg, self.layout)
+        self.table = access_table(self.cfg, self.layout)
         self.chooser = DepthChooser(self.speculation, self.layout)
         self._use_shadow = self.speculation.use_shadow_state
         #: Dirty-slot re-transfers performed by the sparse scheduler

@@ -3,9 +3,16 @@
 Both the baseline and the speculative analysis iterate the same basic
 operation: push an abstract cache state through the memory accesses of a
 basic block.  This module pre-resolves every instruction's
-:class:`MemoryRef` to a :class:`BlockAccess` once per program (and each
-block's site prefix once per instruction limit) and provides the
+:class:`MemoryRef` to a :class:`BlockAccess` and provides the
 block-level transfers.
+
+There is one :class:`AccessTable` per CFG and layout
+(:func:`access_table`): it is kept with the CFG against its graph index,
+so the baseline and every speculative analysis of a compiled program,
+warm re-runs included, read the same table and its per-limit site
+prefixes, and any edit the graph index sees gets a fresh table.  The
+metrics registry counts ``access_table.builds`` and
+``access_table.reuses``.
 
 Classification rides on the fixpoint's own transfers.  A *recording*
 transfer (:func:`record_block`, and :func:`record_window_block` for a
@@ -20,7 +27,7 @@ resume slots that reach its block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cache.abstract import CacheState
 from repro.cache.config import CacheConfig
@@ -30,10 +37,10 @@ from repro.errors import AnalysisError
 from repro.ir.cfg import CFG
 from repro.ir.memory import AccessKind, BlockAccess, MemoryLayout
 from repro.analysis.result import AccessClassification
+from repro.obs import metrics
 
 
-@dataclass(frozen=True)
-class SiteAccess:
+class SiteAccess(NamedTuple):
     """A static access site: instruction position plus resolved access."""
 
     instruction_index: int
@@ -41,18 +48,28 @@ class SiteAccess:
 
 
 class AccessTable:
-    """Pre-resolved memory accesses for every block of a CFG."""
+    """Pre-resolved memory accesses for every reachable block of a CFG.
+
+    Take a CFG's table with :func:`access_table`, which builds it once per
+    graph and layout; building one per analysis repeats the work.  The
+    table keeps its layout but not the CFG, which keeps the table.
+    """
 
     def __init__(self, cfg: CFG, layout: MemoryLayout):
-        self.cfg = cfg
         self.layout = layout
-        self._by_block: dict[str, tuple[SiteAccess, ...]] = {}
-        for name in cfg.graph().reachable:
-            self._by_block[name] = tuple(
-                SiteAccess(instruction_index=index, access=layout.resolve(ref))
-                for index, instruction in enumerate(cfg.blocks[name].instructions)
+        resolve = layout.resolve
+        # Every site of the program passes here: build each named tuple
+        # from its field values, without the keyword-binding constructor.
+        new = tuple.__new__
+        blocks = cfg.blocks
+        self._by_block: dict[str, tuple[SiteAccess, ...]] = {
+            name: tuple([
+                new(SiteAccess, (index, resolve(ref)))
+                for index, instruction in enumerate(blocks[name].instructions)
                 for ref in instruction.memory_refs()
-            )
+            ])
+            for name in cfg.graph().reachable
+        }
         #: ``{block: {instruction limit: site prefix}}``, filled on first use.
         self._prefixes: dict[str, dict[int, tuple[SiteAccess, ...]]] = {}
 
@@ -77,6 +94,26 @@ class AccessTable:
                 if site.instruction_index < instruction_limit
             )
         return prefix
+
+
+def access_table(cfg: CFG, layout: MemoryLayout) -> AccessTable:
+    """The access table of ``cfg`` as it is now, under ``layout``.
+
+    Built on first use and kept in :meth:`CFG.derived`, so it lives as
+    long as the graph index does: every analysis of the graph shares it,
+    and an edit that :meth:`CFG.graph` sees gets a fresh one.  Keyed by
+    the layout's identity; the table holds its layout, so no other
+    layout can take that identity while the entry lives.
+    """
+    derived = cfg.derived()
+    key = (AccessTable, id(layout))
+    table = derived.get(key)
+    if table is None or table.layout is not layout:
+        table = derived[key] = AccessTable(cfg, layout)
+        metrics().counter("access_table.builds").inc()
+    else:
+        metrics().counter("access_table.reuses").inc()
+    return table
 
 
 def new_entry_state(config: CacheConfig, use_shadow: bool, layout: MemoryLayout):

@@ -82,11 +82,11 @@ def keep_at_least(packed: int, floor: int, lanes: LaneTable) -> int:
 def all_lanes_present(packed: int, access: BlockAccess) -> bool:
     """True when every lane of ``access.lane_mask`` is non-zero in
     ``packed``.  Raises ``ValueError`` for an access with no lanes (one
-    that never went through :meth:`LaneTable.bind`)."""
+    that :meth:`MemoryLayout.resolve` did not build)."""
     mask = access.lane_mask
     if not mask:
         raise ValueError(
-            f"access to {access.symbol!r} has no lanes: bind it with LaneTable.bind first"
+            f"access to {access.symbol!r} has no lanes: resolve it with MemoryLayout.resolve"
         )
     guard_mask = mask << _GUARD_SHIFT
     return ((packed | guard_mask) - mask) & guard_mask == guard_mask

@@ -257,6 +257,22 @@ class CFG:
     # ------------------------------------------------------------------
     # Content fingerprints
     # ------------------------------------------------------------------
+    def derived(self) -> dict:
+        """Values derived from the graph as it is now, by key: a dict kept
+        while :meth:`graph` returns the same index and replaced by an
+        empty one after any edit the index sees, so nothing derived from
+        the old graph outlives it.
+
+        It holds the per-block content maps (keyed by their digest
+        function) and the access tables
+        (:func:`repro.analysis.transfer.access_table`).
+        """
+        index = self.graph()
+        cached = self.__dict__.get("_derived")
+        if cached is None or cached[0] is not index:
+            cached = self._derived = (index, {})
+        return cached[1]
+
     def attach_content_caches(
         self, fingerprints: dict[str, str], line_signatures: dict[str, str]
     ) -> None:
@@ -270,27 +286,27 @@ class CFG:
         index, like the ones :meth:`block_fingerprints` computes: an edit
         that changes the structural key drops them (see :meth:`graph`).
         """
-        index = self.graph()
-        self._fingerprints = (index, dict(fingerprints))
-        self._line_signatures = (index, dict(line_signatures))
+        derived = self.derived()
+        derived[block_fingerprint] = dict(fingerprints)
+        derived[block_line_signature] = dict(line_signatures)
 
-    def _content_map(self, attribute: str, digest) -> dict[str, str]:
-        """One per-block digest map of the graph as it is now, computed on
-        first use and kept while :meth:`graph` returns the same index."""
-        index = self.graph()
-        cached = self.__dict__.get(attribute)
-        if cached is None or cached[0] is not index:
-            cached = (index, {name: digest(block) for name, block in self.blocks.items()})
-            setattr(self, attribute, cached)
-        return cached[1]
+    def _content_map(self, digest) -> dict[str, str]:
+        """The per-block ``digest`` map of the graph as it is now."""
+        derived = self.derived()
+        found = derived.get(digest)
+        if found is None:
+            found = derived[digest] = {
+                name: digest(block) for name, block in self.blocks.items()
+            }
+        return found
 
     def block_fingerprints(self) -> dict[str, str]:
         """Per-block content fingerprints, in block-dict order."""
-        return dict(self._content_map("_fingerprints", block_fingerprint))
+        return dict(self._content_map(block_fingerprint))
 
     def block_line_signatures(self) -> dict[str, str]:
         """Per-block source-line signatures (see :func:`block_line_signature`)."""
-        return dict(self._content_map("_line_signatures", block_line_signature))
+        return dict(self._content_map(block_line_signature))
 
     def content_fingerprint(self) -> str:
         """A stable content hash of the whole function.

@@ -16,15 +16,18 @@ module only says *which* blocks an access may touch.
 The abstract cache states never look blocks up by value on their hot
 paths: each layout interns its blocks into an immutable
 :class:`LaneTable` (one 16-bit lane per block of the packed age maps in
-:mod:`repro.cache.abstract`), and :meth:`MemoryLayout.resolve` hands out
-:class:`BlockAccess` values that already carry their lane ids.
+:mod:`repro.cache.abstract`, numbered in ``(symbol, index)`` order), and
+:meth:`MemoryLayout.resolve` hands out :class:`BlockAccess` values that
+already carry their lane ids.  Resolution builds each bound access in one
+step, once per ref and layout, taking its blocks and lanes from the lane
+table by ``(symbol, index)``.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import TYPE_CHECKING, Iterable
 
@@ -82,23 +85,26 @@ class LaneTable:
 
     Lanes follow sorted ``(symbol, index)`` order, so the numbering
     depends only on the block set, never on hashing or insertion order;
-    equal block sets give equal tables.  Tables compare by value (a
-    precomputed key keeps that cheap), pickle as their block list, and
-    are never mutated once built (:meth:`countdown` only fills in
-    constants derived from the lane count).  ``ones`` has a 1 at the
-    bottom of every lane and ``guards`` a 1 at the top (guard) bit of
-    every lane: the broadcast constants of the SWAR lane arithmetic.
+    equal block sets give equal tables.  Lanes are looked up by
+    ``(symbol, index)`` keys, never by hashing a :class:`MemoryBlock`.
+    Tables compare by value (a precomputed key keeps that cheap), pickle
+    as their block list, and are never mutated once built
+    (:meth:`countdown` only fills in constants derived from the lane
+    count).  ``ones`` has a 1 at the bottom of every lane and ``guards``
+    a 1 at the top (guard) bit of every lane: the broadcast constants of
+    the SWAR lane arithmetic.
     """
 
     __slots__ = ("blocks", "ones", "guards", "_lane_of", "_key", "_countdowns")
 
     def __init__(self, blocks: Iterable[MemoryBlock]):
-        ordered = tuple(sorted(set(blocks)))
-        self.blocks = ordered
-        self._lane_of = {block: lane for lane, block in enumerate(ordered)}
-        self.ones = int.from_bytes(b"\x01\x00" * len(ordered), "little")
+        by_key = {(block.symbol, block.index): block for block in blocks}
+        keys = sorted(by_key)
+        self.blocks = tuple([by_key[key] for key in keys])
+        self._lane_of = {key: lane for lane, key in enumerate(keys)}
+        self.ones = int.from_bytes(b"\x01\x00" * len(keys), "little")
         self.guards = self.ones << (LANE_BITS - 1)
-        self._key = "\0".join(f"{block.symbol}\1{block.index}" for block in ordered)
+        self._key = "\0".join([f"{symbol}\1{index}" for symbol, index in keys])
         self._countdowns: dict[int, tuple[int, int]] = {}
 
     def __len__(self) -> int:
@@ -106,12 +112,19 @@ class LaneTable:
 
     def lane_of(self, block: MemoryBlock) -> int | None:
         """The lane of ``block``, or None when the table has no lane for it."""
-        return self._lane_of.get(block)
+        return self._lane_of.get((block.symbol, block.index))
 
     def lane(self, block: MemoryBlock) -> int:
-        lane = self._lane_of.get(block)
+        return self.lane_at(block.symbol, block.index)
+
+    def lane_at(self, symbol: str, index: int) -> int:
+        """The lane of block ``(symbol, index)``; ``blocks[lane]`` is the
+        block itself."""
+        lane = self._lane_of.get((symbol, index))
         if lane is None:
-            raise ValueError(f"block {block} has no lane in this lane table")
+            raise ValueError(
+                f"block {MemoryBlock(symbol, index)} has no lane in this lane table"
+            )
         return lane
 
     def countdown(self, top: int) -> tuple[int, int]:
@@ -150,30 +163,6 @@ class LaneTable:
             lanes.byteswap()
         return int.from_bytes(lanes.tobytes(), "little")
 
-    def bind(self, access: "BlockAccess") -> "BlockAccess":
-        """``access`` with the lane ids of this table filled in.
-
-        Unknown-index accesses also get the lanes of the object's
-        placeholder lines (``[1*]``, ``[2*]``, ... in that order) when the
-        table has all of them.
-        """
-        lanes = tuple(self.lane(block) for block in access.blocks)
-        placeholder_lanes: tuple[int, ...] = ()
-        if access.kind is AccessKind.UNKNOWN:
-            found = [
-                self._lane_of.get(block)
-                for block in placeholder_blocks(access.symbol, len(access.blocks))
-            ]
-            if None not in found:
-                placeholder_lanes = tuple(found)
-        return replace(
-            access,
-            lanes=lanes,
-            lane_mask=self.mask(lanes),
-            placeholder_lanes=placeholder_lanes,
-            placeholder_mask=self.mask(placeholder_lanes),
-        )
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -205,11 +194,13 @@ class BlockAccess:
 
     ``blocks`` always lists every block the access *may* touch; for
     :data:`AccessKind.CONCRETE` accesses it has exactly one element.
-    The lane fields are filled in by :meth:`LaneTable.bind` (which
-    :meth:`MemoryLayout.resolve` applies): ``lanes[i]`` is the lane of
-    ``blocks[i]``, ``lane_mask`` has a 1 at the bottom of each of those
-    lanes, and for unknown-index accesses ``placeholder_lanes`` and
-    ``placeholder_mask`` do the same for the object's placeholder lines.
+    :meth:`MemoryLayout.resolve` fills in the lane fields against the
+    layout's lane table: ``lanes[i]`` is the lane of ``blocks[i]``,
+    ``lane_mask`` has a 1 at the bottom of each of those lanes, and for
+    unknown-index accesses ``placeholder_lanes`` and ``placeholder_mask``
+    do the same for the object's placeholder lines, when the table has
+    all of them.  An access built by hand carries no lanes, and the
+    abstract states refuse it.
     """
 
     kind: AccessKind
@@ -354,44 +345,62 @@ class MemoryLayout:
         """Resolve a :class:`MemoryRef` to the blocks it may touch.
 
         The result carries its lane ids in :attr:`lanes`.  Memoised per
-        ref: resolution is pure given the layout, and every
-        :class:`~repro.analysis.transfer.AccessTable` built against this
-        layout re-resolves the same refs (the incremental mitigation loop
-        builds one table per scored candidate).  The shared
+        ref: resolution is pure given the layout, and the access table of
+        an edited CFG (a scored mitigation candidate, say) re-resolves
+        the refs its blocks share with the original.  The shared
         :class:`BlockAccess` values are immutable.
         """
         cache = getattr(self, "_resolve_cache", None)
         if cache is None:
-            cache = {}
-            self._resolve_cache = cache
-        cached = cache.get(ref)
-        if cached is not None:
-            return cached
-        access = self.lanes.bind(self._resolve_uncached(ref))
-        cache[ref] = access
+            cache = self._resolve_cache = {}
+        access = cache.get(ref)
+        if access is None:
+            access = cache[ref] = self._resolve_bound(ref)
         return access
 
-    def _resolve_uncached(self, ref: MemoryRef) -> BlockAccess:
+    def _resolve_bound(self, ref: MemoryRef) -> BlockAccess:
+        """The bound access of ``ref``, built in one step."""
         obj = self.object(ref.symbol)
+        table = self.lanes
         if ref.index_secret or ref.index_const is None:
             # Only these may touch any block of the object; a concrete
             # access needs just its own (large arrays have thousands).
+            lanes = tuple([table.lane_at(ref.symbol, index) for index in range(obj.num_blocks)])
+            placeholder_lanes: tuple[int, ...] = ()
+            if not ref.index_secret:
+                # The object's placeholder lines ([1*], [2*], ... in that
+                # order), when the table has all of them.
+                held = [
+                    table.lane_of(block)
+                    for block in placeholder_blocks(ref.symbol, obj.num_blocks)
+                ]
+                if None not in held:
+                    placeholder_lanes = tuple(held)
             return BlockAccess(
-                kind=AccessKind.SECRET if ref.index_secret else AccessKind.UNKNOWN,
-                symbol=ref.symbol,
-                blocks=tuple(obj.blocks()),
-                is_write=ref.is_write,
-                ref=ref,
+                AccessKind.SECRET if ref.index_secret else AccessKind.UNKNOWN,
+                ref.symbol,
+                tuple([table.blocks[lane] for lane in lanes]),
+                ref.is_write,
+                ref,
+                lanes,
+                table.mask(lanes),
+                placeholder_lanes,
+                table.mask(placeholder_lanes),
             )
         byte_offset = ref.index_const * max(ref.element_size, 1)
         block_index = byte_offset // self.line_size
         block_index = min(max(block_index, 0), obj.num_blocks - 1)
+        lane = table.lane_at(ref.symbol, block_index)
         return BlockAccess(
-            kind=AccessKind.CONCRETE,
-            symbol=ref.symbol,
-            blocks=(MemoryBlock(ref.symbol, block_index),),
-            is_write=ref.is_write,
-            ref=ref,
+            AccessKind.CONCRETE,
+            ref.symbol,
+            (table.blocks[lane],),
+            ref.is_write,
+            ref,
+            (lane,),
+            1 << (lane * LANE_BITS),
+            (),
+            0,
         )
 
     def describe(self) -> str:

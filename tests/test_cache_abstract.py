@@ -2,6 +2,7 @@
 
 import pytest
 
+from access_reference import bind
 from repro.cache.abstract import AGE_INFINITY, CacheState
 from repro.cache.shadow import ShadowCacheState
 from repro.ir.memory import (
@@ -32,7 +33,7 @@ LANES = LaneTable(
 
 def concrete_access(name: str, index: int = 0, symbol: str | None = None) -> BlockAccess:
     b = block(name, index)
-    return LANES.bind(BlockAccess(
+    return bind(LANES, BlockAccess(
         kind=AccessKind.CONCRETE,
         symbol=symbol or name,
         blocks=(b,),
@@ -43,7 +44,7 @@ def concrete_access(name: str, index: int = 0, symbol: str | None = None) -> Blo
 
 def unknown_access(name: str, num_blocks: int) -> BlockAccess:
     blocks = tuple(block(name, i) for i in range(num_blocks))
-    return LANES.bind(BlockAccess(
+    return bind(LANES, BlockAccess(
         kind=AccessKind.UNKNOWN,
         symbol=name,
         blocks=blocks,
@@ -54,7 +55,7 @@ def unknown_access(name: str, num_blocks: int) -> BlockAccess:
 
 def secret_access(name: str, num_blocks: int) -> BlockAccess:
     blocks = tuple(block(name, i) for i in range(num_blocks))
-    return LANES.bind(BlockAccess(
+    return bind(LANES, BlockAccess(
         kind=AccessKind.SECRET,
         symbol=name,
         blocks=blocks,
@@ -118,7 +119,7 @@ class TestTransfer:
         without the analysed CFG) cannot model the Table-1 convention; the
         access is refused rather than silently aged."""
         lanes = LaneTable([block("q", 0), block("q", 1)])
-        access = lanes.bind(BlockAccess(
+        access = bind(lanes, BlockAccess(
             kind=AccessKind.UNKNOWN,
             symbol="q",
             blocks=(block("q", 0), block("q", 1)),
@@ -214,7 +215,7 @@ class TestLattice:
 
     @pytest.mark.parametrize("flavour", [CacheState, ShadowCacheState])
     def test_must_hit_access_rejects_an_unbound_access(self, flavour):
-        """An access that never went through LaneTable.bind has no lanes;
+        """An access that was never bound to a lane table has no lanes;
         it used to count as a guaranteed hit, even on an empty cache."""
         unbound = BlockAccess(
             kind=AccessKind.CONCRETE,
@@ -228,7 +229,7 @@ class TestLattice:
             empty.must_hit_access(unbound)
         with pytest.raises(ValueError, match="'a'"):
             flavour.bottom(4, LANES).must_hit_access(unbound)
-        bound = LANES.bind(unbound)
+        bound = bind(LANES, unbound)
         assert not empty.must_hit_access(bound)
         assert empty.access(bound).must_hit_access(bound)
         assert not flavour.bottom(4, LANES).must_hit_access(bound)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from access_reference import bind
 from repro.cache.abstract import AGE_INFINITY, CacheState
 from repro.cache.shadow import ShadowCacheState
 from repro.ir.memory import (
@@ -31,7 +32,7 @@ LANES = LaneTable(
 
 def unknown_access(name: str, num_blocks: int) -> BlockAccess:
     blocks = tuple(block(name, i) for i in range(num_blocks))
-    return LANES.bind(BlockAccess(
+    return bind(LANES, BlockAccess(
         kind=AccessKind.UNKNOWN,
         symbol=name,
         blocks=blocks,
@@ -131,7 +132,7 @@ class TestTransfer:
         for i in range(3):
             state = state.access_block(block("sbox", i))
         aged = state.access(
-            LANES.bind(BlockAccess(
+            bind(LANES, BlockAccess(
                 kind=AccessKind.SECRET,
                 symbol="sbox",
                 blocks=tuple(block("sbox", i) for i in range(3)),

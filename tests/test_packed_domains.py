@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from access_reference import bind
 import reference_domains as reference
 from repro.cache.abstract import CacheState
 from repro.cache.shadow import ShadowCacheState
@@ -46,7 +47,7 @@ def _access(lanes: LaneTable, kind: AccessKind, symbol: str, blocks) -> BlockAcc
         index_secret=kind is AccessKind.SECRET,
     )
     access = BlockAccess(kind=kind, symbol=symbol, blocks=tuple(blocks), is_write=False, ref=ref)
-    return lanes.bind(access)
+    return bind(lanes, access)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,16 @@ import hashlib
 import sys
 import threading
 
+from repro.bench.programs import wcet_benchmark_source
+from repro.bench.tables import BENCH_CACHE, BENCH_SPECULATION
 from repro.engine.cache import LRUCache
-from repro.engine.engine import AnalysisEngine
+from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.request import AnalysisRequest
 from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import JobScheduler, JobState
 from repro.service.store import ResultStore
+from repro.service.wire import result_fingerprint
+from repro.speculation.merge import MergeStrategy
 
 THREADS = 8
 OPS_PER_THREAD = 400
@@ -149,8 +153,6 @@ class TestResultStoreUnderContention:
     def test_engine_with_store_under_concurrent_clients(self, tmp_path):
         """Many threads resolving overlapping requests through one
         engine + store never disagree on verdicts."""
-        from repro.service.wire import result_fingerprint
-
         engine = AnalysisEngine(result_store=ResultStore(tmp_path / "store"))
         sources = [
             f"char a{i}[{64 * (i + 1)}]; int main() {{ a{i}[0]; a{i}[1]; return 0; }}"
@@ -221,3 +223,39 @@ class TestSchedulerUnderContention:
         evicted = [job for job in jobs if sched.job(job.id) is None]
         assert min(map(finished_at, kept)) >= max(map(finished_at, evicted))
 
+
+
+class TestSharedProgramUnderContention:
+    def test_baseline_and_jit_of_one_program_at_once(self):
+        """The baseline and JIT requests of one Table-5 source share one
+        compiled program, and with both queued before two workers start,
+        both workers may build or read that program's access table at
+        once.  Every repetition's fingerprints equal a cache-free
+        ``execute_request``'s."""
+        common = dict(
+            source=wcet_benchmark_source("gtk", BENCH_CACHE.num_lines, BENCH_CACHE.line_size),
+            line_size=BENCH_CACHE.line_size,
+            cache_config=BENCH_CACHE,
+        )
+        requests = [
+            AnalysisRequest.baseline(**common),
+            AnalysisRequest.speculative(
+                speculation=BENCH_SPECULATION.with_strategy(MergeStrategy.JUST_IN_TIME),
+                **common,
+            ),
+        ]
+        expected = [result_fingerprint(execute_request(request)) for request in requests]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(6):
+                engine = AnalysisEngine()
+                program = engine.compile(requests[0])
+                assert engine.compile(requests[1]) is program
+                with JobScheduler(engine, max_workers=2, autostart=False) as sched:
+                    jobs = [sched.submit(request) for request in requests]
+                    sched.start_workers()
+                    got = [result_fingerprint(job.result(timeout=120)) for job in jobs]
+                assert got == expected
+        finally:
+            sys.setswitchinterval(previous)
