@@ -11,11 +11,11 @@ from __future__ import annotations
 from repro.ai.solver import solve_forward
 from repro.analysis.result import CacheAnalysisResult
 from repro.analysis.transfer import (
+    CommittedTransfers,
     SiteFlags,
     access_table,
     new_bottom_state,
     new_entry_state,
-    record_block,
     site_classifications,
 )
 from repro.cache.config import CacheConfig
@@ -47,11 +47,13 @@ def analyze_baseline(
     table = access_table(cfg, program.layout)
     # Each block's classifications are read off its last transfer: a
     # transfer runs again whenever the block's entry state grows, so the
-    # last one saw the final state.
+    # last one saw the final state.  Every transfer goes through the
+    # table's memo, shared with the program's speculative analyses.
     records: dict[str, tuple[SiteFlags, ...]] = {}
+    committed = CommittedTransfers(table)
 
     def transfer(name: str, state):
-        state_out, records[name] = record_block(state, table, name)
+        state_out, records[name] = committed.record(state, name)
         return state_out
 
     # The public `analysis_time` is derived from the span's duration:
@@ -66,6 +68,7 @@ def analyze_baseline(
         fixpoint_span.set(iterations=result.iterations, widenings=result.widenings)
     metrics().counter("fixpoint.pops").inc(result.iterations)
     metrics().counter("fixpoint.widenings").inc(result.widenings)
+    committed.publish()
 
     analysis = CacheAnalysisResult(
         program_name=cfg.name,

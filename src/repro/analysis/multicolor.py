@@ -114,6 +114,12 @@ the classified state is not one the pass transferred is there a walk:
 S joined with the resume slots that reach its block, and, in a warm
 pass, a node the drain never transferred, which first tries the
 predecessor's retained classifications.
+
+The S transfer, record included, comes from the access table's memo of
+committed-path transfers when another analysis of the program (its
+baseline, or one under another configuration) already made it from an
+equal state (:class:`~repro.analysis.transfer.CommittedTransfers`): the
+same value a walk would return.
 """
 
 from __future__ import annotations
@@ -124,12 +130,12 @@ from typing import Iterable, Mapping
 from repro.analysis.depth import DepthChooser
 from repro.analysis.result import AccessClassification, CacheAnalysisResult
 from repro.analysis.transfer import (
+    CommittedTransfers,
     SiteFlags,
     access_table,
     classify_block,
     new_bottom_state,
     new_entry_state,
-    record_block,
     record_window_block,
     site_classifications,
     transfer_block,
@@ -305,6 +311,9 @@ class SpeculativeCacheAnalysis:
             self.vcfg = build_vcfg(self.cfg, self.speculation)
             self._vcfg_reuse = None
         self.table = access_table(self.cfg, self.layout)
+        #: S transfers, served from the table's memo of committed-path
+        #: transfers (shared with every other analysis of the program).
+        self._committed = CommittedTransfers(self.table)
         self.chooser = DepthChooser(self.speculation, self.layout)
         self._use_shadow = self.speculation.use_shadow_state
         #: Dirty-slot re-transfers performed by the sparse scheduler
@@ -401,6 +410,7 @@ class SpeculativeCacheAnalysis:
         registry.counter("fixpoint.pops").inc(fixpoint.iterations)
         registry.counter("fixpoint.widenings").inc(fixpoint.widenings)
         registry.counter("fixpoint.slot_retransfers").inc(self._slot_transfers)
+        self._committed.publish()
         scenarios = self.vcfg.scenarios
         result = CacheAnalysisResult(
             program_name=self.cfg.name,
@@ -810,8 +820,8 @@ class SpeculativeCacheAnalysis:
         # --- normal transfer and propagation (only when S[n] changed) ------
         state_out = None
         if normal_marked:
-            state_out, self._records[(name, None)] = record_block(
-                state_in, self.table, name
+            state_out, self._records[(name, None)] = self._committed.record(
+                state_in, name
             )
             for successor in successors:
                 deliveries.append((successor, None, state_out))

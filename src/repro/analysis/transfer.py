@@ -14,6 +14,23 @@ prefixes, and any edit the graph index sees gets a fresh table.  The
 metrics registry counts ``access_table.builds`` and
 ``access_table.reuses``.
 
+A table also memoises the *committed-path* transfers of the analyses
+that read it: the speculative analysis's S transfer and the baseline's
+transfer, both of the whole block.  Until a rollback merges a
+speculative state into it, the committed flow of a speculative analysis
+is the non-speculative flow, so every analysis of one compiled program
+transfers the same blocks from the same states up to that point.  A
+transfer is a pure function of the block's sites and its input state,
+an immutable value whose equality covers flavour, line count, policy
+and lane table, so :class:`CommittedTransfers` serves ``(block, state
+in)`` from :attr:`AccessTable.memo` with exactly the ``(state out, site
+flags)`` a walk would return.  Window and resume transfers are not
+memoised: where a program is analysed once their inputs never repeat,
+and there are many more of them to keep (5,640 window transfers against
+219 S transfers in the ``branchy`` benchmark's three analyses).  The
+registry counts ``access_table.memo_hits`` and
+``access_table.memo_misses``.
+
 Classification rides on the fixpoint's own transfers.  A *recording*
 transfer (:func:`record_block`, and :func:`record_window_block` for a
 speculative window block, which also joins the rollback prefixes) reads
@@ -72,6 +89,10 @@ class AccessTable:
         }
         #: ``{block: {instruction limit: site prefix}}``, filled on first use.
         self._prefixes: dict[str, dict[int, tuple[SiteAccess, ...]]] = {}
+        #: ``{(block, state in): (state out, site flags)}``: the committed-path
+        #: transfers made so far by the analyses reading this table
+        #: (:class:`CommittedTransfers`).
+        self.memo: dict[tuple[str, object], tuple[object, tuple[SiteFlags, ...]]] = {}
 
     def sites(self, block: str) -> tuple[SiteAccess, ...]:
         return self._by_block.get(block, ())
@@ -174,6 +195,43 @@ def record_block(
         flags.append(_flags(current, access))
         current = current.access(access)
     return current, tuple(flags)
+
+
+class CommittedTransfers:
+    """One analysis's committed-path transfers (S, or the baseline's),
+    served from its table's :attr:`~AccessTable.memo`.
+
+    :meth:`record` is :func:`record_block` of a whole block: on a miss it
+    walks the block and keeps the record in the memo, on a hit it returns
+    the record an earlier walk from an equal state kept.  Analyses on
+    other threads may miss one key at once: each walks it and stores an
+    equal record, so the memo needs no lock.  The analysis counts its own
+    hits and misses and :meth:`publish` adds them to the metrics registry
+    once, so analyses sharing a table never mix their counts.
+    """
+
+    __slots__ = ("table", "hits", "misses")
+
+    def __init__(self, table: AccessTable):
+        self.table = table
+        self.hits = 0
+        self.misses = 0
+
+    def record(self, state, block: str) -> tuple[object, tuple[SiteFlags, ...]]:
+        memo = self.table.memo
+        key = (block, state)
+        record = memo.get(key)
+        if record is None:
+            record = memo[key] = record_block(state, self.table, block)
+            self.misses += 1
+        else:
+            self.hits += 1
+        return record
+
+    def publish(self) -> None:
+        registry = metrics()
+        registry.counter("access_table.memo_hits").inc(self.hits)
+        registry.counter("access_table.memo_misses").inc(self.misses)
 
 
 def record_window_block(

@@ -223,7 +223,11 @@ class SetAssocCacheState:
             and self.sets == other.sets
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - not hashed in hot paths
+    def __hash__(self) -> int:
+        # Part of the key of every committed-path transfer memoised in an
+        # access table (``repro.analysis.transfer``): equal states must
+        # hash equal, and states of different geometries never compare
+        # equal (``__eq__`` checks the geometry and each set's state).
         return hash((self.num_sets, self.ways, self.is_bottom, self.sets))
 
     def __repr__(self) -> str:

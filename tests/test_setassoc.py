@@ -17,6 +17,7 @@ The tests here pin
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -28,6 +29,7 @@ import pytest
 
 from repro import compile_source
 from repro.analysis import analyze_baseline, analyze_speculative
+from repro.analysis.transfer import new_bottom_state, new_entry_state
 from repro.cache.abstract import AGE_INFINITY, CacheState
 from repro.cache.concrete import ConcreteCache
 from repro.cache.config import CacheConfig
@@ -475,3 +477,62 @@ class TestAgeOfGeometryAware:
         assert cache.age_of(block("c")) == 1
         assert cache.age_of(block("a")) == 3
         assert cache.age_of(block("z")) is None
+
+
+# ----------------------------------------------------------------------
+# Hashing and equality: states key the committed-path transfer memo
+# ----------------------------------------------------------------------
+HASH_GEOMETRIES = [
+    dict(num_lines=4, associativity=1),
+    dict(num_lines=4, associativity=2),
+    dict(num_lines=8, associativity=2),
+    dict(num_lines=8, associativity=4),
+    dict(num_lines=4, associativity=2, policy="fifo"),
+]
+
+
+def reached_states(program, config: CacheConfig, use_shadow: bool) -> list:
+    """The entry states the baseline analysis of ``program`` reaches."""
+    result = analyze_baseline(program, config, use_shadow_state=use_shadow)
+    return list(result.entry_states.values())
+
+
+class TestHashAndEquality:
+    """An access table memoises committed-path transfers keyed by their
+    input state, so equal set-associative states must hash equal, and a
+    state of one geometry must never equal one of another."""
+
+    @pytest.mark.parametrize("use_shadow", [True, False])
+    def test_equal_states_hash_equal(self, use_shadow):
+        """Two separate compiles (so two equal lane tables) and analyses
+        reach equal states that hash equal and find each other's entries
+        as dict keys."""
+        for source, geometry in itertools.product(SWEEP_KERNELS, HASH_GEOMETRIES):
+            config = CacheConfig(**geometry)
+            first = reached_states(compile_source(source), config, use_shadow)
+            second = reached_states(compile_source(source), config, use_shadow)
+            assert all(type(state) is SetAssocCacheState for state in first + second)
+            assert first[0].lanes is not second[0].lanes
+            assert first == second
+            for a, b in zip(first, second):
+                assert a is not b and hash(a) == hash(b)
+            keyed = {state: position for position, state in enumerate(first)}
+            assert [keyed[state] for state in second] == [keyed[state] for state in first]
+
+    def test_geometries_never_compare_equal(self):
+        """Across geometries, policies, per-set flavours and the fully
+        associative domains, no two states compare equal, even where their
+        contents agree (the empty cache, bottom)."""
+        program = compile_source(SWEEP_KERNELS[0])
+        states_of = {}
+        for geometry in HASH_GEOMETRIES + [dict(num_lines=4), dict(num_lines=8)]:
+            for use_shadow in (True, False):
+                config = CacheConfig(**geometry)
+                states = reached_states(program, config, use_shadow)
+                states.append(new_entry_state(config, use_shadow, program.layout))
+                states.append(new_bottom_state(config, use_shadow, program.layout))
+                states_of[(str(geometry), use_shadow)] = states
+        assert len(states_of) == 14
+        for first, second in itertools.combinations(states_of.values(), 2):
+            for a, b in itertools.product(first, second):
+                assert a != b and b != a, (a, b)
