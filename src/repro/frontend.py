@@ -102,8 +102,9 @@ def compile_source(
                 else:
                     unroll_stats = UnrollStats()
                 unroll_span.set(loops=unroll_stats.loops_unrolled)
-            with span("lower"):
+            with span("typecheck"):
                 info = check_program(program)
+            with span("lower"):
                 cfgs = lower_program(info)
             if not cfgs:
                 raise ReproError("program defines no functions")
@@ -113,7 +114,8 @@ def compile_source(
                     entry_cfg = inline_calls(cfgs, entry_name, info)
                 else:
                     entry_cfg = cfgs[entry_name]
-            layout = MemoryLayout.from_program(info, line_size=line_size, cfg=entry_cfg)
+            with span("layout"):
+                layout = MemoryLayout.from_program(info, line_size=line_size, cfg=entry_cfg)
             frontend_span.set(entry=entry_name, blocks=len(entry_cfg.blocks))
         compiled = CompiledProgram(
             source=source,

@@ -2,8 +2,8 @@
 
 Every class here is a frozen dataclass.  Instructions and terminators are
 shared between CFGs (the inliner copies only block containers, and builds
-the instructions it renames with ``dataclasses.replace``), so a pass that
-changes one builds a new one.
+each instruction it renames with the instruction's constructor), so a
+pass that changes one builds a new one.
 """
 
 from __future__ import annotations

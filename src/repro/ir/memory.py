@@ -100,7 +100,18 @@ class LaneTable:
     def __init__(self, blocks: Iterable[MemoryBlock]):
         by_key = {(block.symbol, block.index): block for block in blocks}
         keys = sorted(by_key)
-        self.blocks = tuple([by_key[key] for key in keys])
+        self._fill(keys, tuple([by_key[key] for key in keys]))
+
+    @classmethod
+    def from_keys(cls, keys: list[tuple[str, int]]) -> "LaneTable":
+        """The table of the blocks ``(symbol, index)`` of ``keys``, which
+        are distinct and sorted: one new :class:`MemoryBlock` per lane."""
+        table = cls.__new__(cls)
+        table._fill(keys, tuple([MemoryBlock(symbol, index) for symbol, index in keys]))
+        return table
+
+    def _fill(self, keys: list[tuple[str, int]], blocks: tuple[MemoryBlock, ...]) -> None:
+        self.blocks = blocks
         self._lane_of = {key: lane for lane, key in enumerate(keys)}
         self.ones = int.from_bytes(b"\x01\x00" * len(keys), "little")
         self.guards = self.ones << (LANE_BITS - 1)
@@ -201,6 +212,11 @@ class BlockAccess:
     do the same for the object's placeholder lines, when the table has
     all of them.  An access built by hand carries no lanes, and the
     abstract states refuse it.
+
+    A frozen dataclass, not a named tuple: the abstract domains read its
+    fields on every access, and an instance attribute reads in about
+    half the time of a named-tuple field (Python 3.11), which outweighs
+    the cheaper construction of a tuple (one per distinct ref).
     """
 
     kind: AccessKind
@@ -332,10 +348,15 @@ class MemoryLayout:
         first use; equal layouts give equal tables."""
         lanes = getattr(self, "_lanes", None)
         if lanes is None:
-            blocks = self.all_blocks()
-            for name in self.unknown_indexed:
-                blocks.extend(placeholder_blocks(name, self.objects[name].num_blocks))
-            lanes = self._lanes = LaneTable(blocks)
+            # The keys in sorted order without sorting them: by object
+            # name, then placeholders ([n*] .. [1*]) before real blocks.
+            keys: list[tuple[str, int]] = []
+            for name in sorted(self.objects):
+                count = self.objects[name].num_blocks
+                if name in self.unknown_indexed:
+                    keys.extend([(name, index) for index in range(-count, 0)])
+                keys.extend([(name, index) for index in range(count)])
+            lanes = self._lanes = LaneTable.from_keys(keys)
         return lanes
 
     # ------------------------------------------------------------------

@@ -50,6 +50,7 @@ from repro.lang.ast import (
     VarDecl,
     While,
 )
+from repro.lang.fold import fold_constant
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenType
 
@@ -550,75 +551,12 @@ class Parser:
 
 def _require_constant(expr: Expr, context: Token) -> int:
     """Evaluate a constant expression used in a declaration."""
-    value = _fold_constant(expr)
+    value = fold_constant(expr)
     if value is None:
         raise ParseError(
             "expected a constant expression", context.line, context.column
         )
     return value
-
-
-def _fold_constant(expr: Expr) -> int | None:
-    if isinstance(expr, IntLiteral):
-        return expr.value
-    if isinstance(expr, UnaryOp):
-        inner = _fold_constant(expr.operand)
-        if inner is None:
-            return None
-        if expr.op == "-":
-            return -inner
-        if expr.op == "~":
-            return ~inner
-        if expr.op == "!":
-            return int(not inner)
-        return None
-    if isinstance(expr, BinaryOp):
-        left = _fold_constant(expr.left)
-        right = _fold_constant(expr.right)
-        if left is None or right is None:
-            return None
-        return _apply_binop(expr.op, left, right)
-    return None
-
-
-def _apply_binop(op: str, left: int, right: int) -> int | None:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left // right if right != 0 else None
-    if op == "%":
-        return left % right if right != 0 else None
-    if op == "<<":
-        return left << right
-    if op == ">>":
-        return left >> right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<":
-        return int(left < right)
-    if op == "<=":
-        return int(left <= right)
-    if op == ">":
-        return int(left > right)
-    if op == ">=":
-        return int(left >= right)
-    if op == "==":
-        return int(left == right)
-    if op == "!=":
-        return int(left != right)
-    if op == "&&":
-        return int(bool(left) and bool(right))
-    if op == "||":
-        return int(bool(left) or bool(right))
-    return None
 
 
 def parse_program(source: str) -> Program:

@@ -40,6 +40,7 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.ir.memory import MemoryBlock, MemoryLayout
+from repro.lang.fold import c_div, c_mod
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.predictor import (
     BranchPredictor,
@@ -396,9 +397,9 @@ class SpeculativeSimulator:
         if op == "*":
             return left * right
         if op == "/":
-            return int(left / right) if right != 0 else 0
+            return c_div(left, right) if right != 0 else 0
         if op == "%":
-            return left - int(left / right) * right if right != 0 else 0
+            return c_mod(left, right) if right != 0 else 0
         if op == "<<":
             return left << (right & 63)
         if op == ">>":

@@ -279,8 +279,8 @@ class TestTracingDeterminism:
         monkeypatch.delenv("REPRO_TRACE")
         names = {json.loads(line)["name"] for line in path.read_text().splitlines()}
         for expected in (
-            "engine.run", "analyze", "frontend", "parse", "unroll", "lower",
-            "vcfg", "fixpoint", "classify",
+            "engine.run", "analyze", "frontend", "parse", "unroll", "typecheck",
+            "lower", "inline", "layout", "vcfg", "fixpoint", "classify",
         ):
             assert expected in names, f"missing span {expected!r}"
 
