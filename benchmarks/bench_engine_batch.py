@@ -5,9 +5,8 @@ where sources repeat across requests (the same program analysed as
 baseline and speculative, and the same request arriving more than once).
 The ad-hoc loop — what every driver did before the engine existed —
 recompiles and re-analyses every request from scratch; the engine
-compiles each distinct source once, answers repeated requests from the
-result cache, and (on multi-core machines, with ``max_workers > 1``)
-fans the remaining work out over a process pool.
+compiles each distinct source once and answers repeated requests from
+the result cache.
 
 Run with::
 

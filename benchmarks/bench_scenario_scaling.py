@@ -47,7 +47,7 @@ from repro.analysis.multicolor import SpeculativeCacheAnalysis
 from repro.bench.programs import branchy_kernel_source
 from repro.cache.config import CacheConfig
 from repro.frontend import compile_source
-from repro.ir.dominators import VIRTUAL_EXIT
+from repro.ir.graph import VIRTUAL_EXIT
 from repro.ir.instructions import Return
 from repro.speculation.config import SpeculationConfig
 

@@ -7,8 +7,7 @@ analysis never reports fewer misses, reports strictly more on most
 benchmarks, and takes longer.
 
 All 20 analyses are submitted to a fresh :class:`AnalysisEngine` as one
-batch; pass ``max_workers`` to :func:`generate_table5` to fan the batch
-out over a process pool on multi-core machines.
+batch, so each benchmark compiles once for both analyses.
 """
 
 from repro.apps.report import format_comparison_table

@@ -16,14 +16,14 @@ Typical usage::
     spec = analyze_speculative(program)
 
 For request/response traffic — many programs, repeated configurations —
-submit through the engine service layer instead::
+submit through the engine service layer instead; it compiles each source
+once and answers repeated requests from its result cache::
 
     from repro import AnalysisEngine, AnalysisRequest
 
     engine = AnalysisEngine()
     results = engine.run_batch(
-        [AnalysisRequest.speculative(source) for source in sources],
-        max_workers=4,
+        [AnalysisRequest.speculative(source) for source in sources]
     )
 """
 

@@ -158,14 +158,12 @@ def generate_table5(
     cache_config: CacheConfig | None = None,
     speculation: SpeculationConfig | None = None,
     engine: AnalysisEngine | None = None,
-    max_workers: int | None = None,
 ) -> list[WcetComparison]:
     """Run the non-speculative and speculative analyses on every WCET
     benchmark and return one comparison row per benchmark.
 
     All 2x|names| analyses are submitted to the engine as one batch: each
-    benchmark compiles once (shared by both analysis kinds) and, with
-    ``max_workers > 1``, the batch fans out over a process pool.
+    benchmark compiles once, shared by both analysis kinds.
     """
     cache = cache_config or BENCH_CACHE
     spec = speculation or BENCH_SPECULATION
@@ -177,7 +175,7 @@ def generate_table5(
         common = dict(source=source, line_size=cache.line_size, cache_config=cache, label=name)
         requests.append(AnalysisRequest.baseline(**common))
         requests.append(AnalysisRequest.speculative(speculation=spec, **common))
-    results = eng.run_batch(requests, max_workers=max_workers)
+    results = eng.run_batch(requests)
     rows: list[WcetComparison] = []
     for name, base, spec_result in zip(names, results[0::2], results[1::2]):
         rows.append(
@@ -197,7 +195,6 @@ def generate_table6(
     names: list[str] | None = None,
     cache_config: CacheConfig | None = None,
     engine: AnalysisEngine | None = None,
-    max_workers: int | None = None,
 ) -> list[tuple[str, WcetComparison, WcetComparison]]:
     """Compare merge-at-rollback (Figure 6d) with Just-in-Time merging
     (Figure 6c) on the WCET benchmark set.
@@ -217,7 +214,7 @@ def generate_table6(
         requests.append(AnalysisRequest.baseline(**common))
         requests.append(AnalysisRequest.speculative(speculation=rollback, **common))
         requests.append(AnalysisRequest.speculative(speculation=jit, **common))
-    results = eng.run_batch(requests, max_workers=max_workers)
+    results = eng.run_batch(requests)
     rows: list[tuple[str, WcetComparison, WcetComparison]] = []
     for index, name in enumerate(names):
         base, rollback_result, jit_result = results[3 * index : 3 * index + 3]
@@ -249,7 +246,6 @@ def generate_table7(
     speculation: SpeculationConfig | None = None,
     buffer_bytes: dict[str, int] | None = None,
     engine: AnalysisEngine | None = None,
-    max_workers: int | None = None,
 ) -> list[LeakComparison]:
     """Run leak detection on every crypto benchmark's client harness.
 
@@ -271,7 +267,7 @@ def generate_table7(
         common = dict(source=source, line_size=cache.line_size, cache_config=cache, label=name)
         requests.append(AnalysisRequest.baseline(**common))
         requests.append(AnalysisRequest.speculative(speculation=spec, **common))
-    results = eng.run_batch(requests, max_workers=max_workers)
+    results = eng.run_batch(requests)
     rows: list[LeakComparison] = []
     for name, buffer, base, spec_result in zip(
         names, row_buffers, results[0::2], results[1::2]
@@ -311,7 +307,6 @@ def run_depth_ablation(
     names: list[str] | None = None,
     cache_config: CacheConfig | None = None,
     engine: AnalysisEngine | None = None,
-    max_workers: int | None = None,
 ) -> list[DepthAblationRow]:
     """Measure what the Section-6.2 optimisation buys on the WCET set.
 
@@ -328,7 +323,7 @@ def run_depth_ablation(
         common = dict(source=source, line_size=cache.line_size, cache_config=cache, label=name)
         requests.append(AnalysisRequest.speculative(speculation=bounded, **common))
         requests.append(AnalysisRequest.speculative(speculation=unbounded, **common))
-    results = eng.run_batch(requests, max_workers=max_workers)
+    results = eng.run_batch(requests)
     rows: list[DepthAblationRow] = []
     for name, with_bounding, without_bounding in zip(
         names, results[0::2], results[1::2]

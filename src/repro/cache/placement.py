@@ -4,10 +4,9 @@ A set-associative cache maps each memory block to exactly one cache set.
 Both sides of the soundness argument — the concrete simulator and the
 per-set abstract domain — must agree on that mapping, and the mapping
 must be stable across processes: results are keyed into the persistent
-store, replayed by the daemon after restarts, and computed by a process
-pool, so a placement derived from Python's randomised builtin ``hash()``
-would make set-associative runs irreproducible (PYTHONHASHSEED changes
-it per process).
+store and replayed by the daemon after restarts, so a placement derived
+from Python's randomised builtin ``hash()`` would make set-associative
+runs irreproducible (PYTHONHASHSEED changes it per process).
 
 We therefore place blocks with :func:`zlib.crc32` over the canonical
 ``"symbol:index"`` spelling of the block, which is fully specified by

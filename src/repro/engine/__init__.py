@@ -13,9 +13,7 @@ generators — schedules and executes through it.
 * :mod:`repro.engine.cache` — LRU caches with hit/miss accounting;
 * :mod:`repro.engine.engine` — the :class:`AnalysisEngine` service layer
   resolving requests through a content-hash compile cache and a result
-  cache;
-* :mod:`repro.engine.batch` — parallel batch execution with
-  deterministic result ordering.
+  cache.
 """
 
 from repro.engine.worklist import (
@@ -33,7 +31,6 @@ from repro.engine.engine import (
     default_engine,
     execute_request,
 )
-from repro.engine.batch import run_batch
 
 __all__ = [
     "AnalysisEngine",
@@ -49,5 +46,4 @@ __all__ = [
     "default_engine",
     "execute_request",
     "program_request",
-    "run_batch",
 ]

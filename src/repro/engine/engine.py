@@ -8,7 +8,8 @@ applications (:mod:`repro.apps.wcet`, :mod:`repro.apps.sidechannel`) and
 the table generators (:mod:`repro.bench.tables`) submit their work here,
 so a batch that re-analyses the same program under several
 configurations compiles it once, and repeated requests skip the front
-end and the fixpoint entirely.
+end and the fixpoint entirely.  :meth:`AnalysisEngine.run_batch` is a
+loop over :meth:`AnalysisEngine.run` in request order.
 
 Every speculative run also leaves a snapshot of its live fixpoint states
 (:mod:`repro.engine.incremental`), so a request that names its
@@ -16,9 +17,8 @@ predecessor with ``warm_from=`` is re-analysed incrementally: seeded from
 those states, re-solving only what its edit affects, bit-identical to a
 cold run.
 
-:func:`execute_request` is the cache-free core — a pure module-level
-function so process-pool workers (see :mod:`repro.engine.batch`) can run
-it by reference.
+:func:`execute_request` is the cache-free core: it compiles and
+analyses one request with no engine state.
 """
 
 from __future__ import annotations
@@ -67,12 +67,11 @@ def execute_request(
 ):
     """Compile (unless ``program`` is given) and analyse one request.
 
-    This is deterministic and side-effect free, so sequential execution,
-    cached replay and process-pool fan-out all produce bit-identical
-    classifications for the same request.  (The attached provenance stamp
-    carries a wall-clock timestamp, but it is observational —
-    ``compare=False``, excluded from fingerprints — so determinism of the
-    *verdict* is unaffected.)
+    This is deterministic and side-effect free, so a fresh execution and
+    a cached replay produce bit-identical classifications for the same
+    request.  (The attached provenance stamp carries a wall-clock
+    timestamp, but it is observational — ``compare=False``, excluded from
+    fingerprints — so determinism of the *verdict* is unaffected.)
     """
     if program is None:
         program = compile_request(request)
@@ -100,8 +99,6 @@ class EngineStats:
     compile: CacheStats = field(default_factory=CacheStats)
     results: CacheStats = field(default_factory=CacheStats)
     requests: int = 0
-    batches: int = 0
-    parallel_batches: int = 0
     #: Tier-2 (on-disk result store) statistics; None when no store is
     #: attached.  Duck-typed so the engine stays below the service layer.
     store: Any = None
@@ -110,8 +107,7 @@ class EngineStats:
 
     def __str__(self) -> str:
         lines = [
-            f"engine: {self.requests} requests, {self.batches} batches "
-            f"({self.parallel_batches} parallel)",
+            f"engine: {self.requests} requests",
             f"  compile cache: {self.compile}",
             f"  result cache:  {self.results}",
         ]
@@ -136,8 +132,6 @@ class AnalysisEngine:
         self._result_cache = LRUCache(maxsize=result_cache_size)
         self._result_store = result_store
         self._requests = 0
-        self._batches = 0
-        self._parallel_batches = 0
         self._snapshots = SnapshotStore(maxsize=snapshot_cache_size)
         self._warm_hits = 0
         self._cold_fallbacks = 0
@@ -377,13 +371,9 @@ class AnalysisEngine:
         """
         self._compile_cache.put(request.compile_key(), program)
 
-    def run_batch(self, requests, max_workers: int | None = None) -> list:
-        """Resolve many requests, optionally fanning out over a process
-        pool; results come back in request order regardless of worker
-        scheduling.  See :func:`repro.engine.batch.run_batch`."""
-        from repro.engine.batch import run_batch
-
-        return run_batch(self, requests, max_workers=max_workers)
+    def run_batch(self, requests) -> list:
+        """Resolve many requests through :meth:`run`, in request order."""
+        return [self.run(request) for request in requests]
 
     # ------------------------------------------------------------------
     # Introspection / maintenance
@@ -395,8 +385,6 @@ class AnalysisEngine:
             compile=self._compile_cache.stats.snapshot(),
             results=self._result_cache.stats.snapshot(),
             requests=self._requests,
-            batches=self._batches,
-            parallel_batches=self._parallel_batches,
             store=store.stats.snapshot() if store is not None else None,
             incremental=IncrementalStats(
                 warm_hits=self._warm_hits,
@@ -436,7 +424,7 @@ class AnalysisEngine:
         self._result_store = store
 
     # ------------------------------------------------------------------
-    # Internal hooks used by the batch executor
+    # Result tiers
     # ------------------------------------------------------------------
     def _lookup_result(self, request: AnalysisRequest):
         """Two-tier result lookup: the in-memory LRU first, then the
@@ -453,12 +441,6 @@ class AnalysisEngine:
                 return stored
         return None
 
-    def _cached_result(self, request: AnalysisRequest):
-        """Result lookup through both tiers (counts hits/misses); None on
-        miss."""
-        cached = self._lookup_result(request)
-        return _copy_result(cached, from_cache=True) if cached is not None else None
-
     def _store_result(self, request: AnalysisRequest, result) -> None:
         key = request.result_key()
         self._result_cache.put(key, result)
@@ -470,24 +452,6 @@ class AnalysisEngine:
                 # Tier 2 is best-effort: a full or read-only disk must
                 # not fail a request whose result is already in hand.
                 pass
-
-    def _note_batch(self, parallel: bool, requests: int = 0) -> None:
-        """``requests`` is passed by batch paths that bypass run() (which
-        counts requests itself)."""
-        self._batches += 1
-        if parallel:
-            self._parallel_batches += 1
-        self._requests += requests
-
-    def _note_parallel_work(
-        self, compiles: int, compile_reuses: int, duplicate_hits: int
-    ) -> None:
-        """Mirror sequential accounting for work done outside run():
-        logical compile misses/reuses performed by pool workers, and
-        result-cache hits for in-batch duplicate requests."""
-        self._compile_cache.stats.misses += compiles
-        self._compile_cache.stats.hits += compile_reuses
-        self._result_cache.stats.hits += duplicate_hits
 
 
 def _copy_result(result, from_cache: bool = False):

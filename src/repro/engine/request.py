@@ -3,9 +3,8 @@
 An :class:`AnalysisRequest` captures everything needed to reproduce one
 analysis run — the MiniC source, the front-end options, the cache
 geometry, and the analysis kind and knobs — as an immutable, hashable,
-picklable value.  Requests are the engine's cache keys, its process-pool
-work items and the service's wire-format job descriptions (see
-:mod:`repro.service.wire`).
+picklable value.  Requests are the engine's cache keys and the service's
+wire-format job descriptions (see :mod:`repro.service.wire`).
 
 Fields come in two groups.  The semantic ones (source, front-end
 options, geometry, speculation config) make up the result key.  The

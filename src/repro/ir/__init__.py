@@ -30,8 +30,6 @@ from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG, Edge
 from repro.ir.memory import BlockAccess, MemoryBlock, MemoryLayout
 from repro.ir.lowering import lower_function, lower_program
-from repro.ir.dominators import compute_dominators, compute_postdominators
-from repro.ir.loops import Loop, find_natural_loops, infer_trip_count
 from repro.ir.unroll import unroll_fixed_loops
 from repro.ir.inline import inline_calls
 from repro.ir.printer import format_cfg, format_instruction
@@ -49,7 +47,6 @@ __all__ = [
     "Instruction",
     "Jump",
     "Load",
-    "Loop",
     "MemoryBlock",
     "MemoryLayout",
     "MemoryRef",
@@ -59,12 +56,8 @@ __all__ = [
     "Temp",
     "Terminator",
     "UnOp",
-    "compute_dominators",
-    "compute_postdominators",
-    "find_natural_loops",
     "format_cfg",
     "format_instruction",
-    "infer_trip_count",
     "inline_calls",
     "lower_function",
     "lower_program",

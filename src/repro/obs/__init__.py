@@ -3,8 +3,7 @@
 This package is the system's self-knowledge layer.  It is deliberately
 **dependency-free within the code base** — it imports nothing from the
 rest of :mod:`repro`, so every other layer (the worklist kernel, the
-engine, the batch process pool, the service) can instrument itself
-without import cycles.
+engine, the service) can instrument itself without import cycles.
 
 Four facilities live here:
 
@@ -13,15 +12,13 @@ Four facilities live here:
   dataclasses (``EngineStats``, ``SchedulerStats``, store counters)
   stay as the per-instance sources of truth; the registry is where
   cross-cutting counters that have no natural owner (fixpoint pops,
-  dirty-slot re-transfers, batch executor starts) land,
+  dirty-slot re-transfers, access-table builds) land,
   and :func:`repro.obs.metrics.MetricsRegistry.snapshot` is the one
   JSON-friendly view of all of them.
 * :mod:`repro.obs.tracing` — **structured tracing**: nestable spans with
   monotonic timings and attributes, a thread-safe JSON-lines exporter
-  (activated by ``REPRO_TRACE=<path>`` or ``--trace``), an in-memory
-  ring buffer the daemon serves over the ``trace`` RPC, and a *collect*
-  mode batch worker processes use to relay their spans back through
-  their replies instead of racing on the output file.
+  (activated by ``REPRO_TRACE=<path>`` or ``--trace``) and an in-memory
+  ring buffer the daemon serves over the ``trace`` RPC.
 * :mod:`repro.obs.progress` — **streaming progress**: live events from
   running analyses (fixpoint and classify phases, pops, mitigation
   candidates) published through a thread-local reporter, collected into

@@ -20,12 +20,7 @@ The :class:`Tracer` is the process-wide factory and export pipeline:
   one JSON object per completed span, written under a lock as a single
   ``write`` call so concurrent threads never interleave partial lines;
 * **ring buffer** — the daemon attaches a :class:`SpanBuffer` and serves
-  recent span trees over its ``trace`` RPC;
-* **collect mode** — worker processes must not race the master for the
-  output file, so their entry points run under :meth:`Tracer.collecting`,
-  which captures finished spans as dicts; the worker ships them back on
-  its existing reply channel and the master grafts them into its own
-  tree with :meth:`Tracer.emit_foreign`.
+  recent span trees over its ``trace`` RPC.
 
 Tracing is observational by contract: spans never feed back into the
 analyses, so identical requests produce bit-identical results with
@@ -40,7 +35,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 #: Ring-buffer capacity of the daemon's in-memory span store.
 DEFAULT_BUFFER_SPANS = 8192
@@ -190,17 +185,6 @@ class SpanBuffer:
             ]
 
 
-class _CollectSink:
-    """Sink used by :meth:`Tracer.collecting`: buffers span dicts so a
-    worker process can relay them instead of writing files."""
-
-    def __init__(self):
-        self.spans: list[dict] = []
-
-    def export(self, span: Mapping[str, Any]) -> None:
-        self.spans.append(dict(span))
-
-
 class Tracer:
     """Process-wide span factory, context stack, and export pipeline."""
 
@@ -211,7 +195,6 @@ class Tracer:
         self._seq = itertools.count(1)
         self._env_path: str | None = None
         self._env_sink: JsonlSink | None = None
-        self._collect: _CollectSink | None = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -251,11 +234,11 @@ class Tracer:
 
     @property
     def enabled(self) -> bool:
-        """True when at least one sink (or a collector) will see spans.
-        Call sites with per-iteration attribute construction guard on
-        this; plain ``span(...)`` calls need not."""
+        """True when at least one sink will see spans.  Call sites with
+        per-iteration attribute construction guard on this; plain
+        ``span(...)`` calls need not."""
         self._sync_env()
-        return bool(self._sinks) or self._collect is not None
+        return bool(self._sinks)
 
     # ------------------------------------------------------------------
     # Span lifecycle
@@ -291,10 +274,6 @@ class Tracer:
             stack.remove(span)
 
     def _export(self, span_dict: dict) -> None:
-        collect = self._collect
-        if collect is not None:
-            collect.export(span_dict)
-            return
         with self._sinks_lock:
             sinks = list(self._sinks)
         for sink in sinks:
@@ -302,52 +281,6 @@ class Tracer:
                 sink.export(span_dict)
             except OSError:
                 pass  # a full disk must never fail an analysis
-
-    # ------------------------------------------------------------------
-    # Worker relay
-    # ------------------------------------------------------------------
-    class _Collecting:
-        def __init__(self, tracer: "Tracer"):
-            self._tracer = tracer
-            self._previous: _CollectSink | None = None
-            self.sink = _CollectSink()
-
-        @property
-        def spans(self) -> list[dict]:
-            return self.sink.spans
-
-        def __enter__(self):
-            self._previous = self._tracer._collect
-            self._tracer._collect = self.sink
-            return self
-
-        def __exit__(self, *exc_info) -> bool:
-            self._tracer._collect = self._previous
-            return False
-
-    def collecting(self) -> "Tracer._Collecting":
-        """Capture spans as dicts instead of exporting them — the worker
-        half of cross-process relay.  While active, file/buffer sinks are
-        bypassed entirely, so forked workers never touch the master's
-        trace file.  Collection is also *active* in the :attr:`enabled`
-        sense: spans opened inside are real spans."""
-        return Tracer._Collecting(self)
-
-    def emit_foreign(self, span_dicts: Iterable[Mapping[str, Any]]) -> None:
-        """Graft spans relayed from a worker into the current context:
-        roots of the relayed batch become children of the current span,
-        and every relayed span joins the current trace."""
-        span_dicts = [dict(span) for span in span_dicts]
-        if not span_dicts:
-            return
-        parent = self.current()
-        local_ids = {span.get("span_id") for span in span_dicts}
-        for span in span_dicts:
-            if parent is not None:
-                span["trace_id"] = parent.trace_id
-                if span.get("parent_id") not in local_ids:
-                    span["parent_id"] = parent.span_id
-            self._export(span)
 
 
 _tracer = Tracer()

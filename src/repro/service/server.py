@@ -82,7 +82,7 @@ from repro.mitigation import mitigation_key, synthesize_mitigation
 from repro.obs import SpanBuffer, metrics, tracer
 from repro.service.scheduler import JobScheduler, JobState
 from repro.service.store import ResultStore
-from repro.service.wire import WireError, encode_result, request_from_wire
+from repro.service.wire import WireError, bool_from_wire, encode_result, request_from_wire
 
 #: Default TCP port of the daemon (an unassigned registered port).
 DEFAULT_PORT = 7351
@@ -395,7 +395,7 @@ class ReproServer:
     def _op_mitigate(self, message: dict) -> dict:
         """Synthesise (or replay) a verified fence placement."""
         request = request_from_wire(message.get("request") or {})
-        optimize = bool(message.get("optimize", True))
+        optimize = bool_from_wire(message, "optimize", True)
         key = mitigation_key(request, optimize)
         result = self._lookup_mitigation(key)
         from_cache = True
@@ -456,7 +456,7 @@ class ReproServer:
             "reply_cache": vars(self._replies.stats.snapshot()),
             "incremental": engine_stats.incremental.to_wire(),
             "slow_jobs": self.scheduler.slow_jobs(),
-            # Process-wide registry: pool.*, store.*, fixpoint.*,
+            # Process-wide registry: store.*, fixpoint.*, access_table.*,
             # incremental.* counters from every subsystem that ran in
             # this daemon.
             "metrics": metrics().snapshot(),

@@ -3,8 +3,8 @@
 The store is the engine's second cache tier: entries are keyed by the
 same content hash as the in-memory result cache
 (:meth:`~repro.engine.request.AnalysisRequest.result_key`), so a result
-computed by any process — a daemon, a batch worker, a one-shot CLI run —
-is replayable by every later process that builds the same request.
+computed by any process — a daemon, a one-shot CLI run, a benchmark
+script — is replayable by every later process that builds the same request.
 
 Layout and durability:
 
@@ -98,8 +98,7 @@ class ResultStore:
     """A persistent key → analysis-result mapping under one directory.
 
     Values are pickled Python objects (analysis results are plain
-    dataclasses, already required to be picklable by the process-pool
-    batch path).  All methods are thread-safe; cross-process safety
+    dataclasses).  All methods are thread-safe; cross-process safety
     follows from atomic publication via :func:`os.replace`.
     """
 

@@ -38,6 +38,16 @@ class WireError(ValueError):
     """Raised for malformed wire payloads."""
 
 
+def bool_from_wire(data: Mapping[str, Any], name: str, default: bool) -> bool:
+    """The JSON boolean at ``data[name]``, or ``default`` when the key is
+    absent.  Anything else, the strings ``"false"`` and ``"0"``, numbers
+    and null included, raises :class:`WireError` naming the field."""
+    value = data.get(name, default)
+    if not isinstance(value, bool):
+        raise WireError(f"{name!r} must be JSON true or false, got {value!r}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # Configurations
 # ----------------------------------------------------------------------
@@ -80,8 +90,8 @@ def speculation_from_wire(data: Mapping[str, Any]) -> SpeculationConfig:
         depth_miss=int(data["depth_miss"]),
         depth_hit=int(data["depth_hit"]),
         merge_strategy=MergeStrategy(data.get("merge_strategy", "just_in_time")),
-        dynamic_depth_bounding=bool(data.get("dynamic_depth_bounding", True)),
-        use_shadow_state=bool(data.get("use_shadow_state", True)),
+        dynamic_depth_bounding=bool_from_wire(data, "dynamic_depth_bounding", True),
+        use_shadow_state=bool_from_wire(data, "use_shadow_state", True),
     )
 
 
@@ -149,9 +159,9 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
                 if data.get("speculation") is None
                 else speculation_from_wire(data["speculation"])
             ),
-            use_shadow_state=bool(data.get("use_shadow_state", True)),
-            unroll=bool(data.get("unroll", True)),
-            inline=bool(data.get("inline", True)),
+            use_shadow_state=bool_from_wire(data, "use_shadow_state", True),
+            unroll=bool_from_wire(data, "unroll", True),
+            inline=bool_from_wire(data, "inline", True),
             max_unroll_iterations=int(data.get("max_unroll_iterations", 4096)),
             # Older clients send keys of removed knobs, which are ignored:
             # ``prune_scenarios`` never changed a verdict, and requests
@@ -160,6 +170,8 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
             label=data.get("label"),
             warm_from=warm_from,
         )
+    except WireError:
+        raise
     except (KeyError, TypeError, ValueError) as error:
         raise WireError(f"malformed request payload: {error}") from error
 

@@ -2,8 +2,9 @@
 request/cache layers, batch execution, and the apps' engine routing."""
 
 import os
-import time
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -391,28 +392,6 @@ class TestBatchExecution:
             assert mine.program_name == theirs.program_name
             assert mine.iterations == theirs.iterations
 
-    def test_parallel_batch_equals_sequential(self):
-        requests = _batch_requests()
-        sequential = AnalysisEngine().run_batch(requests)
-        parallel = AnalysisEngine().run_batch(requests, max_workers=2)
-        for mine, theirs in zip(parallel, sequential):
-            assert mine.classifications == theirs.classifications
-            assert mine.iterations == theirs.iterations
-
-    def test_parallel_batch_preserves_request_order(self):
-        requests = _batch_requests()
-        # Interleave duplicates to stress the ordering/dedup path.
-        shuffled = requests + list(reversed(requests))
-        results = AnalysisEngine().run_batch(shuffled, max_workers=3)
-        for request, result in zip(shuffled, results):
-            assert result.is_speculative == (request.kind is AnalysisKind.SPECULATIVE)
-            assert result.program_name == "main"
-        # Forward and reversed halves are the same requests, so the
-        # classifications must mirror each other exactly.
-        forward = [r.classifications for r in results[: len(requests)]]
-        backward = [r.classifications for r in results[len(requests):]]
-        assert forward == list(reversed(backward))
-
     def test_duplicate_requests_are_executed_once(self):
         engine = AnalysisEngine()
         request = AnalysisRequest.baseline(STRAIGHT_SOURCE, cache_config=CACHE)
@@ -422,404 +401,29 @@ class TestBatchExecution:
         assert stats.results.hits == 3
         assert all(r.classifications == results[0].classifications for r in results)
 
-    def test_batch_counters(self):
-        engine = AnalysisEngine()
-        engine.run_batch(_batch_requests())
-        assert engine.stats.batches == 1
-
-    def test_parallel_duplicates_survive_a_disabled_result_cache(self):
-        """Duplicates are served from the fresh results, never from a
-        second cache lookup that may miss."""
-        engine = AnalysisEngine(result_cache_size=0)
-        one = AnalysisRequest.baseline(STRAIGHT_SOURCE, cache_config=CACHE)
-        two = AnalysisRequest.speculative(BRANCH_SOURCE, cache_config=CACHE)
-        results = engine.run_batch([one, one, two, one], max_workers=2)
-        assert all(result is not None for result in results)
-        assert results[0].classifications == results[1].classifications
-        assert results[3].classifications == results[0].classifications
-
-    def test_parallel_results_are_copies_not_cache_instances(self):
+    def test_batch_retains_a_snapshot_per_speculative_request(self):
+        """A batch is a loop over ``run``: each speculative request leaves
+        a snapshot a later ``warm_from`` request can start from."""
         engine = AnalysisEngine()
         requests = _batch_requests()
-        results = engine.run_batch(requests, max_workers=2)
-        results[0].classifications.clear()
-        again = engine.run_batch(requests, max_workers=2)
-        assert again[0].classifications  # cache was not corrupted
-
-    def test_analysis_errors_propagate_from_parallel_batches(self):
-        from repro.errors import ReproError
-
-        good = AnalysisRequest.baseline(STRAIGHT_SOURCE, cache_config=CACHE)
-        bad = AnalysisRequest.baseline("int main() { this is not minic }")
-        with pytest.raises(ReproError):
-            AnalysisEngine().run_batch([good, bad], max_workers=2)
-
-    def test_worker_failure_classification_excludes_analysis_errors(self):
-        """RuntimeError subclasses an analysis may raise in a worker (e.g.
-        RecursionError) must not be treated as pool failures at result
-        collection — they propagate instead of triggering a re-run."""
-        from repro.engine.batch import _POOL_COLLECT_FAILURES
-
-        assert not issubclass(RecursionError, _POOL_COLLECT_FAILURES)
-        assert not issubclass(RuntimeError, _POOL_COLLECT_FAILURES)
-
-    def test_single_source_batch_parallelises_and_counts_one_compile(self):
-        """Many configurations of one source still spread across workers,
-        and the stats mirror the sequential accounting: one logical
-        compile miss per distinct source."""
-        engine = AnalysisEngine()
-        results = engine.run_batch(
-            [
-                AnalysisRequest.baseline(STRAIGHT_SOURCE, cache_config=CACHE),
-                AnalysisRequest.speculative(STRAIGHT_SOURCE, cache_config=CACHE),
-            ],
-            max_workers=4,
-        )
-        assert all(result is not None for result in results)
-        stats = engine.stats
-        assert stats.compile.misses == 1
-        assert stats.compile.hits == 1
-
-    def test_parallel_stats_match_sequential_stats(self):
-        """The same batch reports identical cache accounting whether it
-        runs sequentially or over the pool."""
-        requests = _batch_requests()
-        batch = requests + requests[:2]  # two in-batch duplicates
-        sequential = AnalysisEngine()
-        sequential.run_batch(batch, max_workers=1)
-        parallel = AnalysisEngine()
-        parallel.run_batch(batch, max_workers=3)
-        for mine, theirs in (
-            (parallel.stats.results, sequential.stats.results),
-            (parallel.stats.compile, sequential.stats.compile),
-        ):
-            assert (mine.hits, mine.misses) == (theirs.hits, theirs.misses)
-
-    def test_growing_the_shared_executor_keeps_queued_work(self):
-        """A batch that needs more workers than the shared executor has
-        replaces it, while a batch in another thread may still wait on
-        work queued there: that work must complete, not be cancelled."""
-        from repro.engine.batch import discard_shared_pool, shared_process_pool
-
-        discard_shared_pool()
-        small = shared_process_pool(1)
-        # A 1-worker executor's call queue holds two tasks; the others
-        # wait in its pending queue, which cancellation would empty.
-        futures = [small.submit(time.sleep, 0.05) for _ in range(6)]
-        try:
-            assert shared_process_pool(2) is not small
-            for future in futures:
-                assert future.result(timeout=60) is None
-        finally:
-            discard_shared_pool()
-
-    def test_batch_workers_never_export_to_inherited_sinks(self, tmp_path):
-        """Forked batch workers inherit the master's span sinks, and
-        another master thread may hold a sink's lock at fork time (the
-        ``REPRO_TRACE`` file sink holds it while writing), so a worker
-        that exports to one can hang forever.  Every span a worker makes
-        must be collected and relayed; only the master's pid may export."""
-        from repro.engine.batch import discard_shared_pool
-        from repro.obs import tracer
-
-        writers = tmp_path / "writers"
-
-        class WriterPids:
-            def export(self, span):
-                with open(writers, "a") as handle:
-                    handle.write(f"{os.getpid()}\n")
-
-        sink = WriterPids()
-        tracer().add_sink(sink)
-        # Workers forked before the sink was added would not inherit it.
-        discard_shared_pool()
-        engine = AnalysisEngine()
-        try:
-            engine.run_batch(
-                [
-                    AnalysisRequest.speculative(source, cache_config=CACHE)
-                    for source in (STRAIGHT_SOURCE, BRANCH_SOURCE)
-                ],
-                max_workers=2,
-            )
-        finally:
-            tracer().remove_sink(sink)
-        assert engine.stats.parallel_batches == 1, "the batch never used the pool"
-        assert set(writers.read_text().split()) == {str(os.getpid())}
-
-    def test_parallel_batch_relays_worker_spans_into_the_callers_trace(self):
-        """Spans a worker collects are grafted under the span the batch
-        runs in, in the caller's trace; their pids show they ran remotely."""
-        from repro.engine.batch import discard_shared_pool
-        from repro.obs import SpanBuffer, span, tracer
-
-        buffer = SpanBuffer()
-        tracer().add_sink(buffer)
-        discard_shared_pool()
-        engine = AnalysisEngine()
-        try:
-            with span("caller"):
-                engine.run_batch(
-                    [
-                        AnalysisRequest.speculative(source, cache_config=CACHE)
-                        for source in (STRAIGHT_SOURCE, BRANCH_SOURCE)
-                    ],
-                    max_workers=2,
-                )
-        finally:
-            tracer().remove_sink(buffer)
-        assert engine.stats.parallel_batches == 1, "the batch never used the pool"
-        spans = buffer.spans()
-        (caller,) = [s for s in spans if s["name"] == "caller"]
-        assert {s["trace_id"] for s in spans} == {caller["trace_id"]}
-        fixpoints = [s for s in spans if s["name"] == "fixpoint"]
-        assert len(fixpoints) == 2
-        assert all(s["pid"] != os.getpid() for s in fixpoints)
-        by_id = {s["span_id"]: s for s in spans}
-        for fixpoint in fixpoints:
-            ancestor = fixpoint
-            while ancestor["parent_id"] in by_id:
-                ancestor = by_id[ancestor["parent_id"]]
-            assert ancestor is caller
-
-
-def _exit_worker(requests, want_spans=False):
-    """Stands in for ``batch._execute_unit``: the worker dies abruptly."""
-    os._exit(3)
-
-
-class TestSharedExecutor:
-    """The process-wide executor behind parallel batches: sizing and
-    reuse, and every pool failure demoting a batch to in-process
-    execution with unchanged results."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_pool(self):
-        from repro.engine.batch import discard_shared_pool
-
-        discard_shared_pool()
-        yield
-        discard_shared_pool()
-
-    def test_the_environment_never_fans_a_batch_out(self, monkeypatch):
-        """``REPRO_MAX_WORKERS`` is not read: without an explicit
-        ``max_workers`` a batch runs in process, retaining the snapshots
-        a pooled batch would not."""
-        from repro.obs import metrics
-
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        started = metrics().counter("pool.executors_started").value
-        engine = AnalysisEngine()
-        requests = _batch_requests()
-        results = engine.run_batch(requests)
-        assert engine.stats.parallel_batches == 0
-        assert metrics().counter("pool.executors_started").value == started
+        engine.run_batch(requests)
+        assert engine.stats.requests == len(requests)
         assert engine.stats.incremental.retained == sum(
             request.kind is AnalysisKind.SPECULATIVE for request in requests
         )
-        direct = [execute_request(request) for request in requests]
-        assert [r.classifications for r in results] == [r.classifications for r in direct]
 
-    def test_pool_is_reused_while_large_enough(self):
-        from repro.engine.batch import shared_process_pool
-        from repro.obs import metrics
-
-        started = metrics().counter("pool.executors_started").value
-        pool = shared_process_pool(2)
-        assert shared_process_pool(1) is pool
-        assert shared_process_pool(2) is pool
-        assert metrics().counter("pool.executors_started").value == started + 1
-
-    def test_pool_grows_for_a_larger_batch(self):
-        from repro.engine.batch import shared_process_pool
-        from repro.obs import metrics
-
-        started = metrics().counter("pool.executors_started").value
-        small = shared_process_pool(1)
-        large = shared_process_pool(3)
-        assert large is not small
-        assert shared_process_pool(2) is large
-        assert metrics().counter("pool.executors_started").value == started + 2
-        assert metrics().gauge("pool.executor_size").value == 3
-
-    def test_discard_twice_does_not_raise(self):
-        from repro.engine.batch import discard_shared_pool, shared_process_pool
-
-        assert shared_process_pool(1) is not None
-        discard_shared_pool()
-        discard_shared_pool()
-
-    def test_discard_makes_the_next_call_build_a_fresh_pool(self):
-        from repro.engine.batch import discard_shared_pool, shared_process_pool
-
-        first = shared_process_pool(1)
-        discard_shared_pool()
-        second = shared_process_pool(1)
-        assert second is not first
-        assert second.submit(abs, -7).result(timeout=60) == 7
-
-    def test_discard_cancels_queued_work(self):
-        """Unlike growing, discarding (a broken pool, interpreter exit)
-        cancels what has not started yet."""
-        from repro.engine.batch import discard_shared_pool, shared_process_pool
-
-        pool = shared_process_pool(1)
-        futures = [pool.submit(time.sleep, 0.5) for _ in range(8)]
-        discard_shared_pool()
-        # The executor's manager thread cancels asynchronously.
-        with pytest.raises(CancelledError):
-            futures[-1].result(timeout=60)
-
-    def test_setup_failure_runs_the_batch_in_process(self, monkeypatch):
-        from repro.engine import batch
-
-        def refuse(*args, **kwargs):
-            raise OSError("no semaphores here")
-
-        monkeypatch.setattr(batch, "ProcessPoolExecutor", refuse)
-        assert batch.shared_process_pool(2) is None
-        engine = AnalysisEngine()
-        requests = _batch_requests()
-        results = engine.run_batch(requests, max_workers=2)
-        assert engine.stats.parallel_batches == 0
-        sequential = AnalysisEngine().run_batch(requests)
-        for mine, theirs in zip(results, sequential):
-            assert mine.classifications == theirs.classifications
-            assert mine.iterations == theirs.iterations
-
-    def test_worker_death_falls_back_in_process_and_stays_correct(self, monkeypatch):
-        from repro.engine import batch
-        from repro.obs import metrics
-
-        monkeypatch.setattr(batch, "_execute_unit", _exit_worker)
-        engine = AnalysisEngine()
-        requests = _batch_requests()
-        results = engine.run_batch(requests, max_workers=2)
-        assert engine.stats.parallel_batches == 0
-        sequential = AnalysisEngine().run_batch(requests)
-        for mine, theirs in zip(results, sequential):
-            assert mine.classifications == theirs.classifications
-            assert mine.iterations == theirs.iterations
-        # The broken executor was retired: the next call builds a new one.
-        started = metrics().counter("pool.executors_started").value
-        assert batch.shared_process_pool(2) is not None
-        assert metrics().counter("pool.executors_started").value == started + 1
-
-    def test_batch_after_a_worker_death_uses_a_healthy_pool(self, monkeypatch):
-        from repro.engine import batch
-
-        requests = _batch_requests()
-        with monkeypatch.context() as patch:
-            patch.setattr(batch, "_execute_unit", _exit_worker)
-            AnalysisEngine().run_batch(requests, max_workers=2)
-        engine = AnalysisEngine()
-        engine.run_batch(requests, max_workers=2)
-        assert engine.stats.parallel_batches == 1
-
-    def test_an_executor_retired_before_submit_runs_the_batch_in_process(
-        self, monkeypatch
-    ):
-        """A batch in another thread may outgrow and retire the executor
-        this batch just took before it has submitted its work; submit then
-        refuses new work, and the batch must run in process."""
-        from repro.engine import batch
-
-        retired = ProcessPoolExecutor(max_workers=1)
-        retired.shutdown()
-        monkeypatch.setattr(batch, "shared_process_pool", lambda max_workers: retired)
-        engine = AnalysisEngine()
-        requests = _batch_requests()
-        results = engine.run_batch(requests, max_workers=2)
-        assert engine.stats.parallel_batches == 0
-        sequential = AnalysisEngine().run_batch(requests)
-        for mine, theirs in zip(results, sequential):
-            assert mine.classifications == theirs.classifications
-            assert mine.iterations == theirs.iterations
-
-    def test_work_cancelled_under_a_batch_runs_it_in_process(self, monkeypatch):
-        """A batch that finds its executor broken discards it, cancelling
-        work another batch still waits on there; that batch must run in
-        process, not raise CancelledError."""
-        from repro.engine import batch
-
-        class Cancelling:
-            def submit(self, fn, *args):
-                future = Future()
-                future.cancel()
-                return future
-
-        monkeypatch.setattr(batch, "shared_process_pool", lambda max_workers: Cancelling())
-        engine = AnalysisEngine()
-        requests = _batch_requests()
-        results = engine.run_batch(requests, max_workers=2)
-        assert engine.stats.parallel_batches == 0
-        sequential = AnalysisEngine().run_batch(requests)
-        assert [r.classifications for r in results] == [
-            r.classifications for r in sequential
-        ]
-
-    def test_discarding_a_retired_executor_keeps_the_current_one(self):
-        """A batch whose executor broke after another batch replaced it
-        must not drop (and cancel the work queued on) the replacement."""
-        from repro.engine.batch import discard_shared_pool, shared_process_pool
-
-        small = shared_process_pool(1)
-        large = shared_process_pool(2)
-        futures = [large.submit(time.sleep, 0.05) for _ in range(6)]
-        discard_shared_pool(small)
-        assert shared_process_pool(2) is large
-        for future in futures:
-            assert future.result(timeout=60) is None
-
-    def test_single_request_batches_never_start_a_pool(self):
-        from repro.obs import metrics
-
-        started = metrics().counter("pool.executors_started").value
-        engine = AnalysisEngine()
-        engine.run_batch([AnalysisRequest.baseline(STRAIGHT_SOURCE)], max_workers=4)
-        # Duplicates of one request are one distinct miss: one work unit.
-        engine.run_batch([AnalysisRequest.speculative(BRANCH_SOURCE)] * 3, max_workers=4)
-        assert engine.stats.parallel_batches == 0
-        assert metrics().counter("pool.executors_started").value == started
-
-    def test_fully_cached_batches_never_start_a_pool(self):
-        from repro.obs import metrics
-
-        engine = AnalysisEngine()
-        requests = _batch_requests()
-        for request in requests:
-            engine.run(request)
-        started = metrics().counter("pool.executors_started").value
-        results = engine.run_batch(requests, max_workers=2)
-        assert all(result.from_cache for result in results)
-        assert engine.stats.parallel_batches == 0
-        assert metrics().counter("pool.executors_started").value == started
-
-    @pytest.mark.parametrize(
-        "sizes, max_workers, expected",
-        [
-            ([1, 1, 1, 1], 2, [1, 1, 1, 1]),
-            ([5], 2, [3, 2]),
-            ([3, 1], 4, [1, 1, 1, 1]),
-            ([6, 2], 3, [3, 3, 2]),
-        ],
-        ids=["many_sources", "one_source", "more_workers", "mixed"],
-    )
-    def test_work_units_split_groups_without_mixing_sources(
-        self, sizes, max_workers, expected
-    ):
-        from repro.engine.batch import _work_units
-
-        index = iter(range(sum(sizes)))
-        groups = [[(next(index), f"source-{g}") for _ in range(size)]
-                  for g, size in enumerate(sizes)]
-        units = _work_units(groups, max_workers, sum(sizes))
-        assert [len(unit) for unit in units] == expected
-        assert all(len({source for _, source in unit}) == 1 for unit in units)
-        # Units partition the groups in order: nothing lost or reordered.
-        assert [item for unit in units for item in unit] == [
-            item for group in groups for item in group
-        ]
+    def test_importing_the_package_starts_no_process_machinery(self):
+        code = (
+            "import sys, repro; "
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing'; "
+            "assert 'concurrent.futures.process' not in sys.modules, 'process pool'"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 # ----------------------------------------------------------------------

@@ -23,15 +23,8 @@ from repro.bench.programs import quantl_client_source
 from repro.errors import CFGError
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
-from repro.ir.dominators import (
-    common_postdominator,
-    compute_dominators,
-    compute_postdominators,
-    immediate_dominators,
-    postdominator_tree,
-)
+from repro.ir.graph import VIRTUAL_EXIT
 from repro.ir.instructions import CondBranch, Const, Copy, Fence, Jump, Return, Temp
-from repro.ir.loops import find_natural_loops
 from repro.speculation.vcfg import compute_window, first_fence_index
 
 SEED = 0x6A7F
@@ -129,27 +122,38 @@ class TestRandomCFGsMatchTheOracle:
 
     def test_dominators(self, cfgs):
         for cfg in cfgs:
-            assert immediate_dominators(cfg) == reference.immediate_dominators(cfg)
-            assert compute_dominators(cfg) == reference.dominators(cfg)
+            graph = cfg.graph()
+            assert dict(graph.idom) == reference.immediate_dominators(cfg)
+            assert {
+                name: set(graph.dominator_chain(name)) for name in graph.reachable
+            } == reference.dominators(cfg)
 
     def test_postdominators(self, cfgs):
         for cfg in cfgs:
-            assert postdominator_tree(cfg) == reference.postdominator_tree(cfg)
-            assert compute_postdominators(cfg) == reference.postdominators(cfg)
+            graph = cfg.graph()
+            assert dict(graph.ipdom) == reference.postdominator_tree(cfg)
+            pdom, can_reach_exit = reference.exit_reaching_postdominators(cfg)
+            for name in graph.reachable:
+                chain = graph.postdominator_chain(name)
+                if name in can_reach_exit:
+                    assert chain[-1] == VIRTUAL_EXIT
+                    assert set(chain) == pdom[name]
+                else:
+                    assert chain is None
 
     def test_common_postdominators(self, cfgs):
         for cfg in cfgs[:300]:
+            graph = cfg.graph()
             live = reference.reachable_blocks(cfg)
             for left, right in itertools.product(live[:6], repeat=2):
-                assert common_postdominator(cfg, left, right) == (
+                assert graph.common_postdominator(left, right) == (
                     reference.common_postdominator(cfg, left, right)
                 )
 
     def test_natural_loops(self, cfgs):
         for cfg in cfgs:
             loops = [
-                (loop.header, frozenset(loop.blocks), tuple(loop.back_edges))
-                for loop in find_natural_loops(cfg)
+                (loop.header, loop.blocks, loop.back_edges) for loop in cfg.graph().loops
             ]
             assert loops == reference.natural_loops(cfg)
             live = set(reference.reachable_blocks(cfg))
@@ -189,9 +193,9 @@ def _answers(cfg: CFG) -> dict:
         "predecessors": {name: cfg.predecessors(name) for name in cfg.blocks},
         "reachable": cfg.reachable_blocks(),
         "rpo": cfg.reverse_postorder(),
-        "idom": immediate_dominators(cfg),
-        "ipdom": postdominator_tree(cfg),
-        "loops": [(loop.header, loop.blocks) for loop in find_natural_loops(cfg)],
+        "idom": dict(cfg.graph().idom),
+        "ipdom": dict(cfg.graph().ipdom),
+        "loops": [(loop.header, loop.blocks) for loop in cfg.graph().loops],
         "windows": {name: compute_window(cfg, name, 8) for name in cfg.blocks},
     }
 
@@ -263,13 +267,13 @@ class TestStaleness:
     def test_rewired_compiled_program_is_reanalysed(self):
         cfg = compile_source(quantl_client_source()).cfg
         saved = cfg.block(cfg.entry).terminator
-        assert postdominator_tree(cfg) == reference.postdominator_tree(cfg)
+        assert dict(cfg.graph().ipdom) == reference.postdominator_tree(cfg)
         cfg.block(cfg.entry).terminator = Return(value=None)
         assert cfg.reachable_blocks() == [cfg.entry]
-        assert immediate_dominators(cfg) == {cfg.entry: None}
-        assert postdominator_tree(cfg) == {cfg.entry: None}
+        assert dict(cfg.graph().idom) == {cfg.entry: None}
+        assert dict(cfg.graph().ipdom) == {cfg.entry: None}
         cfg.block(cfg.entry).terminator = saved
-        assert postdominator_tree(cfg) == reference.postdominator_tree(cfg)
+        assert dict(cfg.graph().ipdom) == reference.postdominator_tree(cfg)
 
 
 class TestSharedBetweenThreads:
@@ -325,8 +329,6 @@ class TestAnswersCannotBeMutated:
         cfg.successors("header").append("entry")
         cfg.predecessors("header").clear()
         cfg.reachable_blocks().clear()
-        find_natural_loops(cfg)[0].blocks.add("exit")
-        postdominator_tree(cfg).clear()
         assert _answers(cfg) == _oracle(cfg)
 
     def test_pickled_cfg_answers_alike(self):

@@ -623,26 +623,6 @@ class TestAlwaysIncremental:
             previous = edited
         assert engine.stats.incremental.warm_hits == len(chain)
 
-    def test_parallel_batches_answer_warm_from_requests_cold(self):
-        """Pool workers retain no snapshots and run every request cold;
-        the answers equal the sequential path's warm ones."""
-        engines = AnalysisEngine(), AnalysisEngine()
-        base = _request(BASE_SOURCE, GEOMETRIES[0])
-        batch = [
-            _request(EDITS[edit], GEOMETRIES[0], warm_from=base.result_key())
-            for edit in ("fence_insert", "statement_add")
-        ]
-        results = []
-        for engine, max_workers in zip(engines, (1, 2)):
-            engine.run(base)
-            results.append(engine.run_batch(batch, max_workers=max_workers))
-        sequential, parallel = engines
-        assert sequential.stats.incremental.warm_hits == len(batch)
-        assert parallel.stats.incremental.warm_hits == 0
-        assert parallel.stats.incremental.retained == 1
-        for warm, cold in zip(*results):
-            assert_semantically_identical(warm, cold)
-
 
 # ----------------------------------------------------------------------
 # Fingerprints on first use, and never of the wrong CFG

@@ -11,15 +11,8 @@ from repro.analysis.speculative import analyze_speculative
 from repro.errors import CFGError, ConfigError
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
-from repro.ir.dominators import (
-    compute_dominators,
-    compute_postdominators,
-    immediate_dominators,
-    immediate_postdominator,
-)
 from repro.ir.inline import inline_calls
 from repro.ir.instructions import CallInstr, CondBranch, Const, Jump, MemoryRef, Return, Temp
-from repro.ir.loops import find_natural_loops, infer_trip_count, loop_of_block
 from repro.ir.lowering import lower_program
 from repro.ir.memory import AccessKind, MemoryBlock, MemoryLayout, placeholder_blocks
 from repro.ir.printer import format_cfg, format_instruction, format_memory_summary
@@ -118,45 +111,46 @@ class TestCFG:
 
 class TestDominators:
     def test_entry_dominates_everything(self):
-        cfg = build_diamond()
-        dom = compute_dominators(cfg)
-        for block in cfg.reachable_blocks():
-            assert "entry" in dom[block]
+        graph = build_diamond().graph()
+        for block in graph.reachable:
+            assert "entry" in graph.dominator_chain(block)
 
     def test_branch_sides_do_not_dominate_join(self):
-        dom = compute_dominators(build_diamond())
-        assert "left" not in dom["join"]
-        assert "right" not in dom["join"]
+        chain = build_diamond().graph().dominator_chain("join")
+        assert "left" not in chain
+        assert "right" not in chain
 
     def test_immediate_dominators(self):
-        idom = immediate_dominators(build_diamond())
+        idom = build_diamond().graph().idom
         assert idom["join"] == "entry"
         assert idom["left"] == "entry"
         assert idom["entry"] is None
 
     def test_postdominators_join_postdominates_sides(self):
-        pdom = compute_postdominators(build_diamond())
-        assert "join" in pdom["left"]
-        assert "join" in pdom["entry"]
+        graph = build_diamond().graph()
+        assert "join" in graph.postdominator_chain("left")
+        assert "join" in graph.postdominator_chain("entry")
 
     def test_immediate_postdominator_of_branch_is_join(self):
-        assert immediate_postdominator(build_diamond(), "entry") == "join"
+        assert build_diamond().graph().ipdom["entry"] == "join"
 
     def test_loop_header_postdominates_body(self):
-        cfg = build_loop()
-        pdom = compute_postdominators(cfg)
-        assert "header" in pdom["body"]
+        assert "header" in build_loop().graph().postdominator_chain("body")
 
 
 class TestLoops:
     def test_natural_loop_detection(self):
-        cfg = build_loop()
-        loops = find_natural_loops(cfg)
-        assert len(loops) == 1
-        loop = loops[0]
+        graph = build_loop().graph()
+        (loop,) = graph.loops
         assert loop.header == "header"
         assert loop.blocks == {"header", "body"}
-        assert loop.exits(cfg) == ["exit"]
+        exits = {
+            successor
+            for block in loop.blocks
+            for successor in graph.successors[block]
+            if successor not in loop.blocks
+        }
+        assert exits == {"exit"}
 
     def test_loop_body_excludes_unreachable_blocks(self):
         # An unreachable block that jumps into the body is outside the
@@ -164,43 +158,12 @@ class TestLoops:
         cfg = build_loop()
         orphan = cfg.add_block(BasicBlock("orphan"))
         orphan.terminator = Jump(target="body")
-        (loop,) = find_natural_loops(cfg)
+        (loop,) = cfg.graph().loops
         assert loop.blocks == {"header", "body"}
-        assert loop.back_edges == [("body", "header")]
+        assert loop.back_edges == (("body", "header"),)
 
     def test_no_loops_in_diamond(self):
-        assert find_natural_loops(build_diamond()) == []
-
-    def test_loop_of_block(self):
-        cfg = build_loop()
-        loops = find_natural_loops(cfg)
-        assert loop_of_block(loops, "body") is loops[0]
-        assert loop_of_block(loops, "exit") is None
-
-    def test_trip_count_of_counter_loop(self):
-        source = (
-            "int a[64]; int s; int main() { reg int i; reg int x; x = 0;"
-            "  for (i = 0; i < 10; i++) { s = s + 1; }"
-            "  return x; }"
-        )
-        program, _ = unroll_fixed_loops(parse_program(source), max_iterations=0)
-        cfgs = lower_program(check_program(program))
-        cfg = cfgs["main"]
-        loops = find_natural_loops(cfg)
-        assert len(loops) == 1
-        count = infer_trip_count(cfg, loops[0])
-        assert count in (10, None)  # pattern-match is best effort
-
-    def test_quantl_loop_trip_count_is_upper_bound(self):
-        from repro.bench.programs import quantl_client_source
-
-        cfgs = lower_program(check_program(parse_program(quantl_client_source())))
-        cfg = cfgs["quantl"]
-        loops = find_natural_loops(cfg)
-        assert loops
-        # The loop has a data-dependent break; the counter-based inference
-        # reports the header bound (an upper bound on the iterations).
-        assert infer_trip_count(cfg, loops[0]) == 30
+        assert build_diamond().graph().loops == ()
 
 
 class TestUnrolling:

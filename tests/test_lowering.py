@@ -117,10 +117,7 @@ class TestControlFlow:
         cfg = main_cfg(
             "int n; int main() { reg int i; i = 0; while (i < n) { i = i + 1; } return i; }"
         )
-        from repro.ir.loops import find_natural_loops
-
-        loops = find_natural_loops(cfg)
-        assert len(loops) == 1
+        assert len(cfg.graph().loops) == 1
 
     def test_for_loop_with_break(self):
         cfg = main_cfg(

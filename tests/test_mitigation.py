@@ -28,8 +28,9 @@ from repro.mitigation import (
     surviving_branch_points,
     synthesize_mitigation,
 )
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ReproServer
+from repro.service.wire import request_to_wire
 
 #: Speculation-only leak at an 11-line cache (see tests/test_fence.py).
 SPEC_LEAK = """
@@ -413,6 +414,17 @@ class TestMitigateRPC:
         assert first["name"] == "toy"
         assert replay["from_cache"]
         assert replay["name"] == "renamed"
+
+    def test_optimize_accepts_only_json_booleans(self, server):
+        """A string ``"false"`` once read as true and ran the optimizer."""
+        wire = request_to_wire(leak_request())
+        with ServiceClient(port=server.port) as client:
+            for value in ("false", "true", 0, 1, None):
+                with pytest.raises(ServiceError, match="optimize"):
+                    client.call("mitigate", request=wire, optimize=value)
+            assert client.call("mitigate", request=wire, optimize=False)["mitigation"][
+                "chosen"
+            ] == "baseline"
 
     def test_unmitigable_reported_as_error(self, server):
         request = AnalysisRequest.speculative(

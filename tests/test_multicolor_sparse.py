@@ -35,7 +35,7 @@ from repro.engine.engine import compile_request
 from repro.engine.request import AnalysisRequest
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
-from repro.ir.dominators import VIRTUAL_EXIT, immediate_postdominator, postdominator_tree
+from repro.ir.graph import VIRTUAL_EXIT
 from repro.engine.worklist import WideningPolicy
 from repro.ir.instructions import CondBranch, Const, Jump, Return, Temp
 from repro.speculation.config import SpeculationConfig
@@ -655,7 +655,7 @@ def build_doomed_branch() -> CFG:
 class TestPostdominatorTree:
     def test_immediate_not_farthest(self):
         cfg = build_double_diamond()
-        tree = postdominator_tree(cfg)
+        tree = cfg.graph().ipdom
         assert tree["entry"] == "mid"
         assert tree["mid"] == "last"
         assert tree["t1"] == "mid"
@@ -663,19 +663,15 @@ class TestPostdominatorTree:
         # Regression: the legacy selection returned the farthest
         # postdominator, silently moving the convergence point downstream.
         assert legacy_immediate_postdominator(cfg, "entry") == "last"
-        assert immediate_postdominator(cfg, "entry") == "mid"
 
     def test_doomed_branch_has_no_convergence(self):
         cfg = build_doomed_branch()
-        tree = postdominator_tree(cfg)
-        assert tree["loop"] is None
+        tree = cfg.graph().ipdom
+        assert tree["loop"] is None  # nothing postdominates it
         assert tree["linner"] is None
         # Regression: the legacy fallback invented a convergence point for
         # the in-loop branch — a block that does not postdominate it.
-        legacy = legacy_immediate_postdominator(cfg, "loop")
-        assert legacy is not None
-        pdom_restricted = postdominator_tree(cfg)
-        assert pdom_restricted["loop"] is None  # nothing postdominates it
+        assert legacy_immediate_postdominator(cfg, "loop") is not None
 
     def test_vcfg_convergence_uses_the_tree(self):
         cfg = build_double_diamond()

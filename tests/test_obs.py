@@ -175,30 +175,6 @@ class TestTracer:
         assert names == {"scheduler.job", "analyze"}
         assert buffer.trace_for_job("job-9") == []
 
-    def test_collecting_bypasses_sinks(self, tmp_path, monkeypatch):
-        path = tmp_path / "trace.jsonl"
-        monkeypatch.setenv("REPRO_TRACE", str(path))
-        with tracer().collecting() as collected:
-            with span("inside"):
-                pass
-        assert [s["name"] for s in collected.spans] == ["inside"]
-        assert not path.exists()  # never written, not even lazily
-
-    def test_emit_foreign_grafts_under_current_span(self):
-        buffer = SpanBuffer()
-        tracer().add_sink(buffer)
-        with tracer().collecting() as collected:
-            with span("worker.root"):
-                with span("worker.child"):
-                    pass
-        with span("master") as master:
-            tracer().emit_foreign(collected.spans)
-        tracer().remove_sink(buffer)
-        by_name = {s["name"]: s for s in buffer.spans()}
-        assert by_name["worker.root"]["parent_id"] == master.span_id
-        assert by_name["worker.child"]["parent_id"] == by_name["worker.root"]["span_id"]
-        assert all(s["trace_id"] == master.trace_id for s in buffer.spans())
-
 
 # ----------------------------------------------------------------------
 # Determinism: tracing must never perturb results

@@ -60,6 +60,10 @@ NON_DEFAULT_FIELDS = {
 }
 
 
+#: Wire values that are not JSON booleans, for the flag decoders.
+NON_BOOLEANS = ("false", "true", "0", "", 0, 1, None, [])
+
+
 @pytest.fixture
 def server(tmp_path):
     srv = ReproServer(store_dir=str(tmp_path / "store"), port=0, max_workers=2).start()
@@ -136,6 +140,35 @@ class TestWireFormat:
         )
         for name, value in NON_DEFAULT_FIELDS.items():
             assert value != fields[name].default, name
+
+    @pytest.mark.parametrize("name", ["unroll", "inline", "use_shadow_state"])
+    def test_request_flags_accept_only_json_booleans(self, name):
+        """``"false"`` is no false: bool() of it is True, so a string once
+        decoded to the default request's key.  Only true, false or an
+        absent key decode; anything else names the field."""
+        payload = request_to_wire(AnalysisRequest.speculative(SOURCE))
+        for value in (True, False):
+            assert getattr(request_from_wire(dict(payload, **{name: value})), name) is value
+        for value in NON_BOOLEANS:
+            with pytest.raises(WireError, match=name):
+                request_from_wire(dict(payload, **{name: value}))
+
+    @pytest.mark.parametrize("name", ["dynamic_depth_bounding", "use_shadow_state"])
+    def test_speculation_flags_accept_only_json_booleans(self, name):
+        payload = request_to_wire(
+            AnalysisRequest.speculative(SOURCE, speculation=SpeculationConfig.paper_default())
+        )
+        speculation = payload["speculation"]
+        for value in (True, False):
+            restored = request_from_wire(
+                dict(payload, speculation=dict(speculation, **{name: value}))
+            )
+            assert getattr(restored.speculation, name) is value
+        for value in NON_BOOLEANS:
+            with pytest.raises(WireError, match=name):
+                request_from_wire(
+                    dict(payload, speculation=dict(speculation, **{name: value}))
+                )
 
     def test_fingerprint_ignores_provenance(self):
         request = AnalysisRequest.speculative(SOURCE)
