@@ -114,6 +114,17 @@ class TestTableDrivers:
             # The optimisation may only improve precision.
             assert row.misses_with_bounding <= row.misses_without_bounding
 
+    @pytest.mark.parametrize(
+        "driver",
+        [generate_table5, generate_table6, generate_table7, run_depth_ablation],
+        ids=lambda driver: driver.__name__,
+    )
+    def test_drivers_take_no_worker_count(self, driver):
+        """The drivers run their requests through one engine in process;
+        there is no process fan-out to size."""
+        with pytest.raises(TypeError, match="max_workers"):
+            driver(names=[], max_workers=2)
+
 
 class TestWorkloads:
     def test_buffer_sweep_points(self):

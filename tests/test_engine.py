@@ -401,6 +401,131 @@ class TestBatchExecution:
         assert stats.results.hits == 3
         assert all(r.classifications == results[0].classifications for r in results)
 
+    def test_batch_counters(self):
+        """Every request of a batch is counted once, and each distinct
+        request is one result-cache miss."""
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        engine.run_batch(requests + requests[:2])
+        stats = engine.stats
+        assert stats.requests == len(requests) + 2
+        assert (stats.results.hits, stats.results.misses) == (2, len(requests))
+
+    def test_batch_preserves_request_order(self):
+        requests = _batch_requests()
+        # Interleave duplicates so that cached answers come back mid-batch.
+        shuffled = requests + list(reversed(requests))
+        results = AnalysisEngine().run_batch(shuffled)
+        for request, result in zip(shuffled, results):
+            assert result.is_speculative == (request.kind is AnalysisKind.SPECULATIVE)
+            assert result.program_name == "main"
+        # Forward and reversed halves are the same requests, so the
+        # classifications must mirror each other exactly.
+        forward = [r.classifications for r in results[: len(requests)]]
+        backward = [r.classifications for r in results[len(requests):]]
+        assert forward == list(reversed(backward))
+
+    def test_duplicates_survive_a_disabled_result_cache(self):
+        """Without a result cache every duplicate is recomputed, and each
+        copy still gets the same answer."""
+        engine = AnalysisEngine(result_cache_size=0)
+        one = AnalysisRequest.baseline(STRAIGHT_SOURCE, cache_config=CACHE)
+        two = AnalysisRequest.speculative(BRANCH_SOURCE, cache_config=CACHE)
+        results = engine.run_batch([one, one, two, one])
+        assert all(result is not None for result in results)
+        assert not any(result.from_cache for result in results)
+        assert results[0].classifications == results[1].classifications
+        assert results[3].classifications == results[0].classifications
+
+    def test_batch_results_are_copies_not_cache_instances(self):
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        results = engine.run_batch(requests)
+        results[0].classifications.clear()
+        again = engine.run_batch(requests)
+        assert all(result.from_cache for result in again)
+        assert again[0].classifications  # cache was not corrupted
+
+    def test_analysis_errors_propagate_from_batches(self):
+        from repro.errors import ReproError
+
+        good = AnalysisRequest.baseline(STRAIGHT_SOURCE, cache_config=CACHE)
+        bad = AnalysisRequest.baseline("int main() { this is not minic }")
+        with pytest.raises(ReproError):
+            AnalysisEngine().run_batch([good, bad])
+
+    def test_single_source_batch_counts_one_compile(self):
+        """Many configurations of one source share one compile: one
+        compile miss per distinct source."""
+        engine = AnalysisEngine()
+        results = engine.run_batch(
+            [
+                AnalysisRequest.baseline(STRAIGHT_SOURCE, cache_config=CACHE),
+                AnalysisRequest.speculative(STRAIGHT_SOURCE, cache_config=CACHE),
+            ]
+        )
+        assert all(result is not None for result in results)
+        stats = engine.stats
+        assert stats.compile.misses == 1
+        assert stats.compile.hits == 1
+
+    def test_batch_stats_match_one_run_per_request(self):
+        """A batch reports the cache accounting of calling ``run`` on each
+        of its requests in turn."""
+        requests = _batch_requests()
+        batch = requests + requests[:2]  # two in-batch duplicates
+        batched = AnalysisEngine()
+        batched.run_batch(batch)
+        looped = AnalysisEngine()
+        for request in batch:
+            looped.run(request)
+        for mine, theirs in (
+            (batched.stats.results, looped.stats.results),
+            (batched.stats.compile, looped.stats.compile),
+        ):
+            assert (mine.hits, mine.misses) == (theirs.hits, theirs.misses)
+        assert batched.stats.requests == looped.stats.requests
+
+    def test_fully_cached_batches_answer_from_the_cache(self):
+        engine = AnalysisEngine()
+        requests = _batch_requests()
+        first = [engine.run(request) for request in requests]
+        misses = engine.stats.results.misses
+        results = engine.run_batch(requests)
+        assert all(result.from_cache for result in results)
+        assert engine.stats.results.misses == misses
+        assert [r.classifications for r in results] == [r.classifications for r in first]
+
+    def test_batch_spans_nest_under_the_callers_span(self):
+        """A batch runs in the caller's process and trace: each analysis's
+        spans descend from the span the batch was called in."""
+        from repro.obs import SpanBuffer, span, tracer
+
+        buffer = SpanBuffer()
+        tracer().add_sink(buffer)
+        try:
+            with span("caller"):
+                AnalysisEngine().run_batch(
+                    [
+                        AnalysisRequest.speculative(source, cache_config=CACHE)
+                        for source in (STRAIGHT_SOURCE, BRANCH_SOURCE)
+                    ]
+                )
+        finally:
+            tracer().remove_sink(buffer)
+        spans = buffer.spans()
+        (caller,) = [s for s in spans if s["name"] == "caller"]
+        assert {s["trace_id"] for s in spans} == {caller["trace_id"]}
+        assert {s["pid"] for s in spans} == {os.getpid()}
+        fixpoints = [s for s in spans if s["name"] == "fixpoint"]
+        assert len(fixpoints) == 2
+        by_id = {s["span_id"]: s for s in spans}
+        for fixpoint in fixpoints:
+            ancestor = fixpoint
+            while ancestor["parent_id"] in by_id:
+                ancestor = by_id[ancestor["parent_id"]]
+            assert ancestor is caller
+
     def test_batch_retains_a_snapshot_per_speculative_request(self):
         """A batch is a loop over ``run``: each speculative request leaves
         a snapshot a later ``warm_from`` request can start from."""
@@ -411,6 +536,10 @@ class TestBatchExecution:
         assert engine.stats.incremental.retained == sum(
             request.kind is AnalysisKind.SPECULATIVE for request in requests
         )
+
+    def test_run_batch_takes_no_worker_count(self):
+        with pytest.raises(TypeError, match="max_workers"):
+            AnalysisEngine().run_batch(_batch_requests(), max_workers=2)
 
     def test_importing_the_package_starts_no_process_machinery(self):
         code = (

@@ -623,6 +623,22 @@ class TestAlwaysIncremental:
             previous = edited
         assert engine.stats.incremental.warm_hits == len(chain)
 
+    def test_batches_answer_warm_from_snapshots_like_cold_runs(self):
+        """A batch is a loop over ``run``: its ``warm_from`` requests
+        start from the base's snapshot and answer what cold runs do."""
+        engine = AnalysisEngine()
+        base = _request(BASE_SOURCE, GEOMETRIES[0])
+        batch = [
+            _request(EDITS[edit], GEOMETRIES[0], warm_from=base.result_key())
+            for edit in ("fence_insert", "statement_add")
+        ]
+        engine.run(base)
+        results = engine.run_batch(batch)
+        assert engine.stats.incremental.warm_hits == len(batch)
+        assert engine.stats.incremental.cold_fallbacks == 0
+        for warm, request in zip(results, batch):
+            assert_semantically_identical(warm, execute_request(request))
+
 
 # ----------------------------------------------------------------------
 # Fingerprints on first use, and never of the wrong CFG

@@ -165,6 +165,61 @@ class TestLoops:
     def test_no_loops_in_diamond(self):
         assert build_diamond().graph().loops == ()
 
+    def test_nested_loop_bodies_nest(self):
+        """entry -> outer -> inner <-> body, inner -> latch -> outer,
+        outer -> exit: the inner loop's body lies inside the outer's, and
+        the exit lies in neither."""
+        cfg = CFG(name="nested")
+        blocks = {
+            name: cfg.add_block(BasicBlock(name))
+            for name in ("entry", "outer", "inner", "body", "latch", "exit")
+        }
+        blocks["entry"].terminator = Jump(target="outer")
+        blocks["outer"].terminator = CondBranch(
+            cond=Temp("c"), true_target="inner", false_target="exit"
+        )
+        blocks["inner"].terminator = CondBranch(
+            cond=Temp("d"), true_target="body", false_target="latch"
+        )
+        blocks["body"].terminator = Jump(target="inner")
+        blocks["latch"].terminator = Jump(target="outer")
+        blocks["exit"].terminator = Return(value=None)
+        graph = cfg.graph()
+        by_header = {loop.header: loop for loop in graph.loops}
+        assert set(by_header) == {"outer", "inner"} == graph.loop_headers
+        assert by_header["inner"].blocks == {"inner", "body"}
+        assert by_header["outer"].blocks == {"outer", "inner", "body", "latch"}
+        innermost = min(
+            (loop for loop in graph.loops if "body" in loop.blocks),
+            key=lambda loop: len(loop.blocks),
+        )
+        assert innermost.header == "inner"
+        assert not any("exit" in loop.blocks for loop in graph.loops)
+
+    def test_rolled_counter_loop_is_one_natural_loop(self):
+        source = (
+            "int a[64]; int s; int main() { reg int i; reg int x; x = 0;"
+            "  for (i = 0; i < 10; i++) { s = s + 1; }"
+            "  return x; }"
+        )
+        program, stats = unroll_fixed_loops(parse_program(source), max_iterations=0)
+        assert stats.loops_unrolled == 0
+        cfg = lower_program(check_program(program))["main"]
+        (loop,) = cfg.graph().loops
+        assert len(loop.back_edges) == 1
+        assert loop.back_edges[0][1] == loop.header
+
+    def test_quantl_search_loop_stays_rolled(self):
+        """quantl's search loop breaks on a data-dependent test, so the
+        compiled program keeps it as the one loop the analyses iterate."""
+        from repro.bench.programs import quantl_client_source
+
+        program = compile_source(quantl_client_source())
+        assert program.unroll_stats.loops_seen == 1
+        assert program.unroll_stats.loops_unrolled == 0
+        (loop,) = program.cfg.graph().loops
+        assert loop.header in program.cfg.graph().loop_headers
+
 
 class TestUnrolling:
     def test_fixed_loop_fully_unrolled(self):

@@ -425,6 +425,10 @@ class TestMitigateRPC:
             assert client.call("mitigate", request=wire, optimize=False)["mitigation"][
                 "chosen"
             ] == "baseline"
+            # An absent flag takes the default: the optimizer runs.
+            assert client.call("mitigate", request=wire)["mitigation"][
+                "chosen"
+            ] == "optimized"
 
     def test_unmitigable_reported_as_error(self, server):
         request = AnalysisRequest.speculative(

@@ -170,6 +170,23 @@ class TestWireFormat:
                     dict(payload, speculation=dict(speculation, **{name: value}))
                 )
 
+    @pytest.mark.parametrize(
+        "name", ["dynamic_depth_bounding", "merge_strategy", "use_shadow_state"]
+    )
+    def test_omitted_speculation_key_decodes_to_the_config_default(self, name):
+        """The speculation keys a client may leave out decode to the
+        :class:`SpeculationConfig` defaults, not to a fallback of the
+        decoder's own."""
+        payload = request_to_wire(
+            AnalysisRequest.speculative(SOURCE, speculation=SpeculationConfig.paper_default())
+        )
+        del payload["speculation"][name]
+        restored = request_from_wire(payload)
+        default = next(
+            f.default for f in dataclasses.fields(SpeculationConfig) if f.name == name
+        )
+        assert getattr(restored.speculation, name) == default
+
     def test_fingerprint_ignores_provenance(self):
         request = AnalysisRequest.speculative(SOURCE)
         result = execute_request(request)
