@@ -24,9 +24,12 @@ times three schedulers on each:
 The schedules differ, but on these loop-free kernels, where widening
 never fires, they compute the same unique least fixpoint: entry states
 and classifications are asserted bit-identical between the dense
-schedule and the sparse engine on every size.  In full mode the
-128-branch kernel must show the sparse engine at least 5x faster than
-the pre-PR reconstruction.
+schedule and the sparse engine on every size.  So that the comparison
+stays one between schedules, every size also checks that the dense run
+kept its schedule (:func:`check_dense_schedule`): it pops more often
+than the sparse engine, and each pop transfers every slot at its block.
+In full mode the 128-branch kernel must show the sparse engine at least
+5x faster than the pre-PR reconstruction.
 
 Run standalone::
 
@@ -114,12 +117,18 @@ class DenseSchedule(SpeculativeCacheAnalysis):
     re-transfers the normal state and every slot at the block, whatever
     changed."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: Slots the pops were handed.  A pop transfers every slot at its
+        #: block, so the pass's slot transfers must equal this.
+        self.slots_offered = 0
+
     def _block_granular(self, policy):
         return True
 
-    def _process_block_sparse(self, name, pending, normal, speculative, mark):
-        pending = {None, *speculative[name]}
-        return super()._process_block_sparse(name, pending, normal, speculative, mark)
+    def _extend_pending(self, block, pending, slots):
+        self.slots_offered += len(slots)
+        return {None, *slots}
 
 
 class PrePRReference(DenseSchedule):
@@ -146,17 +155,33 @@ class PrePRReference(DenseSchedule):
                 return scenario
         raise KeyError(color)
 
-    def _process_block_sparse(self, name, pending, normal, speculative, mark):
+    def _extend_pending(self, block, pending, slots):
         # The dense schedule transfers every slot at the block.
-        for slot in speculative[name]:
+        for slot in slots:
             self._linear_scenario_scan(slot[1])
-        return super()._process_block_sparse(name, pending, normal, speculative, mark)
+        return super()._extend_pending(block, pending, slots)
 
 
 def _timed(factory):
     started = time.perf_counter()
-    result = factory().run()
-    return time.perf_counter() - started, result
+    analysis = factory()
+    result = analysis.run()
+    return time.perf_counter() - started, analysis, result
+
+
+def check_dense_schedule(engine: DenseSchedule, sparse_pops: int, num_branches: int) -> None:
+    """Fail unless ``engine``'s finished run kept the dense schedule: it
+    popped whole blocks, which on these kernels takes more pops than the
+    node schedule's ``sparse_pops``, and every pop transferred every slot
+    at its block."""
+    assert engine.last_fixpoint.iterations > sparse_pops, (
+        f"the dense schedule popped {engine.last_fixpoint.iterations} times at "
+        f"{num_branches} branches, no more than the node schedule's {sparse_pops}"
+    )
+    assert engine._slot_transfers == engine.slots_offered, (
+        f"the dense schedule transferred {engine._slot_transfers} slots at "
+        f"{num_branches} branches, not the {engine.slots_offered} its pops were handed"
+    )
 
 
 def run_sweep(sizes, time_reference: bool):
@@ -169,8 +194,9 @@ def run_sweep(sizes, time_reference: bool):
                 program, cache_config=BENCH_CACHE, speculation=BENCH_SPECULATION
             )
 
-        sparse_time, sparse = _timed(engine)
-        dense_time, dense = _timed(lambda: engine(DenseSchedule))
+        sparse_time, _, sparse = _timed(engine)
+        dense_time, dense_engine, dense = _timed(lambda: engine(DenseSchedule))
+        check_dense_schedule(dense_engine, sparse.iterations, num_branches)
         assert dense.classifications == sparse.classifications, (
             f"sparse/dense divergence at {num_branches} branches"
         )
@@ -242,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     report(rows)
     print(f"\n{len(rows)} kernel sizes analysed in {elapsed:.2f}s")
     if args.smoke:
-        print("OK (smoke): sparse and dense results bit-identical")
+        print("OK (smoke): dense schedule kept, sparse and dense results bit-identical")
         _maybe_write_json(args, rows, {}, elapsed)
         return 0
     at_128 = next(row for row in rows if row["branches"] == 128)

@@ -43,6 +43,9 @@ class DepthChooser:
 
     config: SpeculationConfig
     layout: MemoryLayout
+    #: ``{color: window in force}``.  The speculative drain takes this dict
+    #: once per pass and reads it per slot, so it is updated in place and
+    #: never rebound.
     _active: dict[int, SpeculativeWindow] = field(default_factory=dict)
     _locked_long: set[int] = field(default_factory=set)
 

@@ -35,20 +35,32 @@ The sparse engine and its schedulers
 
 There is one engine, delta-driven: a pop re-transfers only the states
 (``None`` for S, or slots) whose inputs changed since they were last
-transferred.  The worklist queues *nodes*, each keyed by its schedule
-priority (``rank`` is a block's reverse-postorder position, ``β`` the
-branch block of a slot's color):
+transferred.  The pass queues *nodes* on a heap, each keyed by its
+schedule priority (``rank`` is a block's reverse-postorder position,
+``β`` the branch block of a slot's color):
 
 * S at block ``b`` is ``(rank[b], 0, rank[b])``;
 * the window slots of ``β``'s colors at ``b`` are ``(rank[β], 1, rank[b])``,
   and their resume slots ``(rank[β], 2, rank[b])``.
 
 A map from each queued key to the states marked under it is the whole
-dirty bookkeeping: a pop takes its key's marked set, transfers those
-slots in slot-creation order (each slot's position in its block's slot
-dict is kept from its creation on), and collects the deliveries as
-``(target, slot, value)`` tuples (``slot`` None for S), which are joined
-into their targets after the pop's transfers.
+dirty bookkeeping, and the heap's only deduplication: a key is pushed
+when the first state is marked under it.  A pop takes its key's marked
+set, transfers those slots in slot-creation order (each slot's position
+in its block's slot dict is kept from its creation on), and collects the
+deliveries as ``(target, slot, value)`` tuples (``slot`` None for S),
+which are joined into their targets after the pop's transfers.
+
+One loop does all of that (:meth:`SpeculativeCacheAnalysis._run_sparse_pass`),
+so that a slot transfer costs little more than its domain work: the
+lookups a transfer needs (each color's scenario and rollback target, the
+chooser's windows in force, the access table, the records) are taken
+once per pass, and a window block's record is walked in place.  The
+generic driver of :mod:`repro.engine.worklist` serves the plain solvers
+only.  A subclass may add to what a pop transfers, never take from it
+(:meth:`SpeculativeCacheAnalysis._extend_pending`);
+``benchmarks/bench_scenario_scaling.py`` forces the dense block schedule
+below that way.
 
 A branch's windows are thus drained, and all their rollbacks delivered,
 before the correct target's S is consumed.  On an acyclic CFG every
@@ -125,6 +137,7 @@ same value a walk would return.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
 from repro.analysis.depth import DepthChooser
@@ -136,16 +149,18 @@ from repro.analysis.transfer import (
     classify_block,
     new_bottom_state,
     new_entry_state,
-    record_window_block,
+    record_mismatch,
     site_classifications,
+    site_flags,
     transfer_block,
 )
 from repro.cache.config import CacheConfig
-from repro.engine.worklist import PriorityWorklist, WideningPolicy, run_fixpoint
+from repro.engine.worklist import WideningPolicy
 from repro.errors import AnalysisError
 from repro.frontend import CompiledProgram
 from repro.ir.cfg import CFG, diff_cfgs
 from repro.ir.graph import GraphIndex
+from repro.ir.memory import AccessKind
 from repro.obs import current_reporter, metrics, publish_progress, span
 from repro.obs.progress import POP_PUBLISH_INTERVAL
 from repro.speculation.config import SpeculationConfig
@@ -338,9 +353,6 @@ class SpeculativeCacheAnalysis:
             for scenario in self.vcfg.scenarios
             if scenario.branch_block in self._rank
         }
-        #: ``{block: {slot: position}}``: each slot's position in its
-        #: block's slot dict during a pass, the order a pop transfers in.
-        self._born: dict[str, dict[SlotKey, int]] = {}
 
     # ------------------------------------------------------------------
     # Scenario indices
@@ -708,6 +720,19 @@ class SpeculativeCacheAnalysis:
         fixpoint.widenings = policy.widenings
         return fixpoint
 
+    def _extend_pending(self, block: str, pending: set, slots: dict) -> set:
+        """The states one pop at ``block`` transfers: ``pending``, those
+        marked under the popped key (``None`` for S, slot keys), where
+        ``slots`` is the block's slot dict.
+
+        The engine's schedules transfer exactly what was marked.  A
+        subclass may override this to transfer more, never less: a
+        transfer whose input did not change re-delivers values already
+        below their targets, so the fixpoint stays the same and only the
+        work grows.  That is how ``benchmarks/bench_scenario_scaling.py``
+        forces the dense block schedule."""
+        return pending
+
     def _run_sparse_pass(
         self,
         normal: dict[str, object],
@@ -720,18 +745,41 @@ class SpeculativeCacheAnalysis:
         None)`` for S, ``(block, slot)`` for a slot) to convergence;
         returns the pop count.
 
-        The worklist queues node keys (see the module docstring), or
-        ``(rank,)`` for a whole block when the pass is block-granular, and
-        ``marked`` maps each queued key to the states marked under it."""
+        The pass pops a heap of node keys (see the module docstring), or
+        of ``(rank,)`` for a whole block when the pass is block-granular.
+        ``marked`` maps each queued key to the states marked under it and
+        is the only deduplication: a key is pushed when its first state
+        is marked.  A pop transfers S, then its live slots in
+        slot-creation order, then (when S was transferred at a branch
+        block) chooses the branch's windows and injects; it joins the
+        deliveries into their targets after all its transfers."""
         rpo = self._rpo
         rank = self._rank
         branch_rank = self._branch_rank
         block_granular = self._block_granular(policy)
+        widen_points = policy.points
         bottom = self._bottom
+        successors_of = self._successors
+        table = self.table
+        sites_up_to = table.sites_up_to
+        committed = self._committed.record
+        records = self._records
+        scenario_by_color = self._scenario_by_color
+        scenarios_by_branch = self._scenarios_by_branch
+        rollback = self._rollback
+        chooser = self.chooser
+        # The chooser's {color: window in force}, updated in place by
+        # choose(); a color not in it still runs its long window.
+        active = chooser._active
+        extend_pending = self._extend_pending
+        secret = AccessKind.SECRET
+        max_visits = MAX_VISITS
         visits = dict.fromkeys(self._graph.reachable, 0)
-        worklist = PriorityWorklist(None)
+        heap: list[tuple] = []
         marked: dict[tuple, set] = {}
-        self._born = born = {
+        # {block: {slot: position}}: each slot's position in its block's
+        # slot dict, kept from its creation on (the order a pop transfers in).
+        born = {
             name: {slot: position for position, slot in enumerate(slots)}
             for name, slots in speculative.items()
         }
@@ -747,7 +795,7 @@ class SpeculativeCacheAnalysis:
             pending = marked.get(key)
             if pending is None:
                 marked[key] = {slot}
-                worklist.push(key)
+                heappush(heap, key)
             else:
                 pending.add(slot)
 
@@ -759,143 +807,161 @@ class SpeculativeCacheAnalysis:
         # installed — the common (unwatched) case pays nothing per pop.
         reporter = current_reporter()
         publish_every = POP_PUBLISH_INTERVAL if reporter.active else 0
-        pops_seen = 0
+        pops = 0
+        transfers = 0
 
-        def step(item: tuple) -> tuple:
-            nonlocal pops_seen
-            if publish_every:
-                pops_seen += 1
-                if pops_seen % publish_every == 0:
-                    reporter.publish(
-                        "fixpoint.pops", pops=pops_seen, pass_name=description
-                    )
-            name = rpo[item[-1]]
+        while heap:
+            key = heappop(heap)
+            pops += 1
+            if pops > max_visits:
+                raise AnalysisError(
+                    f"{description} did not converge within {max_visits} worklist pops"
+                )
+            if publish_every and pops % publish_every == 0:
+                reporter.publish("fixpoint.pops", pops=pops, pass_name=description)
+            name = rpo[key[-1]]
             visits[name] += 1
-            deliveries = self._process_block_sparse(
-                name, marked.pop(item), normal, speculative, mark
-            )
-            # Join every delivery into its target; mark each state that grew.
-            for target, slot, value in deliveries:
-                if target not in normal:
+            slots_in = speculative[name]
+            pending = extend_pending(name, marked.pop(key), slots_in)
+            successors = successors_of[name]
+            # (target, slot or None for S, value), joined after the transfers.
+            deliveries: list[tuple[str, SlotKey | None, object]] = []
+
+            # --- normal transfer and propagation (only when S[n] changed) --
+            state_in = normal[name]
+            normal_marked = None in pending
+            if normal_marked:
+                state_out, records[(name, None)] = committed(state_in, name)
+                for successor in successors:
+                    deliveries.append((successor, None, state_out))
+
+            # --- marked speculative slots, in slot-creation order ----------
+            # Creation order keeps the delivery order independent of hash
+            # randomisation and identical to the dense schedule's relative
+            # order.  Slots marked before any state reached them do not
+            # exist yet and are skipped, exactly as the dense schedule
+            # skips bottom slots.
+            live = [slot for slot in pending if slot in slots_in]
+            if len(live) > 1:
+                live.sort(key=born[name].__getitem__)
+            for slot in live:
+                slot_state = slots_in[slot]
+                if slot_state.is_bottom:
                     continue
-                if slot is None:
-                    current = normal[target]
-                    joined = policy.apply(
-                        target, visits[target], current, current.join(value)
+                transfers += 1
+                color = slot[1]
+                if slot[0] == "resume":
+                    slot_out = transfer_block(slot_state, table, name)
+                    convergence = scenario_by_color[color].convergence_block
+                    for successor in successors:
+                        # Into the convergence block it is conversion (rule
+                        # 4): vn_stop — the speculative state joins the
+                        # normal flow and stops being tracked separately.
+                        deliveries.append(
+                            (successor, None if successor == convergence else slot, slot_out)
+                        )
+                    continue
+                window = active.get(color)
+                if window is None:
+                    window = scenario_by_color[color].window_miss
+                allowed = window.allowed
+                limit = allowed.get(name)
+                if limit is None:
+                    continue
+                # The window record, walked in place: each site's flags on
+                # the state it executes in, and the join of the states
+                # after every prefix of the block, which is what a rollback
+                # anywhere inside the block contributes (Section 5.2).
+                slot_out = prefix_join = slot_state
+                flags = []
+                for _, access in sites_up_to(name, limit):
+                    flags.append(
+                        (slot_out.must_hit_access(access), False)
+                        if access.kind is not secret
+                        else site_flags(slot_out, access)
                     )
-                    if not joined.leq(current):
-                        normal[target] = joined
-                        mark(target, None)
+                    slot_out = slot_out.access(access)
+                    prefix_join = prefix_join.join(slot_out)
+                records[(name, slot)] = tuple(flags)
+                # Window propagation (rule 2): only into blocks still
+                # inside the window.
+                for successor in successors:
+                    if successor in allowed:
+                        deliveries.append((successor, slot, slot_out))
+                # Rollback (rule 3): the join of all prefix states re-enters
+                # the normal flow at the correct target.
+                target, resume_slot, per_origin = rollback[color]
+                if per_origin:
+                    resume_slot += (name,)
+                deliveries.append((target, resume_slot, prefix_join))
+
+            # --- window choice and scenario injection at branch blocks -----
+            # The choice reads only S[n], so it runs when S[n] is
+            # transferred: re-running it on an unchanged state (as the dense
+            # schedule does on every pop) chooses the same window again.
+            if normal_marked:
+                for scenario in scenarios_by_branch.get(name, ()):
+                    previous_window = chooser.active_window(scenario)
+                    window = chooser.choose(scenario, state_in)
+                    if window.depth > previous_window.depth:
+                        # The window grew (the condition is no longer a
+                        # proven hit): re-propagate from every block of the
+                        # old window, and mark the scenario's window slot
+                        # there so the re-transfer runs against the new
+                        # window's limits and successor set.
+                        slot = ("window", scenario.color)
+                        for block in previous_window.allowed:
+                            if block in normal:
+                                mark(block, slot)
+                    if window.depth <= 0 or not window.contains(scenario.wrong_target):
+                        continue
+                    deliveries.append(
+                        (scenario.wrong_target, ("window", scenario.color), state_out)
+                    )
+
+            # --- join every delivery; mark each state that grew ------------
+            for target, slot, value in deliveries:
+                if slot is None:
+                    current = normal.get(target)
+                    if current is None:
+                        continue
+                    joined = current.join(value)
+                    if target in widen_points:
+                        joined = policy.apply(target, visits[target], current, joined)
+                    if joined.leq(current):
+                        continue
+                    normal[target] = joined
+                    position = rank[target]
+                    key = (position,) if block_granular else (position, 0, position)
                 else:
-                    slots = speculative[target]
+                    slots = speculative.get(target)
+                    if slots is None:
+                        continue
                     current = slots.get(slot, bottom)
                     joined = current.join(value)
-                    if not joined.leq(current):
-                        if slot not in slots:
-                            born[target][slot] = len(slots)
-                        slots[slot] = joined
-                        mark(target, slot)
-            return ()
-
-        return run_fixpoint(
-            worklist, step, max_visits=MAX_VISITS, description=description
-        )
-
-    def _process_block_sparse(
-        self,
-        name: str,
-        pending: set,
-        normal: dict[str, object],
-        speculative: dict[str, dict[SlotKey, object]],
-        mark,
-    ) -> list[tuple[str, SlotKey | None, object]]:
-        """Transfer what ``pending`` marks at block ``name`` (``None`` for
-        S, slot keys for slots) and return the deliveries, as ``(target,
-        slot or None, value)`` tuples."""
-        deliveries: list[tuple[str, SlotKey | None, object]] = []
-        successors = self._successors[name]
-        state_in = normal[name]
-        normal_marked = None in pending
-
-        # --- normal transfer and propagation (only when S[n] changed) ------
-        state_out = None
-        if normal_marked:
-            state_out, self._records[(name, None)] = self._committed.record(
-                state_in, name
-            )
-            for successor in successors:
-                deliveries.append((successor, None, state_out))
-
-        # --- marked speculative slots, in slot-creation order --------------
-        # Creation order keeps the delivery order independent of hash
-        # randomisation and identical to the dense schedule's relative
-        # order.  Slots marked before any state reached them do not exist
-        # yet and are skipped, exactly as the dense schedule skips bottom
-        # slots.
-        slots_in = speculative[name]
-        live = [slot for slot in pending if slot in slots_in]
-        if len(live) > 1:
-            live.sort(key=self._born[name].__getitem__)
-        for slot in live:
-            slot_state = slots_in[slot]
-            if getattr(slot_state, "is_bottom", False):
-                continue
-            self._slot_transfers += 1
-            scenario = self._scenario_by_color[slot[1]]
-            if slot[0] == "resume":
-                slot_out = transfer_block(slot_state, self.table, name)
-                convergence = scenario.convergence_block
-                for successor in successors:
-                    # Into the convergence block it is conversion (rule 4):
-                    # vn_stop — the speculative state joins the normal flow
-                    # and stops being tracked separately.
-                    deliveries.append(
-                        (successor, None if successor == convergence else slot, slot_out)
+                    if joined.leq(current):
+                        continue
+                    if slot not in slots:
+                        born[target][slot] = len(slots)
+                    slots[slot] = joined
+                    key = (
+                        (rank[target],)
+                        if block_granular
+                        else (
+                            branch_rank[slot[1]],
+                            1 if slot[0] == "window" else 2,
+                            rank[target],
+                        )
                     )
-                continue
-            allowed = self.chooser.active_window(scenario).allowed
-            limit = allowed.get(name)
-            if limit is None:
-                continue
-            slot_out, prefix_join, self._records[(name, slot)] = record_window_block(
-                slot_state, self.table, name, limit
-            )
-            # Window propagation (rule 2): only into blocks still inside
-            # the window.
-            for successor in successors:
-                if successor in allowed:
-                    deliveries.append((successor, slot, slot_out))
-            # Rollback (rule 3): the join of all prefix states re-enters
-            # the normal flow at the correct target.
-            target, resume_slot, per_origin = self._rollback[scenario.color]
-            if per_origin:
-                resume_slot += (name,)
-            deliveries.append((target, resume_slot, prefix_join))
+                pending = marked.get(key)
+                if pending is None:
+                    marked[key] = {slot}
+                    heappush(heap, key)
+                else:
+                    pending.add(slot)
 
-        # --- window choice and scenario injection at branch blocks ---------
-        # The choice reads only S[n], so it runs when S[n] is transferred:
-        # re-running it on an unchanged state (as the dense schedule does
-        # on every pop) chooses the same window again.
-        if not normal_marked:
-            return deliveries
-        for scenario in self._scenarios_by_branch.get(name, ()):
-            previous_window = self.chooser.active_window(scenario)
-            window = self.chooser.choose(scenario, state_in)
-            if window.depth > previous_window.depth:
-                # The window grew (the condition is no longer a proven hit):
-                # re-propagate from every block of the old window, and mark
-                # the scenario's window slot there so the re-transfer runs
-                # against the new window's limits and successor set.
-                slot = ("window", scenario.color)
-                for block in previous_window.allowed:
-                    if block in normal:
-                        mark(block, slot)
-            if window.depth <= 0 or not window.contains(scenario.wrong_target):
-                continue
-            deliveries.append(
-                (scenario.wrong_target, ("window", scenario.color), state_out)
-            )
-        return deliveries
+        self._slot_transfers += transfers
+        return pops
 
     # ------------------------------------------------------------------
     # Classification
@@ -951,24 +1017,44 @@ class SpeculativeCacheAnalysis:
             for resume in resumes:
                 state = resume if getattr(state, "is_bottom", False) else state.join(resume)
             classifications.extend(classify_block(state, table, block))
+        # The window records are most of a pass's records, so their
+        # classifications are assembled here as site_classifications
+        # would, without a call per record.
+        speculative = fixpoint.speculative
+        sites_up_to = table.sites_up_to
+        append = classifications.append
+        new = tuple.__new__
+        secret = AccessKind.SECRET
         for scenario in self.vcfg.scenarios:
             color = scenario.color
             slot = ("window", color)
             for block, limit in self.chooser.active_window(scenario).allowed.items():
-                state = fixpoint.speculative.get(block, {}).get(slot)
-                if state is None or getattr(state, "is_bottom", False):
+                state = speculative.get(block, {}).get(slot)
+                if state is None or state.is_bottom:
                     continue
                 flags = records.get((block, slot))
                 if flags is not None:
-                    classifications.extend(
-                        site_classifications(
-                            block,
-                            table.sites_up_to(block, limit),
-                            flags,
-                            speculative=True,
-                            scenario_color=color,
+                    sites = sites_up_to(block, limit)
+                    if len(flags) != len(sites):
+                        raise record_mismatch(block, flags, sites)
+                    for (index, access), (must_hit, secret_dependent) in zip(sites, flags):
+                        kind = access.kind
+                        append(
+                            new(
+                                AccessClassification,
+                                (
+                                    block,
+                                    index,
+                                    access.ref,
+                                    kind,
+                                    must_hit,
+                                    True,
+                                    color,
+                                    kind is secret,
+                                    secret_dependent,
+                                ),
+                            )
                         )
-                    )
                     continue
                 if retained is None:
                     raise AnalysisError(

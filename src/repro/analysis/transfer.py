@@ -32,12 +32,13 @@ registry counts ``access_table.memo_hits`` and
 ``access_table.memo_misses``.
 
 Classification rides on the fixpoint's own transfers.  A *recording*
-transfer (:func:`record_block`, and :func:`record_window_block` for a
-speculative window block, which also joins the rollback prefixes) reads
-each site's must-hit and secret-dependence flags off the state it is
-about to access, so the analyses keep the last record of each node and
-turn it into :class:`AccessClassification` values once, after the
-fixpoint (:func:`site_classifications`).  :func:`classify_block` is the
+transfer (:func:`record_block`) reads each site's must-hit and
+secret-dependence flags off the state it is about to access
+(:func:`site_flags`), so the analyses keep the last record of each node
+and turn it into :class:`AccessClassification` values once, after the
+fixpoint (:func:`site_classifications`).  The speculative analysis
+walks a window block's record in place, in its pop loop, where the walk
+also joins the rollback prefixes.  :func:`classify_block` is the
 walk for a state no transfer saw, e.g. a normal state joined with the
 resume slots that reach its block.
 """
@@ -165,8 +166,8 @@ def transfer_block(state, table: AccessTable, block: str, instruction_limit: int
     Returns the state after the last (allowed) instruction.
     """
     current = state
-    for site in table.sites_up_to(block, instruction_limit):
-        current = current.access(site.access)
+    for _, access in table.sites_up_to(block, instruction_limit):
+        current = current.access(access)
     return current
 
 
@@ -175,7 +176,7 @@ def transfer_block(state, table: AccessTable, block: str, instruction_limit: int
 SiteFlags = tuple[bool, bool]
 
 
-def _flags(state, access: BlockAccess) -> SiteFlags:
+def site_flags(state, access: BlockAccess) -> SiteFlags:
     """The verdict of ``access`` on ``state``, the state it executes in."""
     must_hit = state.must_hit_access(access)
     if access.kind is not AccessKind.SECRET or getattr(state, "is_bottom", False):
@@ -190,9 +191,8 @@ def record_block(
     """:func:`transfer_block`, also returning each site's flags."""
     current = state
     flags: list[SiteFlags] = []
-    for site in table.sites_up_to(block, instruction_limit):
-        access = site.access
-        flags.append(_flags(current, access))
+    for _, access in table.sites_up_to(block, instruction_limit):
+        flags.append(site_flags(current, access))
         current = current.access(access)
     return current, tuple(flags)
 
@@ -234,25 +234,15 @@ class CommittedTransfers:
         registry.counter("access_table.memo_misses").inc(self.misses)
 
 
-def record_window_block(
-    state, table: AccessTable, block: str, instruction_limit: int
-) -> tuple[object, object, tuple[SiteFlags, ...]]:
-    """:func:`record_block`, also returning the join of the states after
-    *every* prefix of the block: ``(state out, prefix join, flags)``.
-
-    The prefix join is exactly the state contributed by a rollback that may
-    happen at any point inside the block (Section 5.2): the merge of all
-    possible rollback points.
-    """
-    current = state
-    prefix_join = state
-    flags: list[SiteFlags] = []
-    for site in table.sites_up_to(block, instruction_limit):
-        access = site.access
-        flags.append(_flags(current, access))
-        current = current.access(access)
-        prefix_join = prefix_join.join(current)
-    return current, prefix_join, tuple(flags)
+def record_mismatch(
+    block: str, flags: tuple[SiteFlags, ...], sites: tuple[SiteAccess, ...]
+) -> AnalysisError:
+    """The error for a record of ``block`` that does not cover exactly the
+    classified prefix ``sites``."""
+    return AnalysisError(
+        f"a record of block {block!r} holds {len(flags)} sites, "
+        f"its classified prefix {len(sites)}"
+    )
 
 
 def site_classifications(
@@ -265,30 +255,28 @@ def site_classifications(
     """The classifications of ``sites`` (a prefix of ``block``'s sites)
     from a recording transfer's ``flags`` for that same prefix."""
     if len(flags) != len(sites):
-        raise AnalysisError(
-            f"a record of block {block!r} holds {len(flags)} sites, "
-            f"its classified prefix {len(sites)}"
-        )
+        raise record_mismatch(block, flags, sites)
     # The fixpoint's whole output passes here: build each named tuple
     # from its field values in order, without the keyword-binding
     # constructor.
     new = tuple.__new__
+    secret = AccessKind.SECRET
     return [
         new(
             AccessClassification,
             (
                 block,
-                site.instruction_index,
-                site.access.ref,
-                site.access.kind,
+                index,
+                access.ref,
+                access.kind,
                 must_hit,
                 speculative,
                 scenario_color,
-                site.access.kind is AccessKind.SECRET,
+                access.kind is secret,
                 secret_dependent,
             ),
         )
-        for site, (must_hit, secret_dependent) in zip(sites, flags)
+        for (index, access), (must_hit, secret_dependent) in zip(sites, flags)
     ]
 
 

@@ -250,7 +250,16 @@ class ShadowCacheState:
             if ranking is None:
                 ranking = lanes.pack(sorted(lanes.values(may), reverse=True))
             must -= self._nyoung_aged(must, may, younger, ranking) >> _GUARD_SHIFT
-        return self._with(must + ((num_lines - old_must) << shift), may, ranking)
+        # _with, built in place: every access of an analysis passes here.
+        state = object.__new__(ShadowCacheState)
+        state.num_lines = num_lines
+        state.lanes = lanes
+        state.must_packed = must + ((num_lines - old_must) << shift)
+        state.may_packed = may
+        state.is_bottom = False
+        state.policy = self.policy
+        state.may_ranking = ranking
+        return state
 
     def _nyoung_aged(self, must: int, may: int, younger: int, ranking: int) -> int:
         """Guard mask of the ``younger`` lanes of ``must`` that age under

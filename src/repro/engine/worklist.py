@@ -1,28 +1,33 @@
 """Shared priority-worklist fixpoint kernel (Algorithm 1's scheduler).
 
-Both fixpoint computations in the code base — the generic forward solver
-(:mod:`repro.ai.solver`) and the lifted multi-color engine
-(:mod:`repro.analysis.multicolor`) — iterate the same way: pop the
-pending block earliest in reverse postorder, apply a transfer, join the
-outputs into the targets, widen at loop headers after a visit threshold,
-and re-enqueue whatever changed.  This module is the single
-implementation of that schedule.
+The plain fixpoint computations — the generic forward solver
+(:mod:`repro.ai.solver`) and the secret-taint dataflow
+(:mod:`repro.analysis.taint`) — iterate the same way: pop the pending
+block earliest in reverse postorder, apply a transfer, join the outputs
+into the targets, widen at loop headers after a visit threshold, and
+re-enqueue whatever changed.  This module is the single implementation
+of that schedule.
 
 * :class:`PriorityWorklist` — a heap-ordered, duplicate-free queue keyed
   by a priority map (typically reverse-postorder positions) or, for
   self-ordering items, by the items themselves.  It replaces the
   ``min(worklist, ...)`` + ``remove`` scan the ad-hoc loops used, which
   costs O(n) per pop and O(n²) over a run with a wide frontier; the heap
-  costs O(log n) per operation.  The multi-color engine queues node keys
-  (tuples of ints) and keeps, beside the worklist, the states marked
-  under each queued key, so a pop knows what to transfer without
-  scanning its block.
+  costs O(log n) per operation.
 * :class:`WideningPolicy` — where and when to widen, plus the
   lattice-based accounting of whether a widening actually changed the
   joined state (object identity is *not* a reliable signal: a ``widen``
   that returns an equal-but-distinct element must not be counted).
 * :func:`run_fixpoint` — the pop/step/re-enqueue driver with the
   divergence guard.
+
+The lifted multi-color engine (:mod:`repro.analysis.multicolor`) takes
+only :class:`WideningPolicy` from here.  Its pass pops its own heap of
+node keys, with the states marked under each queued key as the only
+deduplication, so that a pop costs little beside its transfers; it keeps
+the same divergence guard and progress events.  The drain it replaced,
+kept as the tests' oracle (``tests/drain_reference.py``), still runs on
+:class:`PriorityWorklist` and :func:`run_fixpoint`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ class PriorityWorklist:
     classical fast-converging iteration order.  Ties (only possible for
     items missing from ``order``) break deterministically by the item.
     With ``order=None`` every item is its own priority, so items must be
-    mutually comparable (the multi-color engine pushes tuples of ints).
+    mutually comparable (the multi-color drain's oracle pushes tuples of
+    ints).
     """
 
     __slots__ = ("_order", "_heap", "_queued")
@@ -135,8 +141,8 @@ def run_fixpoint(
     ``step(item)`` processes one item (a block, for the plain solvers)
     and returns the items whose abstract state changed (they are
     re-enqueued).  ``step`` may also enqueue items directly through the
-    worklist it closes over — the multi-color engine enqueues the key of
-    every node it marks that way.  Exceeding ``max_visits`` raises
+    worklist it closes over — the multi-color drain's oracle enqueues the
+    key of every node it marks that way.  Exceeding ``max_visits`` raises
     :class:`AnalysisError`: the lattice and schedule guarantee
     termination, so divergence means a broken transfer function or
     partial order.

@@ -11,10 +11,12 @@ its initial marks as ``(block, slot)`` pairs and keeps its own visit
 counts, so :meth:`DrainReference._run_sparse_pass` turns the marks into
 dirty sets and calls the old pass, renamed ``_run_dirty_pass``.
 
-Everything else — the scenario indices, window choice, the recording
+Everything else — the scenario indices, window choice, the S and resume
 transfers, warm planning and classification — is the engine's own, so a
-comparison checks the drain: its schedule, its delivery order and the
-states it reaches.
+comparison checks the drain: its schedule, its delivery order, the
+states it reaches and its records.  The engine walks a window block's
+record in place, inside its pop loop; the walk it replaced is kept here
+as the function it was, :func:`record_window_block`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,31 @@ from repro.analysis.multicolor import (
     SlotKey,
     SpeculativeCacheAnalysis,
 )
-from repro.analysis.transfer import record_block, record_window_block, transfer_block
+from repro.analysis.transfer import AccessTable, record_block, site_flags, transfer_block
 from repro.engine.worklist import PriorityWorklist, WideningPolicy, run_fixpoint
 from repro.obs import current_reporter
 from repro.obs.progress import POP_PUBLISH_INTERVAL
+
+
+def record_window_block(
+    state, table: AccessTable, block: str, instruction_limit: int
+) -> tuple[object, object, tuple]:
+    """:func:`record_block`, also returning the join of the states after
+    *every* prefix of the block: ``(state out, prefix join, flags)``.
+
+    The prefix join is exactly the state contributed by a rollback that may
+    happen at any point inside the block (Section 5.2): the merge of all
+    possible rollback points.
+    """
+    current = state
+    prefix_join = state
+    flags = []
+    for site in table.sites_up_to(block, instruction_limit):
+        access = site.access
+        flags.append(site_flags(current, access))
+        current = current.access(access)
+        prefix_join = prefix_join.join(current)
+    return current, prefix_join, tuple(flags)
 
 
 @dataclass

@@ -17,6 +17,19 @@ each strategy and predictor is its own case, and a case that checks no
 access fails.  The ``branchy`` kernels have no must-hit site at all, so
 they add no accesses to check; the other 20 programs add ~3,500 per
 strategy over the three predictors.
+
+On those programs, with the simulator's all-zero inputs, no committed
+access misses at a site even the non-speculative analysis calls a
+must-hit, so those cases alone cannot tell the speculative analysis
+from one that ignores speculation.  The paper's Figure 2/3 program can:
+at 512 lines, a misprediction whose excursion is one or two
+instructions long evicts the ``ph`` line that the committed ``ph[k]``
+reads next, a site the non-speculative analysis calls a must-hit.  It
+runs under the opposing predictor at every fixed excursion length up to
+``bh`` and at the bounds' own choice.  Each merge strategy's must-hits
+must hit there, and the non-speculative analysis's must-hits must miss
+at least once, which shows the program exercises the unsoundness: an
+analysis that degenerated to the non-speculative one would fail.
 """
 
 from __future__ import annotations
@@ -24,10 +37,16 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.crypto import CRYPTO_BENCHMARKS
-from repro.bench.programs import WCET_BENCHMARKS, branchy_kernel_source, wcet_benchmark_source
+from repro.bench.programs import (
+    WCET_BENCHMARKS,
+    branchy_kernel_source,
+    motivating_example_source,
+    wcet_benchmark_source,
+)
 from repro.bench.tables import BENCH_CACHE, BENCH_SPECULATION, table7_client_request
 from repro.cache.config import CacheConfig
 from repro.engine import AnalysisEngine, AnalysisRequest
+from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
 from repro.speculation.predictor import (
     AlwaysNotTakenPredictor,
@@ -44,6 +63,13 @@ PREDICTORS = {
     "taken": AlwaysTakenPredictor,
     "not_taken": AlwaysNotTakenPredictor,
 }
+
+#: The speculation bounds the Figure 2/3 program is analysed under.
+FIGURE2_SPECULATION = SpeculationConfig.paper_default()
+
+#: Its simulated excursion lengths: the bounds' own choice (None) and
+#: every fixed length up to ``bh``.
+FIGURE2_EXCURSIONS = (None, *range(1, FIGURE2_SPECULATION.depth_hit + 1))
 
 
 def benchmark_programs() -> dict[str, AnalysisRequest]:
@@ -125,3 +151,62 @@ def test_must_hits_hit_on_every_committed_path(executions, strategy, predictor):
                 )
     assert not misses, "\n".join(misses[:20])
     assert checked > 0, "no committed access reached a must-hit site"
+
+
+@pytest.fixture(scope="module")
+def figure2():
+    """``(engine, request, program, committed)`` for the Figure 2/3
+    program at 512 lines: ``committed`` holds the committed accesses of
+    one opposing-predictor run per excursion length."""
+    engine = AnalysisEngine()
+    request = AnalysisRequest.speculative(
+        source=motivating_example_source(num_lines=512, line_size=64),
+        cache_config=CacheConfig.paper_default(),
+        speculation=FIGURE2_SPECULATION,
+    )
+    program = engine.compile(request)
+    committed = [
+        access
+        for length in FIGURE2_EXCURSIONS
+        for access in SpeculativeSimulator(
+            program,
+            cache_config=request.cache_config,
+            speculation=request.speculation,
+            predictor=OpposingPredictor(),
+            excursion_length=length,
+        ).run().non_speculative_accesses()
+    ]
+    return engine, request, program, committed
+
+
+def committed_misses(committed, sites: set[tuple[str, int]]) -> list[str]:
+    """The committed accesses to ``sites`` that missed, as ``block:index``."""
+    return [
+        f"{access.block_name}:{access.instruction_index}"
+        for access in committed
+        if (access.block_name, access.instruction_index) in sites and not access.hit
+    ]
+
+
+@pytest.mark.parametrize("strategy", list(MergeStrategy), ids=lambda s: s.value)
+def test_figure2_must_hits_hit_under_every_excursion(figure2, strategy):
+    engine, request, program, committed = figure2
+    result = engine.run(
+        AnalysisRequest.speculative(
+            source=request.source,
+            cache_config=request.cache_config,
+            speculation=request.speculation.with_strategy(strategy),
+        ),
+        program=program,
+    )
+    assert not committed_misses(committed, result.must_hit_sites())
+
+
+def test_figure2_misses_at_a_non_speculative_must_hit(figure2):
+    engine, request, program, committed = figure2
+    baseline = engine.run(
+        AnalysisRequest.baseline(source=request.source, cache_config=request.cache_config),
+        program=program,
+    )
+    assert baseline.must_hit_sites()
+    assert committed_misses(committed, baseline.must_hit_sites())

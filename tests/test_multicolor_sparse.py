@@ -17,6 +17,7 @@ import classify_reference
 import graph_reference
 from drain_reference import DrainReference
 from repro import compile_source
+from repro.analysis import multicolor
 from repro.analysis.multicolor import (
     WIDENING_DELAY,
     SpeculativeCacheAnalysis,
@@ -37,7 +38,9 @@ from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
 from repro.ir.graph import VIRTUAL_EXIT
 from repro.engine.worklist import WideningPolicy
+from repro.errors import AnalysisError
 from repro.ir.instructions import CondBranch, Const, Jump, Return, Temp
+from repro.obs import CallbackReporter, reporting
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
 from repro.speculation.vcfg import build_vcfg, compute_window
@@ -346,6 +349,28 @@ class TestDrainMatchesTheReplacedDrain:
             )
             used += engine.warm_info["used"]
         assert used, "no edit ran warm"
+
+
+class TestPopLoop:
+    """The pass's own divergence guard and throttled progress."""
+
+    def test_a_pass_past_max_visits_raises(self, monkeypatch):
+        program = compile_source(branchy_kernel_source(4))
+        monkeypatch.setattr(multicolor, "MAX_VISITS", 5)
+        with pytest.raises(AnalysisError, match="did not converge within 5 worklist pops"):
+            SpeculativeCacheAnalysis(program).solve()
+
+    def test_pops_are_published_every_interval(self, monkeypatch):
+        program = compile_source(branchy_kernel_source(4))
+        monkeypatch.setattr(multicolor, "POP_PUBLISH_INTERVAL", 10)
+        events = []
+        with reporting(CallbackReporter(lambda phase, fields: events.append((phase, fields)))):
+            fixpoint = SpeculativeCacheAnalysis(program).solve()
+        assert fixpoint.iterations >= 20
+        assert [fields for phase, fields in events if phase == "fixpoint.pops"] == [
+            {"pops": pops, "pass_name": "speculative fixpoint"}
+            for pops in range(10, fixpoint.iterations + 1, 10)
+        ]
 
 
 # ----------------------------------------------------------------------
